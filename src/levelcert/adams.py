@@ -12,7 +12,7 @@ dual complex.
 
 from dataclasses import dataclass, field
 
-from .modules import find_isomorphism, free_hom, artin_free, graded_free
+from .modules import free_hom, artin_free, graded_free
 from .complexes import (ChainMap, Complex, Triangle, cone, identity_chain_map,
                         module_stalk)
 from .resolutions import _elem_degree

@@ -572,7 +572,7 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
         _, cls, name = cmd
         x = sess.as_complex(name, line)
         rep = level_report(x, cls, budget=config["budget"],
-                           window=config["cutoff"], seed=config["seed"])
+                           window=config["cutoff"])
         payload = rep.to_dict()
         payload["verified"] = rep.verify()
         out["name"] = name
@@ -594,8 +594,7 @@ def run_session(sess: Session, config) -> dict:
     reports = [run_command(sess, cmd, config, line)
                for cmd, line in sess.commands]
     return {
-        "config": {"budget": config["budget"], "cutoff": config["cutoff"],
-                   "seed": config["seed"]},
+        "config": {"budget": config["budget"], "cutoff": config["cutoff"]},
         "reports": reports,
     }
 
@@ -672,8 +671,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="resolution window for dimension reports")
     ap.add_argument("--budget", type=int, default=4,
                     help="tower depth for level bounds")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized searches")
     ap.add_argument("--out", default=None,
                     help="write the JSON report to this path")
     ap.add_argument("--corpus-filter", default=None,
@@ -684,7 +681,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     config = {"cutoff": args.cutoff, "budget": args.budget,
-              "seed": args.seed, "corpus_filter": args.corpus_filter}
+              "corpus_filter": args.corpus_filter}
     try:
         if args.script == "-":
             source = sys.stdin.read()

@@ -32,6 +32,7 @@ class Complex:
         self.label = label
         self._zero = zero_module(ring)
         self._hdata = None
+        self._dual = None
         for i, d in diffs.items():
             if d.source.is_zero_module() or d.target.is_zero_module():
                 continue
@@ -98,15 +99,18 @@ class Complex:
         return Complex(self.ring, mods, diffs, check=False)
 
     def dual(self) -> "Complex":
-        """Degreewise linear dual: (X^v)_i = (X_{-i})^v, d_i = (d^X_{1-i})^v."""
+        """Degreewise linear dual: (X^v)_i = (X_{-i})^v, d_i = (d^X_{1-i})^v.
+
+        Cached like hdata(), so the dual keeps its computed homology.
+        """
         if self.ring.kind != "artin":
             raise ComplexError("duality is only available over artinian rings")
-        mods = {-i: m.dual() for i, m in self.modules.items()}
-        diffs = {}
-        for i, d in self.diffs.items():
-            # d: X_i -> X_{i-1} dualizes to (X_{i-1})^v -> (X_i)^v at degree 1-i
-            diffs[1 - i] = d.dual()
-        return Complex(self.ring, mods, diffs, check=False)
+        if self._dual is None:
+            # d: X_i -> X_{i-1} dualizes to (X_{i-1})^v -> (X_i)^v at 1-i
+            self._dual = Complex(
+                self.ring, {-i: m.dual() for i, m in self.modules.items()},
+                {1 - i: d.dual() for i, d in self.diffs.items()}, check=False)
+        return self._dual
 
     def __eq__(self, other):
         return (isinstance(other, Complex) and other.modules == self.modules
@@ -319,10 +323,6 @@ class HomologyData:
 
     def is_exact(self) -> bool:
         return not self.nonzero_degrees()
-
-    def homology_class(self, i: int, cycle_elem):
-        """Image of a cycle (element of Z_i) in H_i."""
-        return self.homology_proj(i).apply(cycle_elem)
 
     def total_homology(self):
         """(H^sum, list of (degree, H_i)) over the homology support."""
@@ -557,11 +557,6 @@ class ChainMapSpace:
         return ChainMap(self.x, self.y, comps, check=False)
 
     # -- the chain-map condition as a matrix
-
-    def _unit_coord(self, i: int, t: int) -> ChainMap:
-        col = [[self.field.zero] for _ in range(self.total_dim)]
-        col[self.offsets[i] + t][0] = self.field.one
-        return self.map_from_coords(Mat.from_rows(self.field, col))
 
     def chain_map_basis(self) -> Mat:
         """Columns: coordinates of a basis of the space of chain maps."""

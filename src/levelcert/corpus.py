@@ -147,8 +147,7 @@ def _case_session_script():
     ring = sess.rings["A"]
     kx = sess.complexes["K"]
     cmd, line = sess.commands[0]
-    out = run_command(sess, cmd, {"budget": 4, "cutoff": 6, "seed": 0},
-                      line)
+    out = run_command(sess, cmd, {"budget": 4, "cutoff": 6}, line)
     return {"ring_kind": ring.kind,
             "complex_support": [int(i) for i in kx.support()],
             "verdict": out["certificate"]["verdict"]}

@@ -13,14 +13,14 @@ null-homotopic, or from a certified failure of the one-step test. Both
 sides carry a verify() that replays the checks from scratch.
 """
 
-import itertools
-import random
 from dataclasses import dataclass, field
 
 from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle, cone,
                         identity_chain_map, is_quasi_iso)
-from .resolutions import (depth_of, dimension_report,
-                          semiprojective_resolution, tr_screen)
+from .linalg import Mat, full_rank_combination
+from .modules import top_matrices
+from .resolutions import (dimension_report, semiprojective_resolution,
+                          tr_screen)
 from .adams import (adams_step_inj, adams_step_proj, adams_tower,
                     homology_stalks)
 
@@ -139,54 +139,27 @@ def _replacement(m: Complex, extra: int = 2):
     return res.complex, res.aug
 
 
-def _iter_class_maps(cms: ChainMapSpace, budget: int, samples: int,
-                     seed: int):
-    """Yield (chain map, exhaustive_flag) candidates up to homotopy."""
-    dim = cms.hom_classes_dim()
-    if dim == 0:
-        return
-    q = cms.field.p if hasattr(cms.field, "p") else None
-    reps = [cms.class_representative(j) for j in range(dim)]
-    if q is not None and q ** dim <= budget:
-        for vec in itertools.product(range(q), repeat=dim):
-            if all(c == 0 for c in vec):
-                continue
-            f = None
-            for c, rep in zip(vec, reps):
-                if c == 0:
-                    continue
-                term = rep.scale(cms.field.of(c))
-                f = term if f is None else f + term
-            yield f, True
-        return
-    rng = random.Random(seed)
-    hi = q if q is not None else 1 << 30
-    for _ in range(samples):
-        vec = [rng.randrange(hi) for _ in range(dim)]
-        if all(c == 0 for c in vec):
-            vec[0] = 1
-        f = None
-        for c, rep in zip(vec, reps):
-            cc = cms.field.of(c)
-            term = rep.scale(cc)
-            f = term if f is None else f + term
-        yield f, False
+def _iter_class_maps(cms: ChainMapSpace):
+    """Yield one chain map per basis class of the maps up to homotopy."""
+    for j in range(cms.hom_classes_dim()):
+        yield cms.class_representative(j)
 
 
-def level_one_test(m: Complex, cls: str, budget: int = 4096,
-                   samples: int = 32, seed: int = 0,
-                   window: int = 4) -> LevelOneResult:
+def level_one_test(m: Complex, cls: str, window: int = 4) -> LevelOneResult:
     """Decide whether m is built from C in a single layer.
 
     That happens exactly when m is quasi-isomorphic to its homology
     complex (zero differentials) and every homology module lies in C.
+    A map from a free replacement of m onto the homology complex is one
+    when it is onto every homology module H (source and target homology
+    are isomorphic), by Nakayama when it is onto H/mH: one
+    full_rank_combination call over the homotopy classes decides that.
     """
     cls = normalize_class(cls)
     if m.is_zero_complex() or m.hdata().is_exact():
         return LevelOneResult("yes", "no homology", {}, exhaustive=True)
     if cls in DUAL_CLASS and m.ring.kind == "artin":
-        inner = level_one_test(m.dual(), DUAL_CLASS[cls], budget,
-                               samples, seed, window)
+        inner = level_one_test(m.dual(), DUAL_CLASS[cls], window)
         inner.reason += " (computed on the dual complex)"
         return inner
 
@@ -217,22 +190,27 @@ def level_one_test(m: Complex, cls: str, budget: int = 4096,
                                   witness=st.phi, exhaustive=True)
 
     P, aug = _replacement(m)
-    hs = homology_stalks(m)
-    cms = ChainMapSpace(P, hs)
-    exhausted = True
-    for f, exh in _iter_class_maps(cms, budget, samples, seed):
-        exhausted = exhausted and exh
+    cms = ChainMapSpace(P, homology_stalks(m))
+    reps = list(_iter_class_maps(cms))
+    verdict, found = "none", "no nonzero class"
+    if reps:
+        verdict, found = full_rank_combination(m.ring.field, [
+            top_matrices([f.induced_on_homology(i) for f in reps])
+            for i in hdegs])
+    if verdict == "none":
+        return LevelOneResult(
+            "no", "no homotopy class of maps onto the homology complex "
+            f"induces an isomorphism: {found}", per, exhaustive=True)
+    if verdict == "found":
+        f = cms.map_from_coords(
+            cms.class_space()[1] @ Mat.column(cms.field, found))
         if all(f.induced_on_homology(i).is_iso() for i in hdegs):
             return LevelOneResult(
                 "yes", "found a quasi-isomorphism onto the homology "
-                "complex", per, witness=(aug, f), exhaustive=exh)
-    if exhausted:
-        return LevelOneResult(
-            "no", "no homotopy class of maps onto the homology complex "
-            "induces an isomorphism", per, exhaustive=True)
+                "complex", per, witness=(aug, f), exhaustive=True)
     return LevelOneResult(
-        "inconclusive", "sampled maps onto the homology complex without "
-        "finding a quasi-isomorphism", per)
+        "inconclusive", "no verified quasi-isomorphism onto the homology "
+        "complex was found", per)
 
 
 def derived_hom(m: Complex, n: Complex) -> ChainMapSpace:
@@ -401,8 +379,7 @@ def _next_degree(degs, n):
 
 
 def upper_via_tower(m: Complex, cls: str, budget: int = 4,
-                    window: int = 4, search_budget: int = 4096,
-                    samples: int = 32, seed: int = 0):
+                    window: int = 4):
     """Cover-tower bound: peel free covers until a one-layer terminus.
 
     Each step contributes a triangle whose free stalk layer lies in C,
@@ -415,8 +392,7 @@ def upper_via_tower(m: Complex, cls: str, budget: int = 4,
     tower = adams_tower(m, budget, side="proj")
     for n in range(1, len(tower.steps) + 1):
         layer = tower.layer(n)
-        lo = level_one_test(layer, cls, search_budget, samples, seed,
-                            window)
+        lo = level_one_test(layer, cls, window)
         if lo.verdict == "yes":
             tris = [tower.steps[s].triangle for s in range(n)]
             return UpperCertificate(
@@ -427,15 +403,17 @@ def upper_via_tower(m: Complex, cls: str, budget: int = 4,
 
 
 def upper_certificate(m: Complex, cls: str, budget: int = 4,
-                      window: int = 4, search_budget: int = 4096,
-                      samples: int = 32, seed: int = 0):
-    """Best available verified upper bound for the level of m."""
+                      window: int = 4, one: LevelOneResult = None):
+    """Best available verified upper bound for the level of m.
+
+    one is level_one_test(m, cls) when the caller has it already.
+    """
     cls = normalize_class(cls)
     if m.is_zero_complex() or m.hdata().is_exact():
         return UpperCertificate(cls, 0, "zero-object")
     if cls in DUAL_CLASS and m.ring.kind == "artin":
         inner = upper_certificate(m.dual(), DUAL_CLASS[cls], budget,
-                                  window, search_budget, samples, seed)
+                                  window, one)
         if inner is None:
             return None
         inner.cls = cls
@@ -446,7 +424,7 @@ def upper_certificate(m: Complex, cls: str, budget: int = 4,
     if cls in ("inj", "ginj") and m.ring.kind != "artin":
         return None
 
-    one = level_one_test(m, cls, search_budget, samples, seed, window)
+    one = one or level_one_test(m, cls, window)
     if one.verdict == "yes":
         return UpperCertificate(cls, 1, "one-step", level_one=one)
 
@@ -457,8 +435,7 @@ def upper_certificate(m: Complex, cls: str, budget: int = 4,
     if best is not None and best.value <= 2:
         best.level_one = best.level_one or one
         return best
-    tow = upper_via_tower(m, cls, budget, window, search_budget,
-                          samples, seed)
+    tow = upper_via_tower(m, cls, budget, window)
     if tow is not None and (best is None or tow.value < best.value):
         best = tow
     return best
@@ -504,21 +481,21 @@ class LowerCertificate:
 
 
 def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
-                      window: int = 4, search_budget: int = 4096,
-                      samples: int = 32, seed: int = 0):
+                      window: int = 4, one: LevelOneResult = None):
     """Best lower bound assembled from the routes valid for the class.
 
     For proj and flat, chains of maps that kill homology are ghosts, so
     a nonzero n-fold composite forces level at least n + 1. For the
     Gorenstein classes those chains prove nothing, and the bound falls
-    back to a certified failure of the one-step test.
+    back to a certified failure of the one-step test. one is
+    level_one_test(m, cls) when the caller has it already.
     """
     cls = normalize_class(cls)
     if m.is_zero_complex() or m.hdata().is_exact():
         return LowerCertificate(cls, 0, "zero-object")
     if cls in DUAL_CLASS and m.ring.kind == "artin":
         inner = ghost_lower_bound(m.dual(), DUAL_CLASS[cls], budget,
-                                  window, search_budget, samples, seed)
+                                  window, one)
         inner.cls = cls
         inner.dualized = True
         inner.notes.append("computed on the vector-space dual")
@@ -528,7 +505,7 @@ def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
 
     best = LowerCertificate(cls, 1, "nonzero-homology")
 
-    one = level_one_test(m, cls, search_budget, samples, seed, window)
+    one = one or level_one_test(m, cls, window)
     if one.verdict == "no" and one.exhaustive and best.value < 2:
         best = LowerCertificate(cls, 2, "one-step-impossible",
                                 level_one=one)
@@ -612,9 +589,8 @@ def audit_emitted() -> dict:
     return {"total": len(EMITTED), "counts": counts, "failures": failures}
 
 
-def level_report(m: Complex, cls: str, budget: int = 4, window: int = 4,
-                 search_budget: int = 4096, samples: int = 32,
-                 seed: int = 0) -> LevelCertificate:
+def level_report(m: Complex, cls: str, budget: int = 4,
+                 window: int = 4) -> LevelCertificate:
     cls = normalize_class(cls)
     notes = []
     if cls in ("inj", "ginj") and m.ring.kind != "artin" \
@@ -623,20 +599,14 @@ def level_report(m: Complex, cls: str, budget: int = 4, window: int = 4,
             cls, None, None,
             notes=["out of scope: no nonzero finitely generated graded "
                    "injectives, the class builds only the zero object"])
-    upper = upper_certificate(m, cls, budget, window, search_budget,
-                              samples, seed)
-    lower = ghost_lower_bound(m, cls, budget, window, search_budget,
-                              samples, seed)
+    one = level_one_test(m, cls, window)
+    upper = upper_certificate(m, cls, budget, window, one)
+    lower = ghost_lower_bound(m, cls, budget, window, one)
     return LevelCertificate(cls, upper, lower, notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # structural consequences
-
-
-def depth_module(obj):
-    """Depth of a module or complex via Koszul homology."""
-    return depth_of(obj)
 
 
 def bass_check(m: Complex, full: bool = False) -> dict:

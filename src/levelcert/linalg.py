@@ -12,7 +12,10 @@ the input.
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -234,12 +237,6 @@ class Mat:
     def column(field, entries: Sequence) -> "Mat":
         return Mat.from_rows(field, [[x] for x in entries])
 
-    @staticmethod
-    def from_columns(field, nrows: int, cols: Sequence["Mat"]) -> "Mat":
-        if not cols:
-            return Mat.zeros(field, nrows, 0)
-        return hstack(list(cols))
-
     # ---- accessors ----
 
     @property
@@ -380,9 +377,9 @@ class Mat:
     def transpose(self) -> "Mat":
         if self.field.is_prime_field:
             return Mat(self.field, self.ncols, self.nrows, self._a.T)
-        return Mat.from_rows(self.field,
-                             [[self._rows[i][j] for i in range(self.nrows)]
-                              for j in range(self.ncols)])
+        return Mat(self.field, self.ncols, self.nrows,
+                   [[self._rows[i][j] for i in range(self.nrows)]
+                    for j in range(self.ncols)])
 
     # ---- reduction ----
 
@@ -582,3 +579,47 @@ def extend_to_basis(field, U: Mat) -> list[int]:
             r += 1
             chosen.append(j)
     return chosen
+
+
+# full_rank_combination searches a grid of at most GRID_CAP points in full,
+# and past that tries FALLBACK_TRIES points drawn with FALLBACK_SEED
+GRID_CAP = 4096
+FALLBACK_TRIES = 32
+FALLBACK_SEED = 0
+
+
+def full_rank_combination(field, blocks: Sequence[Sequence[Mat]]):
+    """("found", c) with c != 0 and every sum_j c_j blocks[i][j] of full row
+    rank, ("none", reason) when no such c exists, or ("inconclusive", None).
+
+    Every block holds the same number d >= 1 of r_i x n_i matrices.
+    (a) A block whose matrices side by side have rank below r_i has no
+    full-rank combination. (b) A product of one r_i-minor per block has
+    degree at most R = sum r_i in each c_j, so by Alon's Combinatorial
+    Nullstellensatz it vanishes on the grid S^d, |S| > R, only if it is
+    zero. The grid S = {0, ..., R}, the whole field when q <= R, decides.
+    (c) A grid of more than GRID_CAP points is only sampled.
+    """
+    for i, mats in enumerate(blocks):
+        if hstack(mats).rank() < mats[0].nrows:
+            return ("none", f"block {i}: the matrices together have rank "
+                            f"below {mats[0].nrows}")
+    d = len(blocks[0])
+    hi = field.p if field.is_prime_field else 1 << 16
+    size = min(hi, max(2, sum(mats[0].nrows for mats in blocks) + 1))
+    exhaustive = size ** d <= GRID_CAP
+    if exhaustive:
+        points = itertools.product(range(size), repeat=d)
+    else:
+        rng = random.Random(FALLBACK_SEED)
+        points = ([rng.randrange(hi) for _ in range(d)]
+                  for _ in range(FALLBACK_TRIES))
+    for point in points:
+        c = [field.of(x) for x in point]
+        if any(point) and all(
+                reduce(Mat.__add__, map(Mat.scale, mats, c)).rank()
+                == mats[0].nrows for mats in blocks):
+            return ("found", c)
+    if exhaustive:
+        return ("none", f"no point of the {size}^{d} grid gives full rank")
+    return ("inconclusive", None)

@@ -18,8 +18,8 @@ vector is zero; all homotopy-theoretic linear algebra runs through it.
 
 from __future__ import annotations
 
-from .linalg import (Mat, block_diag, extend_to_basis, hstack, subspace_basis,
-                     vstack)
+from .linalg import (Mat, block_diag, extend_to_basis, full_rank_combination,
+                     hstack, subspace_basis, vstack)
 from .poly import Poly, PolyVec, mono_mul, monomials_of_degree
 from .grobner import buchberger, syzygies
 from .rings import ArtinRing, GradedPolyRing
@@ -785,13 +785,6 @@ def direct_sum(mods):
     return S, incls, projs
 
 
-def free_gen(F, j):
-    """j-th module generator of a free module, as an element."""
-    if F.mode == "artin":
-        return F.basis_elem(j * F.ring.dim)
-    return F.gen_elem(j)
-
-
 def free_hom(F, N, images):
     """Hom out of a free module sending generator j to images[j]."""
     if F.mode == "artin":
@@ -1077,48 +1070,53 @@ def hom_space(M, N):
 # ------------------------------------------------------------ isomorphism
 
 
-def _random_field_elem(field, rng):
-    if field.is_prime_field:
-        return rng.randrange(field.p)
-    from fractions import Fraction
-    return Fraction(rng.randint(-3, 3))
+def top_matrices(homs):
+    """Matrices of h (x) k : M/mM -> N/mN for homs h: M -> N with one M, N.
 
-
-def find_isomorphism(M, N, rng=None, samples: int = 48,
-                     exhaustive_limit: int = 4096):
-    """('iso', hom) | ('not_iso', reason) | ('inconclusive', None)."""
-    import itertools
-    import random as _random
-    rng = rng or _random.Random(0)
+    Columns follow the minimal generators of M; rows are a basis of the
+    functionals on N that vanish on mN. By Nakayama a hom is surjective
+    exactly when its matrix has full row rank.
+    """
+    M, N = homs[0].source, homs[0].target
     if M.mode == "artin":
-        if M.dim != N.dim:
-            return ("not_iso", "dimension mismatch")
-        if M.dim == 0:
-            return ("iso", zero_hom(M, N))
-        if M.invariants() != N.invariants():
-            return ("not_iso", "invariant mismatch")
-    else:
-        if M.invariants() != N.invariants():
-            return ("not_iso", "twist or Hilbert function mismatch")
-        if M.is_zero_module():
-            return ("iso", zero_hom(M, N))
+        gens = hstack(M.min_gens())
+        ann = N.radical_span().transpose().kernel_basis().transpose()
+        return [ann @ h.matrix @ gens for h in homs]
+    f, zero = M.field, (0,) * M.ring.nvars
+
+    def top(v):  # coefficients of the generators of N in degree 0 of v
+        return [v.terms.get((i, zero), f.zero) for i in range(N.ngens)]
+
+    # N/mN is k^ngens modulo the constant parts of the relations
+    ann = Mat(f, len(N.rels), N.ngens,
+              [top(r) for r in N.rels]).kernel_basis().transpose()
+    idx = M.min_gens_indices()
+    return [ann @ Mat(f, len(idx), N.ngens,
+                      [top(h.cols[j]) for j in idx]).transpose()
+            for h in homs]
+
+
+def find_isomorphism(M, N):
+    """('iso', hom) | ('not_iso', reason) | ('inconclusive', None).
+
+    Once M and N agree on their invariants, a hom onto the minimal
+    generators of N is onto N, and a surjection is an isomorphism unless
+    the dimensions (or Hilbert functions past the compared window) differ.
+    """
+    if M.invariants() != N.invariants():
+        return ("not_iso", "invariant mismatch")
+    if M.is_zero_module():
+        return ("iso", zero_hom(M, N))
     H = hom_space(M, N)
     if H.dim == 0:
         return ("not_iso", "no nonzero homs")
-    field = M.field
-    if field.is_prime_field and field.p ** H.dim <= exhaustive_limit:
-        for combo in itertools.product(range(field.p), repeat=H.dim):
-            if all(c == 0 for c in combo):
-                continue
-            cand = H.from_coords(Mat.from_rows(field, [[c] for c in combo]))
-            if cand.is_iso():
-                return ("iso", cand)
-        return ("not_iso", "exhaustive search found no isomorphism")
-    for _ in range(samples):
-        combo = [_random_field_elem(field, rng) for _ in range(H.dim)]
-        if all(field.is_zero(c) for c in combo):
-            continue
-        cand = H.from_coords(Mat.from_rows(field, [[c] for c in combo]))
-        if cand.is_iso():
-            return ("iso", cand)
-    return ("inconclusive", None)
+    basis = [H.basis_hom(j) for j in range(H.dim)]
+    verdict, found = full_rank_combination(M.field, [top_matrices(basis)])
+    if verdict == "none":
+        return ("not_iso", f"no hom is onto the generators: {found}")
+    if verdict == "inconclusive":
+        return ("inconclusive", None)
+    cand = H.from_coords(Mat.column(M.field, found))
+    if cand.is_iso():
+        return ("iso", cand)
+    return ("not_iso", "a surjection is not injective")

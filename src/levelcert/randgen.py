@@ -5,9 +5,10 @@ Complexes are built so the square-zero condition holds by construction:
 each differential factors through the cycles of the previous one.
 """
 
+from fractions import Fraction
+
 from .linalg import Mat, hstack
-from .modules import (artin_free, free_module, graded_free, hom_space,
-                      zero_hom, _random_field_elem)
+from .modules import artin_free, free_module, graded_free, hom_space, zero_hom
 from .complexes import Complex, complex_direct_sum, module_stalk
 
 
@@ -15,8 +16,9 @@ def random_hom(M, N, rng):
     hs = hom_space(M, N)
     if hs.dim == 0:
         return None
-    col = Mat.from_rows(M.ring.field,
-                        [[_random_field_elem(M.ring.field, rng)]
+    f = M.ring.field
+    col = Mat.column(f, [rng.randrange(f.p) if f.is_prime_field
+                         else Fraction(rng.randint(-3, 3))
                          for _ in range(hs.dim)])
     return hs.from_coords(col)
 

@@ -140,10 +140,6 @@ class ArtinRing:
     def depth(self) -> int:
         return 0
 
-    def maximal_ideal_monos(self):
-        """Standard monomials of positive degree (they span the maximal ideal)."""
-        return [m for m in self.basis_monos if sum(m) > 0]
-
     def decl_text(self) -> str:
         rels = ", ".join(b.component(0).text(self.varnames) for b in self.gb.basis)
         return f"artin({self.field.name}; {', '.join(self.varnames)} | {rels})"

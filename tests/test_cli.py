@@ -19,7 +19,7 @@ module k over R = coker [[x, y, z]]
 
 
 def run_payload(src, **config):
-    cfg = {"budget": 4, "cutoff": 6, "seed": 0, "corpus_filter": None}
+    cfg = {"budget": 4, "cutoff": 6, "corpus_filter": None}
     cfg.update(config)
     return run_session(parse(src), cfg)
 
@@ -51,7 +51,7 @@ def test_unknown_ring_and_unknown_object():
         parse("module M over Q = coker [[1]]\n")
     sess = parse(KOSZUL + "homology L\n")
     with pytest.raises(ParseError) as exc:
-        run_session(sess, {"budget": 2, "cutoff": 4, "seed": 0})
+        run_session(sess, {"budget": 2, "cutoff": 4})
     assert "unknown module or complex" in str(exc.value)
 
 
@@ -87,7 +87,7 @@ def test_action_module_literal():
            "module E over A = action { x: [[0, 1], [0, 0]] }\n"
            "bass E\n")
     payload = run_session(parse(src),
-                          {"budget": 4, "cutoff": 6, "seed": 0})
+                          {"budget": 4, "cutoff": 6})
     rep = payload["reports"][0]["bass"]
     assert rep["applies"] and rep["level_inj"] == 1
 
@@ -149,8 +149,8 @@ def test_json_output_byte_identical(tmp_path):
     script.write_text(KOSZUL + "level GI K\nhomology K\n")
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    assert main([str(script), "--out", str(out1), "--seed", "7"]) == 0
-    assert main([str(script), "--out", str(out2), "--seed", "7"]) == 0
+    assert main([str(script), "--out", str(out1)]) == 0
+    assert main([str(script), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
     assert payload["reports"][0]["certificate"]["verdict"] == ["exact", 2]

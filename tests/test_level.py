@@ -70,14 +70,23 @@ def test_level_one_decisions(A, R3):
     assert level_one_test(kA, "gproj").verdict == "yes"
     free = module_stalk(A, artin_free(A, 2))
     assert level_one_test(free, "proj").verdict == "yes"
+
+
+@pytest.mark.parametrize("field", ["F2", "F101", "Q"])
+def test_koszul_level_one_decisions(field):
     # koszul complex on the dual numbers: homology is k in two degrees,
-    # outside the injectives, and the complex is not formal
-    K = koszul_complex(A)
+    # outside the injectives, and the complex is not formal; the answer
+    # does not depend on the size of the field
+    K = koszul_complex(make_ring(f"artin({field}; x | x^2)"))
     r = level_one_test(K, "inj")
     assert r.verdict == "no" and r.exhaustive
     r = level_one_test(K, "ginj")
     assert r.verdict == "no" and r.exhaustive
     assert "quasi-isomorphism" in r.reason or "isomorphism" in r.reason
+    for cls in ("ginj", "gproj"):
+        rep = level_report(K, cls)
+        assert rep.verdict == ("exact", 2)
+        assert rep.verify()
 
 
 def test_level_one_formal_two_degrees(A):

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from levelcert.linalg import (
-    Mat, PrimeField, QQ, block_diag, extend_to_basis, hstack, parse_field,
-    parse_scalar, subspace_basis, vstack,
+    Mat, PrimeField, QQ, block_diag, extend_to_basis, full_rank_combination,
+    hstack, parse_field, parse_scalar, subspace_basis, vstack,
 )
 
 F2 = PrimeField(2)
@@ -199,3 +199,98 @@ def test_field_parsing():
     assert parse_scalar(PrimeField(7), "-1") == 6
     with pytest.raises(Exception):
         parse_field("F4")
+
+
+# ------------------------------------------------ full-rank combinations
+
+
+def _skew_basis(field):
+    rows = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+            [[0, 0, 0], [0, 0, 1], [0, -1, 0]]]
+    return [Mat.from_rows(field, r) for r in rows]
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_full_rank_skew_symmetric_needs_the_grid(field):
+    # together the three span every row, yet an odd skew-symmetric
+    # matrix is singular, so only the grid search can answer "none"
+    mats = _skew_basis(field)
+    assert hstack(mats).rank() == 3
+    verdict, reason = full_rank_combination(field, [mats])
+    assert verdict == "none"
+    assert "grid" in reason
+
+
+def test_full_rank_diagonal_span_needs_both_coefficients():
+    e11 = Mat.from_rows(F101, [[1, 0], [0, 0]])
+    e22 = Mat.from_rows(F101, [[0, 0], [0, 1]])
+    verdict, c = full_rank_combination(F101, [[e11, e22]])
+    assert verdict == "found"
+    assert all(x != 0 for x in c)
+    assert (e11.scale(c[0]) + e22.scale(c[1])).rank() == 2
+
+
+def test_full_rank_proper_span_is_a_linear_obstruction():
+    # both blocks: the second only ever reaches the first row
+    good = [Mat.from_rows(F101, [[1, 0], [0, 1]]),
+            Mat.from_rows(F101, [[0, 1], [1, 0]])]
+    flat = [Mat.from_rows(F101, [[1, 2], [0, 0]]),
+            Mat.from_rows(F101, [[3, 0], [0, 0]])]
+    verdict, reason = full_rank_combination(F101, [good, flat])
+    assert verdict == "none"
+    assert reason.startswith("block 1")
+
+
+def _random_span(rng, kind, r, d):
+    p = F101.p
+
+    def rand(n, m):
+        return [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % p
+                 for col in zip(*b)] for row in a]
+
+    if kind == "generic":
+        return [rand(r, r) for _ in range(d)]
+    if kind == "skew":
+        out = []
+        for _ in range(d):
+            a = rand(r, r)
+            out.append([[(a[i][j] - a[j][i]) % p for j in range(r)]
+                        for i in range(r)])
+        return out
+    # "low": every matrix factors through one rank r - 1 map on the right,
+    # so all combinations are singular while the rows may still span
+    right = rand(r - 1, r)
+    return [mul(rand(r, r - 1), right) for _ in range(d)]
+
+
+def test_full_rank_against_symbolic_determinant():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    seen = set()
+    for trial in range(60):
+        r, d = rng.randint(1, 3), rng.randint(1, 3)
+        kind = rng.choice(["generic", "skew", "low"] if r > 1
+                          else ["generic"])
+        rows = _random_span(rng, kind, r, d)
+        mats = [Mat.from_rows(F101, m) for m in rows]
+        verdict, out = full_rank_combination(F101, [mats])
+        seen.add(verdict)
+        cs = sympy.symbols(f"c0:{d}")
+        total = sum((c * sympy.Matrix(m) for c, m in zip(cs, rows)),
+                    sympy.zeros(r, r))
+        if verdict == "none":
+            # r < 101, so a polynomial of degree r vanishing on F101^d
+            # vanishes identically
+            det = sympy.Poly(sympy.expand(total.det()), *cs,
+                             modulus=F101.p)
+            assert det.is_zero, (trial, kind, rows)
+        else:
+            assert verdict == "found", (trial, kind, rows)
+            assert any(x != 0 for x in out)
+            witness = total.subs(dict(zip(cs, out)))
+            assert witness.det() % F101.p != 0, (trial, kind, rows)
+    assert seen == {"found", "none"}

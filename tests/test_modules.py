@@ -155,7 +155,7 @@ def test_dual_is_involutive_on_random_modules():
         M, _ = ArtinHom._sub_on_columns(F, sat)
         DD = M.dual().dual()
         assert DD.dim == M.dim
-        status, _ = find_isomorphism(M, DD, rng=rng)
+        status, _ = find_isomorphism(M, DD)
         assert status == "iso"
 
 
@@ -199,6 +199,28 @@ def test_find_isomorphism_artin():
     kk, _, _ = direct_sum([k, k])
     status, _ = find_isomorphism(AA, kk)
     assert status == "not_iso"
+
+
+def test_find_isomorphism_decides_large_hom_space():
+    # k + A/(x - y) and k + A/(x - 2y) agree on every invariant and have a
+    # four-dimensional hom space, too large over F101 to enumerate; no
+    # hom reaches the generator of the cyclic summand, so they are apart
+    C = ArtinRing(F101, ["x", "y"], ["x^2", "x*y", "y^2"])
+    k = artin_residue_field(C)
+    AA = artin_free(C, 1)
+    x, y = AA.actions
+
+    def cyclic(t):
+        Q, _ = ArtinHom(AA, AA, x - y.scale(t)).cokernel()
+        return direct_sum([k, Q])[0]
+
+    M, N = cyclic(1), cyclic(2)
+    assert M.invariants() == N.invariants()
+    assert hom_space(M, N).dim >= 2
+    status, _ = find_isomorphism(M, N)
+    assert status == "not_iso"
+    status, w = find_isomorphism(M, cyclic(1))
+    assert status == "iso" and w.is_iso()
 
 
 # ------------------------------------------------------------ graded side
