@@ -41,7 +41,7 @@ from .complexes import Complex, ComplexError, module_stalk
 from .level import LevelError, bass_check, level_report, normalize_class
 from .modules import (ArtinModule, ModuleError, free_hom_from_polys,
                       free_module)
-from .linalg import Mat
+from .linalg import LinalgError, Mat
 from .poly import parse_poly
 from .adams import adams_tower, verify_splice
 from .resolutions import (ResolutionError, depth_of, dimension_report,
@@ -431,7 +431,7 @@ def _bind_ring(sess: Session, text: str, line: int, default_field):
     sess.bind(name, line)
     try:
         sess.rings[name] = make_ring(body)
-    except ValueError as e:
+    except (ValueError, LinalgError) as e:
         raise ParseError(f"bad ring declaration: {e}", line) from e
 
 

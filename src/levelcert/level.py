@@ -13,6 +13,9 @@ null-homotopic, or from a certified failure of the one-step test. Both
 sides carry a verify() that replays the checks from scratch.
 """
 
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle, cone,
@@ -235,9 +238,41 @@ def derived_hom(m: Complex, n: Complex) -> ChainMapSpace:
 # upper certificates
 
 
-# audit trail: every certificate built in this process, so soundness
-# sweeps can re-verify the full emission history
-EMITTED: list = []
+class CertificateAudit:
+    """The certificates built while its certificate_audit() scope is open."""
+
+    def __init__(self):
+        self.certificates: list = []
+
+    def report(self) -> dict:
+        """Re-verify every recorded certificate."""
+        failures = [(type(cert).__name__, cert) for cert in self.certificates
+                    if not cert.verify()]
+        counts = Counter(type(cert).__name__ for cert in self.certificates)
+        return {"total": len(self.certificates), "counts": dict(counts),
+                "failures": failures}
+
+
+# the audits whose scopes are open; outside every scope nothing is kept
+_OPEN_AUDITS: ContextVar = ContextVar("open_audits", default=())
+
+
+@contextmanager
+def certificate_audit():
+    """`with certificate_audit() as audit:` records in audit.certificates
+    every certificate built inside the block (and in every enclosing
+    scope), so a soundness sweep can re-verify them with audit.report()."""
+    audit = CertificateAudit()
+    token = _OPEN_AUDITS.set(_OPEN_AUDITS.get() + (audit,))
+    try:
+        yield audit
+    finally:
+        _OPEN_AUDITS.reset(token)
+
+
+def _record(cert):
+    for audit in _OPEN_AUDITS.get():
+        audit.certificates.append(cert)
 
 
 @dataclass
@@ -252,7 +287,7 @@ class UpperCertificate:
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
-        EMITTED.append(self)
+        _record(self)
 
     def to_dict(self):
         out = {"class": self.cls, "value": self.value, "route": self.route,
@@ -457,7 +492,7 @@ class LowerCertificate:
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
-        EMITTED.append(self)
+        _record(self)
 
     def to_dict(self):
         out = {"class": self.cls, "value": self.value, "route": self.route,
@@ -485,9 +520,12 @@ def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
     """Best lower bound assembled from the routes valid for the class.
 
     For proj and flat, chains of maps that kill homology are ghosts, so
-    a nonzero n-fold composite forces level at least n + 1. For the
-    Gorenstein classes those chains prove nothing, and the bound falls
-    back to a certified failure of the one-step test. one is
+    a nonzero n-fold composite forces level at least n + 1. Over a
+    polynomial ring (finite global dimension) a finitely generated
+    Gorenstein projective module is projective and a Gorenstein flat one
+    is flat, so those chains are gproj- and gflat-ghosts as well. Over an
+    artinian base they prove nothing for the Gorenstein classes, and the
+    bound falls back to a certified failure of the one-step test. one is
     level_one_test(m, cls) when the caller has it already.
     """
     cls = normalize_class(cls)
@@ -510,7 +548,8 @@ def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
         best = LowerCertificate(cls, 2, "one-step-impossible",
                                 level_one=one)
 
-    if cls in ("proj", "flat"):
+    if cls in ("proj", "flat") or (cls in ("gproj", "gflat")
+                                   and m.ring.kind != "artin"):
         tower = adams_tower(m, budget, side="proj")
         # targets of the composites carry homology up to n degrees above
         # the top of H(m), so the replacement needs that much headroom
@@ -544,7 +583,7 @@ class LevelCertificate:
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
-        EMITTED.append(self)
+        _record(self)
 
     @property
     def verdict(self):
@@ -574,19 +613,6 @@ class LevelCertificate:
         if self.upper is not None and self.lower is not None:
             return self.lower.value <= self.upper.value
         return True
-
-
-def audit_emitted() -> dict:
-    """Re-verify every certificate built so far in this process."""
-    failures = []
-    for cert in EMITTED:
-        if not cert.verify():
-            failures.append((type(cert).__name__, cert))
-    counts = {}
-    for cert in EMITTED:
-        name = type(cert).__name__
-        counts[name] = counts.get(name, 0) + 1
-    return {"total": len(EMITTED), "counts": counts, "failures": failures}
 
 
 def level_report(m: Complex, cls: str, budget: int = 4,

@@ -562,23 +562,11 @@ def subspace_basis(vectors: Sequence[Mat]) -> Mat:
 def extend_to_basis(field, U: Mat) -> list[int]:
     """Indices j such that standard vectors e_j complete col(U) to k^n.
 
-    Deterministic: scans standard vectors in index order.
+    The pivot columns of [U | I] past U, so e_j is chosen exactly when
+    it is outside the span of U and e_0, ..., e_{j-1}.
     """
-    n = U.nrows
-    chosen: list[int] = []
-    cur = U
-    r = cur.rank()
-    for j in range(n):
-        if r == n:
-            break
-        e = Mat.zeros(field, n, 1).to_lists()
-        e[j][0] = field.one
-        cand = hstack([cur, Mat.from_rows(field, e)])
-        if cand.rank() > r:
-            cur = cand
-            r += 1
-            chosen.append(j)
-    return chosen
+    _, pivots = hstack([U, Mat.identity(field, U.nrows)]).rref()
+    return [c - U.ncols for c in pivots if c >= U.ncols]
 
 
 # full_rank_combination searches a grid of at most GRID_CAP points in full,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from .linalg import (Mat, block_diag, extend_to_basis, full_rank_combination,
                      hstack, subspace_basis, vstack)
 from .poly import Poly, PolyVec, mono_mul, monomials_of_degree
-from .grobner import buchberger, syzygies
 from .rings import ArtinRing, GradedPolyRing
 
 
@@ -341,7 +340,7 @@ class GradedModule:
 
     def rel_gb(self):
         if self._gb is None and self.rels:
-            self._gb = buchberger(self.rels)
+            self._gb = self.ring.groebner(self.rels)
         return self._gb
 
     def nf(self, v: PolyVec) -> PolyVec:
@@ -439,7 +438,7 @@ class GradedModule:
             return []
         sys = list(gens) + self.rels
         out = []
-        for s in syzygies(sys):
+        for s in self.ring.syzygies(sys):
             first = PolyVec(self.field, self.ring.nvars,
                             {(j, m): c for (j, m), c in s.terms.items()
                              if j < len(gens)})
@@ -583,11 +582,12 @@ class GradedHom:
         sys = self.cols + self.target.rels
         if not sys:
             return None
-        return buchberger(sys)
+        return self.target.ring.groebner(sys)
 
     def kernel(self):
         """(K, incl: K -> source)."""
-        return graded_submodule(self.source, self._kernel_gens_in_source())
+        return graded_submodule(self.source,
+                                self.target.relations_of(self.cols))
 
     def image(self):
         """(I, incl: I -> target, epi: source -> I).
@@ -596,25 +596,12 @@ class GradedHom:
         the vectors the composite sends into the target relations.
         """
         img = GradedModule(self.target.ring, list(self.source.gen_twists),
-                           self._kernel_gens_in_source(), check=False)
+                           self.target.relations_of(self.cols), check=False)
         incl = GradedHom(img, self.target, self.cols, check=False)
         epi = GradedHom(self.source, img,
                         [img.gen_elem(j) for j in range(self.source.ngens)],
                         check=False)
         return img, incl, epi
-
-    def _kernel_gens_in_source(self):
-        sys = self.cols + self.target.rels
-        if not sys:
-            return []
-        out = []
-        for s in syzygies(sys):
-            first = PolyVec(self.source.field, self.source.ring.nvars,
-                            {(j, m): c for (j, m), c in s.terms.items()
-                             if j < len(self.cols)})
-            if not first.is_zero():
-                out.append(first)
-        return out
 
     def cokernel(self):
         """(C, proj: target -> C)."""

@@ -5,14 +5,16 @@ relations, required to be finite dimensional over k and local (every
 variable nilpotent modulo I). Elements are coefficient vectors over the
 standard-monomial basis. A GradedPolyRing is k[x_1..x_n] with the
 standard grading; its modules are handled through Groebner machinery and
-never materialize a finite basis.
+never materialize a finite basis. Each GradedPolyRing computes the Groebner
+basis and the syzygies of a generator list once and keeps them for its own
+lifetime.
 """
 
 from __future__ import annotations
 
 from .linalg import Mat, parse_field, vstack
 from .poly import Poly, PolyVec, grevlex_key, mono_mul, monomials_of_degree, parse_poly
-from .grobner import buchberger
+from .grobner import buchberger, syzygies
 
 MAX_STANDARD_DEGREE = 60
 
@@ -164,6 +166,31 @@ class GradedPolyRing:
         self.varnames = list(varnames)
         self.nvars = len(self.varnames)
         self._mono_cache = {}
+        self._gb_memo = {}
+        self._syz_memo = {}
+
+    def groebner(self, gens):
+        """GroebnerBasis of the ordered list gens, computed once per ring.
+
+        Keyed by tuple(gens), so an equal list built elsewhere gets the
+        same object back. A BudgetExceeded propagates and stores nothing.
+        Callers treat the result as read-only.
+        """
+        key = tuple(gens)
+        gb = self._gb_memo.get(key)
+        if gb is None:
+            gb = self._gb_memo[key] = buchberger(key)
+        return gb
+
+    def syzygies(self, gens):
+        """Syzygies of the ordered list gens, as a tuple, computed once per
+        ring from groebner(gens)."""
+        key = tuple(gens)
+        syz = self._syz_memo.get(key)
+        if syz is None:
+            syz = self._syz_memo[key] = tuple(
+                syzygies(key, gb=self.groebner(key)))
+        return syz
 
     def monomials(self, d: int):
         if d not in self._mono_cache:

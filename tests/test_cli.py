@@ -144,6 +144,15 @@ def test_cli_exit_codes(tmp_path):
     assert main([str(tmp_path / "missing.lvc")]) == 1
 
 
+def test_bad_field_is_a_clean_error(tmp_path, capsys):
+    script = tmp_path / "f4.lvc"
+    script.write_text("A = artin(F4; x | x^2)\n")
+    assert main([str(script)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == ("error: line 1, column 1: bad ring declaration: "
+                           "4 is not prime")
+
+
 def test_json_output_byte_identical(tmp_path):
     script = tmp_path / "s.lvc"
     script.write_text(KOSZUL + "level GI K\nhomology K\n")

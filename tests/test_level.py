@@ -13,10 +13,10 @@ from levelcert.modules import artin_free, artin_residue_field, \
     graded_residue_field
 from levelcert.complexes import Complex, module_stalk
 from levelcert.resolutions import koszul_complex
-from levelcert.level import (LevelError, bass_check, ghost_lower_bound,
-                             homology_dimension_bound, level_one_test,
-                             level_report, module_in_class, normalize_class,
-                             upper_certificate)
+from levelcert.level import (LevelError, bass_check, certificate_audit,
+                             ghost_lower_bound, homology_dimension_bound,
+                             level_one_test, level_report, module_in_class,
+                             normalize_class, upper_certificate)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,17 @@ def test_headline_regular_ring_level(R3):
     assert rep.verify()
 
 
+@pytest.mark.parametrize("cls", ["gproj", "gflat"])
+def test_gorenstein_levels_over_regular_ring(R3, cls):
+    # over a regular ring the Gorenstein projective and flat modules are
+    # the projective ones, so the ghost chain bounds those classes too
+    k = module_stalk(R3, graded_residue_field(R3))
+    rep = level_report(k, cls, budget=4)
+    assert rep.verdict == ("exact", 4)
+    assert rep.lower.route == "ghost-chain"
+    assert rep.verify()
+
+
 def test_level_invariant_under_quasi_iso(R3):
     # the unit koszul complex resolves the residue field, so both carry
     # the same level
@@ -206,6 +217,19 @@ def test_out_of_scope_and_zero(A, R3):
     assert rep.upper is None and rep.lower is None
     assert rep.verdict == ("unknown",)
     assert any("out of scope" in n for n in rep.notes)
+
+
+def test_certificates_are_recorded_only_inside_an_audit_scope(A):
+    K = koszul_complex(A)
+    level_report(K, "inj")
+    with certificate_audit() as outer:
+        assert outer.certificates == []
+        with certificate_audit() as inner:
+            rep = level_report(K, "inj")
+        assert rep in inner.certificates and rep in outer.certificates
+        assert inner.report()["failures"] == []
+    level_report(K, "inj")
+    assert len(outer.certificates) == len(inner.certificates)
 
 
 def test_certificate_json_round_trip(A):

@@ -192,6 +192,33 @@ def test_subspace_and_extension_helpers():
     assert full.rank() == 3
 
 
+def greedy_extension(field, U):
+    """Reference: keep e_j when it raises the rank of U and the e's kept."""
+    n = U.nrows
+    cur, chosen = U, []
+    for j in range(n):
+        e = Mat.column(field, [field.one if i == j else field.zero
+                               for i in range(n)])
+        if hstack([cur, e]).rank() > cur.rank():
+            cur = hstack([cur, e])
+            chosen.append(j)
+    return chosen
+
+
+@pytest.mark.parametrize("field", [F2, F101, QQ])
+def test_extend_to_basis_matches_greedy_definition(field):
+    rng = random.Random(11)
+    for _ in range(60):
+        n, m = rng.randint(0, 6), rng.randint(0, 4)
+        # entries in {0, 1, 2} make dependent columns and zero rows common
+        rows = [[field.of(rng.choice([0, 0, 1, 2])) for _ in range(m)]
+                for _ in range(n)]
+        U = Mat.from_rows(field, rows) if n and m else Mat.zeros(field, n, m)
+        ext = extend_to_basis(field, U)
+        assert ext == greedy_extension(field, U)
+        assert U.rank() + len(ext) == n
+
+
 def test_field_parsing():
     assert parse_field("F101").p == 101
     assert parse_field("Q") == QQ

@@ -8,6 +8,10 @@ computed basis dimension.
 import itertools
 import random
 
+import pytest
+
+import levelcert.rings
+from levelcert.grobner import BudgetExceeded
 from levelcert.linalg import Mat, PrimeField
 from levelcert.poly import PolyVec, parse_poly
 from levelcert.grobner import buchberger
@@ -357,6 +361,64 @@ def test_graded_lift_and_factor():
     lifted = xonly.lift_through(incl)
     assert lifted is not None
     assert incl.compose(lifted) == xonly
+
+
+# ------------------------------------------------- per-ring Groebner memo
+
+
+@pytest.fixture
+def buchberger_calls(monkeypatch):
+    """Inputs of every Groebner basis computed while the test runs."""
+    calls = []
+    orig = levelcert.rings.buchberger
+
+    def counted(gens, *args, **kwargs):
+        calls.append(tuple(gens))
+        return orig(gens, *args, **kwargs)
+
+    monkeypatch.setattr(levelcert.rings, "buchberger", counted)
+    return calls
+
+
+def test_lift_through_computes_target_basis_once(buchberger_calls):
+    R = GradedPolyRing(F101, ["x", "y", "z"])
+    F0 = graded_free(R, [0])
+    ideal = GradedHom(graded_free(R, [1, 1]), F0, [pv(R, "x"), pv(R, "y")])
+    quads = GradedHom(graded_free(R, [2, 2, 2]), F0,
+                      [pv(R, "x^2"), pv(R, "x*y"), pv(R, "y*z")])
+    lifted = quads.lift_through(ideal)
+    assert lifted is not None and ideal.compose(lifted) == quads
+    assert buchberger_calls == [tuple(ideal.cols)]
+
+
+def test_equal_generator_lists_share_one_entry(buchberger_calls):
+    R = GradedPolyRing(F101, ["x", "y", "z"])
+    gb = R.groebner([pv(R, "x*y - z^2"), pv(R, "y")])
+    assert R.groebner([pv(R, "x*y - z^2"), pv(R, "y")]) is gb
+    syz = R.syzygies([pv(R, "x*y - z^2"), pv(R, "y")])
+    assert isinstance(syz, tuple)
+    assert R.syzygies([pv(R, "x*y - z^2"), pv(R, "y")]) is syz
+    assert len(buchberger_calls) == 1
+
+
+def test_rings_do_not_share_memo_entries(buchberger_calls):
+    R, S = (GradedPolyRing(F101, ["x", "y", "z"]) for _ in range(2))
+    assert R == S
+    gens = [pv(R, "x"), pv(R, "y + z")]
+    assert R.groebner(gens) is not S.groebner(gens)
+    assert len(buchberger_calls) == 2
+
+
+def test_exceeded_budget_is_not_memoized(monkeypatch):
+    R = GradedPolyRing(F101, ["x", "y"])
+    orig = levelcert.rings.buchberger
+    monkeypatch.setattr(levelcert.rings, "buchberger",
+                        lambda gens: orig(gens, budget=0))
+    gens = [pv(R, "x^2 + y^2"), pv(R, "x*y")]
+    with pytest.raises(BudgetExceeded):
+        R.groebner(gens)
+    monkeypatch.setattr(levelcert.rings, "buchberger", orig)
+    assert R.groebner(gens).contains(pv(R, "x*y"))
 
 
 def test_graded_direct_sum():
