@@ -15,7 +15,7 @@ homotopy theory the level machinery needs.
 
 from __future__ import annotations
 
-from .linalg import Mat, hstack
+from .linalg import Mat, hstack, vstack
 from .modules import direct_sum, hom_space, zero_hom, zero_module
 
 
@@ -450,18 +450,17 @@ def is_quasi_iso(f: ChainMap) -> bool:
 class Triangle:
     """A distinguished triangle presented as (u: X -> Y, third object W).
 
-    The witness t is a chain map between Cone(u) and W (direction given),
-    and verification checks that t is a quasi-isomorphism. That exhibits
-    Y as an extension of W by X up to quasi-isomorphism, which is the
-    only property the level calculus consumes.
+    The witness t is a chain map Cone(u) -> W, and verification checks
+    that t is a quasi-isomorphism. That exhibits Y as an extension of W
+    by X up to quasi-isomorphism, which is the only property the level
+    calculus consumes.
     """
 
     def __init__(self, u: ChainMap, w: Complex, t: ChainMap,
-                 direction: str = "cone_to_w", check: bool = True):
+                 check: bool = True):
         self.u = u
         self.w = w
         self.t = t
-        self.direction = direction
         self.cone_data = cone(u)
         if check and not self.verify():
             raise ComplexError("triangle witness failed verification")
@@ -475,16 +474,8 @@ class Triangle:
         return self.u.target
 
     def verify(self) -> bool:
-        c = self.cone_data.complex
-        if self.direction == "cone_to_w":
-            if not (self.t.source == c and self.t.target == self.w):
-                return False
-        elif self.direction == "w_to_cone":
-            if not (self.t.source == self.w and self.t.target == c):
-                return False
-        else:
-            return False
-        return is_quasi_iso(self.t)
+        return (self.t.source == self.cone_data.complex
+                and self.t.target == self.w and is_quasi_iso(self.t))
 
 
 class ChainMapSpace:
@@ -536,24 +527,16 @@ class ChainMapSpace:
     # -- coordinates
 
     def coords(self, f: ChainMap) -> Mat:
-        cols = []
-        for i in self.degrees:
-            c = self.spaces[i].coords(f.comp(i))
-            cols.extend(c.entry(t, 0) for t in range(c.nrows))
-        if not cols:
-            return Mat.zeros(self.field, 0, 1)
-        return Mat.from_rows(self.field, [[c] for c in cols])
+        return vstack([Mat.zeros(self.field, 0, 1)]
+                      + [self.spaces[i].coords(f.comp(i)) for i in self.degrees])
 
     def map_from_coords(self, col: Mat) -> ChainMap:
         comps = {}
         for i in self.degrees:
             d = self.spaces[i].dim
-            if d == 0:
-                continue
-            sub = Mat.from_rows(self.field,
-                                [[col.entry(self.offsets[i] + t, 0)]
-                                 for t in range(d)])
-            comps[i] = self.spaces[i].from_coords(sub)
+            if d:
+                comps[i] = self.spaces[i].from_coords(
+                    col.take_rows(range(self.offsets[i], self.offsets[i] + d)))
         return ChainMap(self.x, self.y, comps, check=False)
 
     # -- the chain-map condition as a matrix
@@ -569,35 +552,26 @@ class ChainMapSpace:
                    for i in tdegs}
         rows_total = sum(s.dim for s in tspaces.values())
         if rows_total == 0 or self.total_dim == 0:
-            self._chain_basis = Mat.identity(self.field, self.total_dim) \
-                if self.total_dim else Mat.zeros(self.field, 0, 0)
+            self._chain_basis = Mat.identity(self.field, self.total_dim)
             return self._chain_basis
         cols = []
         for i in self.degrees:
             for t in range(self.spaces[i].dim):
                 base = self.spaces[i].basis_hom(t)
-                entries = []
+                pieces = []
                 for j in tdegs:
                     target_space = tspaces[j]
-                    if target_space.dim == 0:
-                        continue
                     piece = None
                     if j == i:
                         piece = self.y.diff(i).compose(base)
                     elif j == i + 1:
-                        piece = base.compose(self.x.diff(i + 1))
-                        piece = -piece
+                        piece = -base.compose(self.x.diff(i + 1))
                     if piece is None or piece.is_zero():
-                        entries.extend([self.field.zero] * target_space.dim)
+                        pieces.append(Mat.zeros(self.field, target_space.dim, 1))
                     else:
-                        cc = target_space.coords(piece)
-                        entries.extend(cc.entry(r, 0) for r in range(cc.nrows))
-                cols.append(entries)
-        sys = Mat.from_rows(self.field,
-                            [[cols[c][r] for c in range(len(cols))]
-                             for r in range(len(cols[0]))]) if cols and cols[0] \
-            else Mat.zeros(self.field, 0, self.total_dim)
-        self._chain_basis = sys.kernel_basis()
+                        pieces.append(target_space.coords(piece))
+                cols.append(vstack(pieces))
+        self._chain_basis = hstack(cols).kernel_basis()
         return self._chain_basis
 
     def homotopy_image(self) -> Mat:
@@ -616,10 +590,7 @@ class ChainMapSpace:
                     comps[i + 1] = s.compose(self.x.diff(i + 1))
                 f = ChainMap(self.x, self.y, comps, check=False)
                 cols.append(self.coords(f))
-        if not cols:
-            self._h_image = Mat.zeros(self.field, self.total_dim, 0)
-        else:
-            self._h_image = hstack(cols)
+        self._h_image = hstack([Mat.zeros(self.field, self.total_dim, 0)] + cols)
         return self._h_image
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
@@ -631,15 +602,11 @@ class ChainMapSpace:
         if sol is None:
             return None
         out = {}
-        pos = 0
         for i in self.s_degrees:
-            d = self.s_spaces[i].dim
-            if d == 0:
-                continue
-            sub = Mat.from_rows(self.field,
-                                [[sol.entry(pos + t, 0)] for t in range(d)])
-            out[i] = self.s_spaces[i].from_coords(sub)
-            pos += d
+            d, pos = self.s_spaces[i].dim, self.s_offsets[i]
+            if d:
+                out[i] = self.s_spaces[i].from_coords(
+                    sol.take_rows(range(pos, pos + d)))
         return out
 
     def class_space(self):
@@ -650,12 +617,9 @@ class ChainMapSpace:
         """
         if self._class_basis is None:
             h = self.homotopy_image().column_space_basis()
-            k = self.chain_map_basis()
-            fullmat = hstack([h, k]) if self.total_dim else Mat.zeros(self.field, 0, 0)
-            keep = [c for c in (fullmat.rref()[1] if fullmat.ncols else ())
-                    if c >= h.ncols]
-            self._class_basis = (h, fullmat.take_columns(keep) if keep
-                                 else Mat.zeros(self.field, self.total_dim, 0))
+            full = hstack([h, self.chain_map_basis()])
+            self._class_basis = (h, full.take_columns(
+                c for c in full.rref()[1] if c >= h.ncols))
         return self._class_basis
 
     def hom_classes_dim(self) -> int:
@@ -664,18 +628,10 @@ class ChainMapSpace:
     def class_coords(self, f: ChainMap) -> Mat:
         """Coordinates of [f] modulo homotopy; zero iff f is null-homotopic."""
         h, cls = self.class_space()
-        v = self.coords(f)
-        if cls.ncols == 0 and h.ncols == 0:
-            if not v.is_zero():
-                raise ComplexError("map is not in the computed space")
-            return Mat.zeros(self.field, 0, 1)
-        blocks = hstack([h, cls])
-        sol = blocks.solve(v)
+        sol = hstack([h, cls]).solve(self.coords(f))
         if sol is None:
             raise ComplexError("map is not a chain map in the computed space")
-        rows = [[sol.entry(h.ncols + t, 0)] for t in range(cls.ncols)]
-        return Mat.from_rows(self.field, rows) if rows \
-            else Mat.zeros(self.field, 0, 1)
+        return sol.take_rows(range(h.ncols, h.ncols + cls.ncols))
 
     def class_representative(self, idx: int) -> ChainMap:
         _, cls = self.class_space()

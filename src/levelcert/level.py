@@ -10,7 +10,8 @@ verified triangles whose outer layers are complexes with zero
 differential and entries from C, or a one-step witness. Lower bounds
 come from chains of homology-killing maps with a composite that is not
 null-homotopic, or from a certified failure of the one-step test. Both
-sides carry a verify() that replays the checks from scratch.
+sides carry a verify() that replays the checks from scratch and
+recomputes the value from the evidence, so a changed value fails.
 """
 
 from collections import Counter
@@ -159,7 +160,7 @@ def level_one_test(m: Complex, cls: str, window: int = 4) -> LevelOneResult:
     full_rank_combination call over the homotopy classes decides that.
     """
     cls = normalize_class(cls)
-    if m.is_zero_complex() or m.hdata().is_exact():
+    if _is_exact(m):
         return LevelOneResult("yes", "no homology", {}, exhaustive=True)
     if cls in DUAL_CLASS and m.ring.kind == "artin":
         inner = level_one_test(m.dual(), DUAL_CLASS[cls], window)
@@ -275,6 +276,14 @@ def _record(cert):
         audit.certificates.append(cert)
 
 
+def _is_exact(m) -> bool:
+    return m is not None and (m.is_zero_complex() or m.hdata().is_exact())
+
+
+def _says(one: LevelOneResult, verdict: str) -> bool:
+    return one is not None and one.verdict == verdict
+
+
 @dataclass
 class UpperCertificate:
     cls: str
@@ -285,6 +294,7 @@ class UpperCertificate:
     level_one: LevelOneResult = None
     dualized: bool = False
     notes: list = field(default_factory=list)
+    subject: Complex = None       # the complex, where it is the evidence
 
     def __post_init__(self):
         _record(self)
@@ -299,12 +309,34 @@ class UpperCertificate:
         return out
 
     def verify(self) -> bool:
-        for tri in self.triangles:
-            if not tri.verify():
-                return False
-        if self.route == "one-step" and self.level_one is not None:
-            return self.level_one.verdict == "yes" and self.value == 1
-        return True
+        if not all(tri.verify() for tri in self.triangles):
+            return False
+        return self.value == self._proved_value()
+
+    def _proved_value(self):
+        """The bound the evidence proves, or None if it proves none."""
+        tris = self.triangles
+        if self.route == "zero-object":
+            return 0 if _is_exact(self.subject) else None
+        if self.route == "one-step":
+            return 1 if _says(self.level_one, "yes") else None
+        if self.route in ("cycle-boundary", "boundary-cokernel"):
+            if len(tris) != 1:
+                return None
+            # an empty quotient layer leaves the sub layer alone
+            return 1 if tris[0].w.is_zero_complex() else 2
+        if self.route == "stratification":
+            # one peel per term after the first
+            if (self.subject is None
+                    or len(self.subject.support()) != len(tris) + 1):
+                return None
+            return len(tris) + 1
+        if self.route == "cover-tower":
+            # n peeled covers and a one-step terminus
+            if not tris or not _says(self.level_one, "yes"):
+                return None
+            return len(tris) + 1
+        return None
 
 
 def _stalk_members_ok(mods, cls, window):
@@ -391,7 +423,7 @@ def upper_via_stratification(m: Complex, cls: str, window: int = 4):
         return None
     if len(degs) == 1:
         return UpperCertificate(cls, 1, "stratification",
-                                data={"strata": [int(degs[0])]})
+                                data={"strata": [int(degs[0])]}, subject=m)
     triangles = []
     for n in degs[:-1]:
         nxt = _next_degree(degs, n)
@@ -406,7 +438,8 @@ def upper_via_stratification(m: Complex, cls: str, window: int = 4):
         triangles.append(Triangle(u, stalk, t, check=True))
     return UpperCertificate(
         cls, len(degs), "stratification",
-        data={"strata": [int(i) for i in degs]}, triangles=triangles)
+        data={"strata": [int(i) for i in degs]}, triangles=triangles,
+        subject=m)
 
 
 def _next_degree(degs, n):
@@ -444,8 +477,8 @@ def upper_certificate(m: Complex, cls: str, budget: int = 4,
     one is level_one_test(m, cls) when the caller has it already.
     """
     cls = normalize_class(cls)
-    if m.is_zero_complex() or m.hdata().is_exact():
-        return UpperCertificate(cls, 0, "zero-object")
+    if _is_exact(m):
+        return UpperCertificate(cls, 0, "zero-object", subject=m)
     if cls in DUAL_CLASS and m.ring.kind == "artin":
         inner = upper_certificate(m.dual(), DUAL_CLASS[cls], budget,
                                   window, one)
@@ -490,6 +523,7 @@ class LowerCertificate:
     level_one: LevelOneResult = None
     dualized: bool = False
     notes: list = field(default_factory=list)
+    subject: Complex = None       # the complex, where it is the evidence
 
     def __post_init__(self):
         _record(self)
@@ -503,16 +537,27 @@ class LowerCertificate:
         return out
 
     def verify(self) -> bool:
-        if self.route == "ghost-chain":
-            space, comp, factors = self.ghost
-            if not all(d.induces_zero_on_homology() for d in factors):
-                return False
-            return not space.class_coords(comp).is_zero()
+        return self.value == self._proved_value()
+
+    def _proved_value(self):
+        """The bound the evidence proves, or None if it proves none."""
+        if self.route == "zero-object":
+            return 0 if _is_exact(self.subject) else None
+        if self.route == "nonzero-homology":
+            return 1 if self.subject is not None \
+                and not _is_exact(self.subject) else None
         if self.route == "one-step-impossible":
-            return (self.level_one is not None
-                    and self.level_one.verdict == "no"
-                    and self.level_one.exhaustive)
-        return True
+            return 2 if _says(self.level_one, "no") \
+                and self.level_one.exhaustive else None
+        if self.route == "ghost-chain" and self.ghost is not None:
+            space, comp, factors = self.ghost
+            # n ghosts with a composite that is not null-homotopic
+            if (len(factors) != self.data.get("chain_length")
+                    or not all(d.induces_zero_on_homology() for d in factors)
+                    or space.class_coords(comp).is_zero()):
+                return None
+            return len(factors) + 1
+        return None
 
 
 def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
@@ -529,8 +574,8 @@ def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
     level_one_test(m, cls) when the caller has it already.
     """
     cls = normalize_class(cls)
-    if m.is_zero_complex() or m.hdata().is_exact():
-        return LowerCertificate(cls, 0, "zero-object")
+    if _is_exact(m):
+        return LowerCertificate(cls, 0, "zero-object", subject=m)
     if cls in DUAL_CLASS and m.ring.kind == "artin":
         inner = ghost_lower_bound(m.dual(), DUAL_CLASS[cls], budget,
                                   window, one)
@@ -541,7 +586,7 @@ def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
     if cls in ("inj", "ginj") and m.ring.kind != "artin":
         return None
 
-    best = LowerCertificate(cls, 1, "nonzero-homology")
+    best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
 
     one = one or level_one_test(m, cls, window)
     if one.verdict == "no" and one.exhaustive and best.value < 2:
@@ -620,7 +665,7 @@ def level_report(m: Complex, cls: str, budget: int = 4,
     cls = normalize_class(cls)
     notes = []
     if cls in ("inj", "ginj") and m.ring.kind != "artin" \
-            and not (m.is_zero_complex() or m.hdata().is_exact()):
+            and not _is_exact(m):
         return LevelCertificate(
             cls, None, None,
             notes=["out of scope: no nonzero finitely generated graded "
@@ -648,7 +693,7 @@ def bass_check(m: Complex, full: bool = False) -> dict:
     if m.ring.kind != "artin":
         return {"applies": False,
                 "reason": "needs a depth-zero artinian base"}
-    if m.is_zero_complex() or m.hdata().is_exact():
+    if _is_exact(m):
         return {"applies": False, "reason": "no homology"}
     hd = m.hdata()
     bad = []

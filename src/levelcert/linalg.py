@@ -1,9 +1,12 @@
 """Exact dense linear algebra over prime fields and the rationals.
 
-Entries over F_p are canonical ints in [0, p) held in numpy int64 arrays
-(p < 2**31, so every single product fits in int64; accumulation is chunked
-to stay below 2**63). Entries over Q are fractions.Fraction held in tuples.
-No floating point anywhere.
+A matrix is one read-only numpy array: over F_p, int64 entries reduced
+into [0, p) (p < 2**31, so every single product fits in int64); over Q,
+an object array of fractions.Fraction. Each matrix operation has one body
+for both fields. The field classes own the only array steps that differ:
+reduce (mod p over F_p, nothing over Q) and matmul (a chunked int64
+product that keeps sums below 2**63 over F_p, plain @ over Q). No
+floating point anywhere.
 
 Row reduction uses a fixed pivot rule, lowest row index then lowest column
 index, so ranks, kernel bases and solutions are deterministic functions of
@@ -42,6 +45,7 @@ class PrimeField:
     """The field F_p for a prime p < 2**31."""
 
     __slots__ = ("p",)
+    dtype = np.int64
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -105,11 +109,24 @@ class PrimeField:
     def scalar_str(self, a) -> str:
         return str(a % self.p)
 
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return a % self.p
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b up to reduce: the inner dimension is cut into chunks
+        whose sums of products stay below 2**62."""
+        step = 2**62 // (self.p - 1) ** 2
+        out = a[:, :step] @ b[:step]
+        for s in range(step, a.shape[1], step):
+            out = out % self.p + a[:, s:s + step] @ b[s:s + step]
+        return out
+
 
 class RationalField:
     """The field Q with Fraction arithmetic."""
 
     __slots__ = ()
+    dtype = object
 
     @property
     def is_prime_field(self) -> bool:
@@ -128,7 +145,7 @@ class RationalField:
         return Fraction(1)
 
     def of(self, n) -> Fraction:
-        return Fraction(n)
+        return n if type(n) is Fraction else Fraction(n)
 
     def add(self, a, b):
         return a + b
@@ -162,6 +179,12 @@ class RationalField:
     def scalar_str(self, a) -> str:
         return str(a)
 
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b
+
 
 QQ = RationalField()
 
@@ -186,56 +209,53 @@ def parse_scalar(field, text: str):
 class Mat:
     """Immutable exact matrix over a PrimeField or RationalField.
 
-    F_p data is a read-only numpy int64 array; Q data is a tuple of row
-    tuples of Fraction. Treat instances as values: every operation returns
-    a new Mat.
+    The data is one read-only numpy array of dtype field.dtype: int64
+    entries in [0, p) over F_p, Fraction objects over Q. Every method has
+    one body for both fields; the field supplies the two array steps that
+    differ, reduce and matmul. Treat instances as values: every operation
+    returns a new Mat.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_a", "_rows", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "_a", "_rref")
 
     def __init__(self, field, nrows: int, ncols: int, data):
+        try:
+            a = np.asarray(data, dtype=field.dtype)
+        except ValueError:
+            raise LinalgError("bad row data shape") from None
+        if a.shape != (nrows, ncols):
+            if a.size or nrows * ncols:
+                raise LinalgError("bad row data shape")
+            a = a.reshape(nrows, ncols)
+        a = field.reduce(a)
+        a.setflags(write=False)
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
+        self._a = a
         self._rref = None
-        if field.is_prime_field:
-            a = np.asarray(data, dtype=np.int64).reshape(nrows, ncols) % field.p
-            a.setflags(write=False)
-            self._a = a
-            self._rows = None
-        else:
-            self._a = None
-            self._rows = tuple(tuple(Fraction(x) for x in row) for row in data)
-            if len(self._rows) != nrows or any(len(r) != ncols for r in self._rows):
-                raise LinalgError("bad row data shape")
 
     # ---- constructors ----
 
     @staticmethod
     def from_rows(field, rows: Sequence[Sequence]) -> "Mat":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return Mat(field, nrows, ncols, [[field.of(x) for x in r] for r in rows])
+        rows = [[field.of(x) for x in r] for r in rows]
+        return Mat(field, len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
     def zeros(field, nrows: int, ncols: int) -> "Mat":
-        if field.is_prime_field:
-            return Mat(field, nrows, ncols, np.zeros((nrows, ncols), dtype=np.int64))
-        return Mat(field, nrows, ncols, [[field.zero] * ncols for _ in range(nrows)])
+        return Mat(field, nrows, ncols, _zeros(field, nrows, ncols))
 
     @staticmethod
     def identity(field, n: int) -> "Mat":
-        if field.is_prime_field:
-            return Mat(field, n, n, np.eye(n, dtype=np.int64))
-        return Mat(
-            field, n, n,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-        )
+        a = _zeros(field, n, n)
+        np.fill_diagonal(a, field.one)
+        return Mat(field, n, n, a)
 
     @staticmethod
     def column(field, entries: Sequence) -> "Mat":
-        return Mat.from_rows(field, [[x] for x in entries])
+        rows = [[field.of(x)] for x in entries]
+        return Mat(field, len(rows), 1, rows)
 
     # ---- accessors ----
 
@@ -244,53 +264,39 @@ class Mat:
         return (self.nrows, self.ncols)
 
     def entry(self, i: int, j: int):
-        if self.field.is_prime_field:
-            return int(self._a[i, j])
-        return self._rows[i][j]
-
-    def row_list(self, i: int) -> list:
-        if self.field.is_prime_field:
-            return [int(x) for x in self._a[i]]
-        return list(self._rows[i])
+        return self._a.item(i, j)
 
     def col_entries(self, j: int) -> list:
-        if self.field.is_prime_field:
-            return [int(x) for x in self._a[:, j]]
-        return [r[j] for r in self._rows]
+        return self._a[:, j].tolist()
 
     def col(self, j: int) -> "Mat":
-        return Mat.column(self.field, self.col_entries(j))
-
-    def columns(self) -> list["Mat"]:
-        return [self.col(j) for j in range(self.ncols)]
+        return self.take_columns([j])
 
     def take_columns(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
-        if self.field.is_prime_field:
-            if not idx:
-                return Mat.zeros(self.field, self.nrows, 0)
-            return Mat(self.field, self.nrows, len(idx), self._a[:, idx])
-        return Mat.from_rows(self.field, [[r[j] for j in idx] for r in self._rows])
+        return Mat(self.field, self.nrows, len(idx), self._a[:, idx])
+
+    def take_rows(self, idx: Iterable[int]) -> "Mat":
+        idx = list(idx)
+        return Mat(self.field, len(idx), self.ncols, self._a[idx])
+
+    def reshape(self, nrows: int, ncols: int) -> "Mat":
+        """The entries in row-major order, refilled into nrows x ncols."""
+        return Mat(self.field, nrows, ncols, self._a.reshape(nrows, ncols))
 
     def to_lists(self) -> list[list]:
-        return [self.row_list(i) for i in range(self.nrows)]
+        return self._a.tolist()
 
     def is_zero(self) -> bool:
-        if self.field.is_prime_field:
-            return not self._a.any()
-        return all(x == 0 for r in self._rows for x in r)
+        return not self._a.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or other.field != self.field:
             return NotImplemented
-        if other.shape != self.shape:
-            return False
-        if self.field.is_prime_field:
-            return bool(np.array_equal(self._a, other._a))
-        return self._rows == other._rows
+        return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
-        return hash((self.shape, tuple(tuple(r) for r in self.to_lists())))
+        return hash((self.shape, tuple(map(tuple, self.to_lists()))))
 
     def __repr__(self):
         return f"Mat({self.field}, {self.nrows}x{self.ncols})"
@@ -300,15 +306,7 @@ class Mat:
     def _binary(self, other: "Mat", op):
         if self.shape != other.shape or self.field != other.field:
             raise LinalgError("shape/field mismatch")
-        if self.field.is_prime_field:
-            return Mat(self.field, self.nrows, self.ncols, op(self._a, other._a) % self.field.p)
-        f = self.field
-        fop = f.add if op is np.add else f.sub
-        rows = [
-            [fop(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._rows, other._rows)
-        ]
-        return Mat(f, self.nrows, self.ncols, rows)
+        return Mat(self.field, self.nrows, self.ncols, op(self._a, other._a))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -317,69 +315,29 @@ class Mat:
         return self._binary(other, np.subtract)
 
     def __neg__(self):
-        if self.field.is_prime_field:
-            return Mat(self.field, self.nrows, self.ncols, (-self._a) % self.field.p)
-        return Mat(self.field, self.nrows, self.ncols,
-                   [[-x for x in r] for r in self._rows])
+        return Mat(self.field, self.nrows, self.ncols, -self._a)
 
     def scale(self, c) -> "Mat":
-        f = self.field
-        c = f.of(c)
-        if f.is_prime_field:
-            return Mat(f, self.nrows, self.ncols, (self._a * c) % f.p)
-        return Mat(f, self.nrows, self.ncols, [[x * c for x in r] for r in self._rows])
+        return Mat(self.field, self.nrows, self.ncols,
+                   self._a * self.field.of(c))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows or self.field != other.field:
             raise LinalgError("matmul shape/field mismatch")
-        f = self.field
-        if f.is_prime_field:
-            p = f.p
-            k = self.ncols
-            if k == 0:
-                return Mat.zeros(f, self.nrows, other.ncols)
-            # chunk the inner dimension so sums of products stay below 2**63
-            step = max(1, (2**62) // max(1, (p - 1) ** 2))
-            if k <= step:
-                prod = (self._a @ other._a) % p
-            else:
-                prod = np.zeros((self.nrows, other.ncols), dtype=np.int64)
-                for s in range(0, k, step):
-                    prod = (prod + self._a[:, s:s + step] @ other._a[s:s + step, :]) % p
-            return Mat(f, self.nrows, other.ncols, prod)
-        rows = []
-        for i in range(self.nrows):
-            ri = self._rows[i]
-            rows.append([
-                sum((ri[t] * other._rows[t][j] for t in range(self.ncols)), Fraction(0))
-                for j in range(other.ncols)
-            ])
-        return Mat(f, self.nrows, other.ncols, rows)
+        if self.ncols == 0:  # an empty object product would hold int 0
+            return Mat.zeros(self.field, self.nrows, other.ncols)
+        return Mat(self.field, self.nrows, other.ncols,
+                   self.field.matmul(self._a, other._a))
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product self (x) other."""
         if self.field != other.field:
             raise LinalgError("kron field mismatch")
-        f = self.field
-        n, c = self.nrows * other.nrows, self.ncols * other.ncols
-        if f.is_prime_field:
-            # entries below p, so products stay below 2**62
-            return Mat(f, n, c, np.kron(self._a, other._a) % f.p)
-        rows = []
-        for i in range(self.nrows):
-            for k in range(other.nrows):
-                rows.append([
-                    self._rows[i][j] * other._rows[k][l]
-                    for j in range(self.ncols) for l in range(other.ncols)
-                ])
-        return Mat(f, n, c, rows)
+        return Mat(self.field, self.nrows * other.nrows,
+                   self.ncols * other.ncols, np.kron(self._a, other._a))
 
     def transpose(self) -> "Mat":
-        if self.field.is_prime_field:
-            return Mat(self.field, self.ncols, self.nrows, self._a.T)
-        return Mat(self.field, self.ncols, self.nrows,
-                   [[self._rows[i][j] for i in range(self.nrows)]
-                    for j in range(self.ncols)])
+        return Mat(self.field, self.ncols, self.nrows, self._a.T)
 
     # ---- reduction ----
 
@@ -393,56 +351,28 @@ class Mat:
         if self._rref is not None:
             return self._rref
         f = self.field
-        if f.is_prime_field:
-            p = f.p
-            a = self._a.copy()
-            pivots = []
-            r = 0
-            for c in range(self.ncols):
-                if r == self.nrows:
-                    break
-                nz = np.nonzero(a[r:, c])[0]
-                if nz.size == 0:
-                    continue
-                i = r + int(nz[0])
-                if i != r:
-                    a[[r, i]] = a[[i, r]]
-                inv = pow(int(a[r, c]), -1, p)
-                a[r] = (a[r] * inv) % p
-                col = a[:, c].copy()
-                col[r] = 0
-                mask = col != 0
-                if mask.any():
-                    a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-                pivots.append(c)
-                r += 1
-            out = Mat(f, self.nrows, self.ncols, a)
-        else:
-            rows = [list(r) for r in self._rows]
-            pivots = []
-            r = 0
-            for c in range(self.ncols):
-                if r == len(rows):
-                    break
-                sel = None
-                for i in range(r, len(rows)):
-                    if rows[i][c] != 0:
-                        sel = i
-                        break
-                if sel is None:
-                    continue
-                rows[r], rows[sel] = rows[sel], rows[r]
-                inv = 1 / rows[r][c]
-                rows[r] = [x * inv for x in rows[r]]
-                for i in range(len(rows)):
-                    if i != r and rows[i][c] != 0:
-                        factor = rows[i][c]
-                        rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-                pivots.append(c)
-                r += 1
-            out = Mat(f, self.nrows, self.ncols, rows)
+        a = self._a.copy()
+        pivots = []
+        for c in range(self.ncols):
+            r = len(pivots)
+            if r == self.nrows:
+                break
+            nz = a[r:, c].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+            # row r is zero left of column c, so only columns c: change
+            a[r, c:] = f.reduce(a[r, c:] * f.inv(a.item(r, c)))
+            mask = a[:, c] != 0
+            mask[r] = False
+            if mask.any():
+                a[mask, c:] = f.reduce(
+                    a[mask, c:] - np.outer(a[mask, c], a[r, c:]))
+            pivots.append(c)
+        out = Mat(f, self.nrows, self.ncols, a)
         self._rref = (out, tuple(pivots))
-        out._rref = self._rref
         return self._rref
 
     def rank(self) -> int:
@@ -451,19 +381,11 @@ class Mat:
     def kernel_basis(self) -> "Mat":
         """Matrix whose columns are the canonical kernel basis (A v = 0)."""
         R, pivots = self.rref()
-        f = self.field
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        cols = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.entry(r, fc))
-            cols.append(v)
-        if not cols:
-            return Mat.zeros(f, self.ncols, 0)
-        return Mat.from_rows(f, [[col[i] for col in cols] for i in range(self.ncols)])
+        free = sorted(set(range(self.ncols)).difference(pivots))
+        k = _zeros(self.field, self.ncols, len(free))
+        k[free, np.arange(len(free))] = self.field.one
+        k[list(pivots)] = -R._a[:len(pivots), free]
+        return Mat(self.field, self.ncols, len(free), k)
 
     def solve(self, B: "Mat"):
         """Least-constrained exact solution X of self @ X = B, or None.
@@ -472,17 +394,13 @@ class Mat:
         """
         if B.nrows != self.nrows or B.field != self.field:
             raise LinalgError("solve shape/field mismatch")
-        aug = hstack([self, B])
-        R, pivots = aug.rref()
-        f = self.field
-        for r, pc in enumerate(pivots):
-            if pc >= self.ncols:
-                return None
-        X = [[f.zero] * B.ncols for _ in range(self.ncols)]
-        for r, pc in enumerate(pivots):
-            for j in range(B.ncols):
-                X[pc][j] = R.entry(r, self.ncols + j)
-        return Mat.from_rows(f, X) if self.ncols else Mat.zeros(f, 0, B.ncols)
+        n = self.ncols
+        R, pivots = hstack([self, B]).rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        x = _zeros(self.field, n, B.ncols)
+        x[list(pivots)] = R._a[:len(pivots), n:]
+        return Mat(self.field, n, B.ncols, x)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -502,53 +420,38 @@ class Mat:
         return self.solve(v) is not None
 
 
+def _zeros(field, nrows: int, ncols: int) -> np.ndarray:
+    """A writable nrows x ncols array of the field's zero."""
+    return np.full((nrows, ncols), field.zero, dtype=field.dtype)
+
+
 def hstack(mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
     if not mats:
         raise LinalgError("hstack of nothing")
-    f = mats[0].field
-    n = mats[0].nrows
+    f, n = mats[0].field, mats[0].nrows
     if any(m.nrows != n or m.field != f for m in mats):
         raise LinalgError("hstack mismatch")
-    if f.is_prime_field:
-        return Mat(f, n, sum(m.ncols for m in mats), np.hstack([m._a for m in mats]))
-    rows = [sum((list(m._rows[i]) for m in mats), []) for i in range(n)]
-    return Mat(f, n, sum(m.ncols for m in mats), rows)
+    return Mat(f, n, sum(m.ncols for m in mats), np.hstack([m._a for m in mats]))
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
     if not mats:
         raise LinalgError("vstack of nothing")
-    f = mats[0].field
-    c = mats[0].ncols
+    f, c = mats[0].field, mats[0].ncols
     if any(m.ncols != c or m.field != f for m in mats):
         raise LinalgError("vstack mismatch")
-    if f.is_prime_field:
-        return Mat(f, sum(m.nrows for m in mats), c, np.vstack([m._a for m in mats]))
-    rows = []
-    for m in mats:
-        rows.extend(list(r) for r in m._rows)
-    return Mat(f, sum(m.nrows for m in mats), c, rows)
-
-
-def block(rows_of_blocks: Sequence[Sequence[Mat]]) -> Mat:
-    return vstack([hstack(list(row)) for row in rows_of_blocks])
+    return Mat(f, sum(m.nrows for m in mats), c, np.vstack([m._a for m in mats]))
 
 
 def block_diag(field, mats: Sequence[Mat]) -> Mat:
-    mats = list(mats)
-    n = sum(m.nrows for m in mats)
-    c = sum(m.ncols for m in mats)
-    rows = []
-    for i, m in enumerate(mats):
-        row = []
-        for j, other in enumerate(mats):
-            row.append(m if i == j else Mat.zeros(field, m.nrows, other.ncols))
-        rows.append(row)
-    if not rows:
-        return Mat.zeros(field, 0, 0)
-    return block(rows)
+    a = _zeros(field, sum(m.nrows for m in mats), sum(m.ncols for m in mats))
+    r = c = 0
+    for m in mats:
+        a[r:r + m.nrows, c:c + m.ncols] = m._a
+        r, c = r + m.nrows, c + m.ncols
+    return Mat(field, r, c, a)
 
 
 def subspace_basis(vectors: Sequence[Mat]) -> Mat:

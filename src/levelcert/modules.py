@@ -30,20 +30,11 @@ class ModuleError(ValueError):
 
 def mat_vec(m: Mat) -> Mat:
     """Column-major vectorization as a single column."""
-    entries = []
-    for j in range(m.ncols):
-        for i in range(m.nrows):
-            entries.append([m.entry(i, j)])
-    if not entries:
-        return Mat.zeros(m.field, 0, 1)
-    return Mat.from_rows(m.field, entries)
+    return m.transpose().reshape(m.nrows * m.ncols, 1)
 
 
-def mat_unvec(field, nrows: int, ncols: int, col: Mat) -> Mat:
-    rows = [[col.entry(j * nrows + i, 0) for j in range(ncols)] for i in range(nrows)]
-    if not rows:
-        return Mat.zeros(field, nrows, ncols)
-    return Mat.from_rows(field, rows)
+def mat_unvec(nrows: int, ncols: int, col: Mat) -> Mat:
+    return col.reshape(ncols, nrows).transpose()
 
 
 # ---------------------------------------------------------------- Artin side
@@ -104,9 +95,7 @@ class ArtinModule:
         return Mat.zeros(self.field, self.dim, 1)
 
     def basis_elem(self, i: int) -> Mat:
-        rows = [[self.field.zero] for _ in range(self.dim)]
-        rows[i][0] = self.field.one
-        return Mat.from_rows(self.field, rows)
+        return Mat.identity(self.field, self.dim).take_columns([i])
 
     def elem_eq(self, a: Mat, b: Mat) -> bool:
         return a == b
@@ -264,18 +253,12 @@ class ArtinHom:
         f = self.matrix.field
         ib = self.matrix.column_space_basis()
         idx = extend_to_basis(f, ib)
-        sect = hstack([self.target.basis_elem(i) for i in idx]) if idx \
-            else Mat.zeros(f, self.target.dim, 0)
-        full = hstack([ib, sect])
-        inv = full.inverse()
+        sect = Mat.identity(f, self.target.dim).take_columns(idx)
+        inv = hstack([ib, sect]).inverse()
         assert inv is not None
-        cdim = len(idx)
-        proj_rows = [[inv.entry(ib.ncols + r, j) for j in range(self.target.dim)]
-                     for r in range(cdim)]
-        proj_mat = (Mat.from_rows(f, proj_rows) if cdim
-                    else Mat.zeros(f, 0, self.target.dim))
+        proj_mat = inv.take_rows(range(ib.ncols, ib.ncols + len(idx)))
         acts = [proj_mat @ x @ sect for x in self.target.actions]
-        cok = ArtinModule(self.target.ring, cdim, acts, check=False)
+        cok = ArtinModule(self.target.ring, len(idx), acts, check=False)
         proj = ArtinHom(self.target, cok, proj_mat, check=True)
         return cok, proj
 
@@ -731,19 +714,11 @@ def direct_sum(mods):
         S = ArtinModule(ring, total, acts, check=False)
         incls, projs = [], []
         off = 0
+        eye = Mat.identity(field, total)
         for m in mods:
-            if m.dim == 0 or total == 0:
-                imat = Mat.zeros(field, total, m.dim)
-                pmat = Mat.zeros(field, m.dim, total)
-            else:
-                imat = Mat.from_rows(field, [
-                    [field.one if r == off + c else field.zero
-                     for c in range(m.dim)] for r in range(total)])
-                pmat = Mat.from_rows(field, [
-                    [field.one if c == off + r else field.zero
-                     for c in range(total)] for r in range(m.dim)])
-            incls.append(ArtinHom(m, S, imat, check=False))
-            projs.append(ArtinHom(S, m, pmat, check=False))
+            block = range(off, off + m.dim)
+            incls.append(ArtinHom(m, S, eye.take_columns(block), check=False))
+            projs.append(ArtinHom(S, m, eye.take_rows(block), check=False))
             off += m.dim
         return S, incls, projs
     ring = mods[0].ring
@@ -827,8 +802,7 @@ def free_hom_from_polys(F, G, entries):
             flat = []
             for i in range(m):
                 flat.extend(ring.nf_coeffs(entries[i][j]))
-            images.append(Mat.column(F.field, flat) if flat
-                          else Mat.zeros(F.field, 0, 1))
+            images.append(Mat.column(F.field, flat))
         return free_hom(F, G, images)
     ring = F.ring
     cols = []
@@ -868,7 +842,7 @@ class ArtinHomSpace:
     def basis_hom(self, i: int) -> ArtinHom:
         col = self.basis_mat.take_columns([i])
         return ArtinHom(self.M, self.N,
-                        mat_unvec(self.M.field, self.N.dim, self.M.dim, col),
+                        mat_unvec(self.N.dim, self.M.dim, col),
                         check=False)
 
     def coords(self, h: ArtinHom) -> Mat:
@@ -881,7 +855,7 @@ class ArtinHomSpace:
     def from_coords(self, c: Mat) -> ArtinHom:
         col = self.basis_mat @ c
         return ArtinHom(self.M, self.N,
-                        mat_unvec(self.M.field, self.N.dim, self.M.dim, col),
+                        mat_unvec(self.N.dim, self.M.dim, col),
                         check=False)
 
 
@@ -943,7 +917,7 @@ class GradedHomSpace:
         nq = sum(len(bq[0]) if bq else 0 for _, bq in rows)
         total_rows = sum(len(ba) for ba, _ in rows)
         if total_rows == 0:
-            kern = Mat.identity(f, na) if na else Mat.zeros(f, 0, 0)
+            kern = Mat.identity(f, na)
         else:
             data = []
             qoff = 0
@@ -955,13 +929,7 @@ class GradedHomSpace:
                         row[na + qoff + t] = c
                     data.append(row)
                 qoff += w
-            sys = Mat.from_rows(f, data)
-            kern = sys.kernel_basis()
-            if na:
-                kern = Mat.from_rows(f, [kern.row_list(i) for i in range(na)]) \
-                    if kern.ncols else Mat.zeros(f, na, 0)
-            else:
-                kern = Mat.zeros(f, 0, 0)
+            kern = Mat.from_rows(f, data).kernel_basis().take_rows(range(na))
 
         # trivial homs: columns lying in the relation submodule of N
         triv_cols = []
@@ -982,22 +950,13 @@ class GradedHomSpace:
                         vecd[self.pos[key]] = c
                     if ok and any(not f.is_zero(x) for x in vecd):
                         triv_cols.append(vecd)
-        if na == 0:
-            self.triv = Mat.zeros(f, 0, 0)
-            self.full = Mat.zeros(f, 0, 0)
-        else:
-            self.triv = (Mat.from_rows(
-                f, [[tc[i] for tc in triv_cols] for i in range(na)])
-                if triv_cols else Mat.zeros(f, na, 0)).column_space_basis()
-            span_cols = hstack([self.triv, kern]) if kern.ncols or self.triv.ncols \
-                else Mat.zeros(f, na, 0)
-            self.full = span_cols
+        self.triv = Mat(f, len(triv_cols), na,
+                        triv_cols).transpose().column_space_basis()
+        full = hstack([self.triv, kern])
         # quotient basis: pivot columns of [triv | kernel] beyond the triv block
-        keep = [c for c in (self.full.rref()[1] if self.full.ncols else ())
-                if c >= self.triv.ncols]
-        self.quot = self.full.take_columns(keep) if keep \
-            else Mat.zeros(f, na, 0)
-        self._solve_block = hstack([self.triv, self.quot]) if na else None
+        self.quot = full.take_columns(
+            c for c in full.rref()[1] if c >= self.triv.ncols)
+        self._solve_block = hstack([self.triv, self.quot])
 
     @property
     def dim(self) -> int:
@@ -1013,15 +972,12 @@ class GradedHomSpace:
                 if key not in self.pos:
                     raise ModuleError("hom is not homogeneous of degree zero")
                 v[self.pos[key]] = f.add(v[self.pos[key]], coeff)
-        if na == 0:
-            return Mat.zeros(f, 0, 1)
-        return Mat.from_rows(f, [[x] for x in v])
+        return Mat.column(f, v)
 
     def _hom_from_entry_vec(self, col: Mat) -> GradedHom:
         f = self.M.field
         cols = [PolyVec.zero(f, self.M.ring.nvars) for _ in range(self.M.ngens)]
-        for t, (j, i, m) in enumerate(self.entry_index):
-            c = col.entry(t, 0)
+        for (j, i, m), c in zip(self.entry_index, col.col_entries(0)):
             if not f.is_zero(c):
                 cols[j] = cols[j] + PolyVec(f, self.M.ring.nvars, {(i, m): c})
         return GradedHom(self.M, self.N, cols, check=False)
@@ -1030,17 +986,10 @@ class GradedHomSpace:
         return self._hom_from_entry_vec(self.quot.take_columns([i]))
 
     def coords(self, h: GradedHom) -> Mat:
-        f = self.M.field
-        if len(self.entry_index) == 0:
-            return Mat.zeros(f, 0, 1)
-        v = self._vectorize(h)
-        sol = self._solve_block.solve(v) if self._solve_block.ncols else None
+        sol = self._solve_block.solve(self._vectorize(h))
         if sol is None:
-            if v.is_zero():
-                return Mat.zeros(f, self.dim, 1)
             raise ModuleError("hom outside the computed hom space")
-        rows = [[sol.entry(self.triv.ncols + i, 0)] for i in range(self.dim)]
-        return Mat.from_rows(f, rows) if rows else Mat.zeros(f, 0, 1)
+        return sol.take_rows(range(self.triv.ncols, self.triv.ncols + self.dim))
 
     def from_coords(self, c: Mat) -> GradedHom:
         if self.dim == 0:

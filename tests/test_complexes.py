@@ -176,7 +176,6 @@ def test_triangle_verification():
     bad.u = aug
     bad.w = sk
     bad.t = identity_chain_map(cd.complex)
-    bad.direction = "cone_to_w"
     bad.cone_data = cd
     assert not bad.verify()
 

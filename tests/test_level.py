@@ -13,7 +13,8 @@ from levelcert.modules import artin_free, artin_residue_field, \
     graded_residue_field
 from levelcert.complexes import Complex, module_stalk
 from levelcert.resolutions import koszul_complex
-from levelcert.level import (LevelError, bass_check, certificate_audit,
+from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
+                             bass_check, certificate_audit,
                              ghost_lower_bound, homology_dimension_bound,
                              level_one_test, level_report, module_in_class,
                              normalize_class, upper_certificate)
@@ -240,3 +241,36 @@ def test_certificate_json_round_trip(A):
     assert back["verdict"] == ["exact", 2]
     assert back["upper"]["route"] == "stratification"
     assert back["lower"]["one_step"]["verdict"] == "no"
+
+
+def test_tampered_values_fail_verification(A):
+    K = koszul_complex(A)
+    k = module_stalk(A, artin_residue_field(A))
+    R2 = make_ring("poly(F101; x, y)")
+    kR = module_stalk(R2, graded_residue_field(R2))
+    reps = [level_report(K, "inj"), level_report(K, "ginj"),
+            level_report(k, "ginj"), level_report(kR, "proj"),
+            level_report(Complex(A, {}, {}, check=False), "proj")]
+    routes = set()
+    for rep in reps:
+        assert rep.verify()
+        for cert in (rep.upper, rep.lower):
+            routes.add(cert.route)
+            value, cert.value = cert.value, 7
+            assert not cert.verify(), cert.route
+            assert not rep.verify(), cert.route
+            cert.value = value
+        assert rep.verify()
+    assert routes == {"stratification", "one-step-impossible",
+                      "cycle-boundary", "one-step", "nonzero-homology",
+                      "cover-tower", "ghost-chain", "zero-object"}
+
+
+def test_bare_certificates_fail_verification():
+    # a value with no evidence behind it proves nothing
+    assert not LowerCertificate("proj", 99, "nonzero-homology").verify()
+    assert not LowerCertificate("proj", 1, "nonzero-homology").verify()
+    assert not UpperCertificate("proj", 0, "zero-object").verify()
+    assert not UpperCertificate("proj", 1, "stratification").verify()
+    assert not UpperCertificate("proj", 1, "one-step").verify()
+    assert not LowerCertificate("proj", 3, "ghost-chain").verify()

@@ -5,15 +5,18 @@ touch the row-reduction code under test: minor enumeration for ranks,
 vector enumeration over F_2 for kernels.
 """
 
+import gc
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from levelcert.linalg import (
-    Mat, PrimeField, QQ, block_diag, extend_to_basis, full_rank_combination,
-    hstack, parse_field, parse_scalar, subspace_basis, vstack,
+    LinalgError, Mat, PrimeField, QQ, block_diag, extend_to_basis,
+    full_rank_combination, hstack, parse_field, parse_scalar, subspace_basis,
+    vstack,
 )
 
 F2 = PrimeField(2)
@@ -321,3 +324,155 @@ def test_full_rank_against_symbolic_determinant():
             witness = total.subs(dict(zip(cs, out)))
             assert witness.det() % F101.p != 0, (trial, kind, rows)
     assert seen == {"found", "none"}
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_ragged_rows_are_a_linalg_error(field):
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+        with pytest.raises(LinalgError):
+            Mat.from_rows(field, rows)
+
+
+def test_chunked_product_near_the_largest_prime():
+    # (p - 1)^2 is close to 2**62, so every inner index is its own chunk
+    p = 2147483647
+    F = PrimeField(p)
+    rng = random.Random(31)
+    a = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(4)] for _ in range(5)]
+    want = [[sum(a[i][t] * b[t][j] for t in range(5)) % p for j in range(4)]
+            for i in range(3)]
+    assert (Mat.from_rows(F, a) @ Mat.from_rows(F, b)).to_lists() == want
+
+
+def _random_rows(rng, field, n, m, rank):
+    """n x m entries of rank at most `rank`: a product through k^rank."""
+    def entry():
+        if field is QQ:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randrange(field.p)
+    left = [[entry() for _ in range(rank)] for _ in range(n)]
+    right = [[entry() for _ in range(m)] for _ in range(rank)]
+    return [[sum((left[i][t] * right[t][j] for t in range(rank)), 0)
+             for j in range(m)] for i in range(n)]
+
+
+def _sympy_rref(field, mat):
+    """(entries, pivots) of the rref of mat, computed by sympy."""
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    domains = pytest.importorskip("sympy.polys.domains")
+    if field is QQ:
+        dom = domains.QQ
+        to_dom = lambda x: dom(x.numerator, x.denominator)  # noqa: E731
+        back = lambda x: Fraction(int(x.numerator), int(x.denominator))  # noqa: E731
+    else:
+        dom = domains.GF(field.p)
+        to_dom = dom
+        back = lambda x: int(x) % field.p  # noqa: E731
+    dm = matrices.DomainMatrix([[to_dom(x) for x in row]
+                                for row in mat.to_lists()], mat.shape, dom)
+    r, pivots = dm.rref()
+    return [[back(x) for x in row] for row in r.to_list()], tuple(pivots)
+
+
+SHAPES = [(0, 4, 0), (4, 0, 0), (0, 0, 0), (1, 1, 1), (3, 5, 2), (5, 3, 3),
+          (6, 6, 3), (4, 7, 4), (7, 4, 1), (5, 5, 0)]
+
+
+@pytest.mark.parametrize("field", [F2, F101, QQ], ids=["F2", "F101", "Q"])
+def test_rref_matches_sympy(field):
+    pytest.importorskip("sympy")
+    rng = random.Random(field.name)
+    for n, m, rank in SHAPES + [(rng.randint(1, 8), rng.randint(1, 8),
+                                 rng.randint(0, 4)) for _ in range(20)]:
+        A = Mat.from_rows(field, _random_rows(rng, field, n, m, rank)) \
+            if n else Mat.zeros(field, 0, m)
+        assert A.shape == (n, m)
+        R, pivots = A.rref()
+        want, want_pivots = _sympy_rref(field, A)
+        assert pivots == want_pivots, (n, m, rank)
+        assert R.to_lists() == want, (n, m, rank)
+        if field is QQ:
+            assert all(type(x) is Fraction for row in want for x in row)
+
+
+def _entries_are_fractions(M):
+    return all(type(x) is Fraction for row in M.to_lists() for x in row)
+
+
+def test_rational_results_hold_fractions():
+    A = Mat.from_rows(QQ, [[1, 2, 3], [2, 4, 6]])
+    empty_product = Mat.zeros(QQ, 2, 0) @ Mat.zeros(QQ, 0, 3)
+    assert empty_product.shape == (2, 3) and empty_product.is_zero()
+    nothing = A.take_rows([])
+    assert nothing.shape == (0, 3)
+    assert A.take_columns([]).shape == (2, 0)
+    K = A.kernel_basis()
+    assert K.shape == (3, 2) and (A @ K).is_zero()
+    for M in (Mat.zeros(QQ, 2, 3), Mat.identity(QQ, 3), empty_product,
+              A.kron(A), K, A.rref()[0], A @ A.transpose(), -A, A.scale(3),
+              A - A, A + A, block_diag(QQ, [A, A]), A.take_rows([1, 0]),
+              A.solve(A.take_columns([2])), Mat.column(QQ, [1, 2])):
+        assert _entries_are_fractions(M), M
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_matrix_data_is_one_read_only_array(field):
+    A = Mat.from_rows(field, [[1, 200], [-1, 3]])
+    for M in (A, A @ A, A.kron(A), A.rref()[0], A.kernel_basis(),
+              A.take_rows([1]), A.transpose(), hstack([A, A]),
+              block_diag(field, [A, A]), A.inverse(), Mat.identity(field, 2)):
+        assert M._a.dtype == field.dtype
+        assert not M._a.flags.writeable
+        if field is F101:
+            assert ((M._a >= 0) & (M._a < 101)).all()
+    with pytest.raises(ValueError):
+        A._a[0, 0] = 5
+
+
+def test_array_operations_agree_with_their_definitions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        field = draw(st.sampled_from([F2, F101, QQ]))
+        n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m,
+                                      max_size=m), min_size=n, max_size=n))
+        return Mat.from_rows(field, rows) if n else Mat.zeros(field, 0, m)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(matrices())
+    def check(A):
+        n, m = A.shape
+        K = A.kernel_basis()
+        assert A.rank() + K.ncols == m and (A @ K).is_zero()
+        T = A.transpose()
+        assert T.shape == (m, n) and T.transpose() == A
+        assert all(T.entry(j, i) == A.entry(i, j)
+                   for i in range(n) for j in range(m))
+        assert A.kron(Mat.identity(A.field, 2)).shape == (2 * n, 2 * m)
+        assert vstack([A.take_rows(range(i, i + 1)) for i in range(n)]
+                      + [A.take_rows([])]) == A
+        X = A.solve(A)
+        assert X is not None and A @ X == A
+
+    check()
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_dropped_eliminations_need_no_cycle_collector(field):
+    # a solve eliminates a temporary [A | b]; its cached rref must not
+    # form a reference cycle, or each elimination's arrays stay alive
+    # until the cycle collector runs
+    A = Mat.from_rows(field, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    b = Mat.column(field, [1, 2, 3])
+    gc.collect()
+    gc.disable()
+    try:
+        assert A.solve(b) is not None
+        assert hstack([A, b]).rref()[1] == (0, 1, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

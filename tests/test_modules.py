@@ -444,7 +444,7 @@ def test_mat_vec_roundtrip():
     m = Mat.from_rows(F101, [[1, 2, 3], [4, 5, 6]])
     v = mat_vec(m)
     assert v.shape == (6, 1)
-    assert mat_unvec(F101, 2, 3, v) == m
+    assert mat_unvec(2, 3, v) == m
 
 
 def test_zero_module_edge_cases():
