@@ -171,14 +171,16 @@ class ChainMap:
             if not (h.source == source.module(i) and h.target == target.module(i)):
                 raise ComplexError(f"component at degree {i} mismatches modules")
             self.comps[i] = h
-        if check:
-            lo = min([source.min_deg, target.min_deg] or [0])
-            hi = max([source.max_deg, target.max_deg] or [0])
-            for i in range(lo, hi + 2):
-                lhs = target.diff(i).compose(self.comp(i))
-                rhs = self.comp(i - 1).compose(source.diff(i))
-                if not (lhs - rhs).is_zero():
-                    raise ComplexError(f"not a chain map at degree {i}")
+        if check and not self.is_chain_map():
+            raise ComplexError("not a chain map")
+
+    def is_chain_map(self) -> bool:
+        """Whether d . f == f . d in every degree."""
+        lo = min(self.source.min_deg, self.target.min_deg)
+        hi = max(self.source.max_deg, self.target.max_deg)
+        return all((self.target.diff(i).compose(self.comp(i))
+                    - self.comp(i - 1).compose(self.source.diff(i))).is_zero()
+                   for i in range(lo, hi + 2))
 
     def comp(self, i: int):
         h = self.comps.get(i)
@@ -594,6 +596,8 @@ class ChainMapSpace:
         return self._h_image
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
+        """Whether f = d s + s d for some s, by one solve. False for a map
+        that is not a chain map, so a certificate must check that first."""
         return self.homotopy_image().solve(self.coords(f)) is not None
 
     def null_homotopy(self, f: ChainMap):

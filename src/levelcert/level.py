@@ -4,6 +4,9 @@ The level of a complex m with respect to a class C of modules is the
 least n such that m can be finitely built from shifted stalks of C
 objects in n cone steps, counting the starting layer (a nonzero direct
 sum of shifted stalks has level 1, a single extra cone gives 2, ...).
+As Avramov, Buchweitz, Iyengar and Miller define it (Adv. Math. 2010),
+a retract of an object built in n steps also has level at most n: the
+upper routes build m itself, and the ghost lemma bounds retracts too.
 
 Upper bounds are returned as explicit data: a route name together with
 verified triangles whose outer layers are complexes with zero
@@ -551,10 +554,11 @@ class LowerCertificate:
                 and self.level_one.exhaustive else None
         if self.route == "ghost-chain" and self.ghost is not None:
             space, comp, factors = self.ghost
-            # n ghosts with a composite that is not null-homotopic
+            # n ghosts whose composite is a chain map, not null-homotopic
             if (len(factors) != self.data.get("chain_length")
                     or not all(d.induces_zero_on_homology() for d in factors)
-                    or space.class_coords(comp).is_zero()):
+                    or not comp.is_chain_map()
+                    or space.is_null_homotopic(comp)):
                 return None
             return len(factors) + 1
         return None
@@ -607,7 +611,7 @@ def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
                 [tower.steps[s].delta.shift(s) for s in range(1, n)]
             comp = gamma.compose(aug)
             space = ChainMapSpace(P, gamma.target)
-            if not space.class_coords(comp).is_zero():
+            if not space.is_null_homotopic(comp):
                 best = LowerCertificate(
                     cls, n + 1, "ghost-chain",
                     data={"chain_length": n},

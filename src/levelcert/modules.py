@@ -11,15 +11,19 @@ modulo the relation Groebner basis.
 
 Both hom types expose the same vocabulary (kernel, image, cokernel,
 lift_through, factor_through, solve_preimage, ...), so the complex and
-resolution layers stay backend-agnostic. HomSpace gives exact k-linear
-coordinates on Hom(M, N) in which a hom is zero iff its coordinate
-vector is zero; all homotopy-theoretic linear algebra runs through it.
+resolution layers stay backend-agnostic. hom_space(M, N) gives exact
+k-linear coordinates on Hom(M, N), zero exactly on the zero hom; all
+homotopy-theoretic linear algebra runs through it. On both backends a
+hom is the images of the generators of M, which must kill the relations
+among them: vectors of N for the minimal generators (ArtinHomSpace), or
+polynomial vectors over the generators of N modulo its relations
+(GradedHomSpace).
 """
 
 from __future__ import annotations
 
 from .linalg import (Mat, block_diag, extend_to_basis, full_rank_combination,
-                     hstack, subspace_basis, vstack)
+                     hstack, vstack)
 from .poly import Poly, PolyVec, mono_mul, monomials_of_degree
 from .rings import ArtinRing, GradedPolyRing
 
@@ -653,12 +657,6 @@ class GradedHom:
 # ----------------------------------------------------- mode-generic wrappers
 
 
-def residue_field_module(ring):
-    if ring.kind == "artin":
-        return artin_residue_field(ring)
-    return graded_residue_field(ring)
-
-
 def free_module(ring, rank_or_twists):
     if ring.kind == "artin":
         return artin_free(ring, rank_or_twists)
@@ -683,15 +681,7 @@ def free_cover(M):
     if M.mode == "artin":
         gens = M.min_gens()
         F = artin_free(M.ring, len(gens))
-        if gens:
-            cols = []
-            for g in gens:
-                for m in M.ring.basis_monos:
-                    cols.append(M.mono_action(m) @ g)
-            mat = hstack(cols)
-        else:
-            mat = Mat.zeros(M.field, M.dim, 0)
-        phi = ArtinHom(F, M, mat, check=True)
+        phi = free_hom(F, M, gens)
         assert phi.is_surjective()
         return F, phi
     idx = M.min_gens_indices()
@@ -750,17 +740,20 @@ def direct_sum(mods):
 def free_hom(F, N, images):
     """Hom out of a free module sending generator j to images[j]."""
     if F.mode == "artin":
-        n = F.free_rank
-        assert len(images) == n
-        if n == 0 or N.dim == 0:
-            return ArtinHom(F, N, Mat.zeros(F.field, N.dim, F.dim), check=False)
-        cols = []
-        for g in images:
-            for m in F.ring.basis_monos:
-                cols.append(N.mono_action(m) @ g)
-        # equivariant by construction
-        return ArtinHom(F, N, hstack(cols), check=False)
+        assert len(images) == F.free_rank
+        return _artin_free_hom(
+            F, N, hstack([Mat.zeros(F.field, N.dim, 0)] + list(images)))
     return GradedHom(F, N, list(images), check=True)
+
+
+def _artin_free_hom(F, N, images: Mat) -> ArtinHom:
+    """free_hom with the images as the columns of one matrix."""
+    n, monos = images.ncols, F.ring.basis_monos
+    # column m * n + j is m . images[j]; F orders its basis as (j, m)
+    mat = hstack([N.mono_action(m) @ images for m in monos])
+    order = [m * n + j for j in range(n) for m in range(len(monos))]
+    # equivariant by construction
+    return ArtinHom(F, N, mat.take_columns(order), check=False)
 
 
 def hom_entry_polys(h):
@@ -818,45 +811,59 @@ def free_hom_from_polys(F, G, entries):
 
 
 class ArtinHomSpace:
-    """Exact k-basis of Hom_A(M, N); coordinates are faithful."""
+    """Exact k-basis of Hom_A(M, N) in generator-image coordinates.
+
+    The images of the minimal generators of M, stacked in N^mu, must kill
+    the kernel of the free cover F -> M; a free source has no condition
+    and the standard basis of N^mu. Coordinates are faithful.
+    """
 
     def __init__(self, M: ArtinModule, N: ArtinModule):
         self.M, self.N = M, N
-        f = M.field
-        nm, nn = M.dim, N.dim
-        if M.ring.nvars == 0 or nm == 0 or nn == 0:
-            sys = Mat.zeros(f, 0, nm * nn)
-        else:
-            blocks = []
-            im = Mat.identity(f, nm)
-            inn = Mat.identity(f, nn)
-            for xm, xn in zip(M.actions, N.actions):
-                blocks.append(im.kron(xn) - xm.transpose().kron(inn))
-            sys = vstack(blocks)
-        self.basis_mat = sys.kernel_basis()  # (nm*nn) x dim
-
-    @property
-    def dim(self) -> int:
-        return self.basis_mat.ncols
+        f, nn = M.field, N.dim
+        self.F, phi = free_cover(M)
+        mu, d = self.F.free_rank, M.ring.dim
+        self.gens = hstack([Mat.zeros(f, M.dim, 0)] + M.min_gens())
+        # a hom from its images: the hom out of F, through a section of phi
+        self.section = None if phi.matrix == Mat.identity(f, M.dim) \
+            else phi.matrix.solve(Mat.identity(f, M.dim))
+        rels = phi.matrix.kernel_basis()  # (mu*d) x r, rows (generator, mono)
+        self.basis_mat = None             # None: the identity on N^mu
+        self.dim = nn * mu
+        if rels.ncols:
+            # relation k kills the images when sum_{j,m} rels[(j,m),k]
+            # m . v_j = 0; row (k, i) and column (j, t) of the condition
+            # hold the coefficient of (v_j)_t in entry i of that sum
+            acts = vstack([N.mono_action(m).reshape(1, nn * nn)
+                           for m in M.ring.basis_monos])
+            sys = hstack([(rels.take_rows(range(j * d, (j + 1) * d))
+                           .transpose() @ acts).reshape(rels.ncols * nn, nn)
+                          for j in range(mu)])
+            self.basis_mat = sys.kernel_basis()
+            self.dim = self.basis_mat.ncols
 
     def basis_hom(self, i: int) -> ArtinHom:
-        col = self.basis_mat.take_columns([i])
-        return ArtinHom(self.M, self.N,
-                        mat_unvec(self.N.dim, self.M.dim, col),
-                        check=False)
+        f = self.M.field
+        unit = [[f.zero]] * self.dim
+        unit[i] = [f.one]
+        return self.from_coords(Mat(f, self.dim, 1, unit))
 
     def coords(self, h: ArtinHom) -> Mat:
-        v = mat_vec(h.matrix)
-        c = self.basis_mat.solve(v)
-        if c is None:
+        v = mat_vec(h.matrix @ self.gens)
+        c = v if self.basis_mat is None else self.basis_mat.solve(v)
+        if c is None or not (self.from_coords(c).matrix == h.matrix):
             raise ModuleError("matrix is not a module hom")
         return c
 
     def from_coords(self, c: Mat) -> ArtinHom:
-        col = self.basis_mat @ c
-        return ArtinHom(self.M, self.N,
-                        mat_unvec(self.N.dim, self.M.dim, col),
-                        check=False)
+        if self.basis_mat is not None:
+            c = self.basis_mat @ c
+        # generator j goes to block j of c
+        images = mat_unvec(self.N.dim, self.F.free_rank, c)
+        mat = _artin_free_hom(self.F, self.N, images).matrix
+        if self.section is not None:
+            mat = mat @ self.section
+        return ArtinHom(self.M, self.N, mat, check=False)
 
 
 class GradedHomSpace:

@@ -616,22 +616,6 @@ def dimension_report(obj, kind: str, window: int = 6) -> DimensionReport:
     raise ResolutionError(f"unknown dimension kind {kind!r}")
 
 
-def projective_dimension(obj, window: int = 6) -> DimensionReport:
-    return dimension_report(obj, "pd", window)
-
-
-def injective_dimension(obj, window: int = 6) -> DimensionReport:
-    return dimension_report(obj, "id", window)
-
-
-def gorenstein_projective_dimension(obj, window: int = 6) -> DimensionReport:
-    return dimension_report(obj, "gpd", window)
-
-
-def gorenstein_injective_dimension(obj, window: int = 6) -> DimensionReport:
-    return dimension_report(obj, "gid", window)
-
-
 # --------------------------------------------- short exact sequence bounds
 
 

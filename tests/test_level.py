@@ -5,13 +5,18 @@ reproduce; each expected number comes with the route that produces it.
 """
 
 import json
+import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
+from levelcert.cli import parse
+from levelcert.randgen import random_complex
 from levelcert.rings import make_ring
 from levelcert.modules import artin_free, artin_residue_field, \
     graded_residue_field
-from levelcert.complexes import Complex, module_stalk
+from levelcert.complexes import ChainMap, Complex, module_stalk
 from levelcert.resolutions import koszul_complex
 from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
                              bass_check, certificate_audit,
@@ -264,6 +269,19 @@ def test_tampered_values_fail_verification(A):
     assert routes == {"stratification", "one-step-impossible",
                       "cycle-boundary", "one-step", "nonzero-homology",
                       "cover-tower", "ghost-chain", "zero-object"}
+    # a composite that is not a chain map is not null-homotopic, yet it
+    # proves nothing: doctoring one component must fail verification
+    ghost = reps[3].lower
+    space, comp, factors = ghost.ghost
+    doctored = dict(comp.comps)
+    doctored[1] = comp.comp(1) + space.spaces[1].basis_hom(0)
+    bad = ChainMap(comp.source, comp.target, doctored, check=False)
+    assert not bad.is_chain_map()
+    ghost.ghost = (space, bad, factors)
+    assert not ghost.verify()
+    assert not reps[3].verify()
+    ghost.ghost = (space, comp, factors)
+    assert reps[3].verify()
 
 
 def test_bare_certificates_fail_verification():
@@ -274,3 +292,38 @@ def test_bare_certificates_fail_verification():
     assert not UpperCertificate("proj", 1, "stratification").verify()
     assert not UpperCertificate("proj", 1, "one-step").verify()
     assert not LowerCertificate("proj", 3, "ghost-chain").verify()
+
+
+@contextmanager
+def wall_bound(seconds):
+    """Fail, instead of hanging, when the block runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ghost_chain_over_free_terms_finishes(B):
+    # the ghost search over a degreewise free replacement whose ranks
+    # double each degree; it once spent minutes eliminating hom spaces
+    m = random_complex(B, random.Random(701), lo=0, width=2, max_rank=2)
+    with wall_bound(30):
+        rep = level_report(m, "proj", budget=3)
+        assert rep.verdict == ("at_least", 4)
+        assert rep.lower.route == "ghost-chain"
+        assert rep.verify()
+
+
+def test_injective_level_of_a_socle_map_finishes():
+    sess = parse("N = artin(F2; x, y | x^2, x*y, y^2)\n"
+                 "complex C over N : range 1..0 ; d1 = [[x]]\n")
+    with wall_bound(30):
+        rep = level_report(sess.complexes["C"], "inj", budget=3)
+        assert rep.verdict == ("at_least", 4)
+        assert rep.lower.route == "ghost-chain" and rep.lower.dualized
+        assert rep.verify()

@@ -12,15 +12,16 @@ import pytest
 
 import levelcert.rings
 from levelcert.grobner import BudgetExceeded
-from levelcert.linalg import Mat, PrimeField
+from levelcert.linalg import Mat, PrimeField, vstack
 from levelcert.poly import PolyVec, parse_poly
 from levelcert.grobner import buchberger
-from levelcert.rings import ArtinRing, GradedPolyRing
+from levelcert.rings import ArtinRing, GradedPolyRing, make_ring
 from levelcert.modules import (ArtinHom, ArtinModule, GradedHom, GradedModule,
-                               artin_free, artin_residue_field, direct_sum,
-                               find_isomorphism, free_cover, free_module,
-                               graded_free, graded_residue_field, hom_space,
-                               mat_unvec, mat_vec, zero_hom, zero_module)
+                               ModuleError, artin_free, artin_residue_field,
+                               direct_sum, find_isomorphism, free_cover,
+                               free_module, graded_free, graded_residue_field,
+                               hom_space, mat_unvec, mat_vec, zero_hom,
+                               zero_module)
 
 F2 = PrimeField(2)
 F101 = PrimeField(101)
@@ -88,16 +89,59 @@ def test_hom_socle_frozen():
     assert (A.var_matrix(0) @ f.matrix).is_zero()
 
 
-def test_hom_space_coords_faithful():
-    k = artin_residue_field(B)
-    F = artin_free(B, 1)
-    H = hom_space(F, F)
-    for i in range(H.dim):
-        c = Mat.from_rows(F2, [[1 if t == i else 0] for t in range(H.dim)])
-        h = H.from_coords(c)
-        assert H.coords(h) == c
-    z = zero_hom(F, F)
-    assert H.coords(z).is_zero()
+def kronecker_hom_dim(M, N) -> int:
+    """dim Hom_A(M, N) as the kernel of X_N H - H X_M = 0 over all nm*nn
+    entries of H, vectorised by Kronecker products: the reference the
+    generator-image hom spaces are checked against."""
+    f = M.field
+    if M.dim == 0 or N.dim == 0 or M.ring.nvars == 0:
+        return M.dim * N.dim
+    im, inn = Mat.identity(f, M.dim), Mat.identity(f, N.dim)
+    sys = vstack([im.kron(xn) - xm.transpose().kron(inn)
+                  for xm, xn in zip(M.actions, N.actions)])
+    return sys.kernel_basis().ncols
+
+
+def _hom_test_modules(ring):
+    """Zero, free and non-free modules over a local ring."""
+    F1 = artin_free(ring, 1)
+    x = ArtinHom(F1, F1, ring.var_matrix(0))
+    return [zero_module(ring), F1, artin_free(ring, 2),
+            artin_residue_field(ring), x.cokernel()[0], x.kernel()[0],
+            F1.dual()]
+
+
+@pytest.mark.parametrize("field", ["F2", "F101", "Q"])
+def test_hom_space_coords_faithful(field):
+    ring = make_ring(f"artin({field}; x, y | x^2, x*y, y^2)")
+    f = ring.field
+    mods = _hom_test_modules(ring)
+    for M in mods:
+        for N in mods:
+            H = hom_space(M, N)
+            assert H.dim == kronecker_hom_dim(M, N), (M, N)
+            for i in range(H.dim):
+                h = H.basis_hom(i)
+                ArtinHom(M, N, h.matrix, check=True)
+                unit = Mat.column(f, [int(t == i) for t in range(H.dim)])
+                assert H.coords(h) == unit
+            c = Mat.column(f, [3 * t + 1 for t in range(H.dim)])
+            assert H.coords(H.from_coords(c)) == c
+            assert H.coords(zero_hom(M, N)).is_zero()
+            # every matrix unit that is not a hom is refused
+            for a in range(N.dim):
+                for b in range(M.dim):
+                    e = Mat.from_rows(f, [[int((r, s) == (a, b))
+                                           for s in range(M.dim)]
+                                          for r in range(N.dim)])
+                    is_hom = all(xn @ e == e @ xm for xm, xn in
+                                 zip(M.actions, N.actions))
+                    if is_hom:
+                        assert H.from_coords(
+                            H.coords(ArtinHom(M, N, e))).matrix == e
+                    else:
+                        with pytest.raises(ModuleError):
+                            H.coords(ArtinHom(M, N, e, check=False))
 
 
 def test_kernel_image_cokernel_artin():

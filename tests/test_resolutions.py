@@ -15,10 +15,8 @@ from levelcert.complexes import Complex, is_quasi_iso, module_stalk
 from levelcert.linalg import Mat
 from levelcert.resolutions import (check_ses_dimension_calculus, depth_of,
                                    dimension_report, ext_dims_into_ring,
-                                   injective_dimension, koszul_complex,
-                                   minimal_free_resolution,
-                                   projective_dimension, reflexivity_map,
-                                   semiprojective_resolution,
+                                   koszul_complex, minimal_free_resolution,
+                                   reflexivity_map, semiprojective_resolution,
                                    ses_dimension_bounds, tr_screen,
                                    verify_module_ses)
 
@@ -65,10 +63,10 @@ def test_residue_field_resolution_betti(R3):
 
 def test_pd_of_residue_field_both_routes(R3):
     k = graded_residue_field(R3)
-    rep = projective_dimension(k)
+    rep = dimension_report(k, "pd")
     assert rep.status == "exact" and rep.value == 3
     assert rep.betti == [1, 3, 3, 1]
-    rep_cx = projective_dimension(module_stalk(R3, k))
+    rep_cx = dimension_report(module_stalk(R3, k), "pd")
     assert rep_cx.status == "exact" and rep_cx.value == 3
 
 
@@ -78,23 +76,23 @@ def test_pd_of_ideal(R2):
     y = R2.parse("y")
     M, _ = graded_submodule(F, [F.gen_elem(0).mul_poly(x),
                                 F.gen_elem(0).mul_poly(y)])
-    rep = projective_dimension(M)
+    rep = dimension_report(M, "pd")
     # two generators, one Koszul syzygy, then nothing
     assert rep.status == "exact" and rep.value == 1
     assert rep.betti == [2, 1]
 
 
 def test_pd_free_and_zero(R2, A):
-    assert projective_dimension(graded_free(R2, [0, 2])).value == 0
-    assert projective_dimension(artin_free(A, 3)).value == 0
-    repz = projective_dimension(zero_module(R2))
+    assert dimension_report(graded_free(R2, [0, 2]), "pd").value == 0
+    assert dimension_report(artin_free(A, 3), "pd").value == 0
+    repz = dimension_report(zero_module(R2), "pd")
     assert repz.status == "exact" and repz.value is None
     assert repz.witness.get("zero_object")
 
 
 def test_pd_over_dual_numbers_is_periodic(A):
     k = artin_residue_field(A)
-    rep = projective_dimension(k)
+    rep = dimension_report(k, "pd")
     assert rep.status == "infinite"
     assert rep.betti == [1] * 7
     assert rep.witness["periodicity"]["syzygies"] == [1, 2]
@@ -108,20 +106,20 @@ def test_koszul_complex_over_dual_numbers_is_perfect(A):
     # the Koszul complex is a two-term free complex, so it has finite
     # projective dimension even though both homology modules do not
     K = koszul_complex(A)
-    rep = projective_dimension(K)
+    rep = dimension_report(K, "pd")
     assert rep.status == "exact" and rep.value == 1
-    rep_id = injective_dimension(K)
+    rep_id = dimension_report(K, "id")
     assert rep_id.status == "exact" and rep_id.value == 0
     # the stalk of the residue field is not perfect
     st = module_stalk(A, artin_residue_field(A))
-    assert projective_dimension(st).status == "infinite"
+    assert dimension_report(st, "pd").status == "infinite"
 
 
 def test_koszul_over_polynomials(R3):
     K = koszul_complex(R3)
     assert [K.module(i).ngens for i in K.support()] == [1, 3, 3, 1]
     assert K.hdata().nonzero_degrees() == [0]
-    assert projective_dimension(K).value == 3
+    assert dimension_report(K, "pd").value == 3
 
 
 def test_depth_values(R2, A):
