@@ -5,12 +5,13 @@ complex m, realizes it as a chain map phi: F -> m by lifting generators to
 cycle representatives, and sets the next layer to the desuspended cone of
 phi. Iterating gives a tower m = L0, L1, L2, ... whose connecting maps
 induce zero on homology, and whose covers splice into a degreewise exact
-sequence of free modules augmented onto H(m). The injective-side tower on
-an artinian base is the vector-space dual of the projective tower on the
-dual complex.
+sequence of free modules augmented onto H(m). On an artinian base, the
+envelope step into degreewise dual-free modules is the vector-space dual
+of a cover step on the dual complex.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .modules import free_hom, artin_free, graded_free
 from .complexes import (ChainMap, Complex, Triangle, cone, identity_chain_map,
@@ -33,16 +34,6 @@ def homology_stalks(x: Complex) -> Complex:
     return Complex(x.ring, mods, {}, check=False)
 
 
-def _homology_gens(H, strategy: str):
-    if strategy == "minimal":
-        return list(H.min_gens())
-    if strategy == "full":
-        if H.mode == "artin":
-            return [H.basis_elem(t) for t in range(H.dim)]
-        return [H.gen_elem(j) for j in range(H.ngens)]
-    raise AdamsError(f"unknown generator strategy {strategy!r}")
-
-
 @dataclass
 class AdamsStep:
     """One cover step F -> m with its cone and connecting map.
@@ -63,8 +54,8 @@ class AdamsStep:
     triangle: Triangle
 
 
-def adams_step_proj(m: Complex, gens: str = "minimal") -> AdamsStep:
-    """Free homology cover of m and the resulting layer triangle."""
+def adams_step_proj(m: Complex) -> AdamsStep:
+    """Minimal free homology cover of m and the resulting layer triangle."""
     ring = m.ring
     hd = m.hdata()
     fmods, comps, cover, hgens = {}, {}, {}, {}
@@ -72,7 +63,7 @@ def adams_step_proj(m: Complex, gens: str = "minimal") -> AdamsStep:
         H = hd.homology(i)
         if H.is_zero_module():
             continue
-        hg = _homology_gens(H, gens)
+        hg = list(H.min_gens())
         _, zeta = hd.cycles(i)
         pi = hd.homology_proj(i)
         reps = []
@@ -103,19 +94,26 @@ def adams_step_proj(m: Complex, gens: str = "minimal") -> AdamsStep:
 class AdamsTower:
     """Layers L0 = m, L1, ..., Ln with covers F^s -> L_s.
 
-    For side "inj" the steps live on the dual complex; psi_maps then
-    holds the dualized cover maps m -> E^0, theta layers, and so on.
+    The steps are built on first use, at most n of them; the tower stops
+    early at an exact layer.
     """
 
     m: Complex
-    side: str
-    gens: str
-    steps: list = field(default_factory=list)
+    n: int
+
+    @cached_property
+    def steps(self) -> list:
+        steps, cur = [], self.m
+        for _ in range(self.n):
+            if all(cur.hdata().homology(i).is_zero_module()
+                   for i in cur.support()):
+                break
+            steps.append(adams_step_proj(cur))
+            cur = steps[-1].omega
+        return steps
 
     def layer(self, s: int) -> Complex:
-        if s == 0:
-            return self.steps[0].m if self.steps else self.m
-        return self.steps[s - 1].omega
+        return self.m if s == 0 else self.steps[s - 1].omega
 
     def __len__(self):
         return len(self.steps)
@@ -126,8 +124,6 @@ class AdamsTower:
         Each factor induces zero on homology, so a nonzero homotopy
         class of the composite forces at least n + 1 free-cover layers.
         """
-        if self.side != "proj":
-            raise AdamsError("ghost composites live on the projective side")
         if not 1 <= n <= len(self.steps):
             raise AdamsError("tower too short for the requested composite")
         gamma = self.steps[0].delta
@@ -135,19 +131,8 @@ class AdamsTower:
             gamma = self.steps[s].delta.shift(s).compose(gamma)
         return gamma
 
-    def coghost_composite(self, n: int) -> ChainMap:
-        """shift(Theta_n, n)-dual -> m on the injective side."""
-        if self.side != "inj":
-            raise AdamsError("coghost composites live on the injective side")
-        if not 1 <= n <= len(self.steps):
-            raise AdamsError("tower too short for the requested composite")
-        gamma = self.steps[0].delta
-        for s in range(1, n):
-            gamma = self.steps[s].delta.shift(s).compose(gamma)
-        return gamma.dual()
-
     def summary(self) -> dict:
-        out = {"side": self.side, "generators": self.gens,
+        out = {"side": "proj", "generators": "minimal",
                "layers": len(self.steps), "steps": []}
         for s, st in enumerate(self.steps):
             ranks = {str(i): st.F.module(i).free_rank for i in st.F.support()}
@@ -159,27 +144,9 @@ class AdamsTower:
         return out
 
 
-def adams_tower(m: Complex, n: int, side: str = "proj",
-                gens: str = "minimal") -> AdamsTower:
-    """Run n cover steps starting from m (or from its dual for "inj")."""
-    if side == "inj":
-        if m.ring.kind != "artin":
-            raise AdamsError("injective-side towers need an artinian base")
-        base = m.dual()
-    elif side == "proj":
-        base = m
-    else:
-        raise AdamsError(f"unknown tower side {side!r}")
-    tower = AdamsTower(m, side, gens)
-    cur = base
-    for _ in range(n):
-        if all(cur.hdata().homology(i).is_zero_module()
-               for i in cur.support()):
-            break
-        step = adams_step_proj(cur, gens=gens)
-        tower.steps.append(step)
-        cur = step.omega
-    return tower
+def adams_tower(m: Complex, n: int) -> AdamsTower:
+    """The tower of at most n cover steps starting from m."""
+    return AdamsTower(m, n)
 
 
 def _h_into_cover(tower: AdamsTower, s: int, i: int):
@@ -253,15 +220,14 @@ def verify_splice(tower: AdamsTower, n: int = None) -> dict:
     degs = set()
     for st in steps[:n]:
         degs |= set(st.F.support())
-    base = steps[0].m if steps else tower.m
-    hd = base.hdata()
-    degs |= {i for i in base.support()
+    hd = tower.m.hdata()
+    degs |= {i for i in tower.m.support()
              if not hd.homology(i).is_zero_module()}
     per = {}
     for i in sorted(degs):
         per[int(i)] = splice_complex(tower, i, n).is_exact()
     return {"ok": all(per.values()), "per_degree": per,
-            "layers": n, "side": tower.side}
+            "layers": n, "side": "proj"}
 
 
 @dataclass

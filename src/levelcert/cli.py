@@ -43,7 +43,7 @@ from .modules import (ArtinModule, ModuleError, free_hom_from_polys,
                       free_module)
 from .linalg import LinalgError, Mat
 from .poly import parse_poly
-from .adams import adams_tower, verify_splice
+from .adams import AdamsError, adams_tower, verify_splice
 from .resolutions import (ResolutionError, depth_of, dimension_report,
                           semiprojective_resolution)
 from .rings import make_ring
@@ -482,6 +482,9 @@ def _parse_command(text: str, line: int):
                 n = int(toks[2])
             except ValueError:
                 raise ParseError(f"bad count {toks[2]!r}", line) from None
+            if verb != "resolve" and n < 1:
+                raise ParseError(f"{verb} needs a count of at least 1",
+                                 line)
         return (verb, toks[1], n)
     raise ParseError(f"unknown command {verb!r}", line)
 
@@ -556,11 +559,11 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
         x = sess.as_complex(cmd[1], line)
         n = cmd[2] if cmd[2] is not None else config["budget"]
         out["name"] = cmd[1]
-        out["tower"] = adams_tower(x, n, side="proj").summary()
+        out["tower"] = adams_tower(x, n).summary()
     elif verb == "splice":
         x = sess.as_complex(cmd[1], line)
         n = cmd[2] if cmd[2] is not None else config["budget"]
-        tower = adams_tower(x, n, side="proj")
+        tower = adams_tower(x, n)
         n = min(n, len(tower.steps))
         rep = verify_splice(tower, n)
         out["name"] = cmd[1]
@@ -680,6 +683,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    if args.budget < 1:
+        print("error: --budget needs a tower depth of at least 1",
+              file=sys.stderr)
+        return 1
     config = {"cutoff": args.cutoff, "budget": args.budget,
               "corpus_filter": args.corpus_filter}
     try:
@@ -695,7 +702,7 @@ def main(argv=None) -> int:
         sess = parse(source, default_field=args.field)
         payload = _jsonable(run_session(sess, config))
     except (ParseError, VerificationError, LevelError, ModuleError,
-            ComplexError, ResolutionError) as e:
+            ComplexError, ResolutionError, AdamsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.out:

@@ -15,6 +15,15 @@ come from chains of homology-killing maps with a composite that is not
 null-homotopic, or from a certified failure of the one-step test. Both
 sides carry a verify() that replays the checks from scratch and
 recomputes the value from the evidence, so a changed value fails.
+
+level_report makes the decisions every route shares, once and in this
+order: an exact complex is the zero object (level 0); the injective
+classes over a graded ring are out of scope; the one-step test runs on
+m; on an artinian base the injective classes pass by Matlis duality to
+the projective ones on the dual complex; one cover tower of the
+(possibly dualized) complex is set up, built on first use; the upper
+and lower routes read that tower; certificates computed on the dual are
+relabelled with the original class.
 """
 
 from collections import Counter
@@ -28,8 +37,8 @@ from .linalg import Mat, full_rank_combination
 from .modules import top_matrices
 from .resolutions import (dimension_report, semiprojective_resolution,
                           tr_screen)
-from .adams import (adams_step_inj, adams_step_proj, adams_tower,
-                    homology_stalks)
+from .adams import (AdamsTower, adams_step_inj, adams_step_proj,
+                    adams_tower, homology_stalks)
 
 
 class LevelError(ValueError):
@@ -449,18 +458,16 @@ def _next_degree(degs, n):
     return min(d for d in degs if d > n)
 
 
-def upper_via_tower(m: Complex, cls: str, budget: int = 4,
-                    window: int = 4):
-    """Cover-tower bound: peel free covers until a one-layer terminus.
+def upper_via_tower(cls: str, tower: AdamsTower, window: int = 4):
+    """Cover-tower bound: peel free covers of the tower's complex until a
+    one-layer terminus.
 
     Each step contributes a triangle whose free stalk layer lies in C,
     so a terminus at layer n certifies level at most n + 1. Valid for
     the classes that contain the free modules.
     """
-    cls = normalize_class(cls)
     if cls not in PROJ_SIDE:
         return None
-    tower = adams_tower(m, budget, side="proj")
     for n in range(1, len(tower.steps) + 1):
         layer = tower.layer(n)
         lo = level_one_test(layer, cls, window)
@@ -473,29 +480,15 @@ def upper_via_tower(m: Complex, cls: str, budget: int = 4,
     return None
 
 
-def upper_certificate(m: Complex, cls: str, budget: int = 4,
-                      window: int = 4, one: LevelOneResult = None):
-    """Best available verified upper bound for the level of m.
+def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
+                      tower: AdamsTower, window: int = 4):
+    """Best available verified upper bound for the level of m, a complex
+    with homology and a class in scope on its ring.
 
-    one is level_one_test(m, cls) when the caller has it already.
+    The caller supplies one = level_one_test(m, cls) and the cover tower
+    of m; the tower is built only if the short routes give no bound of
+    at most two.
     """
-    cls = normalize_class(cls)
-    if _is_exact(m):
-        return UpperCertificate(cls, 0, "zero-object", subject=m)
-    if cls in DUAL_CLASS and m.ring.kind == "artin":
-        inner = upper_certificate(m.dual(), DUAL_CLASS[cls], budget,
-                                  window, one)
-        if inner is None:
-            return None
-        inner.cls = cls
-        inner.dualized = True
-        inner.notes.append("computed on the vector-space dual; duality "
-                           "swaps projective and injective layers")
-        return inner
-    if cls in ("inj", "ginj") and m.ring.kind != "artin":
-        return None
-
-    one = one or level_one_test(m, cls, window)
     if one.verdict == "yes":
         return UpperCertificate(cls, 1, "one-step", level_one=one)
 
@@ -506,7 +499,7 @@ def upper_certificate(m: Complex, cls: str, budget: int = 4,
     if best is not None and best.value <= 2:
         best.level_one = best.level_one or one
         return best
-    tow = upper_via_tower(m, cls, budget, window)
+    tow = upper_via_tower(cls, tower, window)
     if tow is not None and (best is None or tow.value < best.value):
         best = tow
     return best
@@ -564,9 +557,10 @@ class LowerCertificate:
         return None
 
 
-def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
-                      window: int = 4, one: LevelOneResult = None):
-    """Best lower bound assembled from the routes valid for the class.
+def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
+                      tower: AdamsTower):
+    """Best lower bound for the level of m, a complex with homology and a
+    class in scope on its ring, from the routes valid for the class.
 
     For proj and flat, chains of maps that kill homology are ghosts, so
     a nonzero n-fold composite forces level at least n + 1. Over a
@@ -574,32 +568,17 @@ def ghost_lower_bound(m: Complex, cls: str, budget: int = 4,
     Gorenstein projective module is projective and a Gorenstein flat one
     is flat, so those chains are gproj- and gflat-ghosts as well. Over an
     artinian base they prove nothing for the Gorenstein classes, and the
-    bound falls back to a certified failure of the one-step test. one is
-    level_one_test(m, cls) when the caller has it already.
+    bound falls back to a certified failure of the one-step test. The
+    caller supplies one = level_one_test(m, cls) and the cover tower of
+    m; the tower is built only for the classes whose ghosts it gives.
     """
-    cls = normalize_class(cls)
-    if _is_exact(m):
-        return LowerCertificate(cls, 0, "zero-object", subject=m)
-    if cls in DUAL_CLASS and m.ring.kind == "artin":
-        inner = ghost_lower_bound(m.dual(), DUAL_CLASS[cls], budget,
-                                  window, one)
-        inner.cls = cls
-        inner.dualized = True
-        inner.notes.append("computed on the vector-space dual")
-        return inner
-    if cls in ("inj", "ginj") and m.ring.kind != "artin":
-        return None
-
     best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
-
-    one = one or level_one_test(m, cls, window)
-    if one.verdict == "no" and one.exhaustive and best.value < 2:
+    if one.verdict == "no" and one.exhaustive:
         best = LowerCertificate(cls, 2, "one-step-impossible",
                                 level_one=one)
 
     if cls in ("proj", "flat") or (cls in ("gproj", "gflat")
                                    and m.ring.kind != "artin"):
-        tower = adams_tower(m, budget, side="proj")
         # targets of the composites carry homology up to n degrees above
         # the top of H(m), so the replacement needs that much headroom
         P, aug = _replacement(m, extra=len(tower.steps) + 2)
@@ -666,18 +645,33 @@ class LevelCertificate:
 
 def level_report(m: Complex, cls: str, budget: int = 4,
                  window: int = 4) -> LevelCertificate:
+    """Upper and lower certificates for the level of m, decided in the
+    order of the module docstring; one tower of at most budget cover
+    steps serves both bound routes."""
     cls = normalize_class(cls)
-    notes = []
-    if cls in ("inj", "ginj") and m.ring.kind != "artin" \
-            and not _is_exact(m):
+    if _is_exact(m):
+        return LevelCertificate(
+            cls, UpperCertificate(cls, 0, "zero-object", subject=m),
+            LowerCertificate(cls, 0, "zero-object", subject=m))
+    if cls in ("inj", "ginj") and m.ring.kind != "artin":
         return LevelCertificate(
             cls, None, None,
             notes=["out of scope: no nonzero finitely generated graded "
                    "injectives, the class builds only the zero object"])
     one = level_one_test(m, cls, window)
-    upper = upper_certificate(m, cls, budget, window, one)
-    lower = ghost_lower_bound(m, cls, budget, window, one)
-    return LevelCertificate(cls, upper, lower, notes=notes)
+    dualized = cls in DUAL_CLASS and m.ring.kind == "artin"
+    base, bcls = (m.dual(), DUAL_CLASS[cls]) if dualized else (m, cls)
+    tower = adams_tower(base, budget)
+    upper = upper_certificate(base, bcls, one, tower, window)
+    lower = ghost_lower_bound(base, bcls, one, tower)
+    if dualized:
+        for cert, note in ((upper, "computed on the vector-space dual; "
+                            "duality swaps projective and injective layers"),
+                           (lower, "computed on the vector-space dual")):
+            if cert is not None:
+                cert.cls, cert.dualized = cls, True
+                cert.notes.append(note)
+    return LevelCertificate(cls, upper, lower)
 
 
 # ---------------------------------------------------------------------------

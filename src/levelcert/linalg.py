@@ -213,12 +213,18 @@ class Mat:
     entries in [0, p) over F_p, Fraction objects over Q. Every method has
     one body for both fields; the field supplies the two array steps that
     differ, reduce and matmul. Treat instances as values: every operation
-    returns a new Mat.
+    returns a new Mat. Row data that is not already an array of the
+    field's dtype is converted entry by entry with field.of.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_a", "_rref")
 
     def __init__(self, field, nrows: int, ncols: int, data):
+        if not (isinstance(data, np.ndarray) and data.dtype == field.dtype):
+            try:
+                data = [[field.of(x) for x in row] for row in data]
+            except TypeError:
+                raise LinalgError("bad row data shape") from None
         try:
             a = np.asarray(data, dtype=field.dtype)
         except ValueError:
@@ -239,7 +245,7 @@ class Mat:
 
     @staticmethod
     def from_rows(field, rows: Sequence[Sequence]) -> "Mat":
-        rows = [[field.of(x) for x in r] for r in rows]
+        rows = [list(r) for r in rows]
         return Mat(field, len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
@@ -254,7 +260,7 @@ class Mat:
 
     @staticmethod
     def column(field, entries: Sequence) -> "Mat":
-        rows = [[field.of(x)] for x in entries]
+        rows = [[x] for x in entries]
         return Mat(field, len(rows), 1, rows)
 
     # ---- accessors ----

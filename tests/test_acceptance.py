@@ -12,8 +12,8 @@ import pytest
 
 from levelcert.complexes import acc_sequences, module_stalk
 from levelcert.level import (CLASS_KEYS, LowerCertificate, certificate_audit,
-                             ghost_lower_bound, homology_dimension_bound,
-                             level_report, upper_via_cycle_boundary)
+                             homology_dimension_bound, level_report,
+                             upper_via_cycle_boundary)
 from levelcert.linalg import Mat
 from levelcert.modules import ArtinHom, artin_residue_field, free_module, \
     graded_residue_field
@@ -201,8 +201,8 @@ def test_08_duality_transport(A, B):
                       Mat.identity(ring.field, M.dim), check=True)
         assert ev.is_iso(), s
 
-        lg = ghost_lower_bound(module_stalk(ring, M), "gflat")
-        li = ghost_lower_bound(module_stalk(ring, M.dual()), "ginj")
+        lg = level_report(module_stalk(ring, M), "gflat").lower
+        li = level_report(module_stalk(ring, M.dual()), "ginj").lower
         assert lg.value == li.value, s
         assert lg.verify() and li.verify()
     assert seen >= 10

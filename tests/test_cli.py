@@ -144,6 +144,27 @@ def test_cli_exit_codes(tmp_path):
     assert main([str(tmp_path / "missing.lvc")]) == 1
 
 
+@pytest.mark.parametrize("command", ["splice K 0", "splice K -1",
+                                     "adams K -1", "adams K 0"])
+def test_tower_count_below_one_is_a_clean_error(tmp_path, capsys, command):
+    script = tmp_path / "count.lvc"
+    script.write_text(KOSZUL + command + "\n")
+    assert main([str(script)]) == 1
+    err = capsys.readouterr().err
+    verb = command.split()[0]
+    assert err.strip() == (f"error: line 3, column 1: {verb} needs a count "
+                           "of at least 1")
+
+
+@pytest.mark.parametrize("budget", ["0", "-2"])
+def test_budget_below_one_is_a_clean_error(tmp_path, capsys, budget):
+    script = tmp_path / "budget.lvc"
+    script.write_text(KOSZUL + "splice K\n")
+    assert main([str(script), "--budget", budget]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: --budget needs a tower depth of at least 1"
+
+
 def test_bad_field_is_a_clean_error(tmp_path, capsys):
     script = tmp_path / "f4.lvc"
     script.write_text("A = artin(F4; x | x^2)\n")

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from levelcert import adams
 from levelcert.cli import parse
 from levelcert.randgen import random_complex
 from levelcert.rings import make_ring
@@ -20,9 +21,8 @@ from levelcert.complexes import ChainMap, Complex, module_stalk
 from levelcert.resolutions import koszul_complex
 from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
                              bass_check, certificate_audit,
-                             ghost_lower_bound, homology_dimension_bound,
-                             level_one_test, level_report, module_in_class,
-                             normalize_class, upper_certificate)
+                             homology_dimension_bound, level_one_test,
+                             level_report, module_in_class, normalize_class)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +140,28 @@ def test_headline_regular_ring_level(R3):
     assert rep.verify()
 
 
+def test_report_builds_each_cover_step_once(A, R3, monkeypatch):
+    # the upper and lower routes read one tower, so the tower makes one
+    # cover step per layer, and none when no route reads it
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(args)
+        return cover_step(*args, **kwargs)
+
+    cover_step = adams.adams_step_proj
+    monkeypatch.setattr(adams, "adams_step_proj", counted)
+    k = module_stalk(R3, graded_residue_field(R3))
+    rep = level_report(k, "proj")
+    assert rep.upper.route == "cover-tower"
+    assert rep.lower.route == "ghost-chain"
+    assert len(steps) == rep.upper.data["tower"]["layers"] > 0
+    steps.clear()
+    rep = level_report(koszul_complex(A), "gproj")
+    assert rep.upper.route in ("cycle-boundary", "boundary-cokernel")
+    assert steps == []
+
+
 @pytest.mark.parametrize("cls", ["gproj", "gflat"])
 def test_gorenstein_levels_over_regular_ring(R3, cls):
     # over a regular ring the Gorenstein projective and flat modules are
@@ -171,7 +193,7 @@ def test_infinite_level_reports_honest_range(A):
 
 def test_ghost_budget_moves_the_bound(A):
     k = module_stalk(A, artin_residue_field(A))
-    low = ghost_lower_bound(k, "proj", budget=2)
+    low = level_report(k, "proj", budget=2).lower
     assert low.value == 3
     assert low.route == "ghost-chain"
     assert low.verify()
@@ -179,7 +201,7 @@ def test_ghost_budget_moves_the_bound(A):
 
 def test_upper_stratification_counts_terms(A):
     K = koszul_complex(A)
-    up = upper_certificate(K, "proj")
+    up = level_report(K, "proj").upper
     assert up.value == 2
     assert up.route in ("stratification", "cycle-boundary",
                         "boundary-cokernel")

@@ -416,6 +416,13 @@ def test_rational_results_hold_fractions():
         assert _entries_are_fractions(M), M
 
 
+def test_constructor_converts_list_entries():
+    # list data goes through field.of, like from_rows and column
+    assert Mat(F5, 1, 1, [[Fraction(1, 2)]]).to_lists() == [[3]]
+    assert all(type(x) is Fraction
+               for x in Mat(QQ, 1, 2, [[1, 2]]).to_lists()[0])
+
+
 @pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
 def test_matrix_data_is_one_read_only_array(field):
     A = Mat.from_rows(field, [[1, 200], [-1, 3]])
