@@ -174,7 +174,7 @@ def _parse_matrix(text: str, ring, line: int):
             ent = ent.strip() or "0"
             try:
                 entries.append(parse_poly(ring.field, ring.varnames, ent))
-            except ValueError as e:
+            except (ValueError, LinalgError) as e:
                 raise ParseError(f"bad matrix entry {ent!r}: {e}",
                                  line) from e
         rows.append(entries)
@@ -482,8 +482,9 @@ def _parse_command(text: str, line: int):
                 n = int(toks[2])
             except ValueError:
                 raise ParseError(f"bad count {toks[2]!r}", line) from None
-            if verb != "resolve" and n < 1:
-                raise ParseError(f"{verb} needs a count of at least 1",
+            least = 0 if verb == "resolve" else 1
+            if n < least:
+                raise ParseError(f"{verb} needs a count of at least {least}",
                                  line)
         return (verb, toks[1], n)
     raise ParseError(f"unknown command {verb!r}", line)

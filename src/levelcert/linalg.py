@@ -4,9 +4,17 @@ A matrix is one read-only numpy array: over F_p, int64 entries reduced
 into [0, p) (p < 2**31, so every single product fits in int64); over Q,
 an object array of fractions.Fraction. Each matrix operation has one body
 for both fields. The field classes own the only array steps that differ:
-reduce (mod p over F_p, nothing over Q) and matmul (a chunked int64
-product that keeps sums below 2**63 over F_p, plain @ over Q). No
-floating point anywhere.
+reduce (mod p over F_p, nothing over Q), matmul, and the elimination step
+of row reduction with the conversion into and out of its working array.
+Over F_p, matmul is a chunked int64 product that keeps sums below 2**63,
+and elimination scales the pivot row to 1 and subtracts multiples of it.
+Over Q both run on Python ints, so no Fraction arithmetic happens inside
+a product or an elimination: matmul clears each factor's denominators by
+their common multiple, multiplies integer arrays and divides once per
+output entry; elimination is fraction-free (Bareiss, Math. Comp. 1968),
+with each row cleared of denominators, updated by cross-multiplication
+and divided by its content, and each pivot row divided by its pivot at
+the end. No floating point anywhere.
 
 Row reduction uses a fixed pivot rule, lowest row index then lowest column
 index, so ranks, kernel bases and solutions are deterministic functions of
@@ -16,6 +24,7 @@ the input.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -121,9 +130,30 @@ class PrimeField:
             out = out % self.p + a[:, s:s + step] @ b[s:s + step]
         return out
 
+    def work_array(self, a: np.ndarray) -> np.ndarray:
+        """A writable copy of a for Mat.rref to eliminate in."""
+        return a.copy()
+
+    def eliminate(self, a: np.ndarray, r: int, c: int) -> None:
+        """Scale row r to a pivot 1 at column c, then clear column c in
+        every other row."""
+        # row r is zero left of column c, so only columns c: change
+        a[r, c:] = self.reduce(a[r, c:] * self.inv(a.item(r, c)))
+        mask = a[:, c] != 0
+        mask[r] = False
+        if mask.any():
+            a[mask, c:] = self.reduce(
+                a[mask, c:] - np.outer(a[mask, c], a[r, c:]))
+
+    def from_work(self, a: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+        """The reduced matrix held in an eliminated working array."""
+        return a
+
 
 class RationalField:
-    """The field Q with Fraction arithmetic."""
+    """The field Q. Entries are Fraction objects; products and row
+    reduction run on Python ints and build one Fraction per result entry.
+    """
 
     __slots__ = ()
     dtype = object
@@ -183,7 +213,71 @@ class RationalField:
         return a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
+        """a @ b as (A @ B) / (la * lb), where A = la * a and B = lb * b
+        are integer arrays and la, lb the lcms of their denominators."""
+        (ia, la), (ib, lb) = _cleared(a), _cleared(b)
+        return _fractions(ia @ ib, la * lb)
+
+    def work_array(self, a: np.ndarray) -> np.ndarray:
+        """Each row of a times the lcm of its denominators, as Python ints."""
+        flat = []
+        for row in a.tolist():
+            m = math.lcm(*(x.denominator for x in row))
+            flat += [x.numerator * (m // x.denominator) for x in row]
+        return np.array(flat, dtype=object).reshape(a.shape)
+
+    def eliminate(self, a: np.ndarray, r: int, c: int) -> None:
+        """Clear column c in every other row: row_i becomes
+        pv * row_i - a_ic * row_r (pv = a_rc), divided by its content."""
+        mask = a[:, c] != 0
+        mask[r] = False
+        if not mask.any():
+            return
+        # cross-multiplying scales the whole of row_i, also the entries
+        # left of c that an earlier pivot row keeps in non-pivot columns
+        rows = a.item(r, c) * a[mask] - np.outer(a[mask, c], a[r])
+        for row in rows:
+            g = math.gcd(*row.tolist())
+            if g > 1:
+                row //= g
+        a[mask] = rows
+
+    def from_work(self, a: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+        """Fractions: each pivot row divided by its pivot; the rows past
+        the rank are zero."""
+        out = _zeros(self, *a.shape)
+        for k, c in enumerate(pivots):
+            pv = a.item(k, c)
+            out[k] = [Fraction(x, pv) if x else _ZERO for x in a[k].tolist()]
+        return out
+
+
+def _cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(l * a as an array of Python ints, l) for the lcm l of the
+    denominators of a."""
+    flat = a.ravel().tolist()
+    dens = [x.denominator for x in flat]
+    m = math.lcm(*dens)
+    if m == 1:
+        ints = [x.numerator for x in flat]
+    else:
+        ints = [x.numerator * (m // d) for x, d in zip(flat, dens)]
+    return np.array(ints, dtype=object).reshape(a.shape), m
+
+
+# the one Fraction that stands for every zero entry of a result
+_ZERO = Fraction(0)
+
+
+def _fractions(a: np.ndarray, den: int) -> np.ndarray:
+    """The object array of the Fractions n / den for the Python ints n
+    of a."""
+    flat = a.ravel().tolist()
+    if den == 1:
+        out = [Fraction(n) if n else _ZERO for n in flat]
+    else:
+        out = [Fraction(n, den) if n else _ZERO for n in flat]
+    return np.array(out, dtype=object).reshape(a.shape)
 
 
 QQ = RationalField()
@@ -201,8 +295,10 @@ def parse_field(text: str):
 def parse_scalar(field, text: str):
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/")
-        return field.of(Fraction(int(num), int(den)))
+        num, den = map(int, text.split("/"))
+        if den == 0:
+            raise LinalgError(f"zero denominator in {text!r}")
+        return field.of(Fraction(num, den))
     return field.of(int(text))
 
 
@@ -211,8 +307,9 @@ class Mat:
 
     The data is one read-only numpy array of dtype field.dtype: int64
     entries in [0, p) over F_p, Fraction objects over Q. Every method has
-    one body for both fields; the field supplies the two array steps that
-    differ, reduce and matmul. Treat instances as values: every operation
+    one body for both fields; the field supplies the array steps that
+    differ: reduce, matmul, and the elimination step of rref with its
+    working array. Treat instances as values: every operation
     returns a new Mat. Row data that is not already an array of the
     field's dtype is converted entry by entry with field.of.
     """
@@ -330,7 +427,7 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows or self.field != other.field:
             raise LinalgError("matmul shape/field mismatch")
-        if self.ncols == 0:  # an empty object product would hold int 0
+        if self.ncols == 0:  # nothing to multiply: the zero matrix
             return Mat.zeros(self.field, self.nrows, other.ncols)
         return Mat(self.field, self.nrows, other.ncols,
                    self.field.matmul(self._a, other._a))
@@ -357,7 +454,7 @@ class Mat:
         if self._rref is not None:
             return self._rref
         f = self.field
-        a = self._a.copy()
+        a = f.work_array(self._a)
         pivots = []
         for c in range(self.ncols):
             r = len(pivots)
@@ -369,15 +466,9 @@ class Mat:
             i = r + int(nz[0])
             if i != r:
                 a[[r, i]] = a[[i, r]]
-            # row r is zero left of column c, so only columns c: change
-            a[r, c:] = f.reduce(a[r, c:] * f.inv(a.item(r, c)))
-            mask = a[:, c] != 0
-            mask[r] = False
-            if mask.any():
-                a[mask, c:] = f.reduce(
-                    a[mask, c:] - np.outer(a[mask, c], a[r, c:]))
+            f.eliminate(a, r, c)
             pivots.append(c)
-        out = Mat(f, self.nrows, self.ncols, a)
+        out = Mat(f, self.nrows, self.ncols, f.from_work(a, pivots))
         self._rref = (out, tuple(pivots))
         return self._rref
 

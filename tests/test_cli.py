@@ -156,6 +156,35 @@ def test_tower_count_below_one_is_a_clean_error(tmp_path, capsys, command):
                            "of at least 1")
 
 
+def test_resolve_count_below_zero_is_a_clean_error(tmp_path, capsys):
+    script = tmp_path / "count.lvc"
+    script.write_text(KOSZUL + "resolve K -1\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: line 3, column 1: resolve needs a count of at least 0")
+    script.write_text(KOSZUL + "resolve K 0\n")
+    assert main([str(script)]) == 0
+    assert capsys.readouterr().out.strip() == "resolve K: ranks {0: 1, 1: 2}"
+
+
+@pytest.mark.parametrize("body, entry, reason", [
+    ("A = artin(Q; x | x^2)\ncomplex K over A : range 1..0 ; d1 = [[1/0*x]]",
+     "1/0*x", "zero denominator in '1/0'"),
+    ("A = artin(Q; x | x^2)\n"
+     "module M over A = action { x: [[0, 1/0], [0, 0]] }",
+     "1/0", "zero denominator in '1/0'"),
+    ("A = artin(F5; x | x^2)\ncomplex K over A : range 1..0 ; d1 = [[1/5*x]]",
+     "1/5*x", "denominator divisible by p"),
+], ids=["Q-differential", "Q-action", "F5-differential"])
+def test_impossible_denominator_is_a_clean_error(tmp_path, capsys, body,
+                                                 entry, reason):
+    script = tmp_path / "den.lvc"
+    script.write_text(body + "\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: line 2, column 1: bad matrix entry {entry!r}: {reason}")
+
+
 @pytest.mark.parametrize("budget", ["0", "-2"])
 def test_budget_below_one_is_a_clean_error(tmp_path, capsys, budget):
     script = tmp_path / "budget.lvc"

@@ -445,8 +445,10 @@ def test_array_operations_agree_with_their_definitions():
     def matrices(draw):
         field = draw(st.sampled_from([F2, F101, QQ]))
         n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m,
-                                      max_size=m), min_size=n, max_size=n))
+        entries = (st.fractions(-3, 3, max_denominator=6) if field is QQ
+                   else st.integers(-3, 3))
+        rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                             min_size=n, max_size=n))
         return Mat.from_rows(field, rows) if n else Mat.zeros(field, 0, m)
 
     @hypothesis.settings(max_examples=60, deadline=None)
@@ -483,3 +485,115 @@ def test_dropped_eliminations_need_no_cycle_collector(field):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------------------- integer kernels over Q
+#
+# Products and row reduction over Q run on Python ints. The references
+# below compute the same results with plain Fraction arithmetic: an
+# object array product, and elimination that scales the pivot row to 1
+# and subtracts Fraction multiples of it.
+
+
+def _fraction_array(rows, ncols):
+    return np.array(rows, dtype=object).reshape(len(rows), ncols)
+
+
+def _fraction_product(A, B):
+    a = _fraction_array(A.to_lists(), A.ncols)
+    b = _fraction_array(B.to_lists(), B.ncols)
+    if A.ncols == 0:
+        return [[Fraction(0)] * B.ncols for _ in range(A.nrows)]
+    return (a @ b).tolist()
+
+
+def _fraction_rref(A):
+    a = _fraction_array(A.to_lists(), A.ncols)
+    pivots = []
+    for c in range(A.ncols):
+        r = len(pivots)
+        if r == A.nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, c:] = a[r, c:] * (1 / a[r, c])
+        mask = a[:, c] != 0
+        mask[r] = False
+        if mask.any():
+            a[mask, c:] = a[mask, c:] - np.outer(a[mask, c], a[r, c:])
+        pivots.append(c)
+    return a.tolist(), tuple(pivots)
+
+
+def _q_entry(rng, big):
+    if big:
+        return Fraction(rng.randrange(-2**70, 2**70), rng.randrange(1, 2**70))
+    if rng.random() < 0.4:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def _q_matrix(rng, n, m, big=False):
+    return Mat(QQ, n, m, [[_q_entry(rng, big) for _ in range(m)]
+                          for _ in range(n)])
+
+
+def _assert_same_fractions(got, want):
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "above-2**64"])
+def test_q_product_matches_fraction_reference(big):
+    rng = random.Random(f"product-{big}")
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1),
+              (3, 4, 5), (5, 2, 4)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+               for _ in range(15)]
+    for n, k, m in shapes:
+        A, B = _q_matrix(rng, n, k, big), _q_matrix(rng, k, m, big)
+        _assert_same_fractions((A @ B).to_lists(), _fraction_product(A, B))
+    # integer factors skip the division; one denominator is enough not to
+    x = Mat(QQ, 1, 2, [[3, -2**65]])
+    y = Mat(QQ, 2, 1, [[5], [Fraction(1, 2**66)]])
+    assert (x @ y).to_lists() == [[Fraction(29, 2)]]
+    assert (y @ x).to_lists() == [[15, -5 * 2**65],
+                                  [Fraction(3, 2**66), Fraction(-1, 2)]]
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "above-2**64"])
+def test_q_rref_matches_fraction_reference(big):
+    rng = random.Random(f"rref-{big}")
+    shapes = [(0, 3, 0), (3, 0, 0), (1, 1, 1), (4, 6, 2), (6, 4, 3),
+              (5, 5, 5)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4))
+               for _ in range(25)]
+    for n, m, rank in shapes:
+        # a product through Q^rank, so the rank is often below min(n, m)
+        A = _q_matrix(rng, n, rank, big) @ _q_matrix(rng, rank, m, big)
+        R, pivots = A.rref()
+        want, want_pivots = _fraction_rref(A)
+        assert pivots == want_pivots, (n, m, rank)
+        _assert_same_fractions(R.to_lists(), want)
+    _assert_same_fractions(Mat.zeros(QQ, 1, 1).rref()[0].to_lists(),
+                           [[Fraction(0)]])
+
+
+def test_q_rref_scales_whole_rows():
+    # row 0 keeps the entry 2 in the non-pivot column 1 when column 2 is
+    # cleared with the pivot 3 of row 1: cross-multiplying by that pivot
+    # must scale column 1 of row 0 too
+    A = Mat(QQ, 2, 4, [[1, 2, 5, 0], [0, 0, 3, 1]])
+    R, pivots = A.rref()
+    assert pivots == (0, 2)
+    assert R.to_lists() == [[1, 2, 0, Fraction(-5, 3)],
+                            [0, 0, 1, Fraction(1, 3)]]
+    _assert_same_fractions(R.to_lists(), _fraction_rref(A)[0])
+    b = Mat.column(QQ, [1, 2])
+    X = A.solve(b)
+    assert X.col_entries(0) == [Fraction(-7, 3), 0, Fraction(2, 3), 0]
+    assert A @ X == b
