@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .modules import free_hom, artin_free, graded_free
-from .complexes import (ChainMap, Complex, Triangle, cone, identity_chain_map,
-                        module_stalk)
+from .complexes import ChainMap, Complex, Triangle
 from .resolutions import _elem_degree
 
 
@@ -82,11 +81,10 @@ def adams_step_proj(m: Complex) -> AdamsStep:
     F = Complex(ring, fmods, {}, check=False)
     # the commuting check verifies that every generator image is a cycle
     phi = ChainMap(F, m, comps, check=True)
-    cd = cone(phi)
+    tri = Triangle(phi, check=True)
+    cd = tri.cone_data
     omega = cd.complex.shift(-1)
     delta = cd.inclusion()
-    tri = Triangle(phi, cd.complex, identity_chain_map(cd.complex),
-                   check=True)
     return AdamsStep(m, F, phi, cover, hgens, cd, omega, delta, tri)
 
 
@@ -105,8 +103,7 @@ class AdamsTower:
     def steps(self) -> list:
         steps, cur = [], self.m
         for _ in range(self.n):
-            if all(cur.hdata().homology(i).is_zero_module()
-                   for i in cur.support()):
+            if cur.is_exact():
                 break
             steps.append(adams_step_proj(cur))
             cur = steps[-1].omega

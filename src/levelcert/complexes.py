@@ -5,8 +5,10 @@ Conventions, fixed once for the whole package:
   Cone(f: A -> B)_i = A_{i-1} (+) B_i with d(a, b) = (-da, f(a) + db).
 
 A Triangle never trusts a construction: it stores a chain-map witness t
-between Cone(u) and the claimed third object W, and verification checks
-that t is a quasi-isomorphism by testing exactness of its own cone.
+between Cone(u) and the claimed third object W. A triangle on its own
+cone (t the identity of W) is checked by equality of W with the cone it
+builds from u; any other witness must be a quasi-isomorphism, which is
+checked by exactness of the cone of t.
 
 ChainMapSpace puts exact k-linear coordinates on the space of chain maps
 X -> Y and on the subspace of null-homotopic ones, which is all the
@@ -113,6 +115,8 @@ class Complex:
         return self._dual
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Complex) and other.modules == self.modules
                 and all(self.diff(i) == other.diff(i)
                         for i in set(self.diffs) | set(other.diffs)))
@@ -324,7 +328,7 @@ class HomologyData:
         return out
 
     def is_exact(self) -> bool:
-        return not self.nonzero_degrees()
+        return all(self.homology(i).is_zero_module() for i in self.x.support())
 
     def total_homology(self):
         """(H^sum, list of (degree, H_i)) over the homology support."""
@@ -455,15 +459,23 @@ class Triangle:
     The witness t is a chain map Cone(u) -> W, and verification checks
     that t is a quasi-isomorphism. That exhibits Y as an extension of W
     by X up to quasi-isomorphism, which is the only property the level
-    calculus consumes.
+    calculus consumes. Triangle(u) alone takes W = Cone(u) and t = id_W.
+    When t is the identity of W, equality of W with the cone built here
+    from u proves it: an isomorphism of complexes is a
+    quasi-isomorphism, so no homology is computed.
     """
 
-    def __init__(self, u: ChainMap, w: Complex, t: ChainMap,
-                 check: bool = True):
+    def __init__(self, u: ChainMap, w: Complex | None = None,
+                 t: ChainMap | None = None, check: bool = True):
         self.u = u
+        self.cone_data = cone(u)
+        if w is None and t is None:
+            w = self.cone_data.complex
+            t = identity_chain_map(w)
+        elif w is None or t is None:
+            raise ComplexError("a triangle needs both W and t, or neither")
         self.w = w
         self.t = t
-        self.cone_data = cone(u)
         if check and not self.verify():
             raise ComplexError("triangle witness failed verification")
 
@@ -476,8 +488,18 @@ class Triangle:
         return self.u.target
 
     def verify(self) -> bool:
-        return (self.t.source == self.cone_data.complex
-                and self.t.target == self.w and is_quasi_iso(self.t))
+        t = self.t
+        if not (t.source == self.cone_data.complex and t.target == self.w):
+            return False
+        return _is_identity(t) or (t.is_chain_map() and is_quasi_iso(t))
+
+
+def _is_identity(f: ChainMap) -> bool:
+    """Whether f is the identity chain map of its source."""
+    x = f.source
+    return (f.target == x and set(f.comps) == set(x.support())
+            and all(h == x.module(i).identity_hom()
+                    for i, h in f.comps.items()))
 
 
 class ChainMapSpace:

@@ -328,6 +328,8 @@ def parse_poly(field, varnames: Sequence[str], text: str) -> Poly:
 
     def take():
         nonlocal idx
+        if idx == len(tokens):
+            raise ValueError("unexpected end of polynomial")
         t = tokens[idx]
         idx += 1
         return t
@@ -349,15 +351,13 @@ def parse_poly(field, varnames: Sequence[str], text: str) -> Poly:
             return Poly.constant(field, nvars, parse_scalar(field, t))
         if t not in vi:
             raise ValueError(f"unknown variable {t!r}")
-        base = Poly.variable(field, nvars, vi[t])
+        e = 1
         if peek() == "^":
             take()
             e = int(take())
-            out = Poly.constant(field, nvars, 1)
-            for _ in range(e):
-                out = out * base
-            return out
-        return base
+        mono = [0] * nvars
+        mono[vi[t]] = e
+        return Poly(field, nvars, {tuple(mono): field.one})
 
     def factor() -> Poly:
         out = atom()

@@ -1,0 +1,24 @@
+import signal
+from contextlib import contextmanager
+
+import pytest
+
+
+@contextmanager
+def _wall_bound(seconds):
+    """Fail, instead of hanging, when the block runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def wall_bound():
+    """`with wall_bound(s):` fails the test after s seconds of wall time."""
+    return _wall_bound

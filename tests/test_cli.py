@@ -185,6 +185,31 @@ def test_impossible_denominator_is_a_clean_error(tmp_path, capsys, body,
         f"error: line 2, column 1: bad matrix entry {entry!r}: {reason}")
 
 
+def test_huge_exponent_reduces_without_expanding(tmp_path, capsys,
+                                                  wall_bound):
+    # x^e is read as one monomial, so the relation x^2 kills it at once
+    script = tmp_path / "power.lvc"
+    script.write_text("A = artin(Q; x | x^2)\n"
+                      "complex C over A : range 1..0 ; "
+                      "d1 = [[x^99999999999]]\n"
+                      "homology C\n")
+    with wall_bound(10):
+        assert main([str(script)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "homology C: H_0: {'dim': 2, 'generators': 1}, "
+        "H_1: {'dim': 2, 'generators': 1}")
+
+
+def test_dangling_exponent_is_a_clean_error(tmp_path, capsys):
+    script = tmp_path / "caret.lvc"
+    script.write_text("A = artin(Q; x | x^2)\n"
+                      "complex C over A : range 1..0 ; d1 = [[x^]]\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: line 2, column 1: bad matrix entry 'x^': "
+        "unexpected end of polynomial")
+
+
 @pytest.mark.parametrize("budget", ["0", "-2"])
 def test_budget_below_one_is_a_clean_error(tmp_path, capsys, budget):
     script = tmp_path / "budget.lvc"

@@ -1,17 +1,21 @@
 """Complex layer tests with hand-computed homology values."""
 
+import random
+
 import pytest
 
+from levelcert.adams import adams_tower
 from levelcert.linalg import Mat, PrimeField
 from levelcert.poly import PolyVec, parse_poly
 from levelcert.rings import ArtinRing, GradedPolyRing
 from levelcert.modules import (ArtinHom, GradedHom, artin_free,
                                artin_residue_field, find_isomorphism,
-                               graded_free, graded_residue_field)
+                               graded_free, graded_residue_field, zero_hom)
 from levelcert.complexes import (ChainMap, ChainMapSpace, Complex, ComplexError,
-                                 SES, Triangle, acc_sequences, cone,
-                                 complex_direct_sum, identity_chain_map,
+                                 HomologyData, SES, Triangle, acc_sequences,
+                                 cone, complex_direct_sum, identity_chain_map,
                                  is_quasi_iso, module_stalk, zero_chain_map)
+from levelcert.randgen import random_complex
 
 F2 = PrimeField(2)
 F101 = PrimeField(101)
@@ -191,6 +195,79 @@ def test_truncation_triangle():
     t = ChainMap(cd.complex, top, {1: cd.pr_b[1]}, check=True)
     tri = Triangle(u, top, t)
     assert tri.verify()
+
+
+def old_triangle_rule(tri):
+    """Triangle verification as it was before the identity shortcut."""
+    t = tri.t
+    return (t.source == cone(tri.u).complex and t.target == tri.w
+            and is_quasi_iso(t))
+
+
+def test_cover_triangle_verifies_without_homology(monkeypatch):
+    step = adams_tower(koszul_x(), 2).steps[0]
+    calls = []
+    parts = HomologyData._homology_parts
+
+    def counted(self, i):
+        calls.append(i)
+        return parts(self, i)
+
+    monkeypatch.setattr(HomologyData, "_homology_parts", counted)
+    tri = Triangle(step.phi)
+    assert tri.w == tri.cone_data.complex
+    assert tri.verify() and step.triangle.verify()
+    assert calls == []
+
+
+def test_wrong_witness_on_a_cover_triangle_fails():
+    tri = adams_tower(koszul_x(), 2).steps[0].triangle
+    W = tri.w
+    assert not W.is_exact()
+
+    def with_witness(w, t):
+        return Triangle(tri.u, w, t, check=False)
+
+    assert not with_witness(W, zero_chain_map(W, W)).verify()
+    W2 = W.shift(2)
+    assert not with_witness(W2, identity_chain_map(W2)).verify()
+    ident = identity_chain_map(W)
+    for i in W.support():
+        dropped = {j: h for j, h in ident.comps.items() if j != i}
+        assert not with_witness(W, ChainMap(W, W, dropped,
+                                            check=False)).verify()
+    # the same terms with one differential set to zero
+    i = max(W.diffs)
+    d = W.diffs[i]
+    other = Complex(W.ring, W.modules,
+                    {**W.diffs, i: zero_hom(d.source, d.target)})
+    assert other != W
+    assert not with_witness(other, ident).verify()
+    # identity components from the cone onto the altered complex
+    assert not with_witness(other, ChainMap(W, other, ident.comps,
+                                            check=False)).verify()
+    assert not with_witness(other, identity_chain_map(other)).verify()
+    with pytest.raises(ComplexError):
+        Triangle(tri.u, W)
+
+
+@pytest.mark.parametrize("ring, seeds", [(A, range(6)), (R2, range(3))],
+                         ids=["artin-F2", "poly-F101-xy"])
+def test_tower_triangles_agree_with_the_homology_rule(ring, seeds):
+    # the zero witness is a quasi-isomorphism exactly when W is exact,
+    # so it exercises both answers of the homology rule
+    zero_verdicts = set()
+    for seed in seeds:
+        x = random_complex(ring, random.Random(300 + seed), lo=0, width=2,
+                           max_rank=2)
+        for step in adams_tower(x, 2).steps:
+            tri = step.triangle
+            W = tri.w
+            assert tri.verify() and old_triangle_rule(tri)
+            probe = Triangle(tri.u, W, zero_chain_map(W, W), check=False)
+            assert probe.verify() == old_triangle_rule(probe)
+            zero_verdicts.add(probe.verify())
+    assert zero_verdicts == {True, False}
 
 
 def test_complex_direct_sum():

@@ -6,8 +6,6 @@ reproduce; each expected number comes with the route that produces it.
 
 import json
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 
@@ -316,21 +314,7 @@ def test_bare_certificates_fail_verification():
     assert not LowerCertificate("proj", 3, "ghost-chain").verify()
 
 
-@contextmanager
-def wall_bound(seconds):
-    """Fail, instead of hanging, when the block runs past `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_ghost_chain_over_free_terms_finishes(B):
+def test_ghost_chain_over_free_terms_finishes(B, wall_bound):
     # the ghost search over a degreewise free replacement whose ranks
     # double each degree; it once spent minutes eliminating hom spaces
     m = random_complex(B, random.Random(701), lo=0, width=2, max_rank=2)
@@ -341,7 +325,7 @@ def test_ghost_chain_over_free_terms_finishes(B):
         assert rep.verify()
 
 
-def test_injective_level_of_a_socle_map_finishes():
+def test_injective_level_of_a_socle_map_finishes(wall_bound):
     sess = parse("N = artin(F2; x, y | x^2, x*y, y^2)\n"
                  "complex C over N : range 1..0 ; d1 = [[x]]\n")
     with wall_bound(30):
