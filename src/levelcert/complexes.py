@@ -462,13 +462,18 @@ class Triangle:
     calculus consumes. Triangle(u) alone takes W = Cone(u) and t = id_W.
     When t is the identity of W, equality of W with the cone built here
     from u proves it: an isomorphism of complexes is a
-    quasi-isomorphism, so no homology is computed.
+    quasi-isomorphism, so no homology is computed. A caller that built
+    Cone(u) to write t passes it as cone_data instead of having it
+    built again.
     """
 
     def __init__(self, u: ChainMap, w: Complex | None = None,
-                 t: ChainMap | None = None, check: bool = True):
+                 t: ChainMap | None = None, check: bool = True,
+                 cone_data: ConeData | None = None):
+        if cone_data is not None and cone_data.f is not u:
+            raise ComplexError("cone_data is not the cone of u")
         self.u = u
-        self.cone_data = cone(u)
+        self.cone_data = cone(u) if cone_data is None else cone_data
         if w is None and t is None:
             w = self.cone_data.complex
             t = identity_chain_map(w)
@@ -569,52 +574,42 @@ class ChainMapSpace:
         """Columns: coordinates of a basis of the space of chain maps."""
         if self._chain_basis is not None:
             return self._chain_basis
-        tdegs = [i for i in range(
-            (self.degrees[0] if self.degrees else 0),
-            (self.degrees[-1] + 2 if self.degrees else 0))]
+        tdegs = range(self.degrees[0], self.degrees[-1] + 2) \
+            if self.degrees else []
         tspaces = {i: hom_space(self.x.module(i), self.y.module(i - 1))
                    for i in tdegs}
         rows_total = sum(s.dim for s in tspaces.values())
         if rows_total == 0 or self.total_dim == 0:
             self._chain_basis = Mat.identity(self.field, self.total_dim)
             return self._chain_basis
-        cols = []
+        # f lies in the kernel of f_i -> d_i^Y f_i - f_{i-1} d_i^X
+        blocks = {}
         for i in self.degrees:
-            for t in range(self.spaces[i].dim):
-                base = self.spaces[i].basis_hom(t)
-                pieces = []
-                for j in tdegs:
-                    target_space = tspaces[j]
-                    piece = None
-                    if j == i:
-                        piece = self.y.diff(i).compose(base)
-                    elif j == i + 1:
-                        piece = -base.compose(self.x.diff(i + 1))
-                    if piece is None or piece.is_zero():
-                        pieces.append(Mat.zeros(self.field, target_space.dim, 1))
-                    else:
-                        pieces.append(target_space.coords(piece))
-                cols.append(vstack(pieces))
-        self._chain_basis = hstack(cols).kernel_basis()
+            if i in self.y.diffs:
+                blocks[i, i] = self.spaces[i].compose_matrix(
+                    tspaces[i], post=self.y.diffs[i])
+            if i + 1 in self.x.diffs:
+                blocks[i + 1, i] = -self.spaces[i].compose_matrix(
+                    tspaces[i + 1], pre=self.x.diffs[i + 1])
+        self._chain_basis = _block_matrix(
+            self.field, tspaces, self.spaces, blocks).kernel_basis()
         return self._chain_basis
 
     def homotopy_image(self) -> Mat:
         """Columns: coordinates of d s + s d over a basis of s-collections."""
         if self._h_image is not None:
             return self._h_image
-        cols = []
+        # s_i contributes d_{i+1}^Y s_i to f_i and s_i d_{i+1}^X to f_{i+1}
+        blocks = {}
         for i in self.s_degrees:
-            for t in range(self.s_spaces[i].dim):
-                s = self.s_spaces[i].basis_hom(t)
-                comps = {}
-                # contribution to f_i = d_{i+1}^Y . s_i and f_{i+1} = s_i . d_{i+1}^X
-                if i in self.degrees:
-                    comps[i] = self.y.diff(i + 1).compose(s)
-                if i + 1 in self.degrees:
-                    comps[i + 1] = s.compose(self.x.diff(i + 1))
-                f = ChainMap(self.x, self.y, comps, check=False)
-                cols.append(self.coords(f))
-        self._h_image = hstack([Mat.zeros(self.field, self.total_dim, 0)] + cols)
+            if i in self.degrees and i + 1 in self.y.diffs:
+                blocks[i, i] = self.s_spaces[i].compose_matrix(
+                    self.spaces[i], post=self.y.diffs[i + 1])
+            if i + 1 in self.degrees and i + 1 in self.x.diffs:
+                blocks[i + 1, i] = self.s_spaces[i].compose_matrix(
+                    self.spaces[i + 1], pre=self.x.diffs[i + 1])
+        self._h_image = _block_matrix(self.field, self.spaces, self.s_spaces,
+                                      blocks)
         return self._h_image
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
@@ -662,3 +657,16 @@ class ChainMapSpace:
     def class_representative(self, idx: int) -> ChainMap:
         _, cls = self.class_space()
         return self.map_from_coords(cls.take_columns([idx]))
+
+
+def _block_matrix(field, rows: dict, cols: dict, blocks: dict) -> Mat:
+    """The matrix with blocks[r, c] in block row r and block column c and
+    zero elsewhere; rows and cols map each key, in order, to a hom space
+    whose dimension sizes that block row or column."""
+    ncols = sum(s.dim for s in cols.values())
+    return vstack([Mat.zeros(field, 0, ncols)] + [
+        hstack([Mat.zeros(field, rs.dim, 0)] + [
+            blocks[r, c] if (r, c) in blocks
+            else Mat.zeros(field, rs.dim, cs.dim)
+            for c, cs in cols.items()])
+        for r, rs in rows.items()])

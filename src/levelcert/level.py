@@ -410,7 +410,7 @@ def upper_via_cycle_boundary(m: Complex, cls: str, variant: str = "auto",
                 target_epi = hd.cmod(i)[1]
             tcomps[i] = target_epi.compose(prb)
         t = ChainMap(cd.complex, quot_cx, tcomps, check=True)
-        tri = Triangle(u, quot_cx, t, check=True)
+        tri = Triangle(u, quot_cx, t, check=True, cone_data=cd)
         # an empty quotient layer means the sub layer alone is already
         # quasi-isomorphic to m, so the bound tightens to one
         value = 1 if quot_cx.is_zero_complex() else 2
@@ -447,7 +447,7 @@ def upper_via_stratification(m: Complex, cls: str, window: int = 4):
         cd = cone(u)
         stalk = _zero_diff_complex(m.ring, {nxt: m.module(nxt)})
         t = ChainMap(cd.complex, stalk, {nxt: cd.pr_b[nxt]}, check=True)
-        triangles.append(Triangle(u, stalk, t, check=True))
+        triangles.append(Triangle(u, stalk, t, check=True, cone_data=cd))
     return UpperCertificate(
         cls, len(degs), "stratification",
         data={"strata": [int(i) for i in degs]}, triangles=triangles,

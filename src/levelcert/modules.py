@@ -865,6 +865,37 @@ class ArtinHomSpace:
             mat = mat @ self.section
         return ArtinHom(self.M, self.N, mat, check=False)
 
+    def compose_matrix(self, U: "ArtinHomSpace", post=None,
+                       pre=None) -> Mat:
+        """Matrix of s -> post . s, or of s -> s . pre, from coordinates
+        on this space to coordinates on U, the space it lands in.
+
+        Post-composition acts on each generator image alone. For
+        pre: M' -> M, write the generators of M' in the basis (j, m) of
+        the free cover of M as E = section . pre . U.gens; generator k of
+        M' then goes to sum_{j,m} E[(j,m), k] m . v_j, which on the
+        stacked images is sum_m kron(E_m^T, A_m), E_m the rows (j, m).
+        """
+        f, mu = self.M.field, self.F.free_rank
+        if post is not None:
+            mat = block_diag(f, [post.matrix] * mu)
+        else:
+            E = pre.matrix @ U.gens
+            if self.section is not None:
+                E = self.section @ E
+            monos = self.M.ring.basis_monos
+            mat = Mat.zeros(f, self.N.dim * U.F.free_rank, self.N.dim * mu)
+            for m, mono in enumerate(monos):
+                E_m = E.take_rows(j * len(monos) + m for j in range(mu))
+                mat = mat + E_m.transpose().kron(self.N.mono_action(mono))
+        if self.basis_mat is not None:
+            mat = mat @ self.basis_mat
+        if U.basis_mat is None:
+            return mat
+        out = U.basis_mat.solve(mat)
+        assert out is not None, "a composite of homs is a hom"
+        return out
+
 
 class GradedHomSpace:
     """k-basis of degree-0 Hom_R(M, N), coordinates modulo maps into relations.
@@ -964,22 +995,27 @@ class GradedHomSpace:
         self.quot = full.take_columns(
             c for c in full.rref()[1] if c >= self.triv.ncols)
         self._solve_block = hstack([self.triv, self.quot])
+        # with no relations to kill and none to quotient by, the
+        # coordinates are the entries themselves
+        self._read_off = self._solve_block == Mat.identity(f, na)
 
     @property
     def dim(self) -> int:
         return self.quot.ncols
 
-    def _vectorize(self, h: GradedHom) -> Mat:
+    def _vectorize(self, homs) -> Mat:
+        """Columns: the entries of each hom, in entry_index order."""
         f = self.M.field
-        na = len(self.entry_index)
-        v = [f.zero] * na
-        for j, c in enumerate(h.cols):
-            for (i, m), coeff in c.terms.items():
-                key = (j, i, m)
-                if key not in self.pos:
-                    raise ModuleError("hom is not homogeneous of degree zero")
-                v[self.pos[key]] = f.add(v[self.pos[key]], coeff)
-        return Mat.column(f, v)
+        v = [[f.zero] * len(homs) for _ in self.entry_index]
+        for k, h in enumerate(homs):
+            for j, c in enumerate(h.cols):
+                for (i, m), coeff in c.terms.items():
+                    t = self.pos.get((j, i, m))
+                    if t is None:
+                        raise ModuleError(
+                            "hom is not homogeneous of degree zero")
+                    v[t][k] = f.add(v[t][k], coeff)
+        return Mat(f, len(self.entry_index), len(homs), v)
 
     def _hom_from_entry_vec(self, col: Mat) -> GradedHom:
         f = self.M.field
@@ -992,16 +1028,31 @@ class GradedHomSpace:
     def basis_hom(self, i: int) -> GradedHom:
         return self._hom_from_entry_vec(self.quot.take_columns([i]))
 
-    def coords(self, h: GradedHom) -> Mat:
-        sol = self._solve_block.solve(self._vectorize(h))
+    def _coords_of(self, homs) -> Mat:
+        """Columns: the coordinates of each hom, by one solve at most."""
+        v = self._vectorize(homs)
+        if self._read_off:
+            return v
+        sol = self._solve_block.solve(v)
         if sol is None:
             raise ModuleError("hom outside the computed hom space")
         return sol.take_rows(range(self.triv.ncols, self.triv.ncols + self.dim))
+
+    def coords(self, h: GradedHom) -> Mat:
+        return self._coords_of([h])
 
     def from_coords(self, c: Mat) -> GradedHom:
         if self.dim == 0:
             return zero_hom(self.M, self.N)
         return self._hom_from_entry_vec(self.quot @ c)
+
+    def compose_matrix(self, U: "GradedHomSpace", post=None,
+                       pre=None) -> Mat:
+        """Matrix of s -> post . s, or of s -> s . pre, from coordinates
+        on this space to coordinates on U, the space it lands in."""
+        homs = [self.basis_hom(t) for t in range(self.dim)]
+        return U._coords_of([post.compose(h) for h in homs] if post is not None
+                            else [h.compose(pre) for h in homs])
 
 
 def hom_space(M, N):

@@ -7,7 +7,7 @@ each differential factors through the cycles of the previous one.
 
 from fractions import Fraction
 
-from .linalg import Mat, hstack
+from .linalg import Mat
 from .modules import artin_free, free_module, graded_free, hom_space, zero_hom
 from .complexes import Complex, complex_direct_sum, module_stalk
 
@@ -108,9 +108,7 @@ def _invert(g):
     """Inverse of an invertible module endomorphism via the hom space."""
     M = g.source
     hs = hom_space(M, M)
-    cols = [hs.coords(g.compose(hs.basis_hom(t))) for t in range(hs.dim)]
-    mat = hstack(cols)
-    sol = mat.solve(hs.coords(M.identity_hom()))
+    sol = hs.compose_matrix(hs, post=g).solve(hs.coords(M.identity_hom()))
     if sol is None:
         raise ValueError("endomorphism is not invertible")
     return hs.from_coords(sol)

@@ -270,13 +270,10 @@ def ring_dual_module(M: ArtinModule):
     ring = M.ring
     F1 = artin_free(ring, 1)
     hs = hom_space(M, F1)
-    s = hs.dim
-    acts = []
-    for v in range(ring.nvars):
-        mult = ArtinHom(F1, F1, ring.var_matrix(v), check=False)
-        cols = [hs.coords(mult.compose(hs.basis_hom(t))) for t in range(s)]
-        acts.append(hstack(cols) if cols else Mat.zeros(ring.field, 0, 0))
-    return ArtinModule(ring, s, acts, check=True), hs
+    acts = [hs.compose_matrix(hs, post=ArtinHom(F1, F1, ring.var_matrix(v),
+                                                 check=False))
+            for v in range(ring.nvars)]
+    return ArtinModule(ring, hs.dim, acts, check=True), hs
 
 
 def reflexivity_map(M: ArtinModule):

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from levelcert.adams import adams_tower
-from levelcert.linalg import Mat, PrimeField
+from levelcert.linalg import Mat, PrimeField, hstack, vstack
 from levelcert.poly import PolyVec, parse_poly
-from levelcert.rings import ArtinRing, GradedPolyRing
+from levelcert.rings import ArtinRing, GradedPolyRing, make_ring
 from levelcert.modules import (ArtinHom, GradedHom, artin_free,
                                artin_residue_field, find_isomorphism,
-                               graded_free, graded_residue_field, zero_hom)
+                               graded_free, graded_residue_field, hom_space,
+                               zero_hom)
 from levelcert.complexes import (ChainMap, ChainMapSpace, Complex, ComplexError,
                                  HomologyData, SES, Triangle, acc_sequences,
                                  cone, complex_direct_sum, identity_chain_map,
@@ -304,6 +305,82 @@ def test_graded_chain_map_space():
     assert sp.hom_classes_dim() == 1
     aug = ChainMap(K, sk, {0: GradedHom(K.module(0), k, [k.gen_elem(0)])})
     assert not sp.class_coords(aug).is_zero()
+
+
+def per_column_homotopy_image(sp):
+    """The homotopy image one s-basis hom at a time: compose it with the
+    differentials and read the chain map's coordinates back."""
+    cols = []
+    for i in sp.s_degrees:
+        for t in range(sp.s_spaces[i].dim):
+            s = sp.s_spaces[i].basis_hom(t)
+            comps = {}
+            if i in sp.degrees:
+                comps[i] = sp.y.diff(i + 1).compose(s)
+            if i + 1 in sp.degrees:
+                comps[i + 1] = s.compose(sp.x.diff(i + 1))
+            cols.append(sp.coords(ChainMap(sp.x, sp.y, comps, check=False)))
+    return hstack([Mat.zeros(sp.field, sp.total_dim, 0)] + cols)
+
+
+def per_column_chain_map_basis(sp):
+    """The kernel of f -> d f - f d, built one basis hom at a time."""
+    tdegs = range(sp.degrees[0], sp.degrees[-1] + 2) if sp.degrees else []
+    tspaces = {j: hom_space(sp.x.module(j), sp.y.module(j - 1))
+               for j in tdegs}
+    if sum(ts.dim for ts in tspaces.values()) == 0 or sp.total_dim == 0:
+        return Mat.identity(sp.field, sp.total_dim)
+    cols = []
+    for i in sp.degrees:
+        for t in range(sp.spaces[i].dim):
+            base = sp.spaces[i].basis_hom(t)
+            pieces = []
+            for j, ts in tspaces.items():
+                if j == i:
+                    piece = sp.y.diff(i).compose(base)
+                elif j == i + 1:
+                    piece = -base.compose(sp.x.diff(i + 1))
+                else:
+                    piece = zero_hom(ts.M, ts.N)
+                pieces.append(ts.coords(piece))
+            cols.append(vstack(pieces))
+    return hstack(cols).kernel_basis()
+
+
+def _exercised(space):
+    """Which non-identity parts of a hom space's coordinates it uses."""
+    if space.M.mode == "artin":
+        return {name for name in ("section", "basis_mat")
+                if getattr(space, name) is not None}
+    return set() if space._read_off else {"solve"}
+
+
+@pytest.mark.parametrize("ring_text, seeds", [
+    ("artin(F2; x | x^2)", range(6)),
+    ("artin(F3; x, y | x^2, y^2)", range(3)),
+    ("artin(Q; x | x^2)", range(6)),
+    ("poly(F101; x, y)", range(4)),
+    ("poly(Q; x, y)", range(2)),
+])
+def test_block_chain_map_coordinates_match_per_column_rule(ring_text, seeds):
+    ring = make_ring(ring_text)
+    exercised = set()
+    for seed in seeds:
+        rng = random.Random(800 + seed)
+        x = random_complex(ring, rng, lo=0, width=2, max_rank=2)
+        y = random_complex(ring, rng, lo=0, width=2, max_rank=2)
+        for src, tgt in ((x, y), (y, x), (x, x)):
+            sp = ChainMapSpace(src, tgt)
+            image = sp.homotopy_image()
+            assert image == per_column_homotopy_image(sp)
+            assert sp.chain_map_basis() == per_column_chain_map_basis(sp)
+            for c in range(image.ncols):
+                assert sp.map_from_coords(image.col(c)).is_chain_map()
+            for space in list(sp.spaces.values()) + list(sp.s_spaces.values()):
+                exercised |= _exercised(space)
+    # terms that are not free put the general coordinates to work
+    assert exercised == ({"section", "basis_mat"} if ring.kind == "artin"
+                         else {"solve"})
 
 
 def test_ses_verification():

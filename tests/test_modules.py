@@ -144,6 +144,18 @@ def test_hom_space_coords_faithful(field):
                             H.coords(ArtinHom(M, N, e, check=False))
 
 
+def test_artin_coords_reject_a_matrix_that_is_not_a_hom():
+    AA = artin_free(A, 1)
+    k = artin_residue_field(A)
+    # 1 -> 1 on A, and 1 -> 1 from k into A, ignore the action of x
+    for M, rows in ((AA, [[1, 0], [0, 0]]), (k, [[1], [0]])):
+        H = hom_space(M, AA)
+        with pytest.raises(ModuleError):
+            H.coords(ArtinHom(M, AA, Mat.from_rows(F2, rows), check=False))
+    assert hom_space(AA, AA).basis_mat is None
+    assert hom_space(k, AA).basis_mat is not None
+
+
 def test_kernel_image_cokernel_artin():
     AA = artin_free(A, 1)
     x = ArtinHom(AA, AA, A.var_matrix(0))
@@ -374,6 +386,21 @@ def test_graded_hom_space_coords_faithful():
             c = Mat.from_rows(F101, [[1 if t == i else 0] for t in range(H.dim)])
             assert H.coords(H.from_coords(c)) == c
         assert H.coords(zero_hom(S, T)).is_zero()
+
+
+def test_graded_coords_keep_their_input_checks():
+    F = graded_free(R2, [0, 1])
+    k = graded_residue_field(R2)
+    M = GradedModule(R2, [0, 1], [pv(R2, "x^2", "x")])
+    free = hom_space(F, F)
+    assert free._read_off
+    with pytest.raises(ModuleError):
+        free.coords(GradedHom(F, F, [pv(R2, "x", "0"), F.gen_elem(1)],
+                              check=False))
+    for H in (hom_space(M, k), hom_space(M, M), free):
+        c = Mat.column(F101, [5 * t + 2 for t in range(H.dim)])
+        assert H.coords(H.from_coords(c)) == c
+    assert not hom_space(M, k)._read_off and not hom_space(M, M)._read_off
 
 
 def test_graded_image_cokernel():
