@@ -46,8 +46,6 @@ class AdamsStep:
     F: Complex
     phi: ChainMap
     cover: dict          # degree -> module hom F_i -> H_i(m)
-    hgens: dict          # degree -> generators of H_i(m) used for the cover
-    cone_data: object
     omega: Complex       # next layer, shift(-1) of the cone
     delta: ChainMap      # m -> cone(phi) = shift(omega)
     triangle: Triangle
@@ -57,7 +55,7 @@ def adams_step_proj(m: Complex) -> AdamsStep:
     """Minimal free homology cover of m and the resulting layer triangle."""
     ring = m.ring
     hd = m.hdata()
-    fmods, comps, cover, hgens = {}, {}, {}, {}
+    fmods, comps, cover = {}, {}, {}
     for i in m.support():
         H = hd.homology(i)
         if H.is_zero_module():
@@ -77,15 +75,14 @@ def adams_step_proj(m: Complex) -> AdamsStep:
         fmods[i] = Fi
         comps[i] = free_hom(Fi, m.module(i), reps)
         cover[i] = free_hom(Fi, H, hg)
-        hgens[i] = hg
     F = Complex(ring, fmods, {}, check=False)
-    # the commuting check verifies that every generator image is a cycle
-    phi = ChainMap(F, m, comps, check=True)
-    tri = Triangle(phi, check=True)
+    # every generator image is a cycle, so phi commutes; the d^2 = 0
+    # check of its cone, built in the triangle, confirms it
+    phi = ChainMap(F, m, comps, check=False)
+    tri = Triangle(phi)
     cd = tri.cone_data
-    omega = cd.complex.shift(-1)
-    delta = cd.inclusion()
-    return AdamsStep(m, F, phi, cover, hgens, cd, omega, delta, tri)
+    return AdamsStep(m, F, phi, cover, cd.complex.shift(-1),
+                     cd.inclusion(), tri)
 
 
 @dataclass
@@ -162,7 +159,7 @@ def _h_into_cover(tower: AdamsTower, s: int, i: int):
         return None, H
     _, zeta = hd.cycles(i)
     pi = hd.homology_proj(i)
-    pra = step.cone_data.pr_a[i + 1]
+    pra = step.triangle.cone_data.pr_a[i + 1]
     incl = pra.compose(zeta).factor_through(pi)
     assert incl is not None
     return incl, H

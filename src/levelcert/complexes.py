@@ -1,14 +1,15 @@
-"""Bounded chain complexes, chain maps, cones, and verified triangles.
+"""Bounded chain complexes, chain maps, cones, and triangles with witnesses.
 
 Conventions, fixed once for the whole package:
   (shift X)_i = X_{i-1} with differential negated per shift;
   Cone(f: A -> B)_i = A_{i-1} (+) B_i with d(a, b) = (-da, f(a) + db).
 
-A Triangle never trusts a construction: it stores a chain-map witness t
-between Cone(u) and the claimed third object W. A triangle on its own
-cone (t the identity of W) is checked by equality of W with the cone it
-builds from u; any other witness must be a quasi-isomorphism, which is
-checked by exactness of the cone of t.
+A Triangle stores a chain-map witness t between Cone(u) and the claimed
+third object W, and construction checks none of it: verify() is the one
+place the witness is checked. A triangle on its own cone (t the identity
+of W) is checked by equality of W with the cone built from u; any other
+witness must be a quasi-isomorphism, which is checked by exactness of
+the cone of t.
 
 ChainMapSpace puts exact k-linear coordinates on the space of chain maps
 X -> Y and on the subspace of null-homotopic ones, which is all the
@@ -456,19 +457,19 @@ def is_quasi_iso(f: ChainMap) -> bool:
 class Triangle:
     """A distinguished triangle presented as (u: X -> Y, third object W).
 
-    The witness t is a chain map Cone(u) -> W, and verification checks
-    that t is a quasi-isomorphism. That exhibits Y as an extension of W
-    by X up to quasi-isomorphism, which is the only property the level
-    calculus consumes. Triangle(u) alone takes W = Cone(u) and t = id_W.
-    When t is the identity of W, equality of W with the cone built here
-    from u proves it: an isomorphism of complexes is a
-    quasi-isomorphism, so no homology is computed. A caller that built
-    Cone(u) to write t passes it as cone_data instead of having it
-    built again.
+    The witness t is a chain map Cone(u) -> W. Construction only
+    records it; verify() checks that t is a quasi-isomorphism. That
+    exhibits Y as an extension of W by X up to quasi-isomorphism, which
+    is the only property the level calculus consumes. Triangle(u) alone
+    takes W = Cone(u) and t = id_W. When t is the identity of W,
+    equality of W with the cone built here from u proves it: an
+    isomorphism of complexes is a quasi-isomorphism, so no homology is
+    computed. A caller that built Cone(u) to write t passes it as
+    cone_data instead of having it built again.
     """
 
     def __init__(self, u: ChainMap, w: Complex | None = None,
-                 t: ChainMap | None = None, check: bool = True,
+                 t: ChainMap | None = None,
                  cone_data: ConeData | None = None):
         if cone_data is not None and cone_data.f is not u:
             raise ComplexError("cone_data is not the cone of u")
@@ -481,16 +482,6 @@ class Triangle:
             raise ComplexError("a triangle needs both W and t, or neither")
         self.w = w
         self.t = t
-        if check and not self.verify():
-            raise ComplexError("triangle witness failed verification")
-
-    @property
-    def x(self) -> Complex:
-        return self.u.source
-
-    @property
-    def y(self) -> Complex:
-        return self.u.target
 
     def verify(self) -> bool:
         t = self.t

@@ -9,12 +9,14 @@ a retract of an object built in n steps also has level at most n: the
 upper routes build m itself, and the ghost lemma bounds retracts too.
 
 Upper bounds are returned as explicit data: a route name together with
-verified triangles whose outer layers are complexes with zero
-differential and entries from C, or a one-step witness. Lower bounds
-come from chains of homology-killing maps with a composite that is not
-null-homotopic, or from a certified failure of the one-step test. Both
-sides carry a verify() that replays the checks from scratch and
-recomputes the value from the evidence, so a changed value fails.
+triangles whose outer layers are complexes with zero differential and
+entries from C, or a one-step witness. Lower bounds come from chains of
+homology-killing maps with a composite that is not null-homotopic, or
+from a certified failure of the one-step test. Both sides share one
+certificate record. Construction checks none of the evidence it
+records: verify() is the one place that checks it, replaying the
+checks from scratch and recomputing the value from the evidence, so a
+changed value or a wrong witness fails.
 
 level_report makes the decisions every route shares, once and in this
 order: an exact complex is the zero object (level 0); the injective
@@ -297,12 +299,14 @@ def _says(one: LevelOneResult, verdict: str) -> bool:
 
 
 @dataclass
-class UpperCertificate:
+class BoundCertificate:
+    """The record an upper or a lower bound shares: the bound's value,
+    the route that proves it and the evidence the route reads."""
+
     cls: str
     value: int
     route: str
     data: dict = field(default_factory=dict)
-    triangles: list = field(default_factory=list)
     level_one: LevelOneResult = None
     dualized: bool = False
     notes: list = field(default_factory=list)
@@ -314,11 +318,18 @@ class UpperCertificate:
     def to_dict(self):
         out = {"class": self.cls, "value": self.value, "route": self.route,
                "dualized": self.dualized, "notes": list(self.notes)}
-        out.update({k: v for k, v in self.data.items()})
+        out.update(self.data)
         if self.level_one is not None:
             out["one_step"] = self.level_one.to_dict()
-        out["triangles"] = len(self.triangles)
         return out
+
+
+@dataclass
+class UpperCertificate(BoundCertificate):
+    triangles: list = field(default_factory=list)
+
+    def to_dict(self):
+        return {**super().to_dict(), "triangles": len(self.triangles)}
 
     def verify(self) -> bool:
         if not all(tri.verify() for tri in self.triangles):
@@ -395,9 +406,10 @@ def upper_via_cycle_boundary(m: Complex, cls: str, variant: str = "auto",
             continue
         sub_cx = _zero_diff_complex(ring, {i: subs[i][0] for i in degs})
         quot_cx = _zero_diff_complex(ring, {i: quots[i] for i in degs})
+        # the d^2 check of the cone confirms that u is a chain map
         u = ChainMap(sub_cx, m, {i: subs[i][1] for i in degs
                                  if not subs[i][0].is_zero_module()},
-                     check=True)
+                     check=False)
         cd = cone(u)
         tcomps = {}
         for i in cd.complex.support():
@@ -409,8 +421,8 @@ def upper_via_cycle_boundary(m: Complex, cls: str, variant: str = "auto",
             else:
                 target_epi = hd.cmod(i)[1]
             tcomps[i] = target_epi.compose(prb)
-        t = ChainMap(cd.complex, quot_cx, tcomps, check=True)
-        tri = Triangle(u, quot_cx, t, check=True, cone_data=cd)
+        t = ChainMap(cd.complex, quot_cx, tcomps, check=False)
+        tri = Triangle(u, quot_cx, t, cone_data=cd)
         # an empty quotient layer means the sub layer alone is already
         # quasi-isomorphic to m, so the bound tightens to one
         value = 1 if quot_cx.is_zero_complex() else 2
@@ -427,7 +439,7 @@ def upper_via_stratification(m: Complex, cls: str, window: int = 4):
     """Peel the complex one term at a time by brutal truncations.
 
     Needs every term of the complex itself to lie in C; gives the number
-    of nonzero terms as the bound, one verified triangle per peel.
+    of nonzero terms as the bound, one triangle per peel.
     """
     cls = normalize_class(cls)
     degs = sorted(m.support())
@@ -443,11 +455,11 @@ def upper_via_stratification(m: Complex, cls: str, window: int = 4):
         upto = m.truncate_le(nxt)
         u = ChainMap(below, upto,
                      {i: below.module(i).identity_hom()
-                      for i in below.support()}, check=True)
+                      for i in below.support()}, check=False)
         cd = cone(u)
         stalk = _zero_diff_complex(m.ring, {nxt: m.module(nxt)})
-        t = ChainMap(cd.complex, stalk, {nxt: cd.pr_b[nxt]}, check=True)
-        triangles.append(Triangle(u, stalk, t, check=True, cone_data=cd))
+        t = ChainMap(cd.complex, stalk, {nxt: cd.pr_b[nxt]}, check=False)
+        triangles.append(Triangle(u, stalk, t, cone_data=cd))
     return UpperCertificate(
         cls, len(degs), "stratification",
         data={"strata": [int(i) for i in degs]}, triangles=triangles,
@@ -482,7 +494,7 @@ def upper_via_tower(cls: str, tower: AdamsTower, window: int = 4):
 
 def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
                       tower: AdamsTower, window: int = 4):
-    """Best available verified upper bound for the level of m, a complex
+    """Best available upper certificate for the level of m, a complex
     with homology and a class in scope on its ring.
 
     The caller supplies one = level_one_test(m, cls) and the cover tower
@@ -493,9 +505,10 @@ def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
         return UpperCertificate(cls, 1, "one-step", level_one=one)
 
     best = upper_via_cycle_boundary(m, cls, window=window)
-    strat = upper_via_stratification(m, cls, window)
-    if strat is not None and (best is None or strat.value < best.value):
-        best = strat
+    # stratification proves the number of terms, so it is tried only
+    # when that number beats the bound already found
+    if best is None or len(m.support()) < best.value:
+        best = upper_via_stratification(m, cls, window) or best
     if best is not None and best.value <= 2:
         best.level_one = best.level_one or one
         return best
@@ -510,27 +523,8 @@ def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
 
 
 @dataclass
-class LowerCertificate:
-    cls: str
-    value: int
-    route: str
-    data: dict = field(default_factory=dict)
+class LowerCertificate(BoundCertificate):
     ghost: object = None          # (space, chain map, factors) if any
-    level_one: LevelOneResult = None
-    dualized: bool = False
-    notes: list = field(default_factory=list)
-    subject: Complex = None       # the complex, where it is the evidence
-
-    def __post_init__(self):
-        _record(self)
-
-    def to_dict(self):
-        out = {"class": self.cls, "value": self.value, "route": self.route,
-               "dualized": self.dualized, "notes": list(self.notes)}
-        out.update(self.data)
-        if self.level_one is not None:
-            out["one_step"] = self.level_one.to_dict()
-        return out
 
     def verify(self) -> bool:
         return self.value == self._proved_value()

@@ -235,12 +235,14 @@ class ArtinHom:
 
     @staticmethod
     def _sub_on_columns(ambient: ArtinModule, cols: Mat):
-        acts = []
-        for x in ambient.actions:
-            y = cols.solve(x @ cols)
+        k, acts = cols.ncols, []
+        if ambient.actions:
+            # one solve for all actions, split into one block per action
+            y = cols.solve(hstack([x @ cols for x in ambient.actions]))
             assert y is not None, "columns do not span a submodule"
-            acts.append(y)
-        sub = ArtinModule(ambient.ring, cols.ncols, acts, check=False)
+            acts = [y.take_columns(range(j * k, (j + 1) * k))
+                    for j in range(len(ambient.actions))]
+        sub = ArtinModule(ambient.ring, k, acts, check=False)
         incl = ArtinHom(sub, ambient, cols, check=False)
         return sub, incl
 

@@ -227,7 +227,7 @@ def test_wrong_witness_on_a_cover_triangle_fails():
     assert not W.is_exact()
 
     def with_witness(w, t):
-        return Triangle(tri.u, w, t, check=False)
+        return Triangle(tri.u, w, t)
 
     assert not with_witness(W, zero_chain_map(W, W)).verify()
     W2 = W.shift(2)
@@ -265,7 +265,7 @@ def test_tower_triangles_agree_with_the_homology_rule(ring, seeds):
             tri = step.triangle
             W = tri.w
             assert tri.verify() and old_triangle_rule(tri)
-            probe = Triangle(tri.u, W, zero_chain_map(W, W), check=False)
+            probe = Triangle(tri.u, W, zero_chain_map(W, W))
             assert probe.verify() == old_triangle_rule(probe)
             zero_verdicts.add(probe.verify())
     assert zero_verdicts == {True, False}

@@ -9,13 +9,14 @@ import random
 
 import pytest
 
-from levelcert import adams
+from levelcert import adams, complexes
 from levelcert.cli import parse
 from levelcert.randgen import random_complex
 from levelcert.rings import make_ring
 from levelcert.modules import artin_free, artin_residue_field, \
     graded_residue_field
-from levelcert.complexes import ChainMap, Complex, module_stalk
+from levelcert.complexes import (ChainMap, Complex, module_stalk,
+                                 zero_chain_map)
 from levelcert.resolutions import koszul_complex
 from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
                              bass_check, certificate_audit,
@@ -312,6 +313,54 @@ def test_bare_certificates_fail_verification():
     assert not UpperCertificate("proj", 1, "stratification").verify()
     assert not UpperCertificate("proj", 1, "one-step").verify()
     assert not LowerCertificate("proj", 3, "ghost-chain").verify()
+
+
+def _routed_reports():
+    """Reports whose upper routes are stratification and cycle-boundary."""
+    A = make_ring("artin(F2; x | x^2)")
+    B = make_ring("artin(F3; x, y | x^2, y^2)")
+    reps = [level_report(koszul_complex(B), "proj"),
+            level_report(koszul_complex(A), "gproj")]
+    assert [rep.upper.route for rep in reps] == ["stratification",
+                                                 "cycle-boundary"]
+    return reps
+
+
+def test_tampered_triangle_evidence_fails_verification():
+    # construction checks no witness, so verify() is the only guard
+    for rep in _routed_reports():
+        cert = rep.upper
+        tri = cert.triangles[-1]
+        w, t = tri.w, tri.t
+        for bad_w, bad_t in ((w, zero_chain_map(t.source, w)),
+                             (w.shift(1), t)):
+            tri.w, tri.t = bad_w, bad_t
+            assert not cert.verify(), cert.route
+            assert not rep.verify(), cert.route
+        tri.w, tri.t = w, t
+        assert cert.verify() and rep.verify()
+
+
+def test_triangle_witnesses_are_checked_once_in_verify(monkeypatch):
+    calls = []
+    quasi_iso = complexes.is_quasi_iso
+
+    def counted(f):
+        calls.append(f)
+        return quasi_iso(f)
+
+    monkeypatch.setattr(complexes, "is_quasi_iso", counted)
+    reps = _routed_reports()
+    # building the reports checks no triangle witness
+    assert calls == []
+    for rep in reps:
+        # verify() checks each witness that is not an identity once
+        witnessed = [tri.t for tri in rep.upper.triangles
+                     if tri.w != tri.cone_data.complex]
+        assert witnessed
+        assert rep.verify()
+        assert calls == witnessed
+        calls.clear()
 
 
 def test_ghost_chain_over_free_terms_finishes(B, wall_bound):
