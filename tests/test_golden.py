@@ -26,7 +26,7 @@ SCRIPTS = sorted(p.stem for p in GOLDEN.glob("*.lvc"))
 def _run(name, out_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "levelcert.cli", str(GOLDEN / f"{name}.lvc"),
          "--out", str(out_path)],

@@ -315,9 +315,8 @@ def test_bare_certificates_fail_verification():
     assert not LowerCertificate("proj", 3, "ghost-chain").verify()
 
 
-def _routed_reports():
+def _routed_reports(A):
     """Reports whose upper routes are stratification and cycle-boundary."""
-    A = make_ring("artin(F2; x | x^2)")
     B = make_ring("artin(F3; x, y | x^2, y^2)")
     reps = [level_report(koszul_complex(B), "proj"),
             level_report(koszul_complex(A), "gproj")]
@@ -326,9 +325,9 @@ def _routed_reports():
     return reps
 
 
-def test_tampered_triangle_evidence_fails_verification():
+def test_tampered_triangle_evidence_fails_verification(A):
     # construction checks no witness, so verify() is the only guard
-    for rep in _routed_reports():
+    for rep in _routed_reports(A):
         cert = rep.upper
         tri = cert.triangles[-1]
         w, t = tri.w, tri.t
@@ -341,7 +340,7 @@ def test_tampered_triangle_evidence_fails_verification():
         assert cert.verify() and rep.verify()
 
 
-def test_triangle_witnesses_are_checked_once_in_verify(monkeypatch):
+def test_triangle_witnesses_are_checked_once_in_verify(A, monkeypatch):
     calls = []
     quasi_iso = complexes.is_quasi_iso
 
@@ -350,7 +349,7 @@ def test_triangle_witnesses_are_checked_once_in_verify(monkeypatch):
         return quasi_iso(f)
 
     monkeypatch.setattr(complexes, "is_quasi_iso", counted)
-    reps = _routed_reports()
+    reps = _routed_reports(A)
     # building the reports checks no triangle witness
     assert calls == []
     for rep in reps:
