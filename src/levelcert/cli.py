@@ -75,7 +75,6 @@ class Session:
     modules: dict = dataclass_field(default_factory=dict)
     complexes: dict = dataclass_field(default_factory=dict)
     commands: list = dataclass_field(default_factory=list)
-    sources: list = dataclass_field(default_factory=list)
 
     def bind(self, name: str, line: int):
         if name in self.rings or name in self.modules \
@@ -450,7 +449,6 @@ def parse(source: str, default_field: str | None = None) -> Session:
             _bind_ring(sess, text, line, default_field)
         else:
             raise ParseError(f"cannot parse statement {text!r}", line)
-        sess.sources.append(text)
     return sess
 
 
@@ -488,11 +486,6 @@ def _parse_command(text: str, line: int):
                                  line)
         return (verb, toks[1], n)
     raise ParseError(f"unknown command {verb!r}", line)
-
-
-def print_session(sess: Session) -> str:
-    """Script text that parses back to an equivalent session."""
-    return "\n".join(sess.sources) + ("\n" if sess.sources else "")
 
 
 # ---------------------------------------------------------------- running

@@ -331,15 +331,6 @@ class HomologyData:
     def is_exact(self) -> bool:
         return all(self.homology(i).is_zero_module() for i in self.x.support())
 
-    def total_homology(self):
-        """(H^sum, list of (degree, H_i)) over the homology support."""
-        degs = self.nonzero_degrees()
-        mods = [self.homology(i) for i in degs]
-        if not mods:
-            return zero_module(self.x.ring), []
-        total, _, _ = direct_sum(mods)
-        return total, list(zip(degs, mods))
-
 
 class SES:
     """0 -> A -f-> B -g-> C -> 0 of modules, exactness machine-checked."""

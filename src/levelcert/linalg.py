@@ -346,6 +346,16 @@ class Mat:
         return Mat(field, len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
+    def from_triples(field, nrows: int, ncols: int, triples) -> "Mat":
+        """Entry (r, c) is the sum of the field elements v over the
+        triples (r, c, v); every other entry is zero."""
+        a = _zeros(field, nrows, ncols)
+        if triples:
+            r, c, v = zip(*triples)
+            np.add.at(a, (list(r), list(c)), np.array(v, dtype=field.dtype))
+        return Mat(field, nrows, ncols, a)
+
+    @staticmethod
     def zeros(field, nrows: int, ncols: int) -> "Mat":
         return Mat(field, nrows, ncols, _zeros(field, nrows, ncols))
 

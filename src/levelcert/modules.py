@@ -17,14 +17,19 @@ homotopy-theoretic linear algebra runs through it. On both backends a
 hom is the images of the generators of M, which must kill the relations
 among them: vectors of N for the minimal generators (ArtinHomSpace), or
 polynomial vectors over the generators of N modulo its relations
-(GradedHomSpace).
+(GradedHomSpace), whose coordinates are the entries (j, i, m): the
+coefficient of m e_i in the image of generator j. Every graded matrix
+(the hom condition, the trivial homs, composition, Hilbert functions and
+minimal generators) comes from one degree-piece builder: _piece numbers
+the monomials of given degrees of a free cover, _multiples writes the
+monomial multiples of vectors in those rows.
 """
 
 from __future__ import annotations
 
 from .linalg import (Mat, block_diag, extend_to_basis, full_rank_combination,
                      hstack, vstack)
-from .poly import Poly, PolyVec, mono_mul, monomials_of_degree
+from .poly import Poly, PolyVec, mono_mul
 from .rings import ArtinRing, GradedPolyRing
 
 
@@ -247,11 +252,17 @@ class ArtinHom:
         return sub, incl
 
     def image(self):
-        """(I, incl: I -> target, epi: source -> I) with incl . epi == self."""
+        """(I, incl: I -> target, epi: source -> I) with incl . epi == self.
+
+        ib is the pivot columns of the matrix, so the matrix is ib times
+        the nonzero rows of its reduced row echelon form: those rows are
+        the epi, with no solve.
+        """
         ib = self.matrix.column_space_basis()
         img, incl = self._sub_on_columns(self.target, ib)
-        epi_mat = ib.solve(self.matrix)
-        epi = ArtinHom(self.source, img, epi_mat, check=False)
+        epi = ArtinHom(self.source, img,
+                       self.matrix.rref()[0].take_rows(range(ib.ncols)),
+                       check=False)
         return img, incl, epi
 
     def cokernel(self):
@@ -353,67 +364,38 @@ class GradedModule:
 
     def hilbert(self, d: int) -> int:
         """dim_k of the degree-d piece."""
-        amb = sum(self.ring.dim_of_degree(d - t) for t in self.gen_twists)
-        if amb == 0:
-            return 0
-        row_index = {}
-        for j, t in enumerate(self.gen_twists):
-            for m in self.ring.monomials(d - t) if d - t >= 0 else []:
-                row_index[(j, m)] = len(row_index)
-        cols = []
-        for r in self.rels:
-            rd = r.homogeneous_degree(self.gen_twists)
-            if rd is None or d - rd < 0:
-                continue
-            for m in self.ring.monomials(d - rd):
-                prod = r.mul_mono(m)
-                col = [self.field.zero] * len(row_index)
-                for t, c in prod.terms.items():
-                    col[row_index[t]] = c
-                cols.append(col)
-        if not cols:
-            return amb
-        mat = Mat.from_rows(self.field,
-                            [[cols[j][i] for j in range(len(cols))]
-                             for i in range(len(row_index))])
-        return amb - mat.rank()
+        rows = _piece(self, [d])
+        return len(rows) - self.rel_multiples([d], rows).rank()
 
     def min_gens_indices(self):
         """Generator indices forming a minimal generating set.
 
-        In each twist degree d, the constant parts of degree-d relations
-        span the redundancy; standard vectors completing that span name
-        the surviving generators.
+        In each twist degree d, the constant parts of the degree-d
+        relations, the rows (0, j, 1) of their multiples, span the
+        redundancy; standard vectors completing that span name the
+        surviving generators.
         """
-        if self._min_idx is not None:
-            return self._min_idx
-        out = []
-        degrees = sorted(set(self.gen_twists))
-        for d in degrees:
-            slots = [j for j, t in enumerate(self.gen_twists) if t == d]
-            pos = {j: i for i, j in enumerate(slots)}
-            cols = []
-            for r in self.rels:
-                if r.homogeneous_degree(self.gen_twists) != d:
-                    continue
-                col = [self.field.zero] * len(slots)
-                hit = False
-                for (j, m), c in r.terms.items():
-                    if sum(m) == 0:
-                        col[pos[j]] = c
-                        hit = True
-                if hit:
-                    cols.append(col)
-            if cols:
-                w = Mat.from_rows(self.field,
-                                  [[cols[t][i] for t in range(len(cols))]
-                                   for i in range(len(slots))])
-                chosen = extend_to_basis(self.field, w.column_space_basis())
-            else:
-                chosen = list(range(len(slots)))
-            out.extend(slots[i] for i in chosen)
-        self._min_idx = sorted(out)
+        if self._min_idx is None:
+            out, one = [], (0,) * self.ring.nvars
+            degs = [r.homogeneous_degree(self.gen_twists) for r in self.rels]
+            for d in sorted(set(self.gen_twists)):
+                slots = [j for j, t in enumerate(self.gen_twists) if t == d]
+                # a multiple m . r with deg m > 0 has no constant part
+                top = [r for r, dr in zip(self.rels, degs) if dr == d]
+                if top:
+                    rows = _piece(self, [d])
+                    w = _multiples(self.ring, top, [d] * len(top), [d], rows)
+                    w = w.take_rows(rows[0, j, one] for j in slots)
+                    slots = [slots[i] for i in extend_to_basis(
+                        self.field, w.column_space_basis())]
+                out.extend(slots)
+            self._min_idx = sorted(out)
         return self._min_idx
+
+    def rel_multiples(self, blocks, rows) -> Mat:
+        """_multiples of the relations, in the rows of _piece(self, blocks)."""
+        degs = [r.homogeneous_degree(self.gen_twists) for r in self.rels]
+        return _multiples(self.ring, self.rels, degs, blocks, rows)
 
     def min_gens(self):
         return [self.gen_elem(j) for j in self.min_gens_indices()]
@@ -899,125 +881,98 @@ class ArtinHomSpace:
         return out
 
 
+def _piece(N: GradedModule, blocks) -> dict:
+    """The monomial basis (k, i, m) of degree blocks[k] of the free cover
+    of N, once per block k, numbered in that order: m e_i with
+    deg m = blocks[k] - twist i."""
+    keys = [(k, i, m) for k, d in enumerate(blocks)
+            for i, t in enumerate(N.gen_twists) if d >= t
+            for m in N.ring.monomials(d - t)]
+    return {key: r for r, key in enumerate(keys)}
+
+
+def _row(rows: dict, key) -> int:
+    r = rows.get(key)
+    if r is None:
+        raise ModuleError("hom is not homogeneous of degree zero")
+    return r
+
+
+def _multiples(ring, vecs, degs, blocks, rows: dict) -> Mat:
+    """Columns m . v for each block k, each vector v of degree degs[v]
+    (skipped when None) and each monomial m of degree blocks[k] - deg v,
+    in that order, written in the rows (k, i, m') of block k."""
+    triples, col = [], 0
+    for k, d in enumerate(blocks):
+        for v, dv in zip(vecs, degs):
+            if dv is None or d < dv:
+                continue
+            for m in ring.monomials(d - dv):
+                triples.extend((_row(rows, (k, i, mono_mul(mm, m))), col, c)
+                               for (i, mm), c in v.terms.items())
+                col += 1
+    return Mat.from_triples(ring.field, len(rows), col, triples)
+
+
 class GradedHomSpace:
     """k-basis of degree-0 Hom_R(M, N), coordinates modulo maps into relations.
 
-    Coordinates are faithful: coords(f) == coords(g) iff f == g as homs.
+    A hom is its entries (j, i, m), the coefficient of m e_i in the image
+    of generator j of M: the rows _piece(N, twists of M). Every matrix
+    here is built from _piece and _multiples. Coordinates are faithful:
+    coords(f) == coords(g) iff f == g as homs.
     """
 
     def __init__(self, M: GradedModule, N: GradedModule):
         self.M, self.N = M, N
-        ring, f = M.ring, M.field
-        self.entry_index = []  # (j source gen, i target gen, mono)
-        for j, tj in enumerate(M.gen_twists):
-            for i, ti in enumerate(N.gen_twists):
-                d = tj - ti
-                if d < 0:
-                    continue
-                for m in ring.monomials(d):
-                    self.entry_index.append((j, i, m))
-        self.pos = {e: t for t, e in enumerate(self.entry_index)}
+        self.pos = _piece(N, M.gen_twists)
+        self.entry_index = list(self.pos)
+        self._entries_of = [[] for _ in M.gen_twists]  # j -> (col, i, m)
+        for col, (j, i, m) in enumerate(self.entry_index):
+            self._entries_of[j].append((col, i, m))
         na = len(self.entry_index)
-
-        rows = []  # each row: (list over na A-vars, list over local q-vars)
-        for r in M.rels:
-            dr = r.homogeneous_degree(M.gen_twists)
-            # coordinates of degree-dr elements of the target's free cover
-            coord = {}
-            for i, ti in enumerate(N.gen_twists):
-                if dr - ti < 0:
-                    continue
-                for m in ring.monomials(dr - ti):
-                    coord[(i, m)] = len(coord)
-            qvars = []  # (s index, mono)
-            for s_idx, s in enumerate(N.rels):
-                ds = s.homogeneous_degree(N.gen_twists)
-                if ds is None or dr - ds < 0:
-                    continue
-                for m in ring.monomials(dr - ds):
-                    qvars.append((s_idx, m))
-            nrows = len(coord)
-            block_a = [[f.zero] * na for _ in range(nrows)]
-            block_q = [[f.zero] * len(qvars) for _ in range(nrows)]
-            for (j, m), c in r.terms.items():
-                for (jj, ii, mu) in self.entry_index:
-                    if jj != j:
-                        continue
-                    key = (ii, mono_mul(mu, m))
-                    block_a[coord[key]][self.pos[(jj, ii, mu)]] = \
-                        f.add(block_a[coord[key]][self.pos[(jj, ii, mu)]],
-                              c)
-            for qi, (s_idx, m) in enumerate(qvars):
-                prod = N.rels[s_idx].mul_mono(m)
-                for key, c in prod.terms.items():
-                    block_q[coord[key]][qi] = f.sub(block_q[coord[key]][qi], c)
-            rows.append((block_a, block_q))
-
-        # assemble global sparse block system: A-vars first, then q-vars per relation
-        nq = sum(len(bq[0]) if bq else 0 for _, bq in rows)
-        total_rows = sum(len(ba) for ba, _ in rows)
-        if total_rows == 0:
-            kern = Mat.identity(f, na)
-        else:
-            data = []
-            qoff = 0
-            for ba, bq in rows:
-                w = len(bq[0]) if bq else 0
-                for ra, rq in zip(ba, bq or [[]] * len(ba)):
-                    row = list(ra) + [f.zero] * nq
-                    for t, c in enumerate(rq):
-                        row[na + qoff + t] = c
-                    data.append(row)
-                qoff += w
-            kern = Mat.from_rows(f, data).kernel_basis().take_rows(range(na))
-
+        kern = Mat.identity(M.field, na)
+        if M.rels:
+            # a hom kills relation k of M when its image of that relation
+            # is a combination of multiples of the relations of N
+            degs = [r.homogeneous_degree(M.gen_twists) for r in M.rels]
+            rows = _piece(N, degs)
+            kern = hstack([self._pre(M.rels, rows),
+                           -N.rel_multiples(degs, rows)]
+                          ).kernel_basis().take_rows(range(na))
         # trivial homs: columns lying in the relation submodule of N
-        triv_cols = []
-        for j, tj in enumerate(M.gen_twists):
-            for s in N.rels:
-                ds = s.homogeneous_degree(N.gen_twists)
-                if ds is None or tj - ds < 0:
-                    continue
-                for m in ring.monomials(tj - ds):
-                    vecd = [f.zero] * na
-                    prod = s.mul_mono(m)
-                    ok = True
-                    for (i, mm), c in prod.terms.items():
-                        key = (j, i, mm)
-                        if key not in self.pos:
-                            ok = False
-                            break
-                        vecd[self.pos[key]] = c
-                    if ok and any(not f.is_zero(x) for x in vecd):
-                        triv_cols.append(vecd)
-        self.triv = Mat(f, len(triv_cols), na,
-                        triv_cols).transpose().column_space_basis()
+        self.triv = N.rel_multiples(M.gen_twists, self.pos).column_space_basis()
         full = hstack([self.triv, kern])
         # quotient basis: pivot columns of [triv | kernel] beyond the triv block
         self.quot = full.take_columns(
             c for c in full.rref()[1] if c >= self.triv.ncols)
         self._solve_block = hstack([self.triv, self.quot])
-        # with no relations to kill and none to quotient by, the
-        # coordinates are the entries themselves
-        self._read_off = self._solve_block == Mat.identity(f, na)
+        # when every entry is a basis direction (no relation to kill and
+        # no trivial hom), the coordinates are the entries themselves
+        self._read_off = self.quot == Mat.identity(M.field, na)
 
     @property
     def dim(self) -> int:
         return self.quot.ncols
 
-    def _vectorize(self, homs) -> Mat:
-        """Columns: the entries of each hom, in entry_index order."""
-        f = self.M.field
-        v = [[f.zero] * len(homs) for _ in self.entry_index]
-        for k, h in enumerate(homs):
-            for j, c in enumerate(h.cols):
-                for (i, m), coeff in c.terms.items():
-                    t = self.pos.get((j, i, m))
-                    if t is None:
-                        raise ModuleError(
-                            "hom is not homogeneous of degree zero")
-                    v[t][k] = f.add(v[t][k], coeff)
-        return Mat(f, len(self.entry_index), len(homs), v)
+    def _pre(self, vecs, rows: dict) -> Mat:
+        """Matrix from the entries of a hom s to the images under s of
+        vecs (vectors over the generators of M): the image of vecs[k],
+        in the rows (k, i, m) of rows."""
+        triples = [(_row(rows, (k, i, mono_mul(mu, m))), col, c)
+                   for k, v in enumerate(vecs)
+                   for (j, m), c in v.terms.items()
+                   for col, i, mu in self._entries_of[j]]
+        return Mat.from_triples(self.M.field, len(rows), len(self.pos), triples)
+
+    def _coords(self, v: Mat) -> Mat:
+        """Coordinates of the homs whose entries are the columns of v."""
+        if self._read_off:
+            return v
+        sol = self._solve_block.solve(v)
+        if sol is None:
+            raise ModuleError("hom outside the computed hom space")
+        return sol.take_rows(range(self.triv.ncols, self.triv.ncols + self.dim))
 
     def _hom_from_entry_vec(self, col: Mat) -> GradedHom:
         f = self.M.field
@@ -1030,18 +985,12 @@ class GradedHomSpace:
     def basis_hom(self, i: int) -> GradedHom:
         return self._hom_from_entry_vec(self.quot.take_columns([i]))
 
-    def _coords_of(self, homs) -> Mat:
-        """Columns: the coordinates of each hom, by one solve at most."""
-        v = self._vectorize(homs)
-        if self._read_off:
-            return v
-        sol = self._solve_block.solve(v)
-        if sol is None:
-            raise ModuleError("hom outside the computed hom space")
-        return sol.take_rows(range(self.triv.ncols, self.triv.ncols + self.dim))
-
     def coords(self, h: GradedHom) -> Mat:
-        return self._coords_of([h])
+        triples = [(_row(self.pos, (j, i, m)), 0, c)
+                   for j, col in enumerate(h.cols)
+                   for (i, m), c in col.terms.items()]
+        return self._coords(Mat.from_triples(self.M.field, len(self.pos), 1,
+                                             triples))
 
     def from_coords(self, c: Mat) -> GradedHom:
         if self.dim == 0:
@@ -1051,10 +1000,19 @@ class GradedHomSpace:
     def compose_matrix(self, U: "GradedHomSpace", post=None,
                        pre=None) -> Mat:
         """Matrix of s -> post . s, or of s -> s . pre, from coordinates
-        on this space to coordinates on U, the space it lands in."""
-        homs = [self.basis_hom(t) for t in range(self.dim)]
-        return U._coords_of([post.compose(h) for h in homs] if post is not None
-                            else [h.compose(pre) for h in homs])
+        on this space to coordinates on U, the space it lands in.
+
+        Entry (j, i, m) of s sends generator j to m times column i of
+        post, so post . s has the entries of the multiples of the columns
+        of post; s . pre has the images under s of the columns of pre.
+        """
+        if post is not None:
+            mat = _multiples(post.target.ring, post.cols, self.N.gen_twists,
+                             self.M.gen_twists, U.pos)
+        else:
+            mat = self._pre(pre.cols, U.pos)
+        # quot is the identity when the coordinates are the entries
+        return U._coords(mat if self._read_off else mat @ self.quot)
 
 
 def hom_space(M, N):

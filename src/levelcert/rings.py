@@ -135,10 +135,6 @@ class ArtinRing:
         return self.socle_dim == 1
 
     @property
-    def is_field(self) -> bool:
-        return self.dim == 1
-
-    @property
     def depth(self) -> int:
         return 0
 

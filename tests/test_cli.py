@@ -3,7 +3,7 @@ import json
 import pytest
 
 from levelcert.cli import (ParseError, VerificationError, main, parse,
-                           print_session, run_session)
+                           run_session)
 from levelcert.corpus import run_corpus
 
 
@@ -72,14 +72,6 @@ def test_statement_continuation_across_lines():
     sess = parse(src)
     assert sess.complexes["K"].support() == [0, 1]
     assert sess.commands[0][0] == ("homology", "K")
-
-
-def test_round_trip_print_parse():
-    src = KOSZUL + REGULAR + "level GI K\npd k\n"
-    sess = parse(src)
-    text = print_session(sess)
-    again = print_session(parse(text))
-    assert text == again
 
 
 def test_action_module_literal():

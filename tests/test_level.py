@@ -139,6 +139,19 @@ def test_headline_regular_ring_level(R3):
     assert rep.verify()
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_residue_field_attains_the_regular_bound(d, wall_bound):
+    # level_Proj(k) = pd k + 1 = d + 1 over a polynomial ring in d
+    # variables (Avramov-Buchweitz-Iyengar-Miller 2010), decided once the
+    # cover tower may take the d steps that the bound asks for
+    R = make_ring(f"poly(F101; {', '.join('abcde'[:d])})")
+    k = module_stalk(R, graded_residue_field(R))
+    with wall_bound(60):
+        rep = level_report(k, "proj", budget=d)
+        assert rep.verdict == ("exact", d + 1)
+        assert rep.verify()
+
+
 def test_report_builds_each_cover_step_once(A, R3, monkeypatch):
     # the upper and lower routes read one tower, so the tower makes one
     # cover step per layer, and none when no route reads it

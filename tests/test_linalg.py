@@ -423,6 +423,15 @@ def test_constructor_converts_list_entries():
                for x in Mat(QQ, 1, 2, [[1, 2]]).to_lists()[0])
 
 
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_from_triples_sums_repeated_positions(field):
+    one, three = field.of(1), field.of(3)
+    m = Mat.from_triples(field, 2, 3, [(0, 2, three), (1, 0, one),
+                                       (0, 2, three)])
+    assert m == Mat.from_rows(field, [[0, 0, 6], [1, 0, 0]])
+    assert Mat.from_triples(field, 2, 0, []).shape == (2, 0)
+
+
 @pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
 def test_matrix_data_is_one_read_only_array(field):
     A = Mat.from_rows(field, [[1, 200], [-1, 3]])

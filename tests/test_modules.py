@@ -12,8 +12,9 @@ import pytest
 
 import levelcert.rings
 from levelcert.grobner import BudgetExceeded
-from levelcert.linalg import Mat, PrimeField, vstack
-from levelcert.poly import PolyVec, parse_poly
+from levelcert.linalg import Mat, PrimeField, extend_to_basis, hstack, vstack
+from levelcert.poly import PolyVec, mono_mul, parse_poly
+from levelcert.randgen import random_complex, random_module
 from levelcert.grobner import buchberger
 from levelcert.rings import ArtinRing, GradedPolyRing, make_ring
 from levelcert.modules import (ArtinHom, ArtinModule, GradedHom, GradedModule,
@@ -403,6 +404,18 @@ def test_graded_coords_keep_their_input_checks():
     assert not hom_space(M, k)._read_off and not hom_space(M, M)._read_off
 
 
+def test_graded_space_of_trivial_homs_has_no_coordinates():
+    # every hom R(-1) -> k lands in the relations of k
+    F1 = graded_free(R2, [1])
+    k = graded_residue_field(R2)
+    H = hom_space(F1, k)
+    assert H.dim == 0 and H.triv.ncols == 2
+    assert H.coords(zero_hom(F1, k)).shape == (0, 1)
+    E = hom_space(F1, F1)
+    assert E.compose_matrix(H, post=GradedHom(F1, k, [k.zero_elem()])).shape \
+        == (0, 1)
+
+
 def test_graded_image_cokernel():
     F1 = graded_free(R2, [1, 1])
     F0 = graded_free(R2, [0])
@@ -534,3 +547,163 @@ def test_zero_module_edge_cases():
     C, _ = zg.cokernel()
     status, _ = find_isomorphism(C, kg)
     assert status == "iso"
+
+
+# ------------------------------------- graded hom spaces against a reference
+
+
+def _reference_hom_space(M, N):
+    """(entry_index, triv, quot) of degree-0 Hom(M, N) as first written:
+    one system of hand-built lists per relation of M, and the trivial
+    homs column by column."""
+    ring, f = M.ring, M.field
+    entry_index = [(j, i, m) for j, tj in enumerate(M.gen_twists)
+                   for i, ti in enumerate(N.gen_twists) if tj >= ti
+                   for m in ring.monomials(tj - ti)]
+    pos = {e: t for t, e in enumerate(entry_index)}
+    na = len(entry_index)
+    blocks = []
+    for r in M.rels:
+        dr = r.homogeneous_degree(M.gen_twists)
+        coord = {}
+        for i, ti in enumerate(N.gen_twists):
+            for m in ring.monomials(dr - ti) if dr >= ti else []:
+                coord[(i, m)] = len(coord)
+        qvars = [(s, m) for s in N.rels
+                 if (ds := s.homogeneous_degree(N.gen_twists)) is not None
+                 and dr >= ds for m in ring.monomials(dr - ds)]
+        block_a = [[f.zero] * na for _ in coord]
+        block_q = [[f.zero] * len(qvars) for _ in coord]
+        for (j, m), c in r.terms.items():
+            for (jj, ii, mu) in entry_index:
+                if jj == j:
+                    row = block_a[coord[(ii, mono_mul(mu, m))]]
+                    row[pos[(jj, ii, mu)]] = f.add(row[pos[(jj, ii, mu)]], c)
+        for qi, (s, m) in enumerate(qvars):
+            for key, c in s.mul_mono(m).terms.items():
+                block_q[coord[key]][qi] = f.sub(block_q[coord[key]][qi], c)
+        blocks.append((block_a, block_q))
+    nq = sum(len(bq[0]) if bq else 0 for _, bq in blocks)
+    data, qoff = [], 0
+    for ba, bq in blocks:
+        for ra, rq in zip(ba, bq):
+            row = list(ra) + [f.zero] * nq
+            row[na + qoff:na + qoff + len(rq)] = rq
+            data.append(row)
+        qoff += len(bq[0]) if bq else 0
+    kern = (Mat.from_rows(f, data).kernel_basis().take_rows(range(na))
+            if data else Mat.identity(f, na))
+    triv_cols = []
+    for j, tj in enumerate(M.gen_twists):
+        for s in N.rels:
+            ds = s.homogeneous_degree(N.gen_twists)
+            for m in ring.monomials(tj - ds) if ds is not None and tj >= ds \
+                    else []:
+                vec = [f.zero] * na
+                for (i, mm), c in s.mul_mono(m).terms.items():
+                    vec[pos[(j, i, mm)]] = c
+                triv_cols.append(vec)
+    triv = Mat(f, len(triv_cols), na, triv_cols).transpose() \
+        .column_space_basis()
+    full = hstack([triv, kern])
+    quot = full.take_columns(c for c in full.rref()[1] if c >= triv.ncols)
+    return entry_index, triv, quot
+
+
+def _reference_compose(H, U, post=None, pre=None):
+    """compose_matrix as first written: one hom per basis element,
+    composed and read back entry by entry. The coordinates are the
+    entries only when the quotient basis is all of them: a space whose
+    every hom is trivial has none."""
+    f = H.M.field
+    homs = []
+    for t in range(H.dim):
+        cols = [PolyVec.zero(f, H.M.ring.nvars) for _ in range(H.M.ngens)]
+        for (j, i, m), c in zip(H.entry_index, H.quot.col_entries(t)):
+            cols[j] = cols[j] + PolyVec(f, H.M.ring.nvars, {(i, m): c})
+        h = GradedHom(H.M, H.N, cols, check=False)
+        homs.append(post.compose(h) if post is not None else h.compose(pre))
+    v = [[f.zero] * len(homs) for _ in U.entry_index]
+    upos = {e: t for t, e in enumerate(U.entry_index)}
+    for k, h in enumerate(homs):
+        for j, c in enumerate(h.cols):
+            for (i, m), x in c.terms.items():
+                v[upos[(j, i, m)]][k] = f.add(v[upos[(j, i, m)]][k], x)
+    v = Mat(f, len(U.entry_index), len(homs), v)
+    if U.quot == Mat.identity(f, len(U.entry_index)):
+        return v
+    return hstack([U.triv, U.quot]).solve(v).take_rows(range(U.triv.ncols,
+                                          U.triv.ncols + U.dim))
+
+
+def _reference_hilbert(M, d):
+    rows = {(j, m): None for j, t in enumerate(M.gen_twists)
+            for m in (M.ring.monomials(d - t) if d >= t else [])}
+    rows = {key: r for r, key in enumerate(rows)}
+    cols = []
+    for r in M.rels:
+        rd = r.homogeneous_degree(M.gen_twists)
+        for m in M.ring.monomials(d - rd) if d >= rd else []:
+            col = [M.field.zero] * len(rows)
+            for key, c in r.mul_mono(m).terms.items():
+                col[rows[key]] = c
+            cols.append(col)
+    if not cols:
+        return len(rows)
+    return len(rows) - Mat(M.field, len(cols), len(rows), cols).rank()
+
+
+def _reference_min_gens_indices(M):
+    out, f = [], M.field
+    for d in sorted(set(M.gen_twists)):
+        slots = [j for j, t in enumerate(M.gen_twists) if t == d]
+        cols = [[r.terms.get((j, (0,) * M.ring.nvars), f.zero) for j in slots]
+                for r in M.rels if r.homogeneous_degree(M.gen_twists) == d]
+        w = Mat(f, len(cols), len(slots), cols).transpose()
+        out.extend(slots[i] for i in
+                   extend_to_basis(f, w.column_space_basis()))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("text", ["poly(F101; x, y)", "poly(Q; x, y)",
+                                  "poly(F2; x, y, z)"])
+def test_graded_hom_space_matches_reference(text):
+    ring = make_ring(text)
+    for seed in range(6):
+        rng = random.Random(seed)
+        mods = [random_module(ring, rng) for _ in range(3)]
+        x = random_complex(ring, rng, width=2, max_rank=2)
+        mods += [x.module(i) for i in x.support()]
+        for M in mods:
+            assert M.min_gens_indices() == _reference_min_gens_indices(M)
+            for d in range(-2, 6):
+                assert M.hilbert(d) == _reference_hilbert(M, d), (M, d)
+        for M in mods:
+            for N in mods:
+                H = hom_space(M, N)
+                entry_index, triv, quot = _reference_hom_space(M, N)
+                assert H.entry_index == entry_index
+                assert H.triv == triv and H.quot == quot
+                assert H.dim == quot.ncols
+        # composition with each differential, on either side
+        for i in x.support():
+            if i - 1 not in x.support():
+                continue
+            d = x.diff(i)
+            for M in mods:
+                H, U = hom_space(M, x.module(i)), hom_space(M, x.module(i - 1))
+                assert H.compose_matrix(U, post=d) == \
+                    _reference_compose(H, U, post=d)
+                H, U = hom_space(x.module(i - 1), M), hom_space(x.module(i), M)
+                assert H.compose_matrix(U, pre=d) == \
+                    _reference_compose(H, U, pre=d)
+
+
+def test_graded_compose_rejects_a_hom_of_nonzero_degree():
+    F0, F1 = graded_free(R2, [0]), graded_free(R2, [1])
+    # x^2 . (-) : R(-1) -> R has degree one, not zero
+    bad = GradedHom(F1, F0, [pv(R2, "x^2")], check=False)
+    with pytest.raises(ModuleError, match="not homogeneous of degree zero"):
+        hom_space(F1, F1).compose_matrix(hom_space(F1, F0), post=bad)
+    with pytest.raises(ModuleError, match="not homogeneous of degree zero"):
+        hom_space(F0, F0).compose_matrix(hom_space(F1, F0), pre=bad)

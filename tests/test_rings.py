@@ -18,7 +18,6 @@ def test_dual_numbers():
     nx = A.var_matrix(0)
     assert nx.to_lists() == [[0, 0], [1, 0]]
     assert A.is_gorenstein
-    assert not A.is_field
     assert A.socle_dim == 1
 
 
@@ -58,7 +57,6 @@ def test_unit_ideal_rejected():
 def test_field_case():
     k = ArtinRing(F2, ["x"], ["x"])
     assert k.dim == 1
-    assert k.is_field
     assert k.is_gorenstein
 
 
