@@ -44,6 +44,7 @@ from .modules import (ArtinModule, ModuleError, free_hom_from_polys,
 from .linalg import LinalgError, Mat
 from .poly import parse_poly
 from .adams import AdamsError, adams_tower, verify_splice
+from .grobner import BudgetExceeded
 from .resolutions import (ResolutionError, depth_of, dimension_report,
                           semiprojective_resolution)
 from .rings import make_ring
@@ -430,7 +431,7 @@ def _bind_ring(sess: Session, text: str, line: int, default_field):
     sess.bind(name, line)
     try:
         sess.rings[name] = make_ring(body)
-    except (ValueError, LinalgError) as e:
+    except (ValueError, LinalgError, BudgetExceeded) as e:
         raise ParseError(f"bad ring declaration: {e}", line) from e
 
 
@@ -696,7 +697,7 @@ def main(argv=None) -> int:
         sess = parse(source, default_field=args.field)
         payload = _jsonable(run_session(sess, config))
     except (ParseError, VerificationError, LevelError, ModuleError,
-            ComplexError, ResolutionError, AdamsError) as e:
+            ComplexError, ResolutionError, AdamsError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.out:

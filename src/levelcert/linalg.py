@@ -311,12 +311,15 @@ class Mat:
     differ: reduce, matmul, and the elimination step of rref with its
     working array. Treat instances as values: every operation
     returns a new Mat. Row data that is not already an array of the
-    field's dtype is converted entry by entry with field.of.
+    field's dtype is converted entry by entry with field.of. Array data
+    is reduced unless the caller passes reduced=True, which only the
+    constructors that rearrange entries of reduced arrays do.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_a", "_rref")
 
-    def __init__(self, field, nrows: int, ncols: int, data):
+    def __init__(self, field, nrows: int, ncols: int, data, *,
+                 reduced: bool = False):
         if not (isinstance(data, np.ndarray) and data.dtype == field.dtype):
             try:
                 data = [[field.of(x) for x in row] for row in data]
@@ -330,7 +333,8 @@ class Mat:
             if a.size or nrows * ncols:
                 raise LinalgError("bad row data shape")
             a = a.reshape(nrows, ncols)
-        a = field.reduce(a)
+        if not reduced:
+            a = field.reduce(a)
         a.setflags(write=False)
         self.field = field
         self.nrows = nrows
@@ -357,13 +361,14 @@ class Mat:
 
     @staticmethod
     def zeros(field, nrows: int, ncols: int) -> "Mat":
-        return Mat(field, nrows, ncols, _zeros(field, nrows, ncols))
+        return Mat(field, nrows, ncols, _zeros(field, nrows, ncols),
+                   reduced=True)
 
     @staticmethod
     def identity(field, n: int) -> "Mat":
         a = _zeros(field, n, n)
         np.fill_diagonal(a, field.one)
-        return Mat(field, n, n, a)
+        return Mat(field, n, n, a, reduced=True)
 
     @staticmethod
     def column(field, entries: Sequence) -> "Mat":
@@ -387,15 +392,32 @@ class Mat:
 
     def take_columns(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
-        return Mat(self.field, self.nrows, len(idx), self._a[:, idx])
+        return Mat(self.field, self.nrows, len(idx), self._a[:, idx],
+                   reduced=True)
 
     def take_rows(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
-        return Mat(self.field, len(idx), self.ncols, self._a[idx])
+        return Mat(self.field, len(idx), self.ncols, self._a[idx],
+                   reduced=True)
 
     def reshape(self, nrows: int, ncols: int) -> "Mat":
         """The entries in row-major order, refilled into nrows x ncols."""
-        return Mat(self.field, nrows, ncols, self._a.reshape(nrows, ncols))
+        return Mat(self.field, nrows, ncols, self._a.reshape(nrows, ncols),
+                   reduced=True)
+
+    def block_transpose(self, b: int) -> "Mat":
+        """The b x b blocks moved to their transposed places, each block
+        kept as it is: block (j, i) of the result is block (i, j) here.
+
+        For a hom d: R^q -> R^p of free modules over an algebra R of
+        dimension b, with bases ordered (generator, monomial), this is the
+        matrix of Hom(d, R): R^p -> R^q, since each block is the matrix of
+        multiplication by one entry of d.
+        """
+        p, q = self.nrows // b, self.ncols // b
+        a = self._a.reshape(p, b, q, b).transpose(2, 1, 0, 3)
+        return Mat(self.field, self.ncols, self.nrows,
+                   a.reshape(self.ncols, self.nrows), reduced=True)
 
     def to_lists(self) -> list[list]:
         return self._a.tolist()
@@ -539,7 +561,8 @@ def hstack(mats: Sequence[Mat]) -> Mat:
     f, n = mats[0].field, mats[0].nrows
     if any(m.nrows != n or m.field != f for m in mats):
         raise LinalgError("hstack mismatch")
-    return Mat(f, n, sum(m.ncols for m in mats), np.hstack([m._a for m in mats]))
+    return Mat(f, n, sum(m.ncols for m in mats),
+               np.hstack([m._a for m in mats]), reduced=True)
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
@@ -549,7 +572,8 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     f, c = mats[0].field, mats[0].ncols
     if any(m.ncols != c or m.field != f for m in mats):
         raise LinalgError("vstack mismatch")
-    return Mat(f, sum(m.nrows for m in mats), c, np.vstack([m._a for m in mats]))
+    return Mat(f, sum(m.nrows for m in mats), c,
+               np.vstack([m._a for m in mats]), reduced=True)
 
 
 def block_diag(field, mats: Sequence[Mat]) -> Mat:
@@ -558,7 +582,7 @@ def block_diag(field, mats: Sequence[Mat]) -> Mat:
     for m in mats:
         a[r:r + m.nrows, c:c + m.ncols] = m._a
         r, c = r + m.nrows, c + m.ncols
-    return Mat(field, r, c, a)
+    return Mat(field, r, c, a, reduced=True)
 
 
 def subspace_basis(vectors: Sequence[Mat]) -> Mat:

@@ -16,6 +16,17 @@ module's report. Injective-side dimensions over an artinian base go
 through vector-space duality. Gorenstein dimensions use the depth
 formula where the base ring makes it unconditional and an obstruction
 screen (Ext into the ring, reflexivity) where it does not.
+
+The screen reads Ext into an artinian ring R off ranks. For the minimal
+resolution P of M with ranks b_i and differentials d_i,
+
+    dim_k Ext^i(M, R) = dim R * b_i - rank Hom(d_{i+1}, R) - rank Hom(d_i, R),
+
+and the k-matrix of Hom(d, R) is the block transpose of the matrix of d
+(blocks of size dim R, one per entry of d), as for Tor in _complex_pd.
+Each probe runs in two phases: degree 1 from a resolution of length 2,
+and only when that degree is zero, the degrees up to the window from
+one resolution of length window + 1, cut at the first nonzero degree.
 """
 
 from __future__ import annotations
@@ -25,9 +36,9 @@ from dataclasses import dataclass, field as dataclass_field
 from .linalg import Mat, hstack
 from .poly import Poly
 from .modules import (ArtinHom, ArtinModule, GradedHom, GradedModule,
-                      artin_free, free_hom, free_hom_from_polys,
-                      free_module, find_isomorphism, graded_free,
-                      hom_entry_polys, hom_space, zero_hom, zero_module)
+                      artin_free, free_hom, free_module, find_isomorphism,
+                      graded_free, hom_entry_polys, hom_space, zero_hom,
+                      zero_module)
 from .complexes import ChainMap, Complex, cone, module_stalk
 
 
@@ -295,44 +306,41 @@ def reflexivity_map(M: ArtinModule):
 
 
 def ext_dims_into_ring(M: ArtinModule, window: int):
-    """k-dimensions of Ext^i(M, R) for i = 0..window."""
-    ring = M.ring
+    """k-dimensions of Ext^i(M, R) for i = 0..window, read off the ranks
+    of the minimal resolution P of M dualised into R (module docstring)."""
     if M.is_zero_module():
         return [0] * (window + 1)
     res = minimal_free_resolution(M, window + 1)
-    P = res.complex
-    mods = {}
-    diffs = {}
-    for i in range(0, window + 2):
-        r = res.rank(i)
-        mods[-i] = artin_free(ring, r)
-    for i in range(1, window + 2):
+    D = M.ring.dim
+
+    def dual_rank(i):
         if res.rank(i) == 0 or res.rank(i - 1) == 0:
-            continue
-        ent = hom_entry_polys(P.diff(i))
-        tr = [[ent[i2][j2] for i2 in range(len(ent))]
-              for j2 in range(len(ent[0]))]
-        diffs[1 - i] = free_hom_from_polys(mods[-(i - 1)], mods[-i], tr)
-    cx = Complex(ring, mods, diffs, check=True)
-    return [cx.hdata().homology(-i).dim for i in range(window + 1)]
+            return 0
+        return res.complex.diff(i).matrix.block_transpose(D).rank()
+
+    ranks = [dual_rank(i) for i in range(window + 2)]
+    return [D * res.rank(i) - ranks[i] - ranks[i + 1]
+            for i in range(window + 1)]
 
 
-def tr_screen(M: ArtinModule, window: int = 4) -> dict:
-    """Total-reflexivity obstruction screen over an artinian base.
+def _ext_probe(M: ArtinModule, window: int) -> list:
+    """dim Ext^i(M, R) for i = 1, 2, ... up to the first nonzero one, at
+    most window of them: degree 1 from a length-2 resolution, the rest
+    from one resolution to window + 1 only when degree 1 is zero."""
+    if window < 1:
+        return []
+    dims = ext_dims_into_ring(M, 1)[1:]
+    if not dims[0] and window > 1:
+        dims = ext_dims_into_ring(M, window)[1:]
+    hit = next((i for i, d in enumerate(dims) if d), None)
+    return dims if hit is None else dims[:hit + 1]
 
-    Probes Ext^i(M, R), bijectivity of the evaluation map, and
-    Ext^i(Hom(M, R), R) for 1 <= i <= window, stopping at the first hit.
-    A hit rules G-dimension zero out; a clean screen is evidence, not a
-    certificate. The reported lists end where the probing stopped.
-    """
+
+def _tr_screen(M: ArtinModule, window: int) -> dict:
     first = None
-    ext1 = []
-    for i in range(1, window + 1):
-        d = ext_dims_into_ring(M, i)[i]
-        ext1.append(d)
-        if d:
-            first = ("ext_to_ring", i)
-            break
+    ext1 = _ext_probe(M, window)
+    if ext1 and ext1[-1]:
+        first = ("ext_to_ring", len(ext1))
     reflexive = None
     ext2 = []
     if first is None:
@@ -342,14 +350,30 @@ def tr_screen(M: ArtinModule, window: int = 4) -> dict:
             first = ("not_reflexive", 1)
     if first is None:
         Mstar, _ = ring_dual_module(M)
-        for i in range(1, window + 1):
-            d = ext_dims_into_ring(Mstar, i)[i]
-            ext2.append(d)
-            if d:
-                first = ("dual_ext_to_ring", i)
-                break
+        ext2 = _ext_probe(Mstar, window)
+        if ext2 and ext2[-1]:
+            first = ("dual_ext_to_ring", len(ext2))
     return {"window": window, "ext_to_ring": ext1, "dual_ext_to_ring": ext2,
             "reflexive": reflexive, "first_obstruction": first}
+
+
+def tr_screen(M: ArtinModule, window: int = 4) -> dict:
+    """Total-reflexivity obstruction screen over an artinian base.
+
+    Probes Ext^i(M, R), bijectivity of the evaluation map, and
+    Ext^i(Hom(M, R), R) for 1 <= i <= window, stopping at the first hit.
+    A hit rules G-dimension zero out; a clean screen is evidence, not a
+    certificate. The reported lists end where the probing stopped.
+
+    The ring keeps one screen per (module value, window) for its own
+    lifetime; each call returns a fresh copy of it.
+    """
+    key = (M, window)
+    screen = M.ring.tr_screens.get(key)
+    if screen is None:
+        screen = M.ring.tr_screens[key] = _tr_screen(M, window)
+    return {**screen, "ext_to_ring": list(screen["ext_to_ring"]),
+            "dual_ext_to_ring": list(screen["dual_ext_to_ring"])}
 
 
 # ------------------------------------------------------ dimension reports

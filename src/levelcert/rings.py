@@ -7,7 +7,8 @@ standard-monomial basis. A GradedPolyRing is k[x_1..x_n] with the
 standard grading; its modules are handled through Groebner machinery and
 never materialize a finite basis. Each GradedPolyRing computes the Groebner
 basis and the syzygies of a generator list once and keeps them for its own
-lifetime.
+lifetime. Each ArtinRing likewise keeps the total-reflexivity screens of
+its modules (resolutions.tr_screen), one per module value and window.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class ArtinRing:
         self.dim = len(self.basis_monos)
         self.index = {m: i for i, m in enumerate(self.basis_monos)}
         self._reg = None
+        # tr_screen keeps one screen per (module, window) here
+        self.tr_screens = {}
         self._check_local()
 
     def _standard_monomials(self):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import levelcert.rings
 from levelcert.cli import (ParseError, VerificationError, main, parse,
                            run_session)
 from levelcert.corpus import run_corpus
+from levelcert.grobner import BudgetExceeded
 
 
 KOSZUL = """\
@@ -259,3 +261,38 @@ def test_corpus_perturbed_row_fails():
     assert table["total"] == 1
     assert not table["rows"][0]["ok"]
     assert not table["all_ok"]
+
+
+@pytest.fixture
+def no_groebner_budget(monkeypatch):
+    """Every Groebner basis a ring asks for runs over its pair budget."""
+    def over_budget(gens, *args, **kwargs):
+        raise BudgetExceeded(1)
+
+    monkeypatch.setattr(levelcert.rings, "buchberger", over_budget)
+
+
+def test_budget_in_ring_declaration_is_a_clean_error(tmp_path, capsys,
+                                                      no_groebner_budget):
+    script = tmp_path / "ring.lvc"
+    script.write_text("R = poly(F101; x)\nA = artin(F2; x | x^2)\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: line 2, column 1: bad ring declaration: Groebner pair "
+        "budget exceeded after 1 S-pairs")
+
+
+def test_budget_in_command_is_a_clean_error(tmp_path, capsys,
+                                            no_groebner_budget):
+    # declaring a graded complex computes no Groebner basis; its homology
+    # does
+    script = tmp_path / "command.lvc"
+    script.write_text("R = poly(F101; x, y)\n"
+                      "complex K over R : range 1..0 ; twists 1 = [1, 1] ; "
+                      "d1 = [[x, y]]\n"
+                      "homology K\n")
+    assert main([str(script)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "error: Groebner pair budget exceeded after 1 S-pairs")

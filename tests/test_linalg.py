@@ -606,3 +606,40 @@ def test_q_rref_scales_whole_rows():
     X = A.solve(b)
     assert X.col_entries(0) == [Fraction(-7, 3), 0, Fraction(2, 3), 0]
     assert A @ X == b
+
+
+def test_rearranging_constructors_keep_entries_reduced():
+    # these skip field.reduce, since they only move reduced entries
+    rng = random.Random("rearrange")
+    F7 = PrimeField(7)
+    a = Mat(F7, 4, 6, [[rng.randint(-20, 20) for _ in range(6)]
+                       for _ in range(4)])
+    b = Mat(F7, 4, 6, [[rng.randint(-20, 20) for _ in range(6)]
+                       for _ in range(4)])
+    built = [a.take_rows([3, 0, 0]), a.take_columns([5, 1]), a.col(2),
+             a.reshape(6, 4), a.block_transpose(2), hstack([a, b]),
+             vstack([a, b]), Mat.identity(F7, 3), Mat.zeros(F7, 2, 3),
+             block_diag(F7, [a, b])]
+    for m in built:
+        entries = np.asarray(m.to_lists()).ravel()
+        assert ((entries >= 0) & (entries < 7)).all(), m
+
+
+def test_constructor_reduces_array_data():
+    assert Mat(F5, 1, 1, np.array([[7]])).entry(0, 0) == 2
+    assert Mat(F5, 1, 2, np.array([[-1, 12]])).to_lists() == [[4, 2]]
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_block_transpose_moves_blocks_not_entries(field):
+    # a 2 x 3 grid of 2 x 2 blocks; block (i, j) holds 10 * i + j in its
+    # top left corner and 1 below it, so a transposed block would show
+    blocks = [[Mat.from_rows(field, [[10 * i + j, 0], [1, 0]])
+               for j in range(3)] for i in range(2)]
+    m = vstack([hstack(row) for row in blocks])
+    t = m.block_transpose(2)
+    assert t.shape == (6, 4)
+    assert t == vstack([hstack([blocks[i][j] for i in range(2)])
+                        for j in range(3)])
+    assert t.block_transpose(2) == m
+    assert Mat.zeros(field, 0, 4).block_transpose(2).shape == (4, 0)

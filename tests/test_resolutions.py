@@ -4,19 +4,25 @@ Expected values are hand computations; the derivation is recorded next
 to each frozen number.
 """
 
+import random
+
 import pytest
 
+import levelcert.resolutions
+from levelcert.randgen import random_artin_module
 from levelcert.rings import make_ring
-from levelcert.modules import (ArtinHom, artin_free, artin_residue_field,
-                               find_isomorphism, free_module, graded_free,
+from levelcert.modules import (ArtinHom, ArtinModule, artin_free,
+                               artin_residue_field, find_isomorphism,
+                               free_hom_from_polys, free_module, graded_free,
                                graded_residue_field, graded_submodule,
-                               GradedHom, zero_module)
+                               GradedHom, hom_entry_polys, zero_module)
 from levelcert.complexes import Complex, is_quasi_iso, module_stalk
 from levelcert.linalg import Mat
 from levelcert.resolutions import (check_ses_dimension_calculus, depth_of,
                                    dimension_report, ext_dims_into_ring,
                                    koszul_complex, minimal_free_resolution,
-                                   reflexivity_map, semiprojective_resolution,
+                                   reflexivity_map, ring_dual_module,
+                                   semiprojective_resolution,
                                    ses_dimension_bounds, tr_screen,
                                    verify_module_ses)
 
@@ -178,6 +184,159 @@ def test_tr_screen(A, B):
     assert sca["ext_to_ring"] == [0, 0, 0]
     ev, _ = reflexivity_map(ka)
     assert ev.is_iso()
+
+
+# ------------------------------------------- Ext into the ring, oracle
+
+
+def hom_complex_ext_dims(M, window):
+    """dim Ext^i(M, R), i = 0..window, as the homology of Hom(P, R) built
+    as a complex of free modules from the transposed polynomial entries
+    of the minimal resolution P; the reference for the rank rule."""
+    ring = M.ring
+    if M.is_zero_module():
+        return [0] * (window + 1)
+    res = minimal_free_resolution(M, window + 1)
+    mods = {-i: artin_free(ring, res.rank(i)) for i in range(window + 2)}
+    diffs = {}
+    for i in range(1, window + 2):
+        if res.rank(i) == 0 or res.rank(i - 1) == 0:
+            continue
+        ent = hom_entry_polys(res.complex.diff(i))
+        tr = [list(col) for col in zip(*ent)]
+        diffs[1 - i] = free_hom_from_polys(mods[1 - i], mods[-i], tr)
+    cx = Complex(ring, mods, diffs, check=True)
+    return [cx.hdata().homology(-i).dim for i in range(window + 1)]
+
+
+def reference_screen(M, window):
+    """The screen probed one degree at a time, each degree from its own
+    resolution, with hom_complex_ext_dims."""
+    first = None
+    ext1 = []
+    for i in range(1, window + 1):
+        d = hom_complex_ext_dims(M, i)[i]
+        ext1.append(d)
+        if d:
+            first = ("ext_to_ring", i)
+            break
+    reflexive = None
+    ext2 = []
+    if first is None:
+        ev, _ = reflexivity_map(M)
+        reflexive = ev.is_iso()
+        if not reflexive:
+            first = ("not_reflexive", 1)
+    if first is None:
+        Mstar, _ = ring_dual_module(M)
+        for i in range(1, window + 1):
+            d = hom_complex_ext_dims(Mstar, i)[i]
+            ext2.append(d)
+            if d:
+                first = ("dual_ext_to_ring", i)
+                break
+    return {"window": window, "ext_to_ring": ext1, "dual_ext_to_ring": ext2,
+            "reflexive": reflexive, "first_obstruction": first}
+
+
+ORACLE_RINGS = ["artin(F2; x, y | x^2, x*y, y^2)", "artin(F3; x, y | x^2, y^2)",
+                "artin(F101; x | x^2)", "artin(Q; x | x^2)"]
+
+
+@pytest.mark.parametrize("decl", ORACLE_RINGS)
+def test_ext_rank_rule_matches_hom_complex(decl):
+    ring = make_ring(decl)
+    rng = random.Random(f"ext-oracle {decl}")
+    # most random modules come out free; keep the first free one and up
+    # to three that are not
+    drawn = [random_artin_module(ring, rng, max_rank=2) for _ in range(40)]
+    free = [M for M in drawn if M.is_free() and M.dim]
+    other = [M for M in drawn if not M.is_free()]
+    assert free and other
+    for M in [artin_residue_field(ring), free[0]] + other[:3]:
+        for window in range(4):
+            assert ext_dims_into_ring(M, window) == \
+                hom_complex_ext_dims(M, window), (M.dim, window)
+            assert tr_screen(M, window) == reference_screen(M, window)
+
+
+def test_screen_cuts_the_long_probe_at_the_first_hit(monkeypatch):
+    # no ring at hand has Ext^1(M, R) = 0 != Ext^i(M, R) for some i > 1,
+    # so the second phase is fed made-up dimensions
+    asked = []
+
+    def made_up(M, window):
+        asked.append(window)
+        return [5, 0, 0, 3, 1][:window + 1]
+
+    monkeypatch.setattr(levelcert.resolutions, "ext_dims_into_ring",
+                        made_up)
+    ring = make_ring("artin(F2; x | x^2)")
+    sc = tr_screen(artin_residue_field(ring), 4)
+    assert asked == [1, 4]
+    assert sc["ext_to_ring"] == [0, 0, 3]
+    assert sc["first_obstruction"] == ("ext_to_ring", 3)
+    assert sc["reflexive"] is None and sc["dual_ext_to_ring"] == []
+
+
+# ---------------------------------------------- per-ring screen memo
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """(module in degree 0, ceiling) of every resolution started."""
+    calls = []
+    orig = levelcert.resolutions.semiprojective_resolution
+
+    def counted(x, ceiling=None):
+        calls.append((x.module(0), ceiling))
+        return orig(x, ceiling)
+
+    monkeypatch.setattr(levelcert.resolutions, "semiprojective_resolution",
+                        counted)
+    return calls
+
+
+def test_screen_is_kept_per_module_value(resolved):
+    ring = make_ring("artin(F2; x, y | x^2, x*y, y^2)")
+    M = artin_residue_field(ring)
+    first = tr_screen(M, 3)
+    assert resolved
+    resolved.clear()
+    twin = ArtinModule(ring, M.dim, M.actions)
+    assert twin is not M
+    assert tr_screen(twin, 3) == first
+    assert resolved == []
+
+
+def test_returned_screen_is_a_copy():
+    ring = make_ring("artin(F2; x | x^2)")
+    k = artin_residue_field(ring)
+    sc = tr_screen(k, 3)
+    want = reference_screen(k, 3)
+    assert sc == want
+    sc["ext_to_ring"].append(7)
+    sc["dual_ext_to_ring"].clear()
+    sc["reflexive"] = False
+    assert tr_screen(k, 3) == want
+
+
+def test_window_is_part_of_the_key(resolved):
+    ring = make_ring("artin(F2; x | x^2)")
+    k = artin_residue_field(ring)
+    assert tr_screen(k, 2)["ext_to_ring"] == [0, 0]
+    resolved.clear()
+    assert tr_screen(k, 3)["ext_to_ring"] == [0, 0, 0]
+    assert resolved
+
+
+def test_clean_screen_resolves_module_twice(resolved):
+    ring = make_ring("artin(F2; x | x^2)")
+    k = artin_residue_field(ring)
+    sc = tr_screen(k, 3)
+    assert sc["first_obstruction"] is None
+    # Hom(k, R) is the socle, again k, so the dual is resolved too
+    assert [c for m, c in resolved if m is k] == [2, 4]
 
 
 def test_gpd_non_gorenstein(B):
