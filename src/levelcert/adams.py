@@ -13,9 +13,8 @@ of a cover step on the dual complex.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .modules import free_hom, artin_free, graded_free
+from .modules import free_hom, free_module
 from .complexes import ChainMap, Complex, Triangle
-from .resolutions import _elem_degree
 
 
 class AdamsError(ValueError):
@@ -68,10 +67,7 @@ def adams_step_proj(m: Complex) -> AdamsStep:
             zc = pi.solve_preimage(hgen)
             assert zc is not None
             reps.append(zeta.apply(zc))
-        if ring.kind == "artin":
-            Fi = artin_free(ring, len(hg))
-        else:
-            Fi = graded_free(ring, [_elem_degree(H, e) for e in hg])
+        Fi = free_module(ring, [H.degree(e) for e in hg])
         fmods[i] = Fi
         comps[i] = free_hom(Fi, m.module(i), reps)
         cover[i] = free_hom(Fi, H, hg)

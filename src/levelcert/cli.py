@@ -196,27 +196,40 @@ def _parse_int_list(text: str, line: int):
         raise ParseError(f"bad integer list: {e}", line) from e
 
 
+def _parse_rank(text: str, line: int) -> int:
+    try:
+        n = int(text.strip())
+    except ValueError:
+        raise ParseError(f"expected a rank, not {text.strip()!r}",
+                         line) from None
+    if n < 0:
+        raise ParseError(f"a rank must be at least 0, not {n}", line)
+    return n
+
+
+def _parse_twists(ring, text: str, line: int):
+    if ring.kind == "artin":
+        raise ParseError("twist lists only apply to graded rings", line)
+    return _parse_int_list(text, line)
+
+
 def _poly_matrix_to_hom(ring, rows, line: int):
     """Cokernel presentation: rows index the target free module."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    if ring.kind == "artin":
-        tgt = free_module(ring, nrows)
-        src = free_module(ring, ncols)
-    else:
-        # entries must be homogeneous; target sits in twist 0 and each
-        # source generator picks up the degree of its column
-        tgt = free_module(ring, [0] * nrows)
-        twists = []
+    # the target sits in twist 0; over a graded ring the entries must be
+    # homogeneous and each source generator picks up its column's degree
+    twists = [0] * ncols
+    if ring.kind != "artin":
         for j in range(ncols):
             degs = {rows[i][j].homogeneous_degree()
                     for i in range(nrows) if not rows[i][j].is_zero()}
             if None in degs or len(degs) > 1:
                 raise VerificationError(
                     f"column {j} of the matrix is not homogeneous", line)
-            twists.append(degs.pop() if degs else 0)
-        src = free_module(ring, twists)
-    return free_hom_from_polys(src, tgt, rows)
+            twists[j] = degs.pop() if degs else 0
+    return free_hom_from_polys(free_module(ring, twists),
+                               free_module(ring, [0] * nrows), rows)
 
 
 def _bind_module(sess: Session, text: str, line: int):
@@ -240,19 +253,10 @@ def _bind_module(sess: Session, text: str, line: int):
         elif body.startswith("free"):
             tail = body[len("free"):].strip()
             if tail.startswith("["):
-                arg = _parse_int_list(tail, line)
-                if ring.kind == "artin":
-                    raise ParseError(
-                        "twist lists only apply to graded rings", line)
+                twists = _parse_twists(ring, tail, line)
             else:
-                try:
-                    arg = int(tail)
-                except ValueError:
-                    raise ParseError("expected a rank or twist list",
-                                     line) from None
-                if ring.kind != "artin":
-                    arg = [0] * arg
-            mod = free_module(ring, arg)
+                twists = [0] * _parse_rank(tail, line)
+            mod = free_module(ring, twists)
         elif body.startswith("action"):
             if ring.kind != "artin":
                 raise ParseError("action literals need an artinian ring",
@@ -350,13 +354,10 @@ def _bind_complex(sess: Session, text: str, line: int):
             dmats[i] = _parse_matrix(body, ring, line)
         elif key.split()[0] == "twists":
             i = _part_index(key, "twists", line)
-            twists[i] = _parse_int_list(body, line)
+            twists[i] = _parse_twists(ring, body, line)
         elif key.split()[0] == "rank":
             i = _part_index(key, "rank", line)
-            try:
-                ranks[i] = int(body.strip())
-            except ValueError:
-                raise ParseError("rank takes an integer", line) from None
+            ranks[i] = _parse_rank(body, line)
         else:
             raise ParseError(f"unknown complex part {key!r}", line)
     sess.complexes[name] = _build_complex(
@@ -392,11 +393,7 @@ def _build_complex(ring, name, hi, lo, dmats, twists, ranks, line):
     mods = {}
     for i in range(lo, hi + 1):
         n = sizes.get(i, 0)
-        if n == 0:
-            continue
-        if ring.kind == "artin":
-            mods[i] = free_module(ring, n)
-        else:
+        if n:
             mods[i] = free_module(ring, twists.get(i, [0] * n))
     diffs = {}
     try:

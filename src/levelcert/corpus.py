@@ -94,7 +94,7 @@ def _case_koszul_ginj_upper():
 def _case_flat_upper_triangle():
     ring = make_ring("poly(F101; x, y)")
     m = random_free_homology_complex(ring, random.Random(9), pieces=2)
-    cert = upper_via_cycle_boundary(m, "flat", variant="zb")
+    cert = upper_via_cycle_boundary(m, "flat")
     return {"value": cert.value, "at_most_two": cert.value <= 2,
             "verified": cert.verify()}
 
@@ -127,7 +127,7 @@ def _case_residue_ginj_report():
 
 def _case_bass_applies():
     ring = _square_zero_ring()
-    e = module_stalk(ring, free_module(ring, 1).dual())
+    e = module_stalk(ring, free_module(ring, [0]).dual())
     rep = bass_check(e)
     return {"applies": rep["applies"], "level_inj": rep["level_inj"],
             "depth_plus_one": depth_of(e) + 1}

@@ -343,7 +343,7 @@ class UpperCertificate(BoundCertificate):
             return 0 if _is_exact(self.subject) else None
         if self.route == "one-step":
             return 1 if _says(self.level_one, "yes") else None
-        if self.route in ("cycle-boundary", "boundary-cokernel"):
+        if self.route == "cycle-boundary":
             if len(tris) != 1:
                 return None
             # an empty quotient layer leaves the sub layer alone
@@ -375,64 +375,48 @@ def _zero_diff_complex(ring, mods: dict) -> Complex:
                           if not M.is_zero_module()}, {}, check=False)
 
 
-def upper_via_cycle_boundary(m: Complex, cls: str, variant: str = "auto",
-                             window: int = 4):
-    """Two-layer bound from a degreewise split of m into stalk complexes.
+def upper_via_cycle_boundary(m: Complex, cls: str, window: int = 4):
+    """Two-layer bound from the triangle Z -> m -> shift(B) built on the
+    cycle inclusion: both outer layers have zero differentials, so if
+    every cycle and boundary module lies in C the level is at most 2.
 
-    Variant "zb": triangle Z -> m -> shift(B) built on the cycle
-    inclusion; variant "bc": triangle B -> m -> m/B built on the boundary
-    inclusion. Either way both outer layers have zero differentials, so
-    if their entries lie in C the level is at most 2.
+    The triangle B -> m -> m/B on the boundary inclusion never does
+    better. Every class decided here (free modules, their duals, all
+    modules over a Gorenstein artinian base) is closed under extensions,
+    kernels of surjections and summands. So if every B_i and X_i/B_i
+    lies in C, then so do H_i, by 0 -> H_i -> X_i/B_i -> B_{i-1} -> 0,
+    and Z_i; and the quotient layer X/B is zero only when m is.
     """
     cls = normalize_class(cls)
     hd = m.hdata()
-    ring = m.ring
     degs = sorted(m.support())
-    variants = ("zb", "bc") if variant == "auto" else (variant,)
-    for var in variants:
-        subs, quots = {}, {}
-        for i in degs:
-            if var == "zb":
-                z, zeta = hd.cycles(i)
-                subs[i] = (z, zeta)
-                quots[i] = hd.boundaries(i - 1)[0]
-            else:
-                b, beta, _ = hd.boundaries(i)
-                subs[i] = (b, beta)
-                quots[i] = hd.cmod(i)[0]
-        sub_mods = [subs[i][0] for i in degs]
-        quot_mods = [quots[i] for i in degs]
-        if not _stalk_members_ok(sub_mods + quot_mods, cls, window):
-            continue
-        sub_cx = _zero_diff_complex(ring, {i: subs[i][0] for i in degs})
-        quot_cx = _zero_diff_complex(ring, {i: quots[i] for i in degs})
-        # the d^2 check of the cone confirms that u is a chain map
-        u = ChainMap(sub_cx, m, {i: subs[i][1] for i in degs
-                                 if not subs[i][0].is_zero_module()},
-                     check=False)
-        cd = cone(u)
-        tcomps = {}
-        for i in cd.complex.support():
-            if i not in quot_cx.support():
-                continue
-            prb = cd.pr_b[i]
-            if var == "zb":
-                target_epi = hd.boundaries(i - 1)[2]
-            else:
-                target_epi = hd.cmod(i)[1]
-            tcomps[i] = target_epi.compose(prb)
-        t = ChainMap(cd.complex, quot_cx, tcomps, check=False)
-        tri = Triangle(u, quot_cx, t, cone_data=cd)
-        # an empty quotient layer means the sub layer alone is already
-        # quasi-isomorphic to m, so the bound tightens to one
-        value = 1 if quot_cx.is_zero_complex() else 2
-        return UpperCertificate(
-            cls, value,
-            "cycle-boundary" if var == "zb" else "boundary-cokernel",
-            data={"sub_support": [int(i) for i in sub_cx.support()],
-                  "quotient_support": [int(i) for i in quot_cx.support()]},
-            triangles=[tri])
-    return None
+    cycles, bounds = {}, {}
+    for i in degs:
+        cycles[i] = hd.cycles(i)           # (Z_i, inclusion)
+        bounds[i] = hd.boundaries(i - 1)   # (B_{i-1}, inclusion, epi)
+    if not _stalk_members_ok([cycles[i][0] for i in degs]
+                             + [bounds[i][0] for i in degs], cls, window):
+        return None
+    sub_cx = _zero_diff_complex(m.ring, {i: cycles[i][0] for i in degs})
+    quot_cx = _zero_diff_complex(m.ring, {i: bounds[i][0] for i in degs})
+    # the d^2 check of the cone confirms that u is a chain map
+    u = ChainMap(sub_cx, m, {i: cycles[i][1] for i in degs
+                             if not cycles[i][0].is_zero_module()},
+                 check=False)
+    cd = cone(u)
+    t = ChainMap(cd.complex, quot_cx,
+                 {i: bounds[i][2].compose(cd.pr_b[i])
+                  for i in cd.complex.support() if i in quot_cx.support()},
+                 check=False)
+    tri = Triangle(u, quot_cx, t, cone_data=cd)
+    # an empty quotient layer means the sub layer alone is already
+    # quasi-isomorphic to m, so the bound tightens to one
+    value = 1 if quot_cx.is_zero_complex() else 2
+    return UpperCertificate(
+        cls, value, "cycle-boundary",
+        data={"sub_support": [int(i) for i in sub_cx.support()],
+              "quotient_support": [int(i) for i in quot_cx.support()]},
+        triangles=[tri])
 
 
 def upper_via_stratification(m: Complex, cls: str, window: int = 4):

@@ -9,9 +9,14 @@ stored as generator twists plus homogeneous relation vectors. Elements
 are PolyVecs over the generators; equality is normal-form equality
 modulo the relation Groebner basis.
 
-Both hom types expose the same vocabulary (kernel, image, cokernel,
-lift_through, factor_through, solve_preimage, ...), so the complex and
-resolution layers stay backend-agnostic. hom_space(M, N) gives exact
+Both backends share one vocabulary, so the complex and resolution layers
+stay backend-agnostic. free_module(ring, twists) builds a free module
+from a twist list on either ring (an artinian ring is ungraded and
+counts the twists), and M.degree(e) is the degree of a homogeneous
+element (always 0 on an ArtinModule), so a free cover of any module is
+free_module(ring, [M.degree(g) for g in gens]). The homs share kernel,
+image, cokernel, lift_through, factor_through, solve_preimage, ...;
+top_matrices is the one routine for h (x) k. hom_space(M, N) gives exact
 k-linear coordinates on Hom(M, N), zero exactly on the zero hom; all
 homotopy-theoretic linear algebra runs through it. On both backends a
 hom is the images of the generators of M, which must kill the relations
@@ -102,6 +107,10 @@ class ArtinModule:
     # elements are dim x 1 Mats
     def zero_elem(self) -> Mat:
         return Mat.zeros(self.field, self.dim, 1)
+
+    def degree(self, e: Mat) -> int:
+        """An artinian module is ungraded: every element has degree 0."""
+        return 0
 
     def basis_elem(self, i: int) -> Mat:
         return Mat.identity(self.field, self.dim).take_columns([i])
@@ -353,6 +362,13 @@ class GradedModule:
     def gen_elem(self, j: int) -> PolyVec:
         return PolyVec.unit(self.field, self.ring.nvars, j)
 
+    def degree(self, e: PolyVec) -> int:
+        """The degree of a homogeneous element."""
+        d = e.homogeneous_degree(self.gen_twists)
+        if d is None:
+            raise ModuleError("element is not homogeneous")
+        return d
+
     def elem_eq(self, a: PolyVec, b: PolyVec) -> bool:
         return self.nf(a - b).is_zero()
 
@@ -476,14 +492,8 @@ def graded_submodule(ambient: GradedModule, gens, drop_zeros: bool = True):
     if not gens:
         K = GradedModule(ambient.ring, [], [], check=False)
         return K, GradedHom(K, ambient, [], check=False)
-    twists = []
-    for g in gens:
-        d = g.homogeneous_degree(ambient.gen_twists)
-        if d is None:
-            raise ModuleError("submodule generator is not homogeneous")
-        twists.append(d)
-    rels = ambient.relations_of(gens)
-    K = GradedModule(ambient.ring, twists, rels, check=False)
+    K = GradedModule(ambient.ring, [ambient.degree(g) for g in gens],
+                     ambient.relations_of(gens), check=False)
     incl = GradedHom(K, ambient, list(gens), check=False)
     return K, incl
 
@@ -641,17 +651,16 @@ class GradedHom:
 # ----------------------------------------------------- mode-generic wrappers
 
 
-def free_module(ring, rank_or_twists):
+def free_module(ring, twists):
+    """The free module on generators of the given twists. An artinian
+    ring is ungraded, so there only the number of twists counts."""
     if ring.kind == "artin":
-        return artin_free(ring, rank_or_twists)
-    return graded_free(ring, rank_or_twists)
+        return artin_free(ring, len(twists))
+    return graded_free(ring, twists)
 
 
 def zero_module(ring):
-    if ring.kind == "artin":
-        return ArtinModule(ring, 0, [Mat.zeros(ring.field, 0, 0)] * ring.nvars,
-                           check=False)
-    return GradedModule(ring, [], [], check=False)
+    return free_module(ring, [])
 
 
 def zero_hom(M, N):
@@ -662,16 +671,13 @@ def zero_hom(M, N):
 
 def free_cover(M):
     """(F, phi) with F free and phi a surjection onto M from minimal generators."""
+    gens = M.min_gens()
+    F = free_module(M.ring, [M.degree(g) for g in gens])
     if M.mode == "artin":
-        gens = M.min_gens()
-        F = artin_free(M.ring, len(gens))
         phi = free_hom(F, M, gens)
         assert phi.is_surjective()
         return F, phi
-    idx = M.min_gens_indices()
-    F = graded_free(M.ring, [M.gen_twists[j] for j in idx])
-    phi = GradedHom(F, M, [M.gen_elem(j) for j in idx], check=False)
-    return F, phi
+    return F, GradedHom(F, M, gens, check=False)
 
 
 def direct_sum(mods):
@@ -738,34 +744,6 @@ def _artin_free_hom(F, N, images: Mat) -> ArtinHom:
     order = [m * n + j for j in range(n) for m in range(len(monos))]
     # equivariant by construction
     return ArtinHom(F, N, mat.take_columns(order), check=False)
-
-
-def hom_entry_polys(h):
-    """Polynomial entry matrix of a hom between free modules.
-
-    Rows index target generators, columns source generators; entries are
-    reduced modulo the ring relations in the artin case.
-    """
-    if h.source.mode == "artin":
-        ring = h.source.ring
-        d = ring.dim
-        m, n = h.target.free_rank, h.source.free_rank
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(n):
-                ent = h.matrix.col_entries(j * d)[i * d:(i + 1) * d]
-                row.append(ring.poly_of_coeffs(ent))
-            out.append(row)
-        return out
-    ring = h.source.ring
-    m, n = h.target.free_rank, h.source.free_rank
-    out = [[Poly.zero(ring.field, ring.nvars) for _ in range(n)]
-           for _ in range(m)]
-    for j in range(n):
-        for (i, mono), c in h.cols[j].terms.items():
-            out[i][j] = out[i][j] + Poly(ring.field, ring.nvars, {mono: c})
-    return out
 
 
 def free_hom_from_polys(F, G, entries):
@@ -1026,6 +1004,9 @@ def hom_space(M, N):
 
 def top_matrices(homs):
     """Matrices of h (x) k : M/mM -> N/mN for homs h: M -> N with one M, N.
+
+    This is the one routine for h (x) k: the level-one test, the
+    isomorphism search and the Tor ranks of a free resolution read it.
 
     Columns follow the minimal generators of M; rows are a basis of the
     functionals on N that vanish on mN. By Nakayama a hom is surjective

@@ -8,7 +8,7 @@ each differential factors through the cycles of the previous one.
 from fractions import Fraction
 
 from .linalg import Mat
-from .modules import artin_free, free_module, graded_free, hom_space, zero_hom
+from .modules import free_module, hom_space, zero_hom
 from .complexes import Complex, complex_direct_sum, module_stalk
 
 
@@ -37,11 +37,11 @@ def random_automorphism(M, rng, tries: int = 64):
 def random_artin_module(ring, rng, max_rank: int = 3):
     """Free module, a random quotient, or a random submodule of one."""
     rank = rng.randint(1, max_rank)
-    F = artin_free(ring, rank)
+    F = free_module(ring, [0] * rank)
     shape = rng.randrange(3)
     if shape == 0:
         return F
-    other = artin_free(ring, rng.randint(1, max_rank))
+    other = free_module(ring, [0] * rng.randint(1, max_rank))
     h = random_hom(other, F, rng) if shape == 1 else random_hom(F, other, rng)
     if h is None:
         return F
@@ -55,11 +55,11 @@ def random_artin_module(ring, rng, max_rank: int = 3):
 def random_graded_module(ring, rng, max_rank: int = 3, max_twist: int = 2):
     rank = rng.randint(1, max_rank)
     tw = [rng.randint(0, max_twist) for _ in range(rank)]
-    F = graded_free(ring, tw)
+    F = free_module(ring, tw)
     if rng.randrange(2) == 0:
         return F
-    other = graded_free(ring, [rng.randint(0, max_twist)
-                               for _ in range(rng.randint(1, max_rank))])
+    other = free_module(ring, [rng.randint(0, max_twist)
+                              for _ in range(rng.randint(1, max_rank))])
     h = random_hom(other, F, rng)
     if h is None or h.is_zero():
         return F
@@ -141,14 +141,15 @@ def random_injective_homology_complex(ring, rng, lo: int = 0,
                                       pieces: int = 3) -> Complex:
     """Artinian complex whose homology is a sum of injective stalks."""
     assert ring.kind == "artin"
-    E = artin_free(ring, 1).dual()
+    E = free_module(ring, [0]).dual()
     parts = []
     for _ in range(pieces):
         at = rng.randint(lo, lo + width)
         if rng.randrange(2) == 0:
             parts.append(module_stalk(ring, E, at))
         else:
-            parts.append(_disk(artin_free(ring, rng.randint(1, 2)), at))
+            parts.append(_disk(free_module(ring, [0] * rng.randint(1, 2)),
+                               at))
     if not any(p.diffs == {} for p in parts):
         parts.append(module_stalk(ring, E, rng.randint(lo, lo + width)))
     return _scramble(complex_direct_sum(parts)[0], rng)
@@ -162,14 +163,13 @@ def random_free_homology_complex(ring, rng, lo: int = 0, width: int = 2,
     parts = []
     for _ in range(pieces):
         at = rng.randint(lo, lo + width)
-        F = free_module(ring, [0] * rng.randint(1, 2)
-                        if ring.kind != "artin" else rng.randint(1, 2))
+        F = free_module(ring, [0] * rng.randint(1, 2))
         if rng.randrange(2) == 0:
             parts.append(module_stalk(ring, F, at))
         else:
             parts.append(_disk(F, at))
     if not any(p.diffs == {} for p in parts):
-        F = free_module(ring, [0] if ring.kind != "artin" else 1)
+        F = free_module(ring, [0])
         parts.append(module_stalk(ring, F, rng.randint(lo, lo + width)))
     return _scramble(complex_direct_sum(parts)[0], rng)
 
@@ -179,11 +179,8 @@ def random_module_ses(ring, rng, max_rank: int = 3):
     M = random_module(ring, rng, max_rank)
     while M.is_zero_module():
         M = random_module(ring, rng, max_rank)
-    probe = random_hom(M, free_module(
-        ring, [0] if ring.kind != "artin" else 1), rng)
-    if probe is None:
-        probe = zero_hom(M, free_module(
-            ring, [0] if ring.kind != "artin" else 1))
+    R = free_module(ring, [0])
+    probe = random_hom(M, R, rng) or zero_hom(M, R)
     _, incl = probe.kernel()
     _, proj = incl.cokernel()
     return incl, proj

@@ -23,7 +23,8 @@ resolution P of M with ranks b_i and differentials d_i,
     dim_k Ext^i(M, R) = dim R * b_i - rank Hom(d_{i+1}, R) - rank Hom(d_i, R),
 
 and the k-matrix of Hom(d, R) is the block transpose of the matrix of d
-(blocks of size dim R, one per entry of d), as for Tor in _complex_pd.
+(blocks of size dim R, one per entry of d). Tor in _complex_pd is read
+the same way, from the ranks of d (x) k (modules.top_matrices).
 Each probe runs in two phases: degree 1 from a resolution of length 2,
 and only when that degree is zero, the degrees up to the window from
 one resolution of length window + 1, cut at the first nonzero degree.
@@ -36,9 +37,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .linalg import Mat, hstack
 from .poly import Poly
 from .modules import (ArtinHom, ArtinModule, GradedHom, GradedModule,
-                      artin_free, free_hom, free_module, find_isomorphism,
-                      graded_free, hom_entry_polys, hom_space, zero_hom,
-                      zero_module)
+                      free_hom, free_module, find_isomorphism, hom_space,
+                      top_matrices, zero_hom, zero_module)
 from .complexes import ChainMap, Complex, cone, module_stalk
 
 
@@ -48,13 +48,6 @@ class ResolutionError(ValueError):
 
 def _is_complex(obj) -> bool:
     return isinstance(obj, Complex)
-
-
-def _elem_degree(M, e):
-    d = e.homogeneous_degree(M.gen_twists)
-    if d is None:
-        raise ResolutionError("element is not homogeneous")
-    return d
 
 
 @dataclass
@@ -179,12 +172,8 @@ def semiprojective_resolution(x: Complex, ceiling: int | None = None) -> Resolut
 
         rank = len(z_imgs) + len(y_elems)
         ranks[i] = rank
-        if ring.kind == "artin":
-            Pi = artin_free(ring, rank)
-        else:
-            tw = [_elem_degree(Xi, e) for e in z_imgs]
-            tw += [_elem_degree(prev_mod, e) for e in y_elems]
-            Pi = graded_free(ring, tw)
+        Pi = free_module(ring, [Xi.degree(e) for e in z_imgs]
+                         + [prev_mod.degree(e) for e in y_elems])
         if rank:
             mods[i] = Pi
             diffs[i] = free_hom(Pi, prev_mod,
@@ -259,8 +248,7 @@ def koszul_of_complex(x: Complex) -> Complex:
 
 def koszul_complex(ring) -> Complex:
     """Koszul complex on all ring variables over the free rank-one module."""
-    return koszul_of_complex(module_stalk(ring, free_module(
-        ring, 1 if ring.kind == "artin" else [0])))
+    return koszul_of_complex(module_stalk(ring, free_module(ring, [0])))
 
 
 def depth_of(obj):
@@ -279,7 +267,7 @@ def depth_of(obj):
 def ring_dual_module(M: ArtinModule):
     """(Hom(M, R) as a module, the hom space giving its coordinates)."""
     ring = M.ring
-    F1 = artin_free(ring, 1)
+    F1 = free_module(ring, [0])
     hs = hom_space(M, F1)
     acts = [hs.compose_matrix(hs, post=ArtinHom(F1, F1, ring.var_matrix(v),
                                                  check=False))
@@ -288,11 +276,11 @@ def ring_dual_module(M: ArtinModule):
 
 
 def reflexivity_map(M: ArtinModule):
-    """(ev: M -> Hom(Hom(M, R), R), the target module)."""
+    """(ev: M -> Hom(Hom(M, R), R), the dual Hom(M, R) on the way)."""
     ring = M.ring
     Mstar, hs = ring_dual_module(M)
     Mss, hs2 = ring_dual_module(Mstar)
-    F1 = artin_free(ring, 1)
+    F1 = hs.N
     s = hs.dim
     cols = []
     for j in range(M.dim):
@@ -302,7 +290,7 @@ def reflexivity_map(M: ArtinModule):
             mat = Mat.zeros(ring.field, ring.dim, 0)
         cols.append(hs2.coords(ArtinHom(Mstar, F1, mat, check=True)))
     mat = hstack(cols) if cols else Mat.zeros(ring.field, hs2.dim, 0)
-    return ArtinHom(M, Mss, mat, check=True), Mss
+    return ArtinHom(M, Mss, mat, check=True), Mstar
 
 
 def ext_dims_into_ring(M: ArtinModule, window: int):
@@ -344,12 +332,11 @@ def _tr_screen(M: ArtinModule, window: int) -> dict:
     reflexive = None
     ext2 = []
     if first is None:
-        ev, _ = reflexivity_map(M)
+        ev, Mstar = reflexivity_map(M)
         reflexive = ev.is_iso()
         if not reflexive:
             first = ("not_reflexive", 1)
     if first is None:
-        Mstar, _ = ring_dual_module(M)
         ext2 = _ext_probe(Mstar, window)
         if ext2 and ext2[-1]:
             first = ("dual_ext_to_ring", len(ext2))
@@ -504,20 +491,17 @@ def _complex_pd(x: Complex, window: int) -> DimensionReport:
     res = semiprojective_resolution(x, ceiling=a + 1)
     lo = min(hdegs)
 
-    def kmat(i):
-        d = res.complex.diff(i)
+    def krank(i):  # rank of d_i (x) k
         if res.rank(i) == 0 or res.rank(i - 1) == 0:
-            return Mat.zeros(x.ring.field, res.rank(i - 1), res.rank(i))
-        ent = hom_entry_polys(d)
-        return Mat.from_rows(x.ring.field,
-                             [[p.constant_coeff() for p in row] for row in ent])
+            return 0
+        return top_matrices([res.complex.diff(i)])[0].rank()
 
     hi = res.top_nonzero() if res.complete else a
     hi = hi if hi is not None else lo
     tor = {}
     for i in range(lo, hi + 1):
         r = res.rank(i)
-        tor[i] = r - kmat(i).rank() - kmat(i + 1).rank()
+        tor[i] = r - krank(i) - krank(i + 1)
         assert tor[i] >= 0
     direct_top = max((i for i, d in tor.items() if d), default=None)
     assert direct_top is not None, "nonzero complex with no derived fiber"

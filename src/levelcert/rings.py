@@ -49,6 +49,7 @@ class ArtinRing:
         self.dim = len(self.basis_monos)
         self.index = {m: i for i, m in enumerate(self.basis_monos)}
         self._reg = None
+        self._var_mats = {}
         # tr_screen keeps one screen per (module, window) here
         self.tr_screens = {}
         self._check_local()
@@ -82,13 +83,6 @@ class ArtinRing:
             out[self.index[m]] = c
         return out
 
-    def poly_of_coeffs(self, coeffs) -> Poly:
-        terms = {}
-        for m, c in zip(self.basis_monos, coeffs):
-            if not self.field.is_zero(c):
-                terms[m] = c
-        return Poly(self.field, self.nvars, terms)
-
     def regular_rep(self):
         """reg[i] = matrix of multiplication by basis monomial i."""
         if self._reg is None:
@@ -115,7 +109,11 @@ class ArtinRing:
         return out
 
     def var_matrix(self, i: int) -> Mat:
-        return self.mult_matrix(Poly.variable(self.field, self.nvars, i))
+        """Multiplication by variable i, built once per ring."""
+        if i not in self._var_mats:
+            self._var_mats[i] = self.mult_matrix(
+                Poly.variable(self.field, self.nvars, i))
+        return self._var_mats[i]
 
     def _check_local(self):
         for i in range(self.nvars):

@@ -118,8 +118,8 @@ def test_04_depth_zero_envelope_formula(A, B):
         # dimension bounds against verified uppers on the bundled inputs
         kx = koszul_complex(A)
         inputs = [kx, module_stalk(A, artin_residue_field(A)),
-                  module_stalk(A, free_module(A, 1).dual()),
-                  module_stalk(A, free_module(A, 2))]
+                  module_stalk(A, free_module(A, [0]).dual()),
+                  module_stalk(A, free_module(A, [0, 0]))]
         for m in inputs:
             for cls in ("inj", "ginj"):
                 bound, _ = homology_dimension_bound(m, cls)
@@ -215,7 +215,7 @@ def test_09_cycle_triangle_bound(R2):
     for s in range(10):
         m = random_free_homology_complex(R2, random.Random(600 + s),
                                          pieces=3)
-        cert = upper_via_cycle_boundary(m, "flat", variant="zb")
+        cert = upper_via_cycle_boundary(m, "flat")
         assert cert is not None, s
         assert cert.value <= 2, s
         assert cert.verify(), s

@@ -161,6 +161,26 @@ def test_resolve_count_below_zero_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "resolve K: ranks {0: 1, 1: 2}"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("A = artin(F2; x | x^2)\nmodule M over A = free -1",
+     "a rank must be at least 0, not -1"),
+    ("A = artin(F2; x | x^2)\ncomplex K over A : range 1..0 ; rank 1 = -2",
+     "a rank must be at least 0, not -2"),
+    ("R = poly(F101; x, y)\nmodule M over R = free -2",
+     "a rank must be at least 0, not -2"),
+    ("A = artin(F2; x | x^2)\n"
+     "complex K over A : range 1..0 ; twists 1 = [0]",
+     "twist lists only apply to graded rings"),
+], ids=["artin-free", "artin-rank", "poly-free", "artin-twists"])
+def test_bad_free_rank_is_a_clean_error(tmp_path, capsys, body, message):
+    script = tmp_path / "rank.lvc"
+    script.write_text(body + "\n")
+    assert main([str(script)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == f"error: line 2, column 1: {message}"
+
+
 @pytest.mark.parametrize("body, entry, reason", [
     ("A = artin(Q; x | x^2)\ncomplex K over A : range 1..0 ; d1 = [[1/0*x]]",
      "1/0*x", "zero denominator in '1/0'"),

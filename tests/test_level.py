@@ -21,7 +21,8 @@ from levelcert.resolutions import koszul_complex
 from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
                              bass_check, certificate_audit,
                              homology_dimension_bound, level_one_test,
-                             level_report, module_in_class, normalize_class)
+                             level_report, module_in_class, normalize_class,
+                             upper_via_cycle_boundary)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ def test_headline_gorenstein_injective_levels(A):
     K = koszul_complex(A)
     rep = level_report(K, "ginj")
     assert rep.verdict == ("exact", 2)
-    assert rep.upper.route in ("cycle-boundary", "boundary-cokernel")
+    assert rep.upper.route == "cycle-boundary"
     assert rep.verify()
     # a module stalk is one layer whenever its module is in the class
     k = module_stalk(A, artin_residue_field(A))
@@ -170,7 +171,7 @@ def test_report_builds_each_cover_step_once(A, R3, monkeypatch):
     assert len(steps) == rep.upper.data["tower"]["layers"] > 0
     steps.clear()
     rep = level_report(koszul_complex(A), "gproj")
-    assert rep.upper.route in ("cycle-boundary", "boundary-cokernel")
+    assert rep.upper.route == "cycle-boundary"
     assert steps == []
 
 
@@ -215,9 +216,32 @@ def test_upper_stratification_counts_terms(A):
     K = koszul_complex(A)
     up = level_report(K, "proj").upper
     assert up.value == 2
-    assert up.route in ("stratification", "cycle-boundary",
-                        "boundary-cokernel")
+    assert up.route in ("stratification", "cycle-boundary")
     assert up.verify()
+
+
+@pytest.mark.parametrize("decl, classes", [
+    ("artin(F2; x | x^2)", ("proj", "inj", "gproj")),
+    ("artin(F2; x, y | x^2, x*y, y^2)", ("proj", "inj", "gproj", "ginj")),
+    ("poly(F101; x, y)", ("proj", "gflat")),
+])
+def test_cycle_boundary_covers_the_boundary_cokernel_split(decl, classes):
+    # whenever every B_i and X_i/B_i lies in the class, so do H_i and
+    # Z_i, and the cycle-boundary triangle bounds the level by two
+    ring = make_ring(decl)
+    hits = 0
+    for s in range(12):
+        m = random_complex(ring, random.Random(s), width=2, max_rank=2)
+        hd = m.hdata()
+        parts = [p for i in m.support()
+                 for p in (hd.boundaries(i)[0], hd.cmod(i)[0])]
+        for cls in classes:
+            if all(module_in_class(p, cls)[0] is True for p in parts):
+                hits += 1
+                cert = upper_via_cycle_boundary(m, cls)
+                assert cert is not None, (s, cls)
+                assert cert.value <= 2 and cert.verify(), (s, cls)
+    assert hits
 
 
 def test_bass_criterion(A):

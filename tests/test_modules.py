@@ -707,3 +707,31 @@ def test_graded_compose_rejects_a_hom_of_nonzero_degree():
         hom_space(F1, F1).compose_matrix(hom_space(F1, F0), post=bad)
     with pytest.raises(ModuleError, match="not homogeneous of degree zero"):
         hom_space(F0, F0).compose_matrix(hom_space(F1, F0), pre=bad)
+
+
+# ------------------------------------------------ free modules by twists
+
+
+def test_free_module_takes_a_twist_list_on_both_backends():
+    # an artinian ring is ungraded: only the number of twists counts
+    F = free_module(A, [0, 3])
+    assert F == artin_free(A, 2) and F.free_rank == 2
+    assert free_module(A, []).is_zero_module()
+    G = free_module(R2, [0, 2])
+    assert G.gen_twists == [0, 2] and G.free_rank == 2 and not G.rels
+    assert free_module(R2, []).is_zero_module()
+
+
+def test_element_degree():
+    F = free_module(A, [0, 0])
+    k = artin_residue_field(B)
+    assert [F.degree(F.basis_elem(i)) for i in range(F.dim)] == [0] * 4
+    assert k.degree(k.zero_elem()) == 0
+    G = free_module(R2, [0, 2])
+    # x^3 e_0 + y e_1 is homogeneous of degree 3
+    assert G.degree(pv(R2, "x^3", "y")) == 3
+    assert G.degree(G.gen_elem(1)) == 2
+    with pytest.raises(ModuleError, match="not homogeneous"):
+        G.degree(pv(R2, "x", "x*y"))
+    with pytest.raises(ModuleError, match="not homogeneous"):
+        G.degree(pv(R2, "x + x^2"))

@@ -9,15 +9,17 @@ import random
 import pytest
 
 import levelcert.resolutions
-from levelcert.randgen import random_artin_module
+from levelcert.randgen import (random_artin_module, random_complex,
+                               random_free_homology_complex)
 from levelcert.rings import make_ring
 from levelcert.modules import (ArtinHom, ArtinModule, artin_free,
                                artin_residue_field, find_isomorphism,
                                free_hom_from_polys, free_module, graded_free,
                                graded_residue_field, graded_submodule,
-                               GradedHom, hom_entry_polys, zero_module)
+                               GradedHom, top_matrices, zero_module)
 from levelcert.complexes import Complex, is_quasi_iso, module_stalk
 from levelcert.linalg import Mat
+from levelcert.poly import Poly
 from levelcert.resolutions import (check_ses_dimension_calculus, depth_of,
                                    dimension_report, ext_dims_into_ring,
                                    koszul_complex, minimal_free_resolution,
@@ -189,6 +191,22 @@ def test_tr_screen(A, B):
 # ------------------------------------------- Ext into the ring, oracle
 
 
+def transposed_entries(d):
+    """The polynomial entry matrix of a hom d between artinian free
+    modules, transposed: entry (j, i) is block i of the image of
+    generator j, read over the monomial basis of the ring."""
+    ring, n = d.source.ring, d.source.ring.dim
+
+    def poly(coeffs):
+        return Poly(ring.field, ring.nvars,
+                    {m: c for m, c in zip(ring.basis_monos, coeffs)
+                     if not ring.field.is_zero(c)})
+
+    return [[poly(d.matrix.col_entries(j * n)[i * n:(i + 1) * n])
+             for i in range(d.target.free_rank)]
+            for j in range(d.source.free_rank)]
+
+
 def hom_complex_ext_dims(M, window):
     """dim Ext^i(M, R), i = 0..window, as the homology of Hom(P, R) built
     as a complex of free modules from the transposed polynomial entries
@@ -202,9 +220,8 @@ def hom_complex_ext_dims(M, window):
     for i in range(1, window + 2):
         if res.rank(i) == 0 or res.rank(i - 1) == 0:
             continue
-        ent = hom_entry_polys(res.complex.diff(i))
-        tr = [list(col) for col in zip(*ent)]
-        diffs[1 - i] = free_hom_from_polys(mods[1 - i], mods[-i], tr)
+        diffs[1 - i] = free_hom_from_polys(
+            mods[1 - i], mods[-i], transposed_entries(res.complex.diff(i)))
     cx = Complex(ring, mods, diffs, check=True)
     return [cx.hdata().homology(-i).dim for i in range(window + 1)]
 
@@ -339,6 +356,23 @@ def test_clean_screen_resolves_module_twice(resolved):
     assert [c for m, c in resolved if m is k] == [2, 4]
 
 
+def test_clean_screen_builds_the_ring_dual_once(monkeypatch):
+    calls = []
+    orig = levelcert.resolutions.ring_dual_module
+
+    def counted(M):
+        calls.append(M)
+        return orig(M)
+
+    monkeypatch.setattr(levelcert.resolutions, "ring_dual_module", counted)
+    ring = make_ring("artin(F3; x, y | x^2, y^2)")
+    k = artin_residue_field(ring)
+    assert tr_screen(k, 3)["first_obstruction"] is None
+    # Hom(k, R), shared by the evaluation map and the dual probe, then
+    # Hom(Hom(k, R), R)
+    assert len(calls) == 2 and calls[0] is k
+
+
 def test_gpd_non_gorenstein(B):
     k = artin_residue_field(B)
     rep = dimension_report(k, "gpd")
@@ -402,3 +436,68 @@ def test_resolution_ceiling_marks_incomplete(A):
     for i in range(3):
         assert res.aug.induced_on_homology(i).is_iso()
     assert not res.aug.induced_on_homology(3).is_iso()
+
+
+# ------------------------------------------ Tor ranks of a resolution
+
+
+def free_rank(F):
+    return F.dim // F.ring.dim if F.mode == "artin" else F.ngens
+
+
+def constant_coefficient_rank(d):
+    """Rank of d (x) k for a hom d between free modules, as the matrix of
+    the constant coefficients of its polynomial entries."""
+    ring = d.source.ring
+    one = (0,) * ring.nvars
+    m, n = free_rank(d.target), free_rank(d.source)
+    if d.source.mode == "artin":
+        D, c = ring.dim, ring.index[one]
+        rows = [[d.matrix.col_entries(j * D)[i * D + c] for j in range(n)]
+                for i in range(m)]
+    else:
+        rows = [[d.cols[j].terms.get((i, one), ring.field.zero)
+                 for j in range(n)] for i in range(m)]
+    return Mat.from_rows(ring.field, rows).rank()
+
+
+def tor_by_constant_rule(P):
+    """dim_k Tor_i(P, k) = rank P_i - rank(d_i (x) k) - rank(d_{i+1} (x) k)
+    for a bounded free complex P, with d (x) k checked against the
+    constant coefficient rule; returns the degree -> dimension map."""
+    kr = {}
+    for i, d in P.diffs.items():
+        if free_rank(d.source) and free_rank(d.target):
+            kr[i] = top_matrices([d])[0].rank()
+            assert kr[i] == constant_coefficient_rank(d), i
+    return {i: free_rank(P.module(i)) - kr.get(i, 0) - kr.get(i + 1, 0)
+            for i in P.support()}
+
+
+@pytest.mark.parametrize("decl", ["artin(F3; x, y | x^2, y^2)",
+                                  "poly(F101; x, y)"])
+def test_tor_ranks_match_the_constant_coefficient_rule(decl):
+    ring = make_ring(decl)
+    units = 0
+    for s in range(6):
+        # a bounded free complex is its own resolution, so the rule on
+        # its differentials gives the Tor ranks _complex_pd reports
+        x = random_free_homology_complex(ring, random.Random(f"tor {s}"))
+        tor = tor_by_constant_rule(x)
+        lo = min(x.hdata().nonzero_degrees())
+        top = max(i for i, t in tor.items() if t)
+        betti = dimension_report(x, "pd", window=2).betti
+        assert [tor.get(i, 0) for i in range(lo, top + 1)] == betti, s
+        units += sum(1 for d in x.diffs.values()
+                     if constant_coefficient_rank(d))
+        # and on the resolution _complex_pd builds for any complex
+        y = random_complex(ring, random.Random(f"tor {s}"), width=2,
+                           max_rank=2)
+        rep = dimension_report(y, "pd", window=2)
+        if "resolution" in rep.objects:
+            res = rep.objects["resolution"]
+            tor = tor_by_constant_rule(res.complex)
+            lo = min(res.ranks)
+            assert [tor.get(i, 0) for i in range(lo, lo + len(rep.betti))] \
+                == rep.betti, s
+    assert units

@@ -3,6 +3,7 @@
 import pytest
 
 from levelcert.linalg import PrimeField
+from levelcert.poly import parse_poly
 from levelcert.rings import (ArtinRing, GradedPolyRing, InfiniteDimensional,
                              NotLocal, make_ring)
 
@@ -32,7 +33,7 @@ def test_nf_and_mult_matrix():
     # k[x]/(x^3): x^2 * x^2 = x^4 = 0, (1+x)*(x^2) = x^2
     A = ArtinRing(F101, ["x"], ["x^3"])
     assert A.dim == 3
-    p = A.mult_matrix(A.poly_of_coeffs([1, 1, 0]))  # 1 + x
+    p = A.mult_matrix(parse_poly(F101, ["x"], "1 + x"))
     v = [0, 0, 1]  # x^2
     col = [p.entry(i, 2) for i in range(3)]
     assert col == [0, 0, 1]
