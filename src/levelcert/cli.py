@@ -301,7 +301,8 @@ def _parse_action_module(ring, text: str, line: int) -> ArtinModule:
             dim = n
         elif dim != n:
             raise ParseError("action matrices must share one size", line)
-        mats[var] = Mat.from_rows(ring.field, ints)
+        _put(mats, var, Mat.from_rows(ring.field, ints),
+             f"action matrix for {var}", line)
     if dim is None:
         raise ParseError("empty action literal", line)
     missing = [v for v in ring.varnames if v not in mats]
@@ -351,17 +352,25 @@ def _bind_complex(sess: Session, text: str, line: int):
             if not (lo < i <= hi):
                 raise ParseError(
                     f"d{i} falls outside range {hi}..{lo}", line)
-            dmats[i] = _parse_matrix(body, ring, line)
+            _put(dmats, i, _parse_matrix(body, ring, line), f"d{i}", line)
         elif key.split()[0] == "twists":
             i = _part_index(key, "twists", line)
-            twists[i] = _parse_twists(ring, body, line)
+            _put(twists, i, _parse_twists(ring, body, line),
+                 f"twists {i}", line)
         elif key.split()[0] == "rank":
             i = _part_index(key, "rank", line)
-            ranks[i] = _parse_rank(body, line)
+            _put(ranks, i, _parse_rank(body, line), f"rank {i}", line)
         else:
             raise ParseError(f"unknown complex part {key!r}", line)
     sess.complexes[name] = _build_complex(
         ring, name, hi, lo, dmats, twists, ranks, line)
+
+
+def _put(parts: dict, key, value, label: str, line: int):
+    """Record one part of a declaration; a part given twice is an error."""
+    if key in parts:
+        raise ParseError(f"{label} given twice", line)
+    parts[key] = value
 
 
 def _part_index(key: str, word: str, line: int) -> int:
@@ -437,16 +446,19 @@ def parse(source: str, default_field: str | None = None) -> Session:
     sess = Session()
     for text, line in _logical_statements(source):
         word = text.split()[0]
-        if word == "module":
-            _bind_module(sess, text, line)
-        elif word == "complex":
-            _bind_complex(sess, text, line)
-        elif word in COMMAND_WORDS:
-            sess.commands.append((_parse_command(text, line), line))
-        elif "=" in text:
-            _bind_ring(sess, text, line, default_field)
-        else:
-            raise ParseError(f"cannot parse statement {text!r}", line)
+        try:
+            if word == "module":
+                _bind_module(sess, text, line)
+            elif word == "complex":
+                _bind_complex(sess, text, line)
+            elif word in COMMAND_WORDS:
+                sess.commands.append((_parse_command(text, line), line))
+            elif "=" in text:
+                _bind_ring(sess, text, line, default_field)
+            else:
+                raise ParseError(f"cannot parse statement {text!r}", line)
+        except MemoryError as e:
+            raise ParseError(str(e) or "out of memory", line) from e
     return sess
 
 
@@ -696,6 +708,9 @@ def main(argv=None) -> int:
     except (ParseError, VerificationError, LevelError, ModuleError,
             ComplexError, ResolutionError, AdamsError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

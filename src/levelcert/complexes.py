@@ -11,9 +11,9 @@ of W) is checked by equality of W with the cone built from u; any other
 witness must be a quasi-isomorphism, which is checked by exactness of
 the cone of t.
 
-ChainMapSpace puts exact k-linear coordinates on the space of chain maps
-X -> Y and on the subspace of null-homotopic ones, which is all the
-homotopy theory the level machinery needs.
+ChainMapSpace is the Hom complex Hom(X, Y) in degrees 1, 0 and -1, with
+one differential builder: chain maps are the kernel of its differential
+on degree 0, null-homotopic maps the image of its differential on degree 1.
 """
 
 from __future__ import annotations
@@ -206,10 +206,7 @@ class ChainMap:
         return ChainMap(self.source, self.target, comps, check=False)
 
     def __sub__(self, other):
-        comps = {}
-        for i in set(self.comps) | set(other.comps):
-            comps[i] = self.comp(i) - other.comp(i)
-        return ChainMap(self.source, self.target, comps, check=False)
+        return self + (-other)
 
     def __neg__(self):
         return ChainMap(self.source, self.target,
@@ -492,106 +489,79 @@ def _is_identity(f: ChainMap) -> bool:
 class ChainMapSpace:
     """Exact coordinates on chain maps X -> Y and null-homotopic ones.
 
-    Everything is assembled from HomSpace coordinates per degree, so a
-    chain map has the zero coordinate vector iff it is the zero map, and
-    membership in the homotopy-trivial subspace is a linear solve.
+    This is the Hom complex in degrees 1, 0 and -1: degree n is the
+    product of the hom spaces Hom(X_i, Y_{i+n}), with differential
+    D s = d s - (-1)^n s d. Chain maps are the kernel of D on degree 0;
+    null-homotopic maps are its image from degree 1.
     """
 
     def __init__(self, x: Complex, y: Complex):
         self.x, self.y = x, y
-        field = x.ring.field
-        self.field = field
-        if x.is_zero_complex() or y.is_zero_complex():
-            lo, hi = 0, -1
-        else:
-            lo = max(x.min_deg, y.min_deg)
-            hi = min(x.max_deg, y.max_deg)
-        self.degrees = list(range(lo, hi + 1))
-        self.spaces = {i: hom_space(x.module(i), y.module(i)) for i in self.degrees}
-        self.offsets = {}
-        off = 0
-        for i in self.degrees:
-            self.offsets[i] = off
-            off += self.spaces[i].dim
-        self.total_dim = off
+        self.field = x.ring.field
+        self.spaces = self._hom_spaces(0)
+        self.s_spaces = self._hom_spaces(1)  # homotopies
+        self.total_dim = sum(s.dim for s in self.spaces.values())
+        self._chain_basis = self._h_image = self._class_basis = None
 
-        # s-spaces for homotopies: Hom(X_i, Y_{i+1})
+    def _hom_spaces(self, n: int) -> dict:
+        """Degree n of the Hom complex: i -> Hom(X_i, Y_{i+n})."""
+        x, y = self.x, self.y
         if x.is_zero_complex() or y.is_zero_complex():
-            self.s_degrees = []
-        else:
-            slo = max(x.min_deg, y.min_deg - 1)
-            shi = min(x.max_deg, y.max_deg - 1)
-            self.s_degrees = list(range(slo, shi + 1))
-        self.s_spaces = {i: hom_space(x.module(i), y.module(i + 1))
-                         for i in self.s_degrees}
-        self.s_offsets = {}
-        soff = 0
-        for i in self.s_degrees:
-            self.s_offsets[i] = soff
-            soff += self.s_spaces[i].dim
-        self.s_total = soff
+            return {}
+        return {i: hom_space(x.module(i), y.module(i + n))
+                for i in range(max(x.min_deg, y.min_deg - n),
+                               min(x.max_deg, y.max_deg - n) + 1)}
 
-        self._chain_basis = None
-        self._h_image = None
-        self._class_basis = None
+    def _differential(self, n: int) -> Mat:
+        """The matrix of D from degree n (0 or 1) to degree n - 1. Its
+        component s_i goes to d^Y s_i in row block i and to
+        -(-1)^n s_i d^X in row block i + 1."""
+        cols = self.s_spaces if n else self.spaces
+        rows = self.spaces if n else self._hom_spaces(-1)
+        blocks = {}
+        for i, space in cols.items():
+            post = self.y.diffs.get(i + n)
+            if post is not None and i in rows:
+                blocks[i, i] = space.compose_matrix(rows[i], post=post)
+            pre = self.x.diffs.get(i + 1)
+            if pre is not None and i + 1 in rows:
+                m = space.compose_matrix(rows[i + 1], pre=pre)
+                blocks[i + 1, i] = m if n % 2 else -m
+        return _block_matrix(self.field, rows, cols, blocks)
+
+    @staticmethod
+    def _split(spaces: dict, col: Mat) -> dict:
+        """The components i -> hom of a coordinate column on spaces."""
+        out, pos = {}, 0
+        for i, space in spaces.items():
+            if space.dim:
+                out[i] = space.from_coords(
+                    col.take_rows(range(pos, pos + space.dim)))
+            pos += space.dim
+        return out
 
     # -- coordinates
 
     def coords(self, f: ChainMap) -> Mat:
         return vstack([Mat.zeros(self.field, 0, 1)]
-                      + [self.spaces[i].coords(f.comp(i)) for i in self.degrees])
+                      + [s.coords(f.comp(i)) for i, s in self.spaces.items()])
 
     def map_from_coords(self, col: Mat) -> ChainMap:
-        comps = {}
-        for i in self.degrees:
-            d = self.spaces[i].dim
-            if d:
-                comps[i] = self.spaces[i].from_coords(
-                    col.take_rows(range(self.offsets[i], self.offsets[i] + d)))
-        return ChainMap(self.x, self.y, comps, check=False)
+        return ChainMap(self.x, self.y, self._split(self.spaces, col),
+                        check=False)
 
-    # -- the chain-map condition as a matrix
+    # -- chain maps and null homotopies
 
     def chain_map_basis(self) -> Mat:
         """Columns: coordinates of a basis of the space of chain maps."""
-        if self._chain_basis is not None:
-            return self._chain_basis
-        tdegs = range(self.degrees[0], self.degrees[-1] + 2) \
-            if self.degrees else []
-        tspaces = {i: hom_space(self.x.module(i), self.y.module(i - 1))
-                   for i in tdegs}
-        rows_total = sum(s.dim for s in tspaces.values())
-        if rows_total == 0 or self.total_dim == 0:
-            self._chain_basis = Mat.identity(self.field, self.total_dim)
-            return self._chain_basis
-        # f lies in the kernel of f_i -> d_i^Y f_i - f_{i-1} d_i^X
-        blocks = {}
-        for i in self.degrees:
-            if i in self.y.diffs:
-                blocks[i, i] = self.spaces[i].compose_matrix(
-                    tspaces[i], post=self.y.diffs[i])
-            if i + 1 in self.x.diffs:
-                blocks[i + 1, i] = -self.spaces[i].compose_matrix(
-                    tspaces[i + 1], pre=self.x.diffs[i + 1])
-        self._chain_basis = _block_matrix(
-            self.field, tspaces, self.spaces, blocks).kernel_basis()
+        if self._chain_basis is None:
+            self._chain_basis = self._differential(0).kernel_basis()
         return self._chain_basis
 
     def homotopy_image(self) -> Mat:
         """Columns: coordinates of d s + s d over a basis of s-collections."""
-        if self._h_image is not None:
-            return self._h_image
-        # s_i contributes d_{i+1}^Y s_i to f_i and s_i d_{i+1}^X to f_{i+1}
-        blocks = {}
-        for i in self.s_degrees:
-            if i in self.degrees and i + 1 in self.y.diffs:
-                blocks[i, i] = self.s_spaces[i].compose_matrix(
-                    self.spaces[i], post=self.y.diffs[i + 1])
-            if i + 1 in self.degrees and i + 1 in self.x.diffs:
-                blocks[i + 1, i] = self.s_spaces[i].compose_matrix(
-                    self.spaces[i + 1], pre=self.x.diffs[i + 1])
-        self._h_image = _block_matrix(self.field, self.spaces, self.s_spaces,
-                                      blocks)
+        if self._h_image is None:
+            self._h_image = self._differential(1)
         return self._h_image
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
@@ -602,15 +572,7 @@ class ChainMapSpace:
     def null_homotopy(self, f: ChainMap):
         """Dict i -> s_i with f = d s + s d, or None."""
         sol = self.homotopy_image().solve(self.coords(f))
-        if sol is None:
-            return None
-        out = {}
-        for i in self.s_degrees:
-            d, pos = self.s_spaces[i].dim, self.s_offsets[i]
-            if d:
-                out[i] = self.s_spaces[i].from_coords(
-                    sol.take_rows(range(pos, pos + d)))
-        return out
+        return None if sol is None else self._split(self.s_spaces, sol)
 
     def class_space(self):
         """(hbasis, class_cols): homotopy image and coset representatives.

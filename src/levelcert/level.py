@@ -78,13 +78,13 @@ def module_in_class(M, cls: str, window: int = 4):
     if M.is_zero_module():
         return True, "zero module"
     ring = M.ring
-    if cls in ("proj", "flat"):
-        return (True, "free") if M.is_free() else (False, "not free")
-    if cls == "inj":
+    if cls in DUAL_CLASS:
         if ring.kind != "artin":
             return False, "no nonzero finitely generated graded injectives"
-        return (True, "dual is free") if M.dual().is_free() \
-            else (False, "dual is not free")
+        verdict, note = module_in_class(M.dual(), DUAL_CLASS[cls], window)
+        return verdict, f"dual: {note}"
+    if cls in ("proj", "flat"):
+        return (True, "free") if M.is_free() else (False, "not free")
     if cls in ("gproj", "gflat"):
         if ring.kind != "artin":
             # regular base: totally reflexive reduces to free
@@ -99,13 +99,6 @@ def module_in_class(M, cls: str, window: int = 4):
             kind, i = scr["first_obstruction"]
             return False, f"reflexivity screen fails: {kind} at step {i}"
         return None, f"reflexivity screen clean to window {window}"
-    if cls == "ginj":
-        if ring.kind != "artin":
-            return (False,
-                    "no nonzero finitely generated graded injectives")
-        if ring.is_gorenstein:
-            return True, "every module over a self-injective base"
-        return module_in_class(M.dual(), "gproj", window)
     raise LevelError(f"unknown class {cls!r}")
 
 

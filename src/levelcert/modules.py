@@ -909,7 +909,15 @@ class GradedHomSpace:
         for col, (j, i, m) in enumerate(self.entry_index):
             self._entries_of[j].append((col, i, m))
         na = len(self.entry_index)
+        # trivial homs: columns lying in the relation submodule of N
+        self.triv = N.rel_multiples(M.gen_twists, self.pos).column_space_basis()
+        # when every entry is a basis direction (no relation to kill and
+        # no trivial hom), the coordinates are the entries themselves
+        self._read_off = not M.rels and not self.triv.ncols
         kern = Mat.identity(M.field, na)
+        if self._read_off:
+            self.quot = kern
+            return
         if M.rels:
             # a hom kills relation k of M when its image of that relation
             # is a combination of multiples of the relations of N
@@ -918,16 +926,11 @@ class GradedHomSpace:
             kern = hstack([self._pre(M.rels, rows),
                            -N.rel_multiples(degs, rows)]
                           ).kernel_basis().take_rows(range(na))
-        # trivial homs: columns lying in the relation submodule of N
-        self.triv = N.rel_multiples(M.gen_twists, self.pos).column_space_basis()
         full = hstack([self.triv, kern])
         # quotient basis: pivot columns of [triv | kernel] beyond the triv block
         self.quot = full.take_columns(
             c for c in full.rref()[1] if c >= self.triv.ncols)
         self._solve_block = hstack([self.triv, self.quot])
-        # when every entry is a basis direction (no relation to kill and
-        # no trivial hom), the coordinates are the entries themselves
-        self._read_off = self.quot == Mat.identity(M.field, na)
 
     @property
     def dim(self) -> int:

@@ -573,11 +573,6 @@ def _complex_gpd(x: Complex, window: int) -> DimensionReport:
               "degrees is outside the certified routes")
 
 
-def _dual_rebrand(rep: DimensionReport, kind: str) -> DimensionReport:
-    return rep.rebrand(kind, "computed on the vector-space dual, which "
-                             "exchanges the projective and injective sides")
-
-
 def dimension_report(obj, kind: str, window: int = 6) -> DimensionReport:
     """Dimension of a module or bounded complex.
 
@@ -586,38 +581,25 @@ def dimension_report(obj, kind: str, window: int = 6) -> DimensionReport:
     base. Injective kinds over a graded base are out of scope.
     """
     is_cx = _is_complex(obj)
-    ring = obj.ring
-    if kind in ("pd", "fd"):
-        rep = _complex_pd(obj, window) if is_cx else _module_pd(obj, window)
-        if kind == "fd":
-            rep = rep.rebrand("fd", "finitely generated over a noetherian "
-                                    "base: flat equals projective")
-        return rep
-    if kind in ("gpd", "gfd"):
-        rep = _complex_gpd(obj, window) if is_cx else _module_gpd(obj, window)
-        if kind == "gfd":
-            rep = rep.rebrand("gfd", "finitely generated over a noetherian "
-                                     "base: Gorenstein flat equals "
-                                     "Gorenstein projective")
-        return rep
-    if kind == "id":
-        if ring.kind == "poly":
+    g = "Gorenstein " if kind.startswith("g") else ""
+    proj = "gpd" if g else "pd"
+    if kind == "pd":
+        return _complex_pd(obj, window) if is_cx else _module_pd(obj, window)
+    if kind == "gpd":
+        return _complex_gpd(obj, window) if is_cx else _module_gpd(obj, window)
+    if kind in ("fd", "gfd"):
+        return dimension_report(obj, proj, window).rebrand(
+            kind, f"finitely generated over a noetherian base: {g}flat "
+                  f"equals {g}projective")
+    if kind in ("id", "gid"):
+        if obj.ring.kind == "poly":
             return DimensionReport(
-                "id", "out_of_scope", None,
-                notes="injective dimension is computed through duality over "
-                      "an artinian base only")
-        dual = obj.dual()
-        rep = _complex_pd(dual, window) if is_cx else _module_pd(dual, window)
-        return _dual_rebrand(rep, "id")
-    if kind == "gid":
-        if ring.kind == "poly":
-            return DimensionReport(
-                "gid", "out_of_scope", None,
-                notes="Gorenstein injective dimension is computed through "
-                      "duality over an artinian base only")
-        dual = obj.dual()
-        rep = _complex_gpd(dual, window) if is_cx else _module_gpd(dual, window)
-        return _dual_rebrand(rep, "gid")
+                kind, "out_of_scope", None,
+                notes=f"{g}injective dimension is computed through duality "
+                      "over an artinian base only")
+        return dimension_report(obj.dual(), proj, window).rebrand(
+            kind, "computed on the vector-space dual, which exchanges the "
+                  "projective and injective sides")
     raise ResolutionError(f"unknown dimension kind {kind!r}")
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import levelcert.cli
 import levelcert.rings
 from levelcert.cli import (ParseError, VerificationError, main, parse,
                            run_session)
@@ -181,6 +182,29 @@ def test_bad_free_rank_is_a_clean_error(tmp_path, capsys, body, message):
     assert err.strip() == f"error: line 2, column 1: {message}"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("A = artin(F2; x | x^2)\n"
+     "complex K over A : range 1..0 ; d1 = [[x]] ; d1 = [[0]]",
+     "d1 given twice"),
+    ("A = artin(F2; x | x^2)\n"
+     "complex K over A : range 1..0 ; rank 1 = 2 ; rank 1 = 1",
+     "rank 1 given twice"),
+    ("R = poly(F101; x)\n"
+     "complex K over R : range 1..0 ; twists 1 = [0] ; twists 1 = [1]",
+     "twists 1 given twice"),
+    ("A = artin(F2; x | x^2)\n"
+     "module M over A = action { x: [[0, 1], [0, 0]], x: [[0, 0], [0, 0]] }",
+     "action matrix for x given twice"),
+], ids=["differential", "rank", "twists", "action"])
+def test_repeated_declaration_part_is_a_clean_error(tmp_path, capsys, body,
+                                                    message):
+    script = tmp_path / "twice.lvc"
+    script.write_text(body + "\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: line 2, column 1: {message}")
+
+
 @pytest.mark.parametrize("body, entry, reason", [
     ("A = artin(Q; x | x^2)\ncomplex K over A : range 1..0 ; d1 = [[1/0*x]]",
      "1/0*x", "zero denominator in '1/0'"),
@@ -316,3 +340,36 @@ def test_budget_in_command_is_a_clean_error(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.strip() == (
         "error: Groebner pair budget exceeded after 1 S-pairs")
+
+
+def test_memory_error_in_declaration_names_the_line(tmp_path, capsys,
+                                                    monkeypatch):
+    # forced, since a real allocation this large may be killed instead of
+    # raising on a host that overcommits memory
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(levelcert.cli, "free_module", no_memory)
+    script = tmp_path / "big.lvc"
+    script.write_text("A = artin(F2; x | x^2)\n"
+                      "complex K over A : range 1..0 ; rank 1 = 100000 ; "
+                      "rank 0 = 1\n")
+    assert main([str(script)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == ("error: line 2, column 1: Unable to allocate "
+                           "74.5 GiB for an array")
+
+
+def test_memory_error_in_command_is_a_clean_error(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(levelcert.cli, "level_report", no_memory)
+    script = tmp_path / "big.lvc"
+    script.write_text(KOSZUL + "level Proj K\n")
+    assert main([str(script)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: out of memory"

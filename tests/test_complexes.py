@@ -324,13 +324,13 @@ def per_column_homotopy_image(sp):
     """The homotopy image one s-basis hom at a time: compose it with the
     differentials and read the chain map's coordinates back."""
     cols = []
-    for i in sp.s_degrees:
+    for i in sp.s_spaces:
         for t in range(sp.s_spaces[i].dim):
             s = sp.s_spaces[i].basis_hom(t)
             comps = {}
-            if i in sp.degrees:
+            if i in sp.spaces:
                 comps[i] = sp.y.diff(i + 1).compose(s)
-            if i + 1 in sp.degrees:
+            if i + 1 in sp.spaces:
                 comps[i + 1] = s.compose(sp.x.diff(i + 1))
             cols.append(sp.coords(ChainMap(sp.x, sp.y, comps, check=False)))
     return hstack([Mat.zeros(sp.field, sp.total_dim, 0)] + cols)
@@ -338,13 +338,14 @@ def per_column_homotopy_image(sp):
 
 def per_column_chain_map_basis(sp):
     """The kernel of f -> d f - f d, built one basis hom at a time."""
-    tdegs = range(sp.degrees[0], sp.degrees[-1] + 2) if sp.degrees else []
+    degrees = list(sp.spaces)
+    tdegs = range(degrees[0], degrees[-1] + 2) if degrees else []
     tspaces = {j: hom_space(sp.x.module(j), sp.y.module(j - 1))
                for j in tdegs}
     if sum(ts.dim for ts in tspaces.values()) == 0 or sp.total_dim == 0:
         return Mat.identity(sp.field, sp.total_dim)
     cols = []
-    for i in sp.degrees:
+    for i in degrees:
         for t in range(sp.spaces[i].dim):
             base = sp.spaces[i].basis_hom(t)
             pieces = []
@@ -382,7 +383,11 @@ def test_block_chain_map_coordinates_match_per_column_rule(ring_text, seeds):
         rng = random.Random(800 + seed)
         x = random_complex(ring, rng, lo=0, width=2, max_rank=2)
         y = random_complex(ring, rng, lo=0, width=2, max_rank=2)
-        for src, tgt in ((x, y), (y, x), (x, x)):
+        zero = Complex(ring, {}, {})
+        # offset supports give the three Hom degrees different ranges
+        for src, tgt in ((x, y), (y, x), (x, x), (x, y.shift(1)),
+                         (x.shift(1), y), (x, y.shift(2)), (zero, y),
+                         (x, zero)):
             sp = ChainMapSpace(src, tgt)
             image = sp.homotopy_image()
             assert image == per_column_homotopy_image(sp)
@@ -394,6 +399,35 @@ def test_block_chain_map_coordinates_match_per_column_rule(ring_text, seeds):
     # terms that are not free put the general coordinates to work
     assert exercised == ({"section", "basis_mat"} if ring.kind == "artin"
                          else {"solve"})
+
+
+@pytest.mark.parametrize("ring_text", ["artin(F2; x | x^2)",
+                                       "artin(Q; x | x^2)",
+                                       "poly(F101; x, y)"])
+def test_null_homotopy_round_trips_every_homotopy_image_column(ring_text):
+    ring = make_ring(ring_text)
+    nonzero = 0
+    for seed in range(6):
+        rng = random.Random(1000 + seed)
+        x = random_complex(ring, rng, lo=0, width=2, max_rank=2)
+        y = random_complex(ring, rng, lo=0, width=2, max_rank=2)
+        for src, tgt in ((x, y), (y, x), (x, x), (x, y.shift(1)),
+                         (x.shift(1), y)):
+            sp = ChainMapSpace(src, tgt)
+            image = sp.homotopy_image()
+            for c in range(image.ncols):
+                f = sp.map_from_coords(image.col(c))
+                nonzero += not f.is_zero()
+                s = sp.null_homotopy(f)
+                assert s is not None
+                for i in sp.spaces:
+                    ds = zero_hom(src.module(i), tgt.module(i))
+                    if i in s:
+                        ds = ds + tgt.diff(i + 1).compose(s[i])
+                    if i - 1 in s:
+                        ds = ds + s[i - 1].compose(src.diff(i))
+                    assert ds == f.comp(i), (seed, c, i)
+    assert nonzero
 
 
 def test_ses_verification():
