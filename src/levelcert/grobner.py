@@ -13,7 +13,10 @@ raises BudgetExceeded rather than returning a partial answer.
 
 from __future__ import annotations
 
-from .poly import Poly, PolyVec, mono_div, mono_lcm, mono_mul, mono_deg, pot_key
+from heapq import heapify, heappop, heappush
+
+from .poly import (Poly, PolyVec, add_combination, mono_div, mono_lcm, mono_mul,
+                   mono_deg, pot_key)
 
 
 class BudgetExceeded(RuntimeError):
@@ -28,32 +31,63 @@ def normal_form(v: PolyVec, basis, track: bool = False):
     Returns the remainder, or (remainder, quotients) with track=True where
     quotients[k] is the Poly coefficient on basis[k] and
     v = sum(basis[k] * quotients[k]) + remainder.
+
+    The terms still to divide sit in one mutable dict, `work`, and a heap
+    of their `lead_key`s pops the largest first. A term whose sum cancels
+    is deleted from `work` only; its heap entry is skipped when popped.
+    The popped term t = c * x^m is divided by the first basis element
+    whose lead divides it, say t = c * x^q * lead(basis[k]): then
+    c * x^q * basis[k] is subtracted in place, which touches only the
+    terms of basis[k] (the lead cancels t and is skipped). A term that no
+    lead divides moves to the remainder. Terms are taken largest first,
+    so the remainder and the quotients are those of the term-by-term
+    division algorithm.
     """
     field, nvars = v.field, v.nvars
-    leads = [g.lead() for g in basis]
-    work = v
-    rem = PolyVec.zero(field, nvars)
-    quots = [Poly.zero(field, nvars) for _ in basis] if track else None
-    while not work.is_zero():
-        t, c = work.lead()
-        hit = None
-        for k, ((gc, gm), _) in enumerate(leads):
-            if gc == t[0]:
-                q = mono_div(t[1], gm)
-                if q is not None:
-                    hit = (k, q)
-                    break
-        if hit is None:
-            piece = PolyVec(field, nvars, {t: c})
-            rem = rem + piece
-            work = work - piece
+    mul, sub, neg, is_zero = field.mul, field.sub, field.neg, field.is_zero
+    divisors: dict = {}  # component -> [(k, lead term of basis[k])]
+    for k, g in enumerate(basis):
+        lt, _ = g.lead()
+        divisors.setdefault(lt[0], []).append((k, lt))
+    work = dict(v.terms)
+    # a heap entry is lead_key((comp, m)) + (m,)
+    heap = [(comp, -sum(m), m[::-1], m) for comp, m in work]
+    heapify(heap)
+    rem: dict = {}
+    quots = [{} for _ in basis] if track else None
+    while heap:
+        comp, _, _, m = heappop(heap)
+        t = (comp, m)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for k, lt in divisors.get(comp, ()):
+            q = mono_div(m, lt[1])
+            if q is not None:
+                break
         else:
-            k, q = hit
-            work = work - basis[k].mul_mono(q, c)
-            if track:
-                quots[k] = quots[k] + Poly(field, nvars, {q: c})
+            rem[t] = c
+            continue
+        if track:
+            quots[k][q] = c
+        for gt, gc in basis[k].terms.items():
+            if gt is lt:
+                continue
+            nc, nm = gt[0], mono_mul(gt[1], q)
+            nt = (nc, nm)
+            old = work.get(nt)
+            if old is None:
+                work[nt] = neg(mul(gc, c))
+                heappush(heap, (nc, -sum(nm), nm[::-1], nm))
+            else:
+                s = sub(old, mul(gc, c))
+                if is_zero(s):
+                    del work[nt]
+                else:
+                    work[nt] = s
+    rem = PolyVec.from_clean(field, nvars, rem)
     if track:
-        return rem, quots
+        return rem, [Poly.from_clean(field, nvars, q) for q in quots]
     return rem
 
 
@@ -94,11 +128,14 @@ class GroebnerBasis:
         quots = self.express(v)
         if quots is None:
             return None
-        out = PolyVec.zero(self.field, self.nvars)
-        for t, q in enumerate(quots):
-            if not q.is_zero():
-                out = out + self.U[t].mul_poly(q)
-        return out
+        return PolyVec.from_clean(self.field, self.nvars, add_combination(
+            {}, self.U, _quot_terms(quots), self.field))
+
+
+def _quot_terms(quots):
+    """((k, m), c) for every term c * x^m of quots[k]: the quotients of
+    normal_form as the coefficients of an add_combination."""
+    return (((k, m), c) for k, q in enumerate(quots) for m, c in q.terms.items())
 
 
 def _pair_candidates(basis, i, j):
@@ -113,7 +150,7 @@ def _pair_candidates(basis, i, j):
 def buchberger(gens, budget: int = 50000) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
-    Pairs are processed lowest lcm-degree first (ties by index). The
+    Pairs are popped from a heap, lowest lcm-degree first (ties by index). The
     coprimality shortcut is applied only when every generator lives in a
     single component, where it is valid.
     """
@@ -138,11 +175,11 @@ def buchberger(gens, budget: int = 50000) -> GroebnerBasis:
             cand = _pair_candidates(basis, i, j)
             if cand is not None:
                 pending.append(cand)
+    heapify(pending)
 
     pairs_done = 0
     while pending:
-        pending.sort()
-        deg, i, j, lcm, qi, qj = pending.pop(0)
+        deg, i, j, lcm, qi, qj = heappop(pending)
         (ci, mi), _ = basis[i].lead()
         (cj, mj), _ = basis[j].lead()
         if rank1 and mono_mul(mi, mj) == lcm:
@@ -156,17 +193,15 @@ def buchberger(gens, budget: int = 50000) -> GroebnerBasis:
             continue
         _, lc = rem.lead()
         inv = field.inv(lc)
-        u = U[i].mul_mono(qi) - U[j].mul_mono(qj)
-        for k, q in enumerate(quots):
-            if not q.is_zero():
-                u = u - U[k].mul_poly(q)
+        u = add_combination(dict((U[i].mul_mono(qi) - U[j].mul_mono(qj)).terms),
+                            U, _quot_terms(quots), field, negate=True)
         basis.append(rem.scale(inv))
-        U.append(u.scale(inv))
+        U.append(PolyVec.from_clean(field, nvars, u).scale(inv))
         new = len(basis) - 1
         for k in range(new):
             cand = _pair_candidates(basis, k, new)
             if cand is not None:
-                pending.append(cand)
+                heappush(pending, cand)
 
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []
@@ -191,13 +226,10 @@ def buchberger(gens, budget: int = 50000) -> GroebnerBasis:
     for i in range(len(basis)):
         others = basis[:i] + basis[i + 1:]
         rem, quots = normal_form(basis[i], others, track=True)
-        u = U[i]
-        uo = U[:i] + U[i + 1:]
-        for k, q in enumerate(quots):
-            if not q.is_zero():
-                u = u - uo[k].mul_poly(q)
+        u = add_combination(dict(U[i].terms), U[:i] + U[i + 1:],
+                            _quot_terms(quots), field, negate=True)
         basis[i] = rem
-        U[i] = u
+        U[i] = PolyVec.from_clean(field, nvars, u)
 
     order = sorted(range(len(basis)), key=lambda t: pot_key(basis[t].lead()[0]))
     basis = [basis[t] for t in order]
@@ -205,14 +237,9 @@ def buchberger(gens, budget: int = 50000) -> GroebnerBasis:
 
     V = []
     for f in inputs:
-        quots = None
         rem, quots = normal_form(f, basis, track=True)
         assert rem.is_zero(), "input failed to reduce to zero against its own basis"
-        vec = PolyVec.zero(field, nvars)
-        for t, q in enumerate(quots):
-            for m, c in q.terms.items():
-                vec = vec + PolyVec(field, nvars, {(t, m): c})
-        V.append(vec)
+        V.append(PolyVec.from_clean(field, nvars, dict(_quot_terms(quots))))
 
     return GroebnerBasis(field, nvars, inputs, basis, U, V, pairs_done)
 
@@ -226,6 +253,7 @@ def schreyer_syzygies(gb: GroebnerBasis):
     field, nvars = gb.field, gb.nvars
     out = []
     n = len(gb.basis)
+    units = [PolyVec.unit(field, nvars, k) for k in range(n)]
     for j in range(n):
         for i in range(j):
             cand = _pair_candidates(gb.basis, i, j)
@@ -235,13 +263,10 @@ def schreyer_syzygies(gb: GroebnerBasis):
             s = gb.basis[i].mul_mono(qi) - gb.basis[j].mul_mono(qj)
             rem, quots = normal_form(s, gb.basis, track=True)
             assert rem.is_zero(), "S-pair of a Groebner basis must reduce to zero"
-            syz = (PolyVec(field, nvars, {(i, qi): field.one})
-                   - PolyVec(field, nvars, {(j, qj): field.one}))
-            for k, q in enumerate(quots):
-                if not q.is_zero():
-                    syz = syz - PolyVec.unit(field, nvars, k).mul_poly(q)
-            if not syz.is_zero():
-                out.append(syz)
+            syz = add_combination({(i, qi): field.one, (j, qj): field.neg(field.one)},
+                                  units, _quot_terms(quots), field, negate=True)
+            if syz:
+                out.append(PolyVec.from_clean(field, nvars, syz))
     return out
 
 
@@ -257,19 +282,12 @@ def syzygies(gens, budget: int = 50000, gb: GroebnerBasis | None = None):
     field, nvars = gb.field, gb.nvars
     out = []
     for syz in schreyer_syzygies(gb):
-        vec = PolyVec.zero(field, nvars)
-        for t in range(len(gb.basis)):
-            q = syz.component(t)
-            if not q.is_zero():
-                vec = vec + gb.U[t].mul_poly(q)
-        if not vec.is_zero():
-            out.append(vec)
+        vec = add_combination({}, gb.U, syz.terms.items(), field)
+        if vec:
+            out.append(PolyVec.from_clean(field, nvars, vec))
     for i in range(len(gb.inputs)):
-        vec = PolyVec.unit(field, nvars, i)
-        for t in range(len(gb.basis)):
-            q = gb.V[i].component(t)
-            if not q.is_zero():
-                vec = vec - gb.U[t].mul_poly(q)
-        if not vec.is_zero():
-            out.append(vec)
+        vec = add_combination({(i, (0,) * nvars): field.one}, gb.U,
+                              gb.V[i].terms.items(), field, negate=True)
+        if vec:
+            out.append(PolyVec.from_clean(field, nvars, vec))
     return out

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .linalg import (Mat, block_diag, extend_to_basis, full_rank_combination,
                      hstack, vstack)
-from .poly import Poly, PolyVec, mono_mul
+from .poly import Poly, PolyVec, add_combination, mono_mul
 from .rings import ArtinRing, GradedPolyRing
 
 
@@ -518,10 +518,9 @@ class GradedHom:
                     raise ModuleError("hom does not kill a source relation")
 
     def _apply_raw(self, elem: PolyVec) -> PolyVec:
-        out = PolyVec.zero(self.target.field, self.target.ring.nvars)
-        for (j, m), c in elem.terms.items():
-            out = out + self.cols[j].mul_mono(m, c)
-        return out
+        f = self.target.field
+        return PolyVec.from_clean(f, self.target.ring.nvars, add_combination(
+            {}, self.cols, elem.terms.items(), f))
 
     def apply(self, elem: PolyVec) -> PolyVec:
         return self.target.nf(self._apply_raw(elem))
@@ -957,11 +956,11 @@ class GradedHomSpace:
 
     def _hom_from_entry_vec(self, col: Mat) -> GradedHom:
         f = self.M.field
-        cols = [PolyVec.zero(f, self.M.ring.nvars) for _ in range(self.M.ngens)]
+        cols = [{} for _ in range(self.M.ngens)]
         for (j, i, m), c in zip(self.entry_index, col.col_entries(0)):
-            if not f.is_zero(c):
-                cols[j] = cols[j] + PolyVec(f, self.M.ring.nvars, {(i, m): c})
-        return GradedHom(self.M, self.N, cols, check=False)
+            cols[j][(i, m)] = c
+        return GradedHom(self.M, self.N,
+                         [PolyVec(f, self.M.ring.nvars, t) for t in cols], check=False)
 
     def basis_hom(self, i: int) -> GradedHom:
         return self._hom_from_entry_vec(self.quot.take_columns([i]))

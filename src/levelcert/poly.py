@@ -2,21 +2,32 @@
 
 Monomials are exponent tuples. The monomial order is graded reverse
 lexicographic (grevlex); free-module terms (component, monomial) are
-compared position-over-term with lower component index dominating. Key
-functions return tuples that sort in the order, so `max(terms, key=...)`
-picks the lead term.
+compared position-over-term (POT) with lower component index dominating.
+`grevlex_key` and `pot_key` grow with the order. `lead_key` runs the
+other way: it is the one ascending key of the POT-grevlex order, so the
+lead term is the term of least `lead_key`. `PolyVec.lead` takes that
+minimum once per vector and keeps it, and the division in
+`grobner.normal_form` pops its heap in the same order.
+
+The terms dict of a Poly or PolyVec is never written to after
+construction. The public constructors copy and clean their input;
+`from_clean` adopts a dict that already has tuple keys and no zero
+coefficient. `add_multiple` and `add_combination` add multiples of
+vectors into one plain dict in place, deleting every sum that cancels,
+so a long sum builds no intermediate vector.
 """
 
 from __future__ import annotations
 
 import re
+from operator import add as _add
 from typing import Iterable, Sequence
 
 Mono = tuple  # exponent tuple, one entry per variable
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def mono_div(a: Mono, b: Mono):
@@ -47,6 +58,14 @@ def pot_key(term, degrees: Sequence[int] | None = None):
     """Position-over-term key for a (component, monomial) pair."""
     comp, mono = term
     return (-comp, grevlex_key(mono, degrees))
+
+
+def lead_key(term):
+    """Ascending POT-grevlex key of a (component, monomial) pair: the
+    lead term is the term of least key. Ordering by it is ordering by
+    pot_key reversed."""
+    comp, mono = term
+    return (comp, -sum(mono), mono[::-1])
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[Mono]:
@@ -81,6 +100,13 @@ class Poly:
                 if not field.is_zero(c):
                     clean[tuple(m)] = c
         self.terms = clean
+
+    @staticmethod
+    def from_clean(field, nvars: int, terms: dict) -> "Poly":
+        """Adopt terms, not a copy: tuple keys, no zero coefficient."""
+        p = object.__new__(Poly)
+        p.field, p.nvars, p.terms = field, nvars, terms
+        return p
 
     @staticmethod
     def zero(field, nvars: int) -> "Poly":
@@ -191,10 +217,33 @@ class Poly:
         return f"Poly({len(self.terms)} terms)"
 
 
+def add_multiple(acc: dict, terms: dict, field, mono: Mono, c) -> None:
+    """acc += c * x^mono * terms, in place, for PolyVec terms dicts and a
+    nonzero c. A sum that cancels is deleted from acc."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    for (comp, m), cc in terms.items():
+        t = (comp, mono_mul(m, mono))
+        s = add(acc[t], mul(cc, c)) if t in acc else mul(cc, c)
+        if is_zero(s):
+            del acc[t]
+        else:
+            acc[t] = s
+
+
+def add_combination(acc: dict, vecs, coeffs: Iterable, field,
+                    negate: bool = False) -> dict:
+    """acc += sum of c * x^m * vecs[k] over the ((k, m), c) of coeffs, in
+    place (acc -= that sum with negate); returns acc."""
+    neg = field.neg
+    for (k, m), c in coeffs:
+        add_multiple(acc, vecs[k].terms, field, m, neg(c) if negate else c)
+    return acc
+
+
 class PolyVec:
     """Element of a free module R^s: terms are (component, monomial) -> coeff."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_lead")
 
     def __init__(self, field, nvars: int, terms: dict | None = None):
         self.field = field
@@ -205,6 +254,14 @@ class PolyVec:
                 if not field.is_zero(c):
                     clean[(comp, tuple(m))] = c
         self.terms = clean
+        self._lead = None
+
+    @staticmethod
+    def from_clean(field, nvars: int, terms: dict) -> "PolyVec":
+        """Adopt terms, not a copy: tuple keys, no zero coefficient."""
+        v = object.__new__(PolyVec)
+        v.field, v.nvars, v.terms, v._lead = field, nvars, terms, None
+        return v
 
     @staticmethod
     def zero(field, nvars: int) -> "PolyVec":
@@ -223,11 +280,11 @@ class PolyVec:
         for i, p in enumerate(polys):
             for m, c in p.terms.items():
                 terms[(i, m)] = c
-        return PolyVec(f, nv, terms)
+        return PolyVec.from_clean(f, nv, terms)
 
     def component(self, comp: int) -> Poly:
-        return Poly(self.field, self.nvars,
-                    {m: c for (cc, m), c in self.terms.items() if cc == comp})
+        return Poly.from_clean(self.field, self.nvars,
+                               {m: c for (cc, m), c in self.terms.items() if cc == comp})
 
     def components(self, rank: int) -> list[Poly]:
         return [self.component(i) for i in range(rank)]
@@ -236,40 +293,54 @@ class PolyVec:
         return not self.terms
 
     def __add__(self, other: "PolyVec") -> "PolyVec":
-        out = dict(self.terms)
         f = self.field
+        out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = f.add(out.get(t, f.zero), c)
-        return PolyVec(f, self.nvars, out)
+            s = f.add(out.get(t, f.zero), c)
+            if f.is_zero(s):
+                del out[t]
+            else:
+                out[t] = s
+        return PolyVec.from_clean(f, self.nvars, out)
 
     def __sub__(self, other: "PolyVec") -> "PolyVec":
-        out = dict(self.terms)
         f = self.field
+        out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = f.sub(out.get(t, f.zero), c)
-        return PolyVec(f, self.nvars, out)
+            s = f.sub(out.get(t, f.zero), c)
+            if f.is_zero(s):
+                del out[t]
+            else:
+                out[t] = s
+        return PolyVec.from_clean(f, self.nvars, out)
 
     def __neg__(self) -> "PolyVec":
         f = self.field
-        return PolyVec(f, self.nvars, {t: f.neg(c) for t, c in self.terms.items()})
+        return PolyVec.from_clean(f, self.nvars,
+                                  {t: f.neg(c) for t, c in self.terms.items()})
 
     def scale(self, c) -> "PolyVec":
         f = self.field
         c = f.of(c)
-        return PolyVec(f, self.nvars, {t: f.mul(cc, c) for t, cc in self.terms.items()})
+        if f.is_zero(c):
+            return PolyVec.zero(f, self.nvars)
+        return PolyVec.from_clean(f, self.nvars,
+                                  {t: f.mul(cc, c) for t, cc in self.terms.items()})
 
     def mul_mono(self, m: Mono, c=None) -> "PolyVec":
         f = self.field
         c = f.one if c is None else c
-        return PolyVec(f, self.nvars,
-                       {(comp, mono_mul(mm, m)): f.mul(cc, c)
-                        for (comp, mm), cc in self.terms.items()})
+        if f.is_zero(c):
+            return PolyVec.zero(f, self.nvars)
+        return PolyVec.from_clean(f, self.nvars,
+                                  {(comp, mono_mul(mm, m)): f.mul(cc, c)
+                                   for (comp, mm), cc in self.terms.items()})
 
     def mul_poly(self, p: Poly) -> "PolyVec":
-        out = PolyVec.zero(self.field, self.nvars)
+        out: dict = {}
         for m, c in p.terms.items():
-            out = out + self.mul_mono(m, c)
-        return out
+            add_multiple(out, self.terms, self.field, m, c)
+        return PolyVec.from_clean(self.field, self.nvars, out)
 
     def __eq__(self, other):
         return (isinstance(other, PolyVec) and other.nvars == self.nvars
@@ -279,9 +350,18 @@ class PolyVec:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def lead(self, degrees=None):
-        """((component, monomial), coeff) of the POT-grevlex lead term."""
-        t = max(self.terms, key=lambda tt: pot_key(tt, degrees))
-        return t, self.terms[t]
+        """((component, monomial), coeff) of the POT-grevlex lead term.
+
+        The unweighted lead is the term of least `lead_key`, taken once
+        and kept; the weighted one (degrees given) is found on each call.
+        """
+        if degrees is not None:
+            t = max(self.terms, key=lambda tt: pot_key(tt, degrees))
+            return t, self.terms[t]
+        if self._lead is None:
+            t = min(self.terms, key=lead_key)
+            self._lead = (t, self.terms[t])
+        return self._lead
 
     def homogeneous_degree(self, twists: Sequence[int],
                            degrees: Sequence[int] | None = None):

@@ -407,6 +407,7 @@ def test_block_chain_map_coordinates_match_per_column_rule(ring_text, seeds):
 def test_null_homotopy_round_trips_every_homotopy_image_column(ring_text):
     ring = make_ring(ring_text)
     nonzero = 0
+    pairs_with_columns = 0
     for seed in range(6):
         rng = random.Random(1000 + seed)
         x = random_complex(ring, rng, lo=0, width=2, max_rank=2)
@@ -415,6 +416,7 @@ def test_null_homotopy_round_trips_every_homotopy_image_column(ring_text):
                          (x.shift(1), y)):
             sp = ChainMapSpace(src, tgt)
             image = sp.homotopy_image()
+            pairs_with_columns += image.ncols > 0
             for c in range(image.ncols):
                 f = sp.map_from_coords(image.col(c))
                 nonzero += not f.is_zero()
@@ -427,6 +429,9 @@ def test_null_homotopy_round_trips_every_homotopy_image_column(ring_text):
                     if i - 1 in s:
                         ds = ds + s[i - 1].compose(src.diff(i))
                     assert ds == f.comp(i), (seed, c, i)
+    # random complexes over Q are often zero or have no differential, so
+    # the drawn pairs must be seen to reach some homotopy-image column
+    assert pairs_with_columns > 0
     assert nonzero
 
 

@@ -2,17 +2,22 @@
 
 Oracle for basis correctness: an independently written reducer (divisor
 chosen by LAST match rather than first) plus the S-pair fixpoint
-criterion. Oracle for syzygy completeness: degreewise linear algebra,
-comparing the span of the computed syzygies against the kernel of the
-multiplication matrix in each degree.
+criterion, and `sympy.groebner` on homogeneous ideals. Oracle for the
+heap-ordered `normal_form`: the term-by-term division algorithm, kept
+here as `reference_normal_form`. Oracle for syzygy completeness:
+degreewise linear algebra, comparing the span of the computed syzygies
+against the kernel of the multiplication matrix in each degree.
 """
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from levelcert.linalg import Mat, PrimeField, QQ
-from levelcert.poly import (Poly, PolyVec, grevlex_key, monomials_of_degree,
-                            mono_div, parse_poly, pot_key)
-from levelcert.grobner import buchberger, normal_form, syzygies
+from levelcert.poly import (Poly, PolyVec, grevlex_key, lead_key,
+                            monomials_of_degree, mono_div, parse_poly, pot_key)
+from levelcert.grobner import BudgetExceeded, buchberger, normal_form, syzygies
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -49,6 +54,31 @@ def oracle_reduce(v, basis):
             k, q = hit
             work = work - basis[k].mul_mono(q, c)
     return rem
+
+
+def reference_normal_form(v, basis):
+    """Division by a list of monic PolyVecs, one term at a time: take the
+    largest term left (by pot_key), divide it by the first basis element
+    whose lead divides it, and rebuild the rest. Returns (rem, quots)."""
+    field, nvars = v.field, v.nvars
+    leads = [max(g.terms, key=pot_key) for g in basis]
+    work = v
+    rem = PolyVec.zero(field, nvars)
+    quots = [Poly.zero(field, nvars) for _ in basis]
+    while not work.is_zero():
+        t = max(work.terms, key=pot_key)
+        c = work.terms[t]
+        for k, (gc, gm) in enumerate(leads):
+            q = mono_div(t[1], gm) if gc == t[0] else None
+            if q is not None:
+                work = work - basis[k].mul_mono(q, c)
+                quots[k] = quots[k] + Poly(field, nvars, {q: c})
+                break
+        else:
+            piece = PolyVec(field, nvars, {t: c})
+            rem = rem + piece
+            work = work - piece
+    return rem, quots
 
 
 def oracle_is_gb(basis):
@@ -294,13 +324,16 @@ def test_syzygies_random_property():
 
 
 def test_budget_exceeded_raises():
-    import pytest
-    from levelcert.grobner import BudgetExceeded
     vars3 = ["x", "y", "z"]
     gens = [vec(P(F101, vars3, "x^2 - y*z")), vec(P(F101, vars3, "y^2 - x*z")),
             vec(P(F101, vars3, "z^2 - x*y"))]
+    # leads x^2, y^2, x*y: the coprime pair (x^2, y^2) is skipped, the
+    # other two pairs are processed
+    pairs_done = buchberger(gens).pairs_done
+    assert pairs_done == 2
+    assert buchberger(gens, budget=pairs_done).pairs_done == pairs_done
     with pytest.raises(BudgetExceeded):
-        buchberger(gens, budget=1)
+        buchberger(gens, budget=pairs_done - 1)
 
 
 def test_module_groebner_with_components():
@@ -312,3 +345,91 @@ def test_module_groebner_with_components():
     assert oracle_is_gb(gb.basis)
     assert gb.contains(g1 + g2.mul_poly(P(F5, vars1, "x*y")))
     assert not gb.contains(PolyVec.unit(F5, 2, 0))
+
+
+def _coeff(field, rng):
+    if field is QQ:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return rng.randrange(1, field.p)
+
+
+def _random_vec(rng, field, nvars, rank, degs, nterms):
+    terms = {}
+    for _ in range(nterms):
+        m = rng.choice(monomials_of_degree(nvars, rng.choice(degs)))
+        terms[(rng.randrange(rank), m)] = _coeff(field, rng)
+    return PolyVec(field, nvars, terms)
+
+
+def _monic(g):
+    return g.scale(g.field.inv(g.terms[max(g.terms, key=pot_key)]))
+
+
+@pytest.mark.parametrize("field,nvars", [(F101, 3), (QQ, 2)], ids=["F101", "Q"])
+def test_normal_form_matches_term_by_term_division(field, nvars, wall_bound):
+    with wall_bound(60):
+        _compare_with_reference_division(field, nvars)
+
+
+def _compare_with_reference_division(field, nvars):
+    for seed in range(25):
+        rng = random.Random(500 + seed)
+        rank = rng.randint(1, 3)
+        basis = [_monic(_random_vec(rng, field, nvars, rank, [1, 2], rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 4))]
+        v = _random_vec(rng, field, nvars, rank, [0, 1, 2, 3, 4], rng.randint(1, 10))
+        rem, quots = normal_form(v, basis, track=True)
+        ref_rem, ref_quots = reference_normal_form(v, basis)
+        assert rem == ref_rem, seed
+        assert quots == ref_quots, seed
+        assert normal_form(v, basis) == rem
+        total = rem
+        for g, q in zip(basis, quots):
+            total = total + g.mul_poly(q)
+        assert total == v, seed
+        leads = [g.lead()[0] for g in basis]
+        for comp, m in rem.terms:
+            assert not any(gc == comp and mono_div(m, gm) is not None
+                           for gc, gm in leads), seed
+
+
+def test_lead_is_the_largest_pot_term_and_is_kept():
+    rng = random.Random(23)
+    for _ in range(30):
+        v = _random_vec(rng, F101, 3, 3, [0, 1, 2, 3], rng.randint(1, 8))
+        t = max(v.terms, key=pot_key)
+        assert v.lead() == (t, v.terms[t])
+        assert v.lead() is v.lead()
+        assert sorted(v.terms, key=lead_key) == sorted(v.terms, key=pot_key, reverse=True)
+        degrees = [rng.randint(1, 3) for _ in range(3)]
+        tw = max(v.terms, key=lambda tt: pot_key(tt, degrees))
+        assert v.lead(degrees) == (tw, v.terms[tw])
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["GF101", "QQ"])
+def test_buchberger_matches_sympy_groebner(field):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+    options = {"modulus": field.p} if field is F101 else {}
+
+    def monic(terms):
+        inv = field.inv(terms[max(terms, key=grevlex_key)])
+        return frozenset((m, field.mul(c, inv)) for m, c in terms.items())
+
+    for seed in range(6):
+        rng = random.Random(700 + seed)
+        polys = []
+        for _ in range(rng.randint(2, 3)):
+            monos = monomials_of_degree(3, rng.randint(2, 3))
+            polys.append(Poly(field, 3, {m: _coeff(field, rng)
+                                         for m in rng.sample(monos, rng.randint(2, 4))}))
+        gb = buchberger([PolyVec.from_polys([p]) for p in polys])
+        ours = {monic(b.component(0).terms) for b in gb.basis}
+        exprs = [sympy.Add(*[sympy.Rational(str(c)) * sympy.Mul(*[x ** e for x, e in zip(gens, m)])
+                             for m, c in p.terms.items()]) for p in polys]
+        theirs = set()
+        for g in sympy.groebner(exprs, *gens, order="grevlex", **options).exprs:
+            terms = {m: field.of(Fraction(str(c)))
+                     for m, c in sympy.Poly(g, *gens, **options).terms()}
+            theirs.add(monic(terms))
+        assert ours == theirs, seed
