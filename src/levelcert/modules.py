@@ -16,18 +16,33 @@ counts the twists), and M.degree(e) is the degree of a homogeneous
 element (always 0 on an ArtinModule), so a free cover of any module is
 free_module(ring, [M.degree(g) for g in gens]). The homs share kernel,
 image, cokernel, lift_through, factor_through, solve_preimage, ...;
-top_matrices is the one routine for h (x) k. hom_space(M, N) gives exact
-k-linear coordinates on Hom(M, N), zero exactly on the zero hom; all
-homotopy-theoretic linear algebra runs through it. On both backends a
-hom is the images of the generators of M, which must kill the relations
-among them: vectors of N for the minimal generators (ArtinHomSpace), or
-polynomial vectors over the generators of N modulo its relations
-(GradedHomSpace), whose coordinates are the entries (j, i, m): the
-coefficient of m e_i in the image of generator j. Every graded matrix
-(the hom condition, the trivial homs, composition, Hilbert functions and
-minimal generators) comes from one degree-piece builder: _piece numbers
-the monomials of given degrees of a free cover, _multiples writes the
-monomial multiples of vectors in those rows.
+top_matrices is the one routine for h (x) k.
+
+On the artinian side these read every submodule and quotient off an
+elimination already done, with no solve and no inverse. Each result is a
+unique solution, so it is the one a solve would give:
+- kernel: the canonical kernel basis is the identity on the non-pivot
+  rows, so those rows are its coordinates (a basis has unique ones); the
+  inclusion keeps them as its retraction.
+- image: M = ib @ epi with epi the identity at the pivot columns, so the
+  action on the image is epi @ x[:, piv] (ib is injective).
+- cokernel: one rref of [M | I] gives the projection P, the one map with
+  kernel col(M) and P @ S = I for the section S it keeps.
+lift_through, factor_through and solve_preimage use the retraction or
+section when the map carries one, and one solve otherwise.
+
+hom_space(M, N) gives exact k-linear coordinates on Hom(M, N), zero
+exactly on the zero hom; all homotopy-theoretic linear algebra runs
+through it. On both backends a hom is the images of the generators of
+M, which must kill the relations among them: vectors of N for the
+minimal generators (ArtinHomSpace), or polynomial vectors over the
+generators of N modulo its relations (GradedHomSpace), whose
+coordinates are the entries (j, i, m): the coefficient of m e_i in the
+image of generator j. Every graded matrix (the hom condition, the
+trivial homs, composition, Hilbert functions and minimal generators)
+comes from one degree-piece builder: _piece numbers the monomials of
+given degrees of a free cover, _multiples writes the monomial multiples
+of vectors in those rows.
 """
 
 from __future__ import annotations
@@ -188,7 +203,23 @@ def artin_residue_field(ring: ArtinRing) -> ArtinModule:
                        check=False, label="k")
 
 
+def _artin_sub(ambient: ArtinModule, cols: Mat, acts, images):
+    """(S, incl: S -> ambient) for the span of the independent columns,
+    acting by acts; one product per action checks cols @ y == x @ cols
+    (given as images), which holds exactly when the span is a submodule
+    and y is its action."""
+    assert all(cols @ y == xc for y, xc in zip(acts, images)), \
+        "columns do not span a submodule"
+    sub = ArtinModule(ambient.ring, cols.ncols, acts, check=False)
+    return sub, ArtinHom(sub, ambient, cols, check=False)
+
+
 class ArtinHom:
+    # a left inverse of a kernel inclusion and a right inverse of a
+    # cokernel projection, set where they are built
+    retraction = None
+    section = None
+
     def __init__(self, source: ArtinModule, target: ArtinModule, matrix: Mat,
                  check: bool = True):
         self.source = source
@@ -243,71 +274,108 @@ class ArtinHom:
         return self.source.dim == self.target.dim and self.is_injective()
 
     def kernel(self):
-        """(K, incl: K -> source)."""
-        kb = self.matrix.kernel_basis()
-        return self._sub_on_columns(self.source, kb)
+        """(K, incl: K -> source).
 
-    @staticmethod
-    def _sub_on_columns(ambient: ArtinModule, cols: Mat):
-        k, acts = cols.ncols, []
-        if ambient.actions:
-            # one solve for all actions, split into one block per action
-            y = cols.solve(hstack([x @ cols for x in ambient.actions]))
-            assert y is not None, "columns do not span a submodule"
-            acts = [y.take_columns(range(j * k, (j + 1) * k))
-                    for j in range(len(ambient.actions))]
-        sub = ArtinModule(ambient.ring, k, acts, check=False)
-        incl = ArtinHom(sub, ambient, cols, check=False)
-        return sub, incl
+        The canonical kernel basis is the identity on the non-pivot rows
+        (free), so the coordinates of any element of its span are its
+        entries at free: the actions on K are those rows of x @ incl, and
+        the identity rows at free are kept as incl.retraction, a left
+        inverse for lift_through. No solve.
+        """
+        kb = self.matrix.kernel_basis()
+        pivots = set(self.matrix.rref()[1])
+        free = [j for j in range(self.source.dim) if j not in pivots]
+        images = [x @ kb for x in self.source.actions]
+        K, incl = _artin_sub(self.source, kb,
+                             [xk.take_rows(free) for xk in images], images)
+        incl.retraction = Mat.identity(self.matrix.field,
+                                       self.source.dim).take_rows(free)
+        return K, incl
 
     def image(self):
         """(I, incl: I -> target, epi: source -> I) with incl . epi == self.
 
-        ib is the pivot columns of the matrix, so the matrix is ib times
-        the nonzero rows of its reduced row echelon form: those rows are
-        the epi, with no solve.
+        ib is the pivot columns of the matrix, so the matrix is ib @ epi,
+        where epi is the nonzero rows of its reduced row echelon form and
+        is the identity at the pivot columns. Intertwining gives
+        x_t @ ib @ epi = ib @ epi @ x_s; at the pivot columns this is
+        x_t @ ib = ib @ (epi @ x_s[:, piv]), and ib is injective, so
+        epi @ x_s[:, piv] is the unique action on I. No solve.
         """
+        R, piv = self.matrix.rref()
         ib = self.matrix.column_space_basis()
-        img, incl = self._sub_on_columns(self.target, ib)
-        epi = ArtinHom(self.source, img,
-                       self.matrix.rref()[0].take_rows(range(ib.ncols)),
-                       check=False)
-        return img, incl, epi
+        epi_mat = R.take_rows(range(len(piv)))
+        img, incl = _artin_sub(
+            self.target, ib,
+            [epi_mat @ x.take_columns(piv) for x in self.source.actions],
+            [x @ ib for x in self.target.actions])
+        return img, incl, ArtinHom(self.source, img, epi_mat, check=False)
 
     def cokernel(self):
-        """(C, proj: target -> C)."""
-        f = self.matrix.field
-        ib = self.matrix.column_space_basis()
-        idx = extend_to_basis(f, ib)
-        sect = Mat.identity(f, self.target.dim).take_columns(idx)
-        inv = hstack([ib, sect]).inverse()
-        assert inv is not None
-        proj_mat = inv.take_rows(range(ib.ncols, ib.ncols + len(idx)))
-        acts = [proj_mat @ x @ sect for x in self.target.actions]
+        """(C, proj: target -> C), proj carrying a section.
+
+        One rref of [M | I_n], the elimination extend_to_basis does: its
+        pivots past M pick the standard vectors e_idx that complete the
+        column space of M to a basis. The rref is E [M | I] for an
+        invertible E, so its I part is E, and its rows past r = rank M,
+        P = E[r:], have P M = 0 (those rows of the rref vanish on M) and
+        P e_idx = I (the pivot columns). P has rank n - r, so its kernel
+        is exactly col(M), and a map is fixed by its kernel and its values
+        on a complement: P is the one map with kernel col(M) and P S = I
+        for the section S = I[:, idx]. The actions on C are P @ x @ S.
+        No solve and no inverse.
+        """
+        m, n = self.source.dim, self.target.dim
+        eye = Mat.identity(self.matrix.field, n)
+        R, pivots = hstack([self.matrix, eye]).rref()
+        r = sum(1 for c in pivots if c < m)
+        idx = [c - m for c in pivots[r:]]
+        proj_mat = R.take_rows(range(r, n)).take_columns(range(m, m + n))
+        acts = [proj_mat @ x.take_columns(idx) for x in self.target.actions]
         cok = ArtinModule(self.target.ring, len(idx), acts, check=False)
         proj = ArtinHom(self.target, cok, proj_mat, check=True)
+        proj.section = eye.take_columns(idx)
         return cok, proj
 
     def lift_through(self, mono: "ArtinHom"):
-        """h with mono . h == self, or None. mono must be injective."""
-        h = mono.matrix.solve(self.matrix)
-        if h is None:
-            return None
+        """h with mono . h == self, or None. mono must be injective.
+
+        A mono with a retraction L (a kernel inclusion) gives h = L @ self,
+        the only candidate; other monos take one solve. Either way
+        mono . h == self is checked.
+        """
+        if mono.retraction is None:
+            h = mono.matrix.solve(self.matrix)
+            if h is None:
+                return None
+        else:
+            h = mono.retraction @ self.matrix
         out = ArtinHom(self.source, mono.source, h, check=False)
-        assert mono.compose(out) == self
-        return out
+        return out if mono.compose(out) == self else None
 
     def factor_through(self, epi: "ArtinHom"):
-        """h with h . epi == self, or None. epi must be surjective."""
-        sect = epi.matrix.solve(Mat.identity(self.matrix.field, epi.target.dim))
+        """h with h . epi == self, or None. epi must be surjective.
+
+        h is self @ S for a section S of epi: the one a cokernel
+        projection carries, else one solve.
+        """
+        sect = epi.section
         if sect is None:
-            return None
+            sect = epi.matrix.solve(Mat.identity(self.matrix.field,
+                                                 epi.target.dim))
+            if sect is None:
+                return None
         h = ArtinHom(epi.target, self.target, self.matrix @ sect, check=False)
         if not (h.compose(epi) == self):
             return None
         return h
 
     def solve_preimage(self, elem: Mat):
+        """A preimage of elem, or None: S @ elem for a map with a section
+        S, else the least-constrained solution. The two agree: the pivot
+        columns of a cokernel projection P are idx and P[:, idx] = I."""
+        if self.section is not None:
+            return self.section @ elem
         return self.matrix.solve(elem)
 
     def dual(self) -> "ArtinHom":
@@ -376,7 +444,16 @@ class GradedModule:
         return self.nf(a).is_zero()
 
     def is_zero_module(self) -> bool:
-        return all(self.is_zero_elem(self.gen_elem(j)) for j in range(self.ngens))
+        """F/N = 0 exactly when every generator j is the lead (j, 1) of a
+        relation basis element. If so, by descending j each e_j lies in N,
+        since the other terms of that element sit in later components;
+        conversely e_j in N has a lead dividing (j, 1), so equal to it."""
+        gb = self.rel_gb()
+        if gb is None:
+            return self.ngens == 0
+        units = {comp for (comp, m), _ in map(PolyVec.lead, gb.basis)
+                 if not any(m)}
+        return len(units) == self.ngens
 
     def hilbert(self, d: int) -> int:
         """dim_k of the degree-d piece."""

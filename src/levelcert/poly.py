@@ -87,7 +87,11 @@ def monomials_of_degree(nvars: int, d: int) -> list[Mono]:
 
 
 class Poly:
-    """Polynomial in nvars variables over an exact field."""
+    """Polynomial in nvars variables over an exact field.
+
+    The constructor reduces each coefficient through field.of and drops
+    zeros, so equal polynomials have equal term dicts.
+    """
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -97,13 +101,14 @@ class Poly:
         clean = {}
         if terms:
             for m, c in terms.items():
+                c = field.of(c)
                 if not field.is_zero(c):
                     clean[tuple(m)] = c
         self.terms = clean
 
     @staticmethod
     def from_clean(field, nvars: int, terms: dict) -> "Poly":
-        """Adopt terms, not a copy: tuple keys, no zero coefficient."""
+        """Adopt terms, not a copy: tuple keys, reduced nonzero values."""
         p = object.__new__(Poly)
         p.field, p.nvars, p.terms = field, nvars, terms
         return p
@@ -241,7 +246,11 @@ def add_combination(acc: dict, vecs, coeffs: Iterable, field,
 
 
 class PolyVec:
-    """Element of a free module R^s: terms are (component, monomial) -> coeff."""
+    """Element of a free module R^s: terms are (component, monomial) -> coeff.
+
+    As for Poly, the constructor reduces coefficients through field.of and
+    drops zeros.
+    """
 
     __slots__ = ("field", "nvars", "terms", "_lead")
 
@@ -251,6 +260,7 @@ class PolyVec:
         clean = {}
         if terms:
             for (comp, m), c in terms.items():
+                c = field.of(c)
                 if not field.is_zero(c):
                     clean[(comp, tuple(m))] = c
         self.terms = clean
@@ -258,7 +268,7 @@ class PolyVec:
 
     @staticmethod
     def from_clean(field, nvars: int, terms: dict) -> "PolyVec":
-        """Adopt terms, not a copy: tuple keys, no zero coefficient."""
+        """Adopt terms, not a copy: tuple keys, reduced nonzero values."""
         v = object.__new__(PolyVec)
         v.field, v.nvars, v.terms, v._lead = field, nvars, terms, None
         return v

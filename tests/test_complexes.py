@@ -218,6 +218,30 @@ def test_cover_triangle_verifies_without_homology(monkeypatch):
     assert calls == []
 
 
+def test_homology_and_a_cover_step_make_no_solve(monkeypatch):
+    # artinian kernels, images, cokernels, lifts and preimages read their
+    # results off eliminations already done
+    from levelcert.adams import adams_step_proj
+    from levelcert.resolutions import koszul_complex
+    K = koszul_complex(make_ring("artin(F3; x, y | x^2, y^2)"))
+    calls = []
+    for name in ("solve", "inverse"):
+        method = getattr(Mat, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(Mat, name, counted)
+    hd = HomologyData(K)
+    # H(K) = k, k^2, k in degrees 0, 1, 2, since x^2 = y^2 = 0
+    assert [hd.homology(i).dim for i in K.support()] == [1, 2, 1]
+    step = adams_step_proj(K)
+    assert {i: F.free_rank for i, F in step.F.modules.items()} == \
+        {0: 1, 1: 2, 2: 1}
+    assert calls == []
+
+
 def test_wrong_witness_on_a_cover_triangle_fails():
     tri = adams_tower(koszul_x(), 2).steps[0].triangle
     W = tri.w

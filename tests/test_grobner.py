@@ -129,6 +129,21 @@ def test_poly_parse_and_arithmetic():
     assert (x2 + y2v) * (x2 + y2v) == P(F2, ["x", "y"], "x^2 + y^2")
 
 
+def test_public_constructors_reduce_coefficients():
+    one = (1, 0)
+    assert Poly(F101, 2, {one: -1}) == Poly(F101, 2, {one: 100})
+    assert hash(Poly(F101, 2, {one: -1})) == hash(Poly(F101, 2, {one: 100}))
+    assert Poly(F101, 2, {one: 202}).is_zero()
+    assert Poly(F101, 2, {one: Fraction(1, 2)}).terms == {one: 51}
+    u, w = PolyVec(F101, 2, {(0, one): -1}), PolyVec(F101, 2, {(0, one): 100})
+    assert u == w and hash(u) == hash(w) and (u - w).is_zero()
+    assert PolyVec(F101, 2, {(1, one): 101}).is_zero()
+    # over Q the coefficients become Fractions
+    q = PolyVec(QQ, 2, {(0, one): 2})
+    assert q == PolyVec(QQ, 2, {(0, one): Fraction(2)})
+    assert type(q.terms[(0, one)]) is Fraction
+
+
 def test_polyvec_homogeneous_degree_with_twists():
     x = P(F5, ["x", "y"], "x")
     one = P(F5, ["x", "y"], "1")

@@ -13,16 +13,17 @@ import pytest
 import levelcert.rings
 from levelcert.grobner import BudgetExceeded
 from levelcert.linalg import Mat, PrimeField, extend_to_basis, hstack, vstack
-from levelcert.poly import PolyVec, mono_mul, parse_poly
-from levelcert.randgen import random_complex, random_module
+from levelcert.poly import (PolyVec, monomials_of_degree, mono_mul,
+                            parse_poly)
+from levelcert.randgen import random_complex, random_hom, random_module
 from levelcert.grobner import buchberger
 from levelcert.rings import ArtinRing, GradedPolyRing, make_ring
 from levelcert.modules import (ArtinHom, ArtinModule, GradedHom, GradedModule,
                                ModuleError, artin_free, artin_residue_field,
                                direct_sum, find_isomorphism, free_cover,
-                               free_module, graded_free, graded_residue_field,
-                               hom_space, mat_unvec, mat_vec, zero_hom,
-                               zero_module)
+                               free_hom, free_module, graded_free,
+                               graded_residue_field, hom_space, mat_unvec,
+                               mat_vec, zero_hom, zero_module)
 
 F2 = PrimeField(2)
 F101 = PrimeField(101)
@@ -197,6 +198,128 @@ def test_factor_through_and_preimage():
     assert AA.identity_hom().factor_through(aug) is None
 
 
+# The solve-based constructions that kernel, image, cokernel, lift_through,
+# factor_through and solve_preimage replaced, kept as references.
+
+def _reference_sub_actions(ambient, cols):
+    k = cols.ncols
+    if not ambient.actions:
+        return []
+    y = cols.solve(hstack([x @ cols for x in ambient.actions]))
+    assert y is not None, "columns do not span a submodule"
+    return [y.take_columns(range(j * k, (j + 1) * k))
+            for j in range(len(ambient.actions))]
+
+
+def _reference_kernel(h):
+    kb = h.matrix.kernel_basis()
+    return kb, _reference_sub_actions(h.source, kb)
+
+
+def _reference_image(h):
+    ib = h.matrix.column_space_basis()
+    acts = _reference_sub_actions(h.target, ib)
+    y = ib.solve(h.matrix)
+    assert y is not None
+    return ib, acts, y
+
+
+def _reference_cokernel(h):
+    f = h.matrix.field
+    ib = h.matrix.column_space_basis()
+    idx = extend_to_basis(f, ib)
+    sect = Mat.identity(f, h.target.dim).take_columns(idx)
+    inv = hstack([ib, sect]).inverse()
+    assert inv is not None
+    proj = inv.take_rows(range(ib.ncols, ib.ncols + len(idx)))
+    acts = [proj @ x @ sect for x in h.target.actions]
+    cok = ArtinModule(h.target.ring, len(idx), acts, check=False)
+    ArtinHom(h.target, cok, proj, check=True)
+    return proj, acts, sect
+
+
+def _reference_factor(h, epi):
+    sect = epi.matrix.solve(Mat.identity(h.matrix.field, epi.target.dim))
+    out = h.matrix @ sect
+    return out if out @ epi.matrix == h.matrix else None
+
+
+ORACLE_RINGS = ["artin(F2; x | x^2)", "artin(F3; x, y | x^2, y^2)",
+                "artin(F101; x | x^2)", "artin(Q; x | x^2)",
+                "artin(F2; x, y | x^2, x*y, y^2)"]
+
+
+def _matrix_or_none(h):
+    return None if h is None else h.matrix
+
+
+@pytest.mark.parametrize("text", ORACLE_RINGS)
+def test_solve_free_constructions_match_the_solve_references(text):
+    ring = make_ring(text)
+    rng = random.Random(17)
+    nonzero = 0
+    for _ in range(30):
+        # zero modules and zero maps are drawn too
+        M, N, P = (random_module(ring, rng, max_rank=2) for _ in range(3))
+        h = random_hom(M, N, rng) or zero_hom(M, N)
+        nonzero += not h.is_zero()
+        K, incl = h.kernel()
+        kb, kacts = _reference_kernel(h)
+        assert incl.matrix == kb and K.actions == kacts
+        I, iincl, epi = h.image()
+        ib, iacts, y = _reference_image(h)
+        assert iincl.matrix == ib and I.actions == iacts and epi.matrix == y
+        C, proj = h.cokernel()
+        pmat, cacts, sect = _reference_cokernel(h)
+        assert proj.matrix == pmat and C.actions == cacts
+        assert proj.section == sect
+        # lifts through the kernel inclusion (a retraction) and through
+        # the image inclusion (a solve), and maps that do not lift
+        for mono in (incl, iincl):
+            g = random_hom(P, mono.source, rng)
+            if g is not None:
+                f = mono.compose(g)
+                assert f.lift_through(mono).matrix == \
+                    mono.matrix.solve(f.matrix) == g.matrix
+            t = random_hom(P, mono.target, rng)
+            if t is not None:
+                assert _matrix_or_none(t.lift_through(mono)) == \
+                    mono.matrix.solve(t.matrix)
+        # preimages and factorisations through the projection
+        for j in range(C.dim):
+            e = C.basis_elem(j)
+            assert proj.solve_preimage(e) == proj.matrix.solve(e)
+            assert proj.apply(proj.solve_preimage(e)) == e
+        for t in (random_hom(C, P, rng), random_hom(N, P, rng)):
+            if t is None:
+                continue
+            if t.source is C:
+                t = t.compose(proj)
+            assert _matrix_or_none(t.factor_through(proj)) == \
+                _reference_factor(t, proj)
+    assert nonzero >= 8, nonzero
+
+
+def test_a_map_that_does_not_intertwine_still_fails_loudly():
+    AA = artin_free(A, 1)
+    k = artin_residue_field(A)
+    # 1 -> 1, x -> 0 on A: its image span(1) is not a submodule
+    e1 = ArtinHom(AA, AA, Mat.from_rows(F2, [[1, 0], [0, 0]]), check=False)
+    # the coefficient of x, A -> k: its kernel span(1) is not a submodule
+    cx = ArtinHom(AA, k, Mat.from_rows(F2, [[0, 1]]), check=False)
+    for bad, build, reference in ((e1, ArtinHom.image, _reference_image),
+                                  (cx, ArtinHom.kernel, _reference_kernel)):
+        with pytest.raises(AssertionError, match="submodule"):
+            build(bad)
+        with pytest.raises(AssertionError, match="submodule"):
+            reference(bad)
+    # the projection of its cokernel does not intertwine either
+    with pytest.raises(ModuleError, match="intertwine"):
+        e1.cokernel()
+    with pytest.raises(ModuleError, match="intertwine"):
+        _reference_cokernel(e1)
+
+
 def test_dual_is_involutive_on_random_modules():
     rng = random.Random(3)
     for _ in range(20):
@@ -213,7 +336,11 @@ def test_dual_is_involutive_on_random_modules():
         for _ in range(3):
             pieces = [sat] + [a @ sat for a in F.actions]
             sat = hstack(pieces).column_space_basis()
-        M, _ = ArtinHom._sub_on_columns(F, sat)
+        # the submodule itself, as the image of the free hom onto sat
+        gens = [sat.col(j) for j in range(sat.ncols)]
+        M, incl, _ = free_hom(artin_free(B, len(gens)), F, gens).image()
+        assert M.dim == sat.ncols
+        assert hstack([sat, incl.matrix]).rank() == sat.ncols
         DD = M.dual().dual()
         assert DD.dim == M.dim
         status, _ = find_isomorphism(M, DD)
@@ -445,6 +572,44 @@ def test_graded_lift_and_factor():
     lifted = xonly.lift_through(incl)
     assert lifted is not None
     assert incl.compose(lifted) == xonly
+
+
+def _reference_is_zero_module(M):
+    """Every generator normal-forms to zero: the rule the lead read-off
+    replaced."""
+    return all(M.is_zero_elem(M.gen_elem(j)) for j in range(M.ngens))
+
+
+def _random_cokernel(ring, rng):
+    """F/N on at most three generators of twists 0 and 1. N holds random
+    homogeneous relations plus a random set of the generators themselves,
+    so free, partly killed and zero modules all occur."""
+    f, nv = ring.field, ring.nvars
+    twists = [rng.randint(0, 1) for _ in range(rng.randint(0, 3))]
+    rels = [PolyVec.unit(f, nv, j) for j in range(len(twists))
+            if rng.random() < 0.3]
+    for _ in range(rng.randint(0, 3)):
+        d = rng.randint(max(twists, default=0), 2)
+        terms = {(j, m): rng.choice([0, 1, 2, -1, -3])
+                 for j, t in enumerate(twists)
+                 for m in monomials_of_degree(nv, d - t)}
+        rels.append(PolyVec(f, nv, terms))
+    return GradedModule(ring, twists, rels)
+
+
+@pytest.mark.parametrize("text", ["poly(F101; x, y, z)", "poly(Q; x, y)"])
+def test_is_zero_module_reads_the_relation_leads(text):
+    ring = make_ring(text)
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(80):
+        M = _random_cokernel(ring, rng)
+        zero = M.is_zero_module()
+        assert zero == _reference_is_zero_module(M)
+        seen.add((zero, M.ngens > 0, bool(M.rels)))
+    # zero (with and without generators), free, and nonzero with relations
+    assert {(True, False, False), (True, True, True), (False, True, False),
+            (False, True, True)} <= seen
 
 
 # ------------------------------------------------- per-ring Groebner memo
