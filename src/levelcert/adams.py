@@ -24,11 +24,7 @@ class AdamsError(ValueError):
 def homology_stalks(x: Complex) -> Complex:
     """H(x) as a complex with zero differentials."""
     hd = x.hdata()
-    mods = {}
-    for i in x.support():
-        h = hd.homology(i)
-        if not h.is_zero_module():
-            mods[i] = h
+    mods = {i: hd.homology(i) for i in hd.nonzero_degrees()}
     return Complex(x.ring, mods, {}, check=False)
 
 
@@ -55,18 +51,9 @@ def adams_step_proj(m: Complex) -> AdamsStep:
     ring = m.ring
     hd = m.hdata()
     fmods, comps, cover = {}, {}, {}
-    for i in m.support():
+    for i in hd.nonzero_degrees():
         H = hd.homology(i)
-        if H.is_zero_module():
-            continue
-        hg = list(H.min_gens())
-        _, zeta = hd.cycles(i)
-        pi = hd.homology_proj(i)
-        reps = []
-        for hgen in hg:
-            zc = pi.solve_preimage(hgen)
-            assert zc is not None
-            reps.append(zeta.apply(zc))
+        hg, reps = hd.generator_cycles(i)
         Fi = free_module(ring, [H.degree(e) for e in hg])
         fmods[i] = Fi
         comps[i] = free_hom(Fi, m.module(i), reps)
@@ -210,9 +197,7 @@ def verify_splice(tower: AdamsTower, n: int = None) -> dict:
     degs = set()
     for st in steps[:n]:
         degs |= set(st.F.support())
-    hd = tower.m.hdata()
-    degs |= {i for i in tower.m.support()
-             if not hd.homology(i).is_zero_module()}
+    degs |= set(tower.m.hdata().nonzero_degrees())
     per = {}
     for i in sorted(degs):
         per[int(i)] = splice_complex(tower, i, n).is_exact()

@@ -222,7 +222,7 @@ def _poly_matrix_to_hom(ring, rows, line: int):
     twists = [0] * ncols
     if ring.kind != "artin":
         for j in range(ncols):
-            degs = {rows[i][j].homogeneous_degree()
+            degs = {rows[i][j].homogeneous_degree([0])
                     for i in range(nrows) if not rows[i][j].is_zero()}
             if None in degs or len(degs) > 1:
                 raise VerificationError(
@@ -285,14 +285,15 @@ def _parse_action_module(ring, text: str, line: int) -> ArtinModule:
         if var not in ring.varnames:
             raise ParseError(f"unknown ring variable {var!r}", line)
         rows = _parse_matrix(body, ring, line)
+        one = (0, (0,) * ring.nvars)
         ints = []
         for r in rows:
             ri = []
             for p in r:
-                if not p.is_constant():
+                if any(t != one for t in p.terms):
                     raise ParseError(
                         "action matrices take scalar entries", line)
-                ri.append(p.constant_coeff())
+                ri.append(p.terms.get(one, ring.field.zero))
             ints.append(ri)
         n = len(ints)
         if any(len(r) != n for r in ints):

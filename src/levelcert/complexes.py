@@ -311,6 +311,19 @@ class HomologyData:
         """pi_i : Z_i ->> H_i."""
         return self._homology_parts(i)[1]
 
+    def generator_cycles(self, i: int):
+        """(gens, reps): the minimal generators of H_i and, for each one, a
+        cycle of X_i that pi_i sends to it."""
+        gens = list(self.homology(i).min_gens())
+        _, zeta = self.cycles(i)
+        pi = self.homology_proj(i)
+        reps = []
+        for g in gens:
+            zc = pi.solve_preimage(g)
+            assert zc is not None
+            reps.append(zeta.apply(zc))
+        return gens, reps
+
     def cmod(self, i: int):
         """(C_i = X_i/B_i, proj)."""
         if i not in self._cmod:
@@ -426,12 +439,6 @@ class ConeData:
         """B -> Cone(f)."""
         return ChainMap(self.f.target, self.complex,
                         {i: self.in_b[i] for i in self.in_b}, check=False)
-
-    def projection(self) -> ChainMap:
-        """Cone(f) -> shift(A)."""
-        sa = self.f.source.shift(1)
-        return ChainMap(self.complex, sa,
-                        {i: self.pr_a[i] for i in self.pr_a}, check=False)
 
 
 def cone(f: ChainMap) -> ConeData:

@@ -194,20 +194,12 @@ CASES = [
 ]
 
 
-def run_corpus(filter_text: str | None = None,
-               perturb: str | None = None) -> dict:
-    """Run the bundled cases; filter selects by substring.
-
-    perturb names a row whose expected value is deliberately damaged,
-    exercising the failure path of the comparison harness.
-    """
+def run_corpus(filter_text: str | None = None) -> dict:
+    """Run the bundled cases; filter selects by substring."""
     rows = []
     for name, fn, expected in CASES:
         if filter_text is not None and filter_text not in name:
             continue
-        if perturb is not None and perturb in name:
-            expected = {**expected, "perturbed": True} \
-                if isinstance(expected, dict) else ("perturbed", expected)
         got = fn()
         rows.append({"name": name, "expected": expected, "got": got,
                      "ok": got == expected})

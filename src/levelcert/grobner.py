@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .poly import (Poly, PolyVec, add_combination, mono_div, mono_lcm, mono_mul,
-                   mono_deg, pot_key)
+from .poly import PolyVec, add_combination, mono_div, mono_lcm, mono_mul, pot_key
 
 
 class BudgetExceeded(RuntimeError):
@@ -29,7 +28,7 @@ def normal_form(v: PolyVec, basis, track: bool = False):
     """Divide v by a list of monic PolyVecs.
 
     Returns the remainder, or (remainder, quotients) with track=True where
-    quotients[k] is the Poly coefficient on basis[k] and
+    quotients[k] is the polynomial coefficient on basis[k] and
     v = sum(basis[k] * quotients[k]) + remainder.
 
     The terms still to divide sit in one mutable dict, `work`, and a heap
@@ -69,7 +68,7 @@ def normal_form(v: PolyVec, basis, track: bool = False):
             rem[t] = c
             continue
         if track:
-            quots[k][q] = c
+            quots[k][(0, q)] = c
         for gt, gc in basis[k].terms.items():
             if gt is lt:
                 continue
@@ -87,7 +86,7 @@ def normal_form(v: PolyVec, basis, track: bool = False):
                     work[nt] = s
     rem = PolyVec.from_clean(field, nvars, rem)
     if track:
-        return rem, [Poly.from_clean(field, nvars, q) for q in quots]
+        return rem, [PolyVec.from_clean(field, nvars, q) for q in quots]
     return rem
 
 
@@ -135,7 +134,7 @@ class GroebnerBasis:
 def _quot_terms(quots):
     """((k, m), c) for every term c * x^m of quots[k]: the quotients of
     normal_form as the coefficients of an add_combination."""
-    return (((k, m), c) for k, q in enumerate(quots) for m, c in q.terms.items())
+    return (((k, m), c) for k, q in enumerate(quots) for (_, m), c in q.terms.items())
 
 
 def _pair_candidates(basis, i, j):
@@ -144,7 +143,7 @@ def _pair_candidates(basis, i, j):
     if ci != cj:
         return None
     lcm = mono_lcm(mi, mj)
-    return (mono_deg(lcm), i, j, lcm, mono_div(lcm, mi), mono_div(lcm, mj))
+    return (sum(lcm), i, j, lcm, mono_div(lcm, mi), mono_div(lcm, mj))
 
 
 def buchberger(gens, budget: int = 50000) -> GroebnerBasis:

@@ -143,8 +143,7 @@ def _replacement(m: Complex, extra: int = 2):
     """
     if all(m.module(i).is_free() for i in m.support()):
         return m, identity_chain_map(m)
-    hdegs = [i for i in m.support()
-             if not m.hdata().homology(i).is_zero_module()]
+    hdegs = m.hdata().nonzero_degrees()
     top = max(hdegs)
     res = semiprojective_resolution(m, ceiling=top + extra)
     return res.complex, res.aug
@@ -233,8 +232,7 @@ def derived_hom(m: Complex, n: Complex) -> ChainMapSpace:
     """
     if m.is_zero_complex() or n.is_zero_complex():
         return ChainMapSpace(m, n)
-    hdegs = [i for i in m.support()
-             if not m.hdata().homology(i).is_zero_module()]
+    hdegs = m.hdata().nonzero_degrees()
     if not hdegs:
         return ChainMapSpace(m, n)
     extra = max(2, n.max_deg - max(hdegs) + 2)

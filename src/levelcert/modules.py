@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from .linalg import (Mat, block_diag, extend_to_basis, full_rank_combination,
                      hstack, vstack)
-from .poly import Poly, PolyVec, add_combination, mono_mul
+from .poly import PolyVec, add_combination, mono_mul
 from .rings import ArtinRing, GradedPolyRing
 
 
@@ -94,8 +94,7 @@ class ArtinModule:
                 if not (self.actions[i] @ self.actions[j]
                         == self.actions[j] @ self.actions[i]):
                     raise ModuleError("actions do not commute")
-        for b in self.ring.gb.basis:
-            r = b.component(0)
+        for r in self.ring.gb.basis:
             if not self.poly_action(r).is_zero():
                 raise ModuleError("ring relation not satisfied by actions")
 
@@ -113,9 +112,10 @@ class ArtinModule:
             self._mono_act[mono] = out
         return self._mono_act[mono]
 
-    def poly_action(self, p: Poly) -> Mat:
+    def poly_action(self, p: PolyVec) -> Mat:
+        """The action of the polynomial p."""
         out = Mat.zeros(self.field, self.dim, self.dim)
-        for m, c in p.terms.items():
+        for (_, m), c in p.terms.items():
             out = out + self.mono_action(m).scale(c)
         return out
 
@@ -148,8 +148,7 @@ class ArtinModule:
     def min_gens(self):
         """Columns forming a minimal generating set (standard-vector lifts)."""
         if self._min_gens is None:
-            span = self.radical_span().column_space_basis()
-            idx = extend_to_basis(self.field, span)
+            idx = extend_to_basis(self.field, self.radical_span())
             self._min_gens = [self.basis_elem(i) for i in idx]
         return self._min_gens
 
@@ -479,8 +478,7 @@ class GradedModule:
                     rows = _piece(self, [d])
                     w = _multiples(self.ring, top, [d] * len(top), [d], rows)
                     w = w.take_rows(rows[0, j, one] for j in slots)
-                    slots = [slots[i] for i in extend_to_basis(
-                        self.field, w.column_space_basis())]
+                    slots = [slots[i] for i in extend_to_basis(self.field, w)]
                 out.extend(slots)
             self._min_idx = sorted(out)
         return self._min_idx
@@ -554,18 +552,14 @@ def graded_free(ring: GradedPolyRing, twists) -> GradedModule:
 
 
 def graded_residue_field(ring: GradedPolyRing) -> GradedModule:
-    rels = []
-    for v in range(ring.nvars):
-        e = [0] * ring.nvars
-        e[v] = 1
-        rels.append(PolyVec(ring.field, ring.nvars, {(0, tuple(e)): ring.field.one}))
+    rels = [PolyVec.variable(ring.field, ring.nvars, v) for v in range(ring.nvars)]
     return GradedModule(ring, [0], rels, check=False, label="k")
 
 
-def graded_submodule(ambient: GradedModule, gens, drop_zeros: bool = True):
-    """(K, incl) for the submodule generated by gens (elements of ambient)."""
-    if drop_zeros:
-        gens = [g for g in gens if not ambient.is_zero_elem(g)]
+def graded_submodule(ambient: GradedModule, gens):
+    """(K, incl) for the submodule generated by the nonzero gens (elements
+    of ambient)."""
+    gens = [g for g in gens if not ambient.is_zero_elem(g)]
     if not gens:
         K = GradedModule(ambient.ring, [], [], check=False)
         return K, GradedHom(K, ambient, [], check=False)
@@ -841,7 +835,7 @@ def free_hom_from_polys(F, G, entries):
         cols.append(PolyVec(ring.field, ring.nvars,
                             {(i, mono): c
                              for i in range(m)
-                             for mono, c in entries[i][j].terms.items()}))
+                             for (_, mono), c in entries[i][j].terms.items()}))
     return GradedHom(F, G, cols, check=True)
 
 

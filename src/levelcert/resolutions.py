@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .linalg import Mat, hstack
-from .poly import Poly
+from .poly import PolyVec
 from .modules import (ArtinHom, ArtinModule, GradedHom, GradedModule,
                       free_hom, free_module, find_isomorphism, hom_space,
                       top_matrices, zero_hom, zero_module)
@@ -137,15 +137,7 @@ def semiprojective_resolution(x: Complex, ceiling: int | None = None) -> Resolut
 
     for i in range(lo, ceiling + 1):
         Xi = x.module(i)
-        z_imgs = []
-        H = hd.homology(i)
-        if not H.is_zero_module():
-            _, zeta = hd.cycles(i)
-            pi = hd.homology_proj(i)
-            for hgen in H.min_gens():
-                zc = pi.solve_preimage(hgen)
-                assert zc is not None
-                z_imgs.append(zeta.apply(zc))
+        z_imgs = hd.generator_cycles(i)[1] if i in hdegs else []
 
         y_elems = []
         x_lifts = []
@@ -223,12 +215,11 @@ def multiplication_chain_map(x: Complex, v: int) -> ChainMap:
     preserving; over an artinian base the source is x itself.
     """
     ring = x.ring
+    p = PolyVec.variable(ring.field, ring.nvars, v)
     if ring.kind == "artin":
-        p = Poly.variable(ring.field, ring.nvars, v)
         comps = {i: ArtinHom(m, m, m.poly_action(p), check=False)
                  for i, m in x.modules.items()}
         return ChainMap(x, x, comps, check=False)
-    p = Poly.variable(ring.field, ring.nvars, v)
     xt = twist_complex(x, 1)
     comps = {}
     for i, m in x.modules.items():

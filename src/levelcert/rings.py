@@ -14,7 +14,7 @@ its modules (resolutions.tr_screen), one per module value and window.
 from __future__ import annotations
 
 from .linalg import Mat, parse_field, vstack
-from .poly import Poly, PolyVec, grevlex_key, mono_mul, monomials_of_degree, parse_poly
+from .poly import PolyVec, grevlex_key, mono_mul, monomials_of_degree, parse_poly
 from .grobner import buchberger, syzygies
 
 MAX_STANDARD_DEGREE = 60
@@ -37,12 +37,9 @@ class ArtinRing:
         self.nvars = len(self.varnames)
         rels = [parse_poly(field, self.varnames, t) for t in relation_texts]
         rels = [r for r in rels if not r.is_zero()]
-        if not rels:
-            if self.nvars > 0:
-                raise InfiniteDimensional("no relations given")
-            rels = []
-        gens = [PolyVec.from_polys([r]) for r in rels] or [PolyVec.zero(field, 0)]
-        self.gb = buchberger(gens)
+        if not rels and self.nvars > 0:
+            raise InfiniteDimensional("no relations given")
+        self.gb = buchberger(rels or [PolyVec.zero(field, 0)])
         if any(b == PolyVec.unit(field, self.nvars, 0) for b in self.gb.basis):
             raise ValueError("relations generate the unit ideal")
         self.basis_monos = self._standard_monomials()
@@ -75,11 +72,12 @@ class ArtinRing:
         out.sort(key=grevlex_key)
         return out
 
-    def nf_coeffs(self, p: Poly):
-        """Coefficient vector of the normal form of p over the monomial basis."""
-        rem = self.gb.normal_form(PolyVec.from_polys([p]))
+    def nf_coeffs(self, p: PolyVec):
+        """Coefficient vector of the normal form of the polynomial p over
+        the monomial basis."""
+        rem = self.gb.normal_form(p)
         out = [self.field.zero] * self.dim
-        for (comp, m), c in rem.terms.items():
+        for (_, m), c in rem.terms.items():
             out[self.index[m]] = c
         return out
 
@@ -90,7 +88,8 @@ class ArtinRing:
             for mi in self.basis_monos:
                 cols = []
                 for mj in self.basis_monos:
-                    prod = Poly(self.field, self.nvars, {mono_mul(mi, mj): self.field.one})
+                    prod = PolyVec.from_clean(self.field, self.nvars,
+                                              {(0, mono_mul(mi, mj)): self.field.one})
                     cols.append(self.nf_coeffs(prod))
                 cols_by_mono.append(Mat.from_rows(
                     self.field,
@@ -98,7 +97,7 @@ class ArtinRing:
             self._reg = cols_by_mono
         return self._reg
 
-    def mult_matrix(self, p: Poly) -> Mat:
+    def mult_matrix(self, p: PolyVec) -> Mat:
         """Multiplication-by-p as a dim x dim matrix."""
         coeffs = self.nf_coeffs(p)
         reg = self.regular_rep()
@@ -112,7 +111,7 @@ class ArtinRing:
         """Multiplication by variable i, built once per ring."""
         if i not in self._var_mats:
             self._var_mats[i] = self.mult_matrix(
-                Poly.variable(self.field, self.nvars, i))
+                PolyVec.variable(self.field, self.nvars, i))
         return self._var_mats[i]
 
     def _check_local(self):
@@ -140,7 +139,7 @@ class ArtinRing:
         return 0
 
     def decl_text(self) -> str:
-        rels = ", ".join(b.component(0).text(self.varnames) for b in self.gb.basis)
+        rels = ", ".join(b.component_text(0, self.varnames) for b in self.gb.basis)
         return f"artin({self.field.name}; {', '.join(self.varnames)} | {rels})"
 
     def __eq__(self, other):
@@ -193,14 +192,6 @@ class GradedPolyRing:
         if d not in self._mono_cache:
             self._mono_cache[d] = monomials_of_degree(self.nvars, d)
         return self._mono_cache[d]
-
-    def dim_of_degree(self, d: int) -> int:
-        if d < 0:
-            return 0
-        return len(self.monomials(d))
-
-    def parse(self, text: str) -> Poly:
-        return parse_poly(self.field, self.varnames, text)
 
     @property
     def is_gorenstein(self) -> bool:

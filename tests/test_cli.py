@@ -3,6 +3,7 @@ import json
 import pytest
 
 import levelcert.cli
+import levelcert.corpus
 import levelcert.rings
 from levelcert.cli import (ParseError, VerificationError, main, parse,
                            run_session)
@@ -300,8 +301,13 @@ def test_corpus_all_pass_and_filter(tmp_path):
     assert main([str(script), "--corpus-filter", "no such case"]) == 0
 
 
-def test_corpus_perturbed_row_fails():
-    table = run_corpus("depth formula", perturb="depth formula")
+def test_corpus_perturbed_row_fails(monkeypatch):
+    # damage the expected value of one row of a copy of the cases
+    cases = [(name, fn, {**expected, "perturbed": True}
+              if "depth formula" in name else expected)
+             for name, fn, expected in levelcert.corpus.CASES]
+    monkeypatch.setattr(levelcert.corpus, "CASES", cases)
+    table = run_corpus("depth formula")
     assert table["total"] == 1
     assert not table["rows"][0]["ok"]
     assert not table["all_ok"]

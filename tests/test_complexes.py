@@ -34,7 +34,9 @@ def koszul_x():
 def graded_koszul_xy():
     """R(-2) -> R(-1)^2 -> R over F101[x, y]."""
     def pv(*texts):
-        return PolyVec.from_polys([parse_poly(F101, ["x", "y"], t) for t in texts])
+        polys = [parse_poly(F101, ["x", "y"], t) for t in texts]
+        return PolyVec(F101, 2, {(i, m): c for i, p in enumerate(polys)
+                                 for (_, m), c in p.terms.items()})
     F0 = graded_free(R2, [0])
     F1 = graded_free(R2, [1, 1])
     Ftop = graded_free(R2, [2])
@@ -336,8 +338,7 @@ def test_chain_maps_into_a_space_of_trivial_homs():
     k = graded_residue_field(R2)
     x = Complex(R2, {2: F1, 1: F1}, {2: F1.identity_hom()})
     y = Complex(R2, {2: F1, 1: F0, 0: k},
-                {2: GradedHom(F1, F0, [PolyVec.from_polys(
-                    [parse_poly(F101, ["x", "y"], "x")])]),
+                {2: GradedHom(F1, F0, [parse_poly(F101, ["x", "y"], "x")]),
                  1: GradedHom(F0, k, [k.gen_elem(0)])})
     sp = ChainMapSpace(x, y)
     assert sp.chain_map_basis().shape == (3, 1)

@@ -35,7 +35,8 @@ R2 = GradedPolyRing(F101, ["x", "y"])
 
 def pv(ring, *texts):
     polys = [parse_poly(ring.field, ring.varnames, t) for t in texts]
-    return PolyVec.from_polys(polys)
+    return PolyVec(ring.field, ring.nvars, {(i, m): c for i, p in enumerate(polys)
+                                            for (_, m), c in p.terms.items()})
 
 
 # ------------------------------------------------------------- artin side

@@ -19,7 +19,7 @@ from levelcert.modules import (ArtinHom, ArtinModule, artin_free,
                                GradedHom, top_matrices, zero_module)
 from levelcert.complexes import Complex, is_quasi_iso, module_stalk
 from levelcert.linalg import Mat
-from levelcert.poly import Poly
+from levelcert.poly import PolyVec, parse_poly
 from levelcert.resolutions import (check_ses_dimension_calculus, depth_of,
                                    dimension_report, ext_dims_into_ring,
                                    koszul_complex, minimal_free_resolution,
@@ -80,8 +80,7 @@ def test_pd_of_residue_field_both_routes(R3):
 
 def test_pd_of_ideal(R2):
     F = graded_free(R2, [0])
-    x = R2.parse("x")
-    y = R2.parse("y")
+    x, y = (parse_poly(R2.field, R2.varnames, v) for v in "xy")
     M, _ = graded_submodule(F, [F.gen_elem(0).mul_poly(x),
                                 F.gen_elem(0).mul_poly(y)])
     rep = dimension_report(M, "pd")
@@ -198,9 +197,9 @@ def transposed_entries(d):
     ring, n = d.source.ring, d.source.ring.dim
 
     def poly(coeffs):
-        return Poly(ring.field, ring.nvars,
-                    {m: c for m, c in zip(ring.basis_monos, coeffs)
-                     if not ring.field.is_zero(c)})
+        return PolyVec(ring.field, ring.nvars,
+                       {(0, m): c for m, c in zip(ring.basis_monos, coeffs)
+                        if not ring.field.is_zero(c)})
 
     return [[poly(d.matrix.col_entries(j * n)[i * n:(i + 1) * n])
              for i in range(d.target.free_rank)]
@@ -382,7 +381,7 @@ def test_gpd_non_gorenstein(B):
 
 def test_ses_dimension_calculus_graded(R2):
     F = graded_free(R2, [0])
-    x, y = R2.parse("x"), R2.parse("y")
+    x, y = (parse_poly(R2.field, R2.varnames, v) for v in "xy")
     M, incl = graded_submodule(F, [F.gen_elem(0).mul_poly(x),
                                    F.gen_elem(0).mul_poly(y)])
     k = graded_residue_field(R2)
