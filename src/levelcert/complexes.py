@@ -84,11 +84,8 @@ class Complex:
         return self.hdata().is_exact()
 
     def shift(self, n: int = 1) -> "Complex":
-        sign = -1 if n % 2 else 1
         mods = {i + n: m for i, m in self.modules.items()}
-        diffs = {}
-        for i, d in self.diffs.items():
-            diffs[i + n] = d.scale(self.ring.field.of(sign))
+        diffs = {i + n: -d if n % 2 else d for i, d in self.diffs.items()}
         return Complex(self.ring, mods, diffs, check=False)
 
     def truncate_ge(self, n: int) -> "Complex":
@@ -428,8 +425,7 @@ class ConeData:
             if i - 1 not in mods:
                 continue
             # d(a, b) = (-da, f(a) + db)
-            t1 = self.in_a[i - 1].compose(a.diff(i - 1).scale(ring.field.of(-1))) \
-                .compose(self.pr_a[i])
+            t1 = self.in_a[i - 1].compose(-a.diff(i - 1)).compose(self.pr_a[i])
             t2 = self.in_b[i - 1].compose(f.comp(i - 1)).compose(self.pr_a[i])
             t3 = self.in_b[i - 1].compose(b.diff(i)).compose(self.pr_b[i])
             diffs[i] = t1 + t2 + t3

@@ -1,20 +1,27 @@
 """Exact dense linear algebra over prime fields and the rationals.
 
-A matrix is one read-only numpy array: over F_p, int64 entries reduced
-into [0, p) (p < 2**31, so every single product fits in int64); over Q,
-an object array of fractions.Fraction. Each matrix operation has one body
-for both fields. The field classes own the only array steps that differ:
-reduce (mod p over F_p, nothing over Q), matmul, and the elimination step
-of row reduction with the conversion into and out of its working array.
+A matrix is one read-only numpy array and a positive denominator: over
+F_p, int64 entries reduced into [0, p) (p < 2**31, so every single
+product fits in int64) over the denominator 1; over Q, an object array
+of Python ints over one common denominator, the pair in lowest terms
+(the gcd of the denominator and every entry is 1, and the zero matrix
+has denominator 1). Both forms are canonical, so equal matrices have
+equal arrays and denominators. Each matrix operation has one body for
+both fields. The field classes own the only array steps that differ:
+normalize (mod p over F_p, clearing and dividing by the gcd over Q),
+matmul, the elimination step of row reduction and the conversion out of
+its working array, and the conversion of entries into field elements.
 Over F_p, matmul is a chunked int64 product that keeps sums below 2**63,
 and elimination scales the pivot row to 1 and subtracts multiples of it.
-Over Q both run on Python ints, so no Fraction arithmetic happens inside
-a product or an elimination: matmul clears each factor's denominators by
-their common multiple, multiplies integer arrays and divides once per
-output entry; elimination is fraction-free (Bareiss, Math. Comp. 1968),
-with each row cleared of denominators, updated by cross-multiplication
-and divided by its content, and each pivot row divided by its pivot at
-the end. No floating point anywhere.
+Over Q no Fraction is built inside a product, a sum or an elimination:
+matmul multiplies the integer arrays and the denominators, sums and
+stacks bring their operands to the lcm of their denominators, and
+elimination is fraction-free (Bareiss, Math. Comp. 1968), with each row
+updated by cross-multiplication and divided by its content, and the
+reduced rows read over the lcm of the pivots at the end. Fractions are
+built only where entries leave a matrix (entry, col_entries, to_lists)
+and cleared only where they enter one (the constructors). No floating
+point anywhere.
 
 Row reduction uses a fixed pivot rule, lowest row index then lowest column
 index, so ranks, kernel bases and solutions are deterministic functions of
@@ -118,11 +125,16 @@ class PrimeField:
     def scalar_str(self, a) -> str:
         return str(a % self.p)
 
-    def reduce(self, a: np.ndarray) -> np.ndarray:
-        return a % self.p
+    def normalize(self, a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        """(a mod p, 1): over F_p every denominator is 1."""
+        return a % self.p, 1
+
+    def entries(self, a: np.ndarray, den: int) -> list:
+        """The entries of a as (nested) lists of field elements."""
+        return a.tolist()
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b up to reduce: the inner dimension is cut into chunks
+        """a @ b up to normalize: the inner dimension is cut into chunks
         whose sums of products stay below 2**62."""
         step = 2**62 // (self.p - 1) ** 2
         out = a[:, :step] @ b[:step]
@@ -130,30 +142,28 @@ class PrimeField:
             out = out % self.p + a[:, s:s + step] @ b[s:s + step]
         return out
 
-    def work_array(self, a: np.ndarray) -> np.ndarray:
-        """A writable copy of a for Mat.rref to eliminate in."""
-        return a.copy()
-
     def eliminate(self, a: np.ndarray, r: int, c: int) -> None:
         """Scale row r to a pivot 1 at column c, then clear column c in
         every other row."""
         # row r is zero left of column c, so only columns c: change
-        a[r, c:] = self.reduce(a[r, c:] * self.inv(a.item(r, c)))
+        a[r, c:] = a[r, c:] * self.inv(a.item(r, c)) % self.p
         mask = a[:, c] != 0
         mask[r] = False
         if mask.any():
-            a[mask, c:] = self.reduce(
-                a[mask, c:] - np.outer(a[mask, c], a[r, c:]))
+            a[mask, c:] = (a[mask, c:]
+                           - np.outer(a[mask, c], a[r, c:])) % self.p
 
-    def from_work(self, a: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
-        """The reduced matrix held in an eliminated working array."""
-        return a
+    def from_work(self, a: np.ndarray,
+                  pivots: Sequence[int]) -> tuple[np.ndarray, int]:
+        """The reduced matrix held in an eliminated working array, with
+        its denominator: the array itself is reduced, over 1."""
+        return a, 1
 
 
 class RationalField:
-    """The field Q. Entries are Fraction objects; products and row
-    reduction run on Python ints and build one Fraction per result entry.
-    """
+    """The field Q. Elements are Fraction objects; a matrix holds Python
+    ints over one common denominator, and products, sums and row
+    reduction run on those ints."""
 
     __slots__ = ()
     dtype = object
@@ -168,11 +178,11 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def of(self, n) -> Fraction:
         return n if type(n) is Fraction else Fraction(n)
@@ -209,22 +219,37 @@ class RationalField:
     def scalar_str(self, a) -> str:
         return str(a)
 
-    def reduce(self, a: np.ndarray) -> np.ndarray:
-        return a
+    def normalize(self, a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        """The matrix a / den in lowest terms, as (ints, denominator).
+
+        Fraction entries, which only the public constructors pass, are
+        first cleared by the lcm of their denominators.
+        """
+        flat = a.ravel().tolist()
+        try:
+            g = math.gcd(den, *flat)
+        except TypeError:  # some entry is a Fraction
+            m = math.lcm(*(x.denominator for x in flat))
+            flat = [x.numerator * (m // x.denominator) for x in flat]
+            den *= m
+            g = math.gcd(den, *flat)
+        else:
+            if g == 1:
+                return a, den
+        if g > 1:
+            flat = [x // g for x in flat]
+            den //= g
+        return np.array(flat, dtype=object).reshape(a.shape), den
+
+    def entries(self, a: np.ndarray, den: int) -> list:
+        """The entries of a / den as (nested) lists of Fractions."""
+        out = [Fraction(x, den) if x else _ZERO for x in a.ravel().tolist()]
+        return np.array(out, dtype=object).reshape(a.shape).tolist()
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b as (A @ B) / (la * lb), where A = la * a and B = lb * b
-        are integer arrays and la, lb the lcms of their denominators."""
-        (ia, la), (ib, lb) = _cleared(a), _cleared(b)
-        return _fractions(ia @ ib, la * lb)
-
-    def work_array(self, a: np.ndarray) -> np.ndarray:
-        """Each row of a times the lcm of its denominators, as Python ints."""
-        flat = []
-        for row in a.tolist():
-            m = math.lcm(*(x.denominator for x in row))
-            flat += [x.numerator * (m // x.denominator) for x in row]
-        return np.array(flat, dtype=object).reshape(a.shape)
+        """The integer product a @ b; its denominator is the product of
+        the factors' denominators."""
+        return a @ b
 
     def eliminate(self, a: np.ndarray, r: int, c: int) -> None:
         """Clear column c in every other row: row_i becomes
@@ -242,42 +267,21 @@ class RationalField:
                 row //= g
         a[mask] = rows
 
-    def from_work(self, a: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
-        """Fractions: each pivot row divided by its pivot; the rows past
-        the rank are zero."""
-        out = _zeros(self, *a.shape)
-        for k, c in enumerate(pivots):
-            pv = a.item(k, c)
-            out[k] = [Fraction(x, pv) if x else _ZERO for x in a[k].tolist()]
-        return out
+    def from_work(self, a: np.ndarray,
+                  pivots: Sequence[int]) -> tuple[np.ndarray, int]:
+        """Each pivot row divided by its pivot, all over the lcm of the
+        pivots, in lowest terms; the rows past the rank are zero."""
+        pvs = [a.item(k, c) for k, c in enumerate(pivots)]
+        den = math.lcm(*pvs)
+        out = np.zeros(a.shape, dtype=object)
+        for k, pv in enumerate(pvs):
+            out[k] = a[k] * (den // pv)
+        return self.normalize(out, den)
 
 
-def _cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(l * a as an array of Python ints, l) for the lcm l of the
-    denominators of a."""
-    flat = a.ravel().tolist()
-    dens = [x.denominator for x in flat]
-    m = math.lcm(*dens)
-    if m == 1:
-        ints = [x.numerator for x in flat]
-    else:
-        ints = [x.numerator * (m // d) for x, d in zip(flat, dens)]
-    return np.array(ints, dtype=object).reshape(a.shape), m
-
-
-# the one Fraction that stands for every zero entry of a result
+# the Fractions that stand for every zero and one of Q
 _ZERO = Fraction(0)
-
-
-def _fractions(a: np.ndarray, den: int) -> np.ndarray:
-    """The object array of the Fractions n / den for the Python ints n
-    of a."""
-    flat = a.ravel().tolist()
-    if den == 1:
-        out = [Fraction(n) if n else _ZERO for n in flat]
-    else:
-        out = [Fraction(n, den) if n else _ZERO for n in flat]
-    return np.array(out, dtype=object).reshape(a.shape)
+_ONE = Fraction(1)
 
 
 QQ = RationalField()
@@ -305,41 +309,49 @@ def parse_scalar(field, text: str):
 class Mat:
     """Immutable exact matrix over a PrimeField or RationalField.
 
-    The data is one read-only numpy array of dtype field.dtype: int64
-    entries in [0, p) over F_p, Fraction objects over Q. Every method has
-    one body for both fields; the field supplies the array steps that
-    differ: reduce, matmul, and the elimination step of rref with its
-    working array. Treat instances as values: every operation
-    returns a new Mat. Row data that is not already an array of the
-    field's dtype is converted entry by entry with field.of. Array data
-    is reduced unless the caller passes reduced=True, which only the
-    constructors that rearrange entries of reduced arrays do.
+    The data is one read-only numpy array of dtype field.dtype and a
+    positive int denominator: int64 entries in [0, p) over 1 on F_p,
+    Python ints over Q, with the pair in lowest terms (the zero matrix
+    has denominator 1), so equal matrices have equal data. Every method
+    has one body for both fields; the field supplies the array steps that
+    differ: normalize, matmul, the elimination step of rref with its
+    conversion out of the working array, and the entries as field
+    elements. Treat instances as values: every operation returns a new
+    Mat. Row data that is not already an array of the field's dtype is
+    converted entry by entry with field.of. Data and den are normalized
+    unless the caller passes reduced=True, which only the operations that
+    build canonical data themselves do.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_a", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "_a", "_den", "_rref")
 
-    def __init__(self, field, nrows: int, ncols: int, data, *,
+    def __init__(self, field, nrows: int, ncols: int, data, den: int = 1, *,
                  reduced: bool = False):
-        if not (isinstance(data, np.ndarray) and data.dtype == field.dtype):
+        if reduced:
+            a = data
+        else:
+            if not (isinstance(data, np.ndarray)
+                    and data.dtype == field.dtype):
+                try:
+                    data = [[field.of(x) for x in row] for row in data]
+                except TypeError:
+                    raise LinalgError("bad row data shape") from None
             try:
-                data = [[field.of(x) for x in row] for row in data]
-            except TypeError:
+                a = np.asarray(data, dtype=field.dtype)
+            except ValueError:
                 raise LinalgError("bad row data shape") from None
-        try:
-            a = np.asarray(data, dtype=field.dtype)
-        except ValueError:
-            raise LinalgError("bad row data shape") from None
         if a.shape != (nrows, ncols):
             if a.size or nrows * ncols:
                 raise LinalgError("bad row data shape")
             a = a.reshape(nrows, ncols)
         if not reduced:
-            a = field.reduce(a)
+            a, den = field.normalize(a, den)
         a.setflags(write=False)
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self._a = a
+        self._den = den
         self._rref = None
 
     # ---- constructors ----
@@ -367,7 +379,7 @@ class Mat:
     @staticmethod
     def identity(field, n: int) -> "Mat":
         a = _zeros(field, n, n)
-        np.fill_diagonal(a, field.one)
+        np.fill_diagonal(a, 1)
         return Mat(field, n, n, a, reduced=True)
 
     @staticmethod
@@ -382,28 +394,31 @@ class Mat:
         return (self.nrows, self.ncols)
 
     def entry(self, i: int, j: int):
-        return self._a.item(i, j)
+        return self.field.entries(self._a[[i], [j]], self._den)[0]
 
     def col_entries(self, j: int) -> list:
-        return self._a[:, j].tolist()
+        return self.field.entries(self._a[:, j], self._den)
 
     def col(self, j: int) -> "Mat":
         return self.take_columns([j])
 
+    # a subset of the entries of a canonical pair can share a factor with
+    # the denominator, which only a denominator above 1 can have
+
     def take_columns(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         return Mat(self.field, self.nrows, len(idx), self._a[:, idx],
-                   reduced=True)
+                   self._den, reduced=self._den == 1)
 
     def take_rows(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         return Mat(self.field, len(idx), self.ncols, self._a[idx],
-                   reduced=True)
+                   self._den, reduced=self._den == 1)
 
     def reshape(self, nrows: int, ncols: int) -> "Mat":
         """The entries in row-major order, refilled into nrows x ncols."""
         return Mat(self.field, nrows, ncols, self._a.reshape(nrows, ncols),
-                   reduced=True)
+                   self._den, reduced=True)
 
     def block_transpose(self, b: int) -> "Mat":
         """The b x b blocks moved to their transposed places, each block
@@ -417,10 +432,11 @@ class Mat:
         p, q = self.nrows // b, self.ncols // b
         a = self._a.reshape(p, b, q, b).transpose(2, 1, 0, 3)
         return Mat(self.field, self.ncols, self.nrows,
-                   a.reshape(self.ncols, self.nrows), reduced=True)
+                   a.reshape(self.ncols, self.nrows), self._den,
+                   reduced=True)
 
     def to_lists(self) -> list[list]:
-        return self._a.tolist()
+        return self.field.entries(self._a, self._den)
 
     def is_zero(self) -> bool:
         return not self._a.any()
@@ -428,10 +444,11 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or other.field != self.field:
             return NotImplemented
-        return bool(np.array_equal(self._a, other._a))
+        return (self._den == other._den
+                and bool(np.array_equal(self._a, other._a)))
 
     def __hash__(self):
-        return hash((self.shape, tuple(map(tuple, self.to_lists()))))
+        return hash((self.shape, self._den, tuple(self._a.ravel().tolist())))
 
     def __repr__(self):
         return f"Mat({self.field}, {self.nrows}x{self.ncols})"
@@ -441,7 +458,8 @@ class Mat:
     def _binary(self, other: "Mat", op):
         if self.shape != other.shape or self.field != other.field:
             raise LinalgError("shape/field mismatch")
-        return Mat(self.field, self.nrows, self.ncols, op(self._a, other._a))
+        (a, b), den = _over_common_den([self, other])
+        return Mat(self.field, self.nrows, self.ncols, op(a, b), den)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -450,11 +468,13 @@ class Mat:
         return self._binary(other, np.subtract)
 
     def __neg__(self):
-        return Mat(self.field, self.nrows, self.ncols, -self._a)
+        return Mat(self.field, self.nrows, self.ncols,
+                   self.field.neg(self._a), self._den, reduced=True)
 
     def scale(self, c) -> "Mat":
+        c = self.field.of(c)
         return Mat(self.field, self.nrows, self.ncols,
-                   self._a * self.field.of(c))
+                   self._a * c.numerator, self._den * c.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows or self.field != other.field:
@@ -462,17 +482,20 @@ class Mat:
         if self.ncols == 0:  # nothing to multiply: the zero matrix
             return Mat.zeros(self.field, self.nrows, other.ncols)
         return Mat(self.field, self.nrows, other.ncols,
-                   self.field.matmul(self._a, other._a))
+                   self.field.matmul(self._a, other._a),
+                   self._den * other._den)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product self (x) other."""
         if self.field != other.field:
             raise LinalgError("kron field mismatch")
         return Mat(self.field, self.nrows * other.nrows,
-                   self.ncols * other.ncols, np.kron(self._a, other._a))
+                   self.ncols * other.ncols, np.kron(self._a, other._a),
+                   self._den * other._den)
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.ncols, self.nrows, self._a.T)
+        return Mat(self.field, self.ncols, self.nrows, self._a.T, self._den,
+                   reduced=True)
 
     # ---- reduction ----
 
@@ -486,7 +509,7 @@ class Mat:
         if self._rref is not None:
             return self._rref
         f = self.field
-        a = f.work_array(self._a)
+        a = self._a.copy()
         pivots = []
         for c in range(self.ncols):
             r = len(pivots)
@@ -500,7 +523,8 @@ class Mat:
                 a[[r, i]] = a[[i, r]]
             f.eliminate(a, r, c)
             pivots.append(c)
-        out = Mat(f, self.nrows, self.ncols, f.from_work(a, pivots))
+        out = Mat(f, self.nrows, self.ncols, *f.from_work(a, pivots),
+                  reduced=True)
         self._rref = (out, tuple(pivots))
         return self._rref
 
@@ -510,11 +534,14 @@ class Mat:
     def kernel_basis(self) -> "Mat":
         """Matrix whose columns are the canonical kernel basis (A v = 0)."""
         R, pivots = self.rref()
+        f = self.field
         free = sorted(set(range(self.ncols)).difference(pivots))
-        k = _zeros(self.field, self.ncols, len(free))
-        k[free, np.arange(len(free))] = self.field.one
-        k[list(pivots)] = -R._a[:len(pivots), free]
-        return Mat(self.field, self.ncols, len(free), k)
+        # the pivots of R are R._den / R._den, so the identity rows of the
+        # basis are R._den over the same denominator
+        k = _zeros(f, self.ncols, len(free))
+        k[free, np.arange(len(free))] = R._den
+        k[list(pivots)] = f.neg(R._a[:len(pivots), free])
+        return Mat(f, self.ncols, len(free), k, R._den, reduced=True)
 
     def solve(self, B: "Mat"):
         """Least-constrained exact solution X of self @ X = B, or None.
@@ -529,7 +556,7 @@ class Mat:
             return None
         x = _zeros(self.field, n, B.ncols)
         x[list(pivots)] = R._a[:len(pivots), n:]
-        return Mat(self.field, n, B.ncols, x)
+        return Mat(self.field, n, B.ncols, x, R._den)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -550,9 +577,25 @@ class Mat:
 
 
 def _zeros(field, nrows: int, ncols: int) -> np.ndarray:
-    """A writable nrows x ncols array of the field's zero."""
-    return np.full((nrows, ncols), field.zero, dtype=field.dtype)
+    """A writable nrows x ncols array of zeros of the field's dtype."""
+    return np.zeros((nrows, ncols), dtype=field.dtype)
 
+
+def _over_common_den(mats: Sequence[Mat]) -> tuple[list[np.ndarray], int]:
+    """The arrays of mats brought to the lcm of their denominators, and
+    that lcm. Over F_p every denominator is 1, so the arrays come back
+    as they are."""
+    den = mats[0]._den
+    for m in mats:
+        if m._den != den:
+            den = math.lcm(*(m._den for m in mats))
+            return [m._a * (den // m._den) for m in mats], den
+    return [m._a for m in mats], den
+
+
+# Stacked blocks in lowest terms over the lcm of their denominators are in
+# lowest terms: a prime power dividing the lcm exactly divides some block's
+# denominator, and that block has an entry the prime does not divide.
 
 def hstack(mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
@@ -561,8 +604,9 @@ def hstack(mats: Sequence[Mat]) -> Mat:
     f, n = mats[0].field, mats[0].nrows
     if any(m.nrows != n or m.field != f for m in mats):
         raise LinalgError("hstack mismatch")
-    return Mat(f, n, sum(m.ncols for m in mats),
-               np.hstack([m._a for m in mats]), reduced=True)
+    arrays, den = _over_common_den(mats)
+    return Mat(f, n, sum(m.ncols for m in mats), np.hstack(arrays), den,
+               reduced=True)
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
@@ -572,17 +616,20 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     f, c = mats[0].field, mats[0].ncols
     if any(m.ncols != c or m.field != f for m in mats):
         raise LinalgError("vstack mismatch")
-    return Mat(f, sum(m.nrows for m in mats), c,
-               np.vstack([m._a for m in mats]), reduced=True)
+    arrays, den = _over_common_den(mats)
+    return Mat(f, sum(m.nrows for m in mats), c, np.vstack(arrays), den,
+               reduced=True)
 
 
 def block_diag(field, mats: Sequence[Mat]) -> Mat:
+    mats = list(mats)
+    arrays, den = _over_common_den(mats) if mats else ([], 1)
     a = _zeros(field, sum(m.nrows for m in mats), sum(m.ncols for m in mats))
     r = c = 0
-    for m in mats:
-        a[r:r + m.nrows, c:c + m.ncols] = m._a
+    for m, x in zip(mats, arrays):
+        a[r:r + m.nrows, c:c + m.ncols] = x
         r, c = r + m.nrows, c + m.ncols
-    return Mat(field, r, c, a, reduced=True)
+    return Mat(field, r, c, a, den, reduced=True)
 
 
 def subspace_basis(vectors: Sequence[Mat]) -> Mat:

@@ -6,6 +6,7 @@ vector enumeration over F_2 for kernels.
 """
 
 import gc
+import math
 import itertools
 import random
 from fractions import Fraction
@@ -643,3 +644,341 @@ def test_block_transpose_moves_blocks_not_entries(field):
                         for j in range(3)])
     assert t.block_transpose(2) == m
     assert Mat.zeros(field, 0, 4).block_transpose(2).shape == (4, 0)
+
+
+# ------------------------------------ Q matrices over one denominator
+#
+# A Q matrix holds Python ints over one positive denominator, in lowest
+# terms. Every operation is checked against a reference on plain lists
+# of Fractions that shares no code with linalg, and every result must be
+# in that canonical form.
+
+
+def _ref_mul(a, b, inner, width):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(width)] for i in range(len(a))]
+
+
+def _ref_rref(rows, ncols):
+    """(reduced rows, pivots) by Fraction row operations: the pivot row is
+    scaled to 1 and its multiples subtracted, lowest row index first."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                t = a[k][c]
+                a[k] = [x - t * y for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+    return a, tuple(pivots)
+
+
+def _ref_kernel(rows, ncols):
+    """The canonical kernel basis as columns: one per free column f,
+    e_f minus the entries of column f of the rref at the pivots."""
+    R, pivots = _ref_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    cols = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -R[k][f]
+        cols.append(v)
+    return [[cols[j][i] for j in range(len(free))] for i in range(ncols)]
+
+
+def _ref_solve(a, b, n, m):
+    """The solution X (n x m) of a X = b with free variables zero, or
+    None."""
+    R, pivots = _ref_rref([ra + rb for ra, rb in zip(a, b)], n + m)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[Fraction(0)] * m for _ in range(n)]
+    for k, p in enumerate(pivots):
+        x[p] = R[k][n:]
+    return x
+
+
+def _ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _canonical(M):
+    """M holds Python ints over a positive denominator, in lowest terms."""
+    flat = M._a.ravel().tolist()
+    return (all(type(x) is int for x in flat) and M._den >= 1
+            and math.gcd(M._den, *flat) == 1)
+
+
+def _q_oracle_entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+
+def _q_oracle_matrix(rng, n, m):
+    """Seeded n x m entries with denominators up to 12, and with zero
+    rows and columns more often than chance gives them."""
+    rows = [[_q_oracle_entry(rng) for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        if rng.random() < 0.2:
+            rows[i] = [Fraction(0)] * m
+    for j in range(m):
+        if rng.random() < 0.2:
+            for row in rows:
+                row[j] = Fraction(0)
+    return rows
+
+
+def _check(M, want, shape=None):
+    assert _canonical(M), M
+    assert M.shape == (shape or (len(want), len(want[0]) if want else 0))
+    got = M.to_lists()
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def _draw_shapes(rng, count):
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    return shapes + [(rng.randint(1, 5), rng.randint(1, 5))
+                     for _ in range(count)]
+
+
+def test_q_operations_match_fraction_lists():
+    rng = random.Random("q-oracle")
+    for n, m in _draw_shapes(rng, 40):
+        a, b = _q_oracle_matrix(rng, n, m), _q_oracle_matrix(rng, n, m)
+        A, B = Mat(QQ, n, m, a), Mat(QQ, n, m, b)
+        _check(A, a, (n, m))
+        _check(A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)],
+               (n, m))
+        _check(A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)],
+               (n, m))
+        _check(A - A, [[Fraction(0)] * m for _ in range(n)], (n, m))
+        assert (A - A)._den == 1
+        _check(-A, [[-x for x in r] for r in a], (n, m))
+        for c in (Fraction(0), Fraction(-7, 4), Fraction(5), 3):
+            _check(A.scale(c), [[x * c for x in r] for r in a], (n, m))
+        _check(A.transpose(),
+               [[a[i][j] for i in range(n)] for j in range(m)], (m, n))
+        flat = [x for r in a for x in r]
+        if n * m:
+            _check(A.reshape(m, n),
+                   [flat[i * n:(i + 1) * n] for i in range(m)], (m, n))
+        ri = [rng.randrange(n) for _ in range(rng.randint(0, 3))] if n else []
+        cj = [rng.randrange(m) for _ in range(rng.randint(0, 3))] if m else []
+        _check(A.take_rows(ri), [a[i] for i in ri], (len(ri), m))
+        _check(A.take_columns(cj), [[r[j] for j in cj] for r in a],
+               (n, len(cj)))
+        k = rng.randint(0, 4)
+        c = _q_oracle_matrix(rng, m, k)
+        _check(A @ Mat(QQ, m, k, c), _ref_mul(a, c, m, k), (n, k))
+        c2 = _q_oracle_matrix(rng, rng.randint(0, 2), rng.randint(0, 2))
+        C2 = Mat(QQ, len(c2), len(c2[0]) if c2 else 0, c2)
+        _check(A.kron(C2), _ref_kron(a, c2),
+               (n * C2.nrows, m * C2.ncols))
+        d = _q_oracle_matrix(rng, n, k)
+        D = Mat(QQ, n, k, d)
+        _check(hstack([A, D, B]), [r + s + t for r, s, t in zip(a, d, b)],
+               (n, 2 * m + k))
+        e = _q_oracle_matrix(rng, k, m)
+        _check(vstack([A, Mat(QQ, k, m, e)]), a + e, (n + k, m))
+        _check(block_diag(QQ, [A, D]),
+               [r + [Fraction(0)] * k for r in a]
+               + [[Fraction(0)] * m + r for r in d], (2 * n, m + k))
+        triples = [(rng.randrange(n), rng.randrange(m), _q_oracle_entry(rng))
+                   for _ in range(rng.randint(0, 6))] if n * m else []
+        want = [[Fraction(0)] * m for _ in range(n)]
+        for i, j, v in triples:
+            want[i][j] += v
+        _check(Mat.from_triples(QQ, n, m, triples), want, (n, m))
+
+
+def test_q_block_transpose_matches_fraction_lists():
+    rng = random.Random("q-block-transpose")
+    for p, q, bsize in [(0, 2, 2), (2, 0, 1), (1, 1, 1), (2, 3, 2),
+                        (3, 1, 3), (2, 2, 2)]:
+        a = _q_oracle_matrix(rng, p * bsize, q * bsize)
+        A = Mat(QQ, p * bsize, q * bsize, a)
+        want = [[a[i * bsize + r][j * bsize + s] for i in range(p)
+                 for s in range(bsize)]
+                for j in range(q) for r in range(bsize)]
+        _check(A.block_transpose(bsize), want, (q * bsize, p * bsize))
+
+
+def test_q_eliminations_match_fraction_lists():
+    rng = random.Random("q-elimination")
+    solvable = unsolvable = invertible = singular = 0
+    for n, m in _draw_shapes(rng, 50):
+        rank = rng.randint(0, min(n, m))
+        # a product through Q^rank, so ranks below min(n, m) are common
+        a = _ref_mul(_q_oracle_matrix(rng, n, rank),
+                     _q_oracle_matrix(rng, rank, m), rank, m)
+        A = Mat(QQ, n, m, a)
+        R, pivots = A.rref()
+        want_r, want_pivots = _ref_rref(a, m)
+        assert pivots == want_pivots
+        _check(R, want_r, (n, m))
+        _check(A.kernel_basis(), _ref_kernel(a, m),
+               (m, m - len(pivots)))
+        k = rng.randint(0, 3)
+        # B in the column space, and B drawn freely
+        y = _q_oracle_matrix(rng, m, k)
+        for b in (_ref_mul(a, y, m, k), _q_oracle_matrix(rng, n, k)):
+            X = A.solve(Mat(QQ, n, k, b))
+            want_x = _ref_solve(a, b, m, k)
+            if want_x is None:
+                assert X is None
+                unsolvable += 1
+            else:
+                _check(X, want_x, (m, k))
+                assert _ref_mul(a, X.to_lists(), m, k) == b
+                solvable += 1
+        if n == m:
+            inv = A.inverse()
+            want_inv = _ref_solve(a, [[Fraction(int(i == j))
+                                       for j in range(n)]
+                                      for i in range(n)], n, n)
+            if want_inv is None:
+                assert inv is None
+                singular += 1
+            else:
+                _check(inv, want_inv, (n, n))
+                invertible += 1
+    assert min(solvable, unsolvable, invertible, singular) > 0
+
+
+def _ref_full_rank(blocks):
+    """The search full_rank_combination specifies, on Fraction lists:
+    the rank test of each block's matrices side by side, then the points
+    of the grid {0, ..., R}^d in order (every grid here is exhaustive)."""
+    for mats in blocks:
+        side = [sum((m[i] for m in mats), []) for i in range(len(mats[0]))]
+        if len(_ref_rref(side, len(side[0]))[1]) < len(mats[0]):
+            return "none"
+    d = len(blocks[0])
+    size = max(2, sum(len(mats[0]) for mats in blocks) + 1)
+    assert size ** d <= 4096
+    for point in itertools.product(range(size), repeat=d):
+        if not any(point):
+            continue
+        if all(len(_ref_rref([[sum((Fraction(c) * m[i][j]
+                                    for c, m in zip(point, mats)),
+                                   Fraction(0))
+                               for j in range(len(mats[0][0]))]
+                              for i in range(len(mats[0]))],
+                             len(mats[0][0]))[1]) == len(mats[0])
+               for mats in blocks):
+            return [Fraction(x) for x in point]
+    return "none"
+
+
+def test_q_full_rank_combination_matches_fraction_lists():
+    rng = random.Random("q-full-rank")
+    found = none = 0
+    for _ in range(25):
+        d = rng.randint(1, 2)
+        blocks = []
+        for _ in range(rng.randint(1, 2)):
+            r, c = rng.randint(1, 2), rng.randint(1, 3)
+            blocks.append([_q_oracle_matrix(rng, r, c) for _ in range(d)])
+        want = _ref_full_rank(blocks)
+        verdict, c = full_rank_combination(
+            QQ, [[Mat(QQ, len(m), len(m[0]), m) for m in mats]
+                 for mats in blocks])
+        if want == "none":
+            assert verdict == "none"
+            none += 1
+        else:
+            assert (verdict, c) == ("found", want)
+            found += 1
+    assert found and none
+
+
+def test_q_canonical_form_does_not_depend_on_how_a_matrix_is_built():
+    F = Fraction
+    rows = [[F(1, 2), F(-1, 3)], [F(0), F(5, 6)]]
+    by_rows = Mat.from_rows(QQ, rows)
+    by_scale = Mat.from_rows(QQ, [[3, -2], [0, 5]]).scale(F(1, 6))
+    by_product = (Mat.from_rows(QQ, [[F(1, 2), 0], [0, F(1, 3)]])
+                  @ Mat.from_rows(QQ, [[1, F(-2, 3)], [0, F(5, 2)]]))
+    for M in (by_scale, by_product):
+        assert M == by_rows and hash(M) == hash(by_rows)
+        assert M._den == by_rows._den == 6
+        assert M._a.tolist() == by_rows._a.tolist() == [[3, -2], [0, 5]]
+    assert (Mat.from_rows(QQ, [[F(1, 2), F(1, 3)]]).take_columns([1])
+            == Mat.from_rows(QQ, [[F(1, 3)]]))
+    assert Mat.from_rows(QQ, [[F(1, 2), F(1, 3)]]).take_columns([1])._den == 3
+    # a zero matrix has denominator 1, however it is reached
+    for Z in (by_rows - by_rows, by_rows.scale(0), by_rows.take_rows([]),
+              Mat.from_rows(QQ, [[F(0, 7)]])):
+        assert Z._den == 1 and _canonical(Z)
+    assert type(by_rows.entry(1, 1)) is Fraction
+    assert by_rows.entry(-1, -1) == F(5, 6)
+    assert by_rows.col_entries(0) == [F(1, 2), F(0)]
+    assert all(type(x) is Fraction for x in by_rows.col_entries(1))
+    assert all(type(x) is Fraction for row in by_rows.to_lists() for x in row)
+
+
+def test_q_kernels_build_no_fractions():
+    # products, sums and eliminations run on the ints and denominators
+    # alone: count Fraction constructions inside them
+    rng = random.Random("q-no-fractions")
+
+    def fresh(n, m):
+        return Mat(QQ, n, m, _q_oracle_matrix(rng, n, m))
+
+    operands = {
+        "@": (fresh(4, 5), fresh(5, 3)),
+        "+": (fresh(4, 5), fresh(4, 5)),
+        "scale": (fresh(4, 5), Fraction(-3, 7)),
+        "hstack": (fresh(4, 2), fresh(4, 3)),
+        "rref": (fresh(4, 6),),
+        "kernel_basis": (fresh(3, 6),),
+        "solve": (fresh(4, 4), fresh(4, 2)),
+        "solve, no solution": (fresh(4, 2), fresh(4, 1)),
+    }
+    calls = {
+        "@": lambda x, y: x @ y,
+        "+": lambda x, y: x + y,
+        "scale": Mat.scale,
+        "hstack": lambda x, y: hstack([x, y]),
+        "rref": Mat.rref,
+        "kernel_basis": Mat.kernel_basis,
+        "solve": Mat.solve,
+        "solve, no solution": Mat.solve,
+    }
+    built = []
+    new = vars(Fraction)["__new__"]
+    coprime = vars(Fraction).get("_from_coprime_ints")
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    def counting_coprime(cls, *args, **kwargs):
+        built.append(args)
+        return coprime.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    if coprime is not None:  # Python 3.12 builds arithmetic results here
+        Fraction._from_coprime_ints = classmethod(counting_coprime)
+    try:
+        assert Fraction(1, 2) and len(built) == 1  # the counter counts
+        del built[:]
+        for name, args in operands.items():
+            calls[name](*args)
+            assert not built, (name, built)
+    finally:
+        Fraction.__new__ = new
+        if coprime is not None:
+            Fraction._from_coprime_ints = coprime
+    assert vars(Fraction)["__new__"] is new
