@@ -355,11 +355,11 @@ def _bind_complex(sess: Session, text: str, line: int):
                     f"d{i} falls outside range {hi}..{lo}", line)
             _put(dmats, i, _parse_matrix(body, ring, line), f"d{i}", line)
         elif key.split()[0] == "twists":
-            i = _part_index(key, "twists", line)
+            i = _part_index(key, "twists", hi, lo, line)
             _put(twists, i, _parse_twists(ring, body, line),
                  f"twists {i}", line)
         elif key.split()[0] == "rank":
-            i = _part_index(key, "rank", line)
+            i = _part_index(key, "rank", hi, lo, line)
             _put(ranks, i, _parse_rank(body, line), f"rank {i}", line)
         else:
             raise ParseError(f"unknown complex part {key!r}", line)
@@ -374,14 +374,17 @@ def _put(parts: dict, key, value, label: str, line: int):
     parts[key] = value
 
 
-def _part_index(key: str, word: str, line: int) -> int:
+def _part_index(key: str, word: str, hi: int, lo: int, line: int) -> int:
     toks = key.split()
     if len(toks) != 2:
         raise ParseError(f"expected `{word} <degree> = ...`", line)
     try:
-        return int(toks[1])
+        i = int(toks[1])
     except ValueError:
         raise ParseError(f"bad degree in {key!r}", line) from None
+    if not (lo <= i <= hi):
+        raise ParseError(f"{word} {i} falls outside range {hi}..{lo}", line)
+    return i
 
 
 def _build_complex(ring, name, hi, lo, dmats, twists, ranks, line):
@@ -690,6 +693,10 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.budget < 1:
         print("error: --budget needs a tower depth of at least 1",
+              file=sys.stderr)
+        return 1
+    if args.cutoff < 0:
+        print("error: --cutoff needs a window of at least 0",
               file=sys.stderr)
         return 1
     config = {"cutoff": args.cutoff, "budget": args.budget,

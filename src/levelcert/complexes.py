@@ -6,10 +6,11 @@ Conventions, fixed once for the whole package:
 
 A Triangle stores a chain-map witness t between Cone(u) and the claimed
 third object W, and construction checks none of it: verify() is the one
-place the witness is checked. A triangle on its own cone (t the identity
-of W) is checked by equality of W with the cone built from u; any other
-witness must be a quasi-isomorphism, which is checked by exactness of
-the cone of t.
+place the witness is checked. It first checks that the stored cone was
+built on the triangle's own u, so a u swapped in afterwards fails. A
+triangle on its own cone (t the identity of W) is then checked by
+equality of W with the cone built from u; any other witness must be a
+quasi-isomorphism, which is checked by exactness of the cone of t.
 
 ChainMapSpace is the Hom complex Hom(X, Y) in degrees 1, 0 and -1, with
 one differential builder: chain maps are the kernel of its differential
@@ -339,71 +340,6 @@ class HomologyData:
         return all(self.homology(i).is_zero_module() for i in self.x.support())
 
 
-class SES:
-    """0 -> A -f-> B -g-> C -> 0 of modules, exactness machine-checked."""
-
-    def __init__(self, f, g, check: bool = True):
-        self.f = f
-        self.g = g
-        if check and not self.verify():
-            raise ComplexError("sequence is not short exact")
-
-    @property
-    def left(self):
-        return self.f.source
-
-    @property
-    def middle(self):
-        return self.f.target
-
-    @property
-    def right(self):
-        return self.g.target
-
-    def verify(self) -> bool:
-        if not (self.f.target == self.g.source):
-            return False
-        if not self.f.is_injective():
-            return False
-        if not self.g.is_surjective():
-            return False
-        if not self.g.compose(self.f).is_zero():
-            return False
-        k, kincl = self.g.kernel()
-        u = self.f.lift_through(kincl)
-        if u is None:
-            return False
-        return u.is_surjective()
-
-
-def acc_sequences(x: Complex, i: int) -> dict:
-    """The four canonical short exact sequences at degree i.
-
-    acc1: 0 -> H_i -> C_i -> B_{i-1} -> 0
-    acc2: 0 -> B_i -> Z_i -> H_i -> 0
-    acc3: 0 -> B_i -> X_i -> C_i -> 0
-    acc4: 0 -> Z_i -> X_i -> B_{i-1} -> 0
-    """
-    hd = x.hdata()
-    z, zeta = hd.cycles(i)
-    b, beta, _ = hd.boundaries(i)
-    h, pi, lam = hd._homology_parts(i)
-    c, cproj = hd.cmod(i)
-    bm1, bincl, bepi = hd._image_of_diff(i)
-
-    acc2 = SES(lam, pi)
-    acc3 = SES(beta, cproj)
-    acc4 = SES(zeta, bepi)
-    # H_i -> C_i: descend (cproj . zeta) along pi
-    h_to_c = cproj.compose(zeta).factor_through(pi)
-    assert h_to_c is not None
-    # C_i -> B_{i-1}: descend the boundary epi along cproj
-    c_to_b = bepi.factor_through(cproj)
-    assert c_to_b is not None
-    acc1 = SES(h_to_c, c_to_b)
-    return {"acc1": acc1, "acc2": acc2, "acc3": acc3, "acc4": acc4}
-
-
 class ConeData:
     """Cone(f: A -> B) with the degreewise summand maps remembered."""
 
@@ -449,14 +385,16 @@ class Triangle:
     """A distinguished triangle presented as (u: X -> Y, third object W).
 
     The witness t is a chain map Cone(u) -> W. Construction only
-    records it; verify() checks that t is a quasi-isomorphism. That
-    exhibits Y as an extension of W by X up to quasi-isomorphism, which
-    is the only property the level calculus consumes. Triangle(u) alone
-    takes W = Cone(u) and t = id_W. When t is the identity of W,
-    equality of W with the cone built here from u proves it: an
-    isomorphism of complexes is a quasi-isomorphism, so no homology is
-    computed. A caller that built Cone(u) to write t passes it as
-    cone_data instead of having it built again.
+    records it; verify() checks that the stored cone was built on this
+    very u (so replacing u after construction fails) and that t is a
+    quasi-isomorphism from that cone to W. That exhibits Y as an
+    extension of W by X up to quasi-isomorphism, which is the only
+    property the level calculus consumes. Triangle(u) alone takes
+    W = Cone(u) and t = id_W. When t is the identity of W, equality of
+    W with the cone built here from u proves it: an isomorphism of
+    complexes is a quasi-isomorphism, so no homology is computed. A
+    caller that built Cone(u) to write t passes it as cone_data instead
+    of having it built again.
     """
 
     def __init__(self, u: ChainMap, w: Complex | None = None,
@@ -476,6 +414,8 @@ class Triangle:
 
     def verify(self) -> bool:
         t = self.t
+        if self.cone_data.f is not self.u:
+            return False
         if not (t.source == self.cone_data.complex and t.target == self.w):
             return False
         return _is_identity(t) or (t.is_chain_map() and is_quasi_iso(t))

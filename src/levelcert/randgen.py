@@ -8,7 +8,7 @@ each differential factors through the cycles of the previous one.
 from fractions import Fraction
 
 from .linalg import Mat
-from .modules import free_module, hom_space, zero_hom
+from .modules import free_module, hom_space
 from .complexes import Complex, complex_direct_sum, module_stalk
 
 
@@ -172,15 +172,3 @@ def random_free_homology_complex(ring, rng, lo: int = 0, width: int = 2,
         F = free_module(ring, [0])
         parts.append(module_stalk(ring, F, rng.randint(lo, lo + width)))
     return _scramble(complex_direct_sum(parts)[0], rng)
-
-
-def random_module_ses(ring, rng, max_rank: int = 3):
-    """(f, g) with 0 -> source f -> middle -> target g -> 0 exact."""
-    M = random_module(ring, rng, max_rank)
-    while M.is_zero_module():
-        M = random_module(ring, rng, max_rank)
-    R = free_module(ring, [0])
-    probe = random_hom(M, R, rng) or zero_hom(M, R)
-    _, incl = probe.kernel()
-    _, proj = incl.cokernel()
-    return incl, proj

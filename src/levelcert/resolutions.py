@@ -368,14 +368,6 @@ class DimensionReport:
     notes: str = ""
     objects: dict = dataclass_field(default_factory=dict)
 
-    def extended(self):
-        """Value in the extended integers, or None when undetermined."""
-        if self.status == "exact":
-            return float("-inf") if self.value is None else self.value
-        if self.status == "infinite":
-            return float("inf")
-        return None
-
     def rebrand(self, kind: str, extra_note: str = "") -> "DimensionReport":
         notes = self.notes
         if extra_note:
@@ -592,84 +584,3 @@ def dimension_report(obj, kind: str, window: int = 6) -> DimensionReport:
             kind, "computed on the vector-space dual, which exchanges the "
                   "projective and injective sides")
     raise ResolutionError(f"unknown dimension kind {kind!r}")
-
-
-# --------------------------------------------- short exact sequence bounds
-
-
-PROJECTIVE_KINDS = ("pd", "fd", "gpd", "gfd")
-INJECTIVE_KINDS = ("id", "gid")
-
-
-def ses_dimension_bounds(kind: str, rep_sub: DimensionReport,
-                         rep_mid: DimensionReport,
-                         rep_quot: DimensionReport) -> dict:
-    """Check the dimension inequalities on 0 -> L -> M -> N -> 0.
-
-    Each entry is True/False when all needed values are determined and
-    None otherwise.
-    """
-    eL, eM, eN = (rep_sub.extended(), rep_mid.extended(), rep_quot.extended())
-
-    def chk(lhs, rhs):
-        if lhs is None or rhs is None:
-            return None
-        return lhs <= rhs
-
-    def mx(a, b):
-        if a is None or b is None:
-            return None
-        return max(a, b)
-
-    if kind in PROJECTIVE_KINDS:
-        return {
-            "sub": chk(eL, mx(eM, eN - 1 if eN is not None else None)),
-            "mid": chk(eM, mx(eL, eN)),
-            "quot": chk(eN, mx(eM, eL + 1 if eL is not None else None)),
-        }
-    if kind in INJECTIVE_KINDS:
-        return {
-            "sub": chk(eL, mx(eM, eN + 1 if eN is not None else None)),
-            "mid": chk(eM, mx(eL, eN)),
-            "quot": chk(eN, mx(eM, eL - 1 if eL is not None else None)),
-        }
-    raise ResolutionError(f"unknown dimension kind {kind!r}")
-
-
-def verify_module_ses(f, g, window: int = 8) -> bool:
-    """Exactness of 0 -> L -f-> M -g-> N -> 0 for module homs.
-
-    Injectivity, surjectivity, g.f = 0, and dimension additivity pin the
-    image of f to the kernel of g (degreewise, over the Hilbert window,
-    in the graded case).
-    """
-    if not f.is_injective() or not g.is_surjective():
-        return False
-    if not g.compose(f).is_zero():
-        return False
-    L, M, N = f.source, f.target, g.target
-    if L.mode == "artin":
-        return M.dim == L.dim + N.dim
-    return all(M.hilbert(d) == L.hilbert(d) + N.hilbert(d)
-               for d in range(-window, window + 1))
-
-
-def check_ses_dimension_calculus(f, g, kinds=None, window: int = 6) -> dict:
-    """Dimension reports for the terms of a short exact sequence of
-    modules 0 -> L -f-> M -g-> N -> 0 plus the inequality checks."""
-    if not verify_module_ses(f, g):
-        raise ResolutionError("the given pair is not a short exact sequence")
-    L, M, N = f.source, f.target, g.target
-    if kinds is None:
-        kinds = ("pd", "id", "gpd", "gid") if L.mode == "artin" \
-            else ("pd", "gpd")
-    out = {}
-    for kind in kinds:
-        rl = dimension_report(L, kind, window)
-        rm = dimension_report(M, kind, window)
-        rn = dimension_report(N, kind, window)
-        out[kind] = {
-            "reports": (rl, rm, rn),
-            "bounds": ses_dimension_bounds(kind, rl, rm, rn),
-        }
-    return out

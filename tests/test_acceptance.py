@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from levelcert.complexes import acc_sequences, module_stalk
+from levelcert.complexes import module_stalk
 from levelcert.level import (CLASS_KEYS, LowerCertificate, certificate_audit,
                              homology_dimension_bound, level_report,
                              upper_via_cycle_boundary)
@@ -20,9 +20,8 @@ from levelcert.modules import ArtinHom, artin_residue_field, free_module, \
 from levelcert.adams import adams_tower, verify_splice
 from levelcert.randgen import (random_complex, random_free_homology_complex,
                                random_injective_homology_complex,
-                               random_module, random_module_ses)
-from levelcert.resolutions import (check_ses_dimension_calculus,
-                                   dimension_report, koszul_complex)
+                               random_module)
+from levelcert.resolutions import dimension_report, koszul_complex
 from levelcert.rings import make_ring
 
 
@@ -147,38 +146,6 @@ def test_05_tower_splice_exactness(A, B, R2):
         if not rep["ok"]:
             fails.append(s)
     assert not fails
-
-
-def test_06_dimension_calculus_on_sequences(A, B, R2):
-    """Fifty randomized verified short exact sequences: every determined
-    dimension inequality holds for every applicable kind."""
-    violations = []
-    for s in range(50):
-        ring = (A, B, R2)[s % 3]
-        f, g = random_module_ses(ring, random.Random(300 + s))
-        out = check_ses_dimension_calculus(f, g, window=4)
-        for kind, entry in out.items():
-            for side, holds in entry["bounds"].items():
-                if holds is False:
-                    violations.append((s, kind, side))
-    assert not violations
-
-
-def test_07_accounting_sequences_exact(A, B, R2):
-    """The four cycle-boundary-homology sequences verify as exact at
-    every degree of one hundred randomized complexes."""
-    checked = 0
-    for s in range(100):
-        ring = (A, B, R2)[s % 3]
-        x = random_complex(ring, random.Random(400 + s), lo=-1, width=3,
-                           max_rank=2)
-        degs = (range(x.min_deg - 1, x.max_deg + 2)
-                if not x.is_zero_complex() else [0])
-        for i in degs:
-            seqs = acc_sequences(x, i)
-            assert set(seqs) == {"acc1", "acc2", "acc3", "acc4"}
-            checked += 1
-    assert checked > 300
 
 
 def test_08_duality_transport(A, B):

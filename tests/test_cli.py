@@ -206,6 +206,33 @@ def test_repeated_declaration_part_is_a_clean_error(tmp_path, capsys, body,
         f"error: line 2, column 1: {message}")
 
 
+@pytest.mark.parametrize("ring, part, message", [
+    ("artin(F2; x | x^2)", "rank 5 = 2", "rank 5 falls outside range 1..0"),
+    ("artin(F2; x | x^2)", "rank -1 = 2",
+     "rank -1 falls outside range 1..0"),
+    ("poly(F101; x)", "twists 2 = [0]", "twists 2 falls outside range 1..0"),
+    ("poly(F101; x)", "twists -1 = [0]",
+     "twists -1 falls outside range 1..0"),
+], ids=["rank-above", "rank-below", "twists-above", "twists-below"])
+def test_part_outside_range_is_a_clean_error(tmp_path, capsys, ring, part,
+                                             message):
+    # like a differential outside the range, a rank or twist list there
+    # names a degree the complex does not have
+    script = tmp_path / "outside.lvc"
+    script.write_text(f"A = {ring}\n"
+                      f"complex K over A : range 1..0 ; d1 = [[x]] ; {part}\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: line 2, column 1: {message}")
+    # both ends of the range are degrees of the complex
+    word = part.split()[0]
+    ends = {"rank": "rank 1 = 1 ; rank 0 = 1",
+            "twists": "twists 1 = [1] ; twists 0 = [0]"}[word]
+    sess = parse(f"A = {ring}\n"
+                 f"complex K over A : range 1..0 ; d1 = [[x]] ; {ends}\n")
+    assert sess.complexes["K"].support() == [0, 1]
+
+
 @pytest.mark.parametrize("body, entry, reason", [
     ("A = artin(Q; x | x^2)\ncomplex K over A : range 1..0 ; d1 = [[1/0*x]]",
      "1/0*x", "zero denominator in '1/0'"),
@@ -256,6 +283,21 @@ def test_budget_below_one_is_a_clean_error(tmp_path, capsys, budget):
     assert main([str(script), "--budget", budget]) == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: --budget needs a tower depth of at least 1"
+
+
+@pytest.mark.parametrize("cutoff", ["-1", "-3"])
+def test_cutoff_below_zero_is_a_clean_error(tmp_path, capsys, cutoff):
+    script = tmp_path / "cutoff.lvc"
+    script.write_text("A = artin(F2; x | x^2)\n"
+                      "module k over A = coker [[x]]\n"
+                      "pd k\n")
+    assert main([str(script), "--cutoff", cutoff]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        "error: --cutoff needs a window of at least 0")
+    # a window of zero stays valid, as in `resolve <name> 0`
+    assert main([str(script), "--cutoff", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "pd k = infinite"
 
 
 def test_bad_field_is_a_clean_error(tmp_path, capsys):

@@ -13,8 +13,8 @@ from levelcert.modules import (ArtinHom, GradedHom, artin_free,
                                graded_free, graded_residue_field, hom_space,
                                zero_hom)
 from levelcert.complexes import (ChainMap, ChainMapSpace, Complex, ComplexError,
-                                 HomologyData, SES, Triangle, acc_sequences,
-                                 cone, complex_direct_sum, identity_chain_map,
+                                 HomologyData, Triangle, cone,
+                                 complex_direct_sum, identity_chain_map,
                                  is_quasi_iso, module_stalk, zero_chain_map)
 from levelcert.randgen import random_complex
 
@@ -51,23 +51,6 @@ def test_koszul_homology_frozen():
     assert hd.homology(0).dim == 1
     assert hd.homology(1).dim == 1
     assert hd.nonzero_degrees() == [0, 1]
-
-
-def test_acc_sequences_frozen_dims():
-    K = koszul_x()
-    seqs = acc_sequences(K, 0)
-    acc3 = seqs["acc3"]
-    assert (acc3.left.dim, acc3.middle.dim, acc3.right.dim) == (1, 2, 1)
-    acc1 = seqs["acc1"]
-    assert (acc1.left.dim, acc1.middle.dim, acc1.right.dim) == (1, 1, 0)
-    acc2 = seqs["acc2"]
-    assert (acc2.left.dim, acc2.middle.dim, acc2.right.dim) == (1, 2, 1)
-    acc4 = seqs["acc4"]
-    assert (acc4.left.dim, acc4.middle.dim, acc4.right.dim) == (2, 2, 0)
-    # degree 1: boundaries vanish, cycles are the socle
-    seqs1 = acc_sequences(K, 1)
-    acc41 = seqs1["acc4"]
-    assert (acc41.left.dim, acc41.middle.dim, acc41.right.dim) == (1, 2, 1)
 
 
 def test_d_squared_checked():
@@ -458,17 +441,3 @@ def test_null_homotopy_round_trips_every_homotopy_image_column(ring_text):
     # the drawn pairs must be seen to reach some homotopy-image column
     assert pairs_with_columns > 0
     assert nonzero
-
-
-def test_ses_verification():
-    K = koszul_x()
-    seqs = acc_sequences(K, 0)
-    for s in seqs.values():
-        assert s.verify()
-    # a non-exact pair is rejected
-    AA = artin_free(A, 1)
-    k = artin_residue_field(A)
-    x = ArtinHom(AA, AA, A.var_matrix(0))
-    aug = ArtinHom(AA, k, Mat.from_rows(F2, [[1, 0]]))
-    with pytest.raises(ComplexError):
-        SES(x, aug.compose(x))  # middle map not injective etc.

@@ -364,7 +364,11 @@ def _routed_reports(A):
 
 def test_tampered_triangle_evidence_fails_verification(A):
     # construction checks no witness, so verify() is the only guard
-    for rep in _routed_reports(A):
+    R2 = make_ring("poly(F101; x, y)")
+    tower = level_report(module_stalk(R2, graded_residue_field(R2)), "proj")
+    assert tower.verdict == ("exact", 3)
+    assert tower.upper.route == "cover-tower"
+    for rep in _routed_reports(A) + [tower]:
         cert = rep.upper
         tri = cert.triangles[-1]
         w, t = tri.w, tri.t
@@ -375,6 +379,17 @@ def test_tampered_triangle_evidence_fails_verification(A):
             assert not rep.verify(), cert.route
         tri.w, tri.t = w, t
         assert cert.verify() and rep.verify()
+        # a u other than the one the cone was built on: a rescaled copy,
+        # or another triangle's
+        for tri in cert.triangles:
+            u = tri.u
+            for bad_u in [u.scale(2)] + [o.u for o in cert.triangles
+                                         if o is not tri]:
+                tri.u = bad_u
+                assert not cert.verify(), cert.route
+                assert not rep.verify(), cert.route
+            tri.u = u
+            assert cert.verify() and rep.verify()
 
 
 def test_triangle_witnesses_are_checked_once_in_verify(A, monkeypatch):

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from levelcert.rings import make_ring
-from levelcert.resolutions import verify_module_ses
 from levelcert.randgen import (random_automorphism, random_complex,
                                random_free_homology_complex,
                                random_injective_homology_complex,
-                               random_module, random_module_ses)
+                               random_module)
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +80,3 @@ def test_free_homology_instances(A, R2):
                     or hd.boundaries(i)[0].is_zero_module()
                 h = hd.homology(i)
                 assert h.is_free() or h.is_zero_module()
-
-
-def test_random_ses_exact(B, R2):
-    for ring in (B, R2):
-        for seed in range(8):
-            rng = random.Random(seed)
-            f, g = random_module_ses(ring, rng)
-            assert verify_module_ses(f, g)

@@ -12,21 +12,18 @@ import levelcert.resolutions
 from levelcert.randgen import (random_artin_module, random_complex,
                                random_free_homology_complex)
 from levelcert.rings import make_ring
-from levelcert.modules import (ArtinHom, ArtinModule, artin_free,
-                               artin_residue_field, find_isomorphism,
-                               free_hom_from_polys, free_module, graded_free,
-                               graded_residue_field, graded_submodule,
-                               GradedHom, top_matrices, zero_module)
+from levelcert.modules import (ArtinModule, artin_free, artin_residue_field,
+                               find_isomorphism, free_hom_from_polys,
+                               graded_free, graded_residue_field,
+                               graded_submodule, top_matrices, zero_module)
 from levelcert.complexes import Complex, is_quasi_iso, module_stalk
 from levelcert.linalg import Mat
 from levelcert.poly import PolyVec, parse_poly
-from levelcert.resolutions import (check_ses_dimension_calculus, depth_of,
-                                   dimension_report, ext_dims_into_ring,
-                                   koszul_complex, minimal_free_resolution,
-                                   reflexivity_map, ring_dual_module,
-                                   semiprojective_resolution,
-                                   ses_dimension_bounds, tr_screen,
-                                   verify_module_ses)
+from levelcert.resolutions import (depth_of, dimension_report,
+                                   ext_dims_into_ring, koszul_complex,
+                                   minimal_free_resolution, reflexivity_map,
+                                   ring_dual_module,
+                                   semiprojective_resolution, tr_screen)
 
 
 @pytest.fixture(scope="module")
@@ -377,43 +374,6 @@ def test_gpd_non_gorenstein(B):
     rep = dimension_report(k, "gpd")
     assert rep.status == "at_least" and rep.lower == 1
     assert dimension_report(artin_free(B, 2), "gpd").value == 0
-
-
-def test_ses_dimension_calculus_graded(R2):
-    F = graded_free(R2, [0])
-    x, y = (parse_poly(R2.field, R2.varnames, v) for v in "xy")
-    M, incl = graded_submodule(F, [F.gen_elem(0).mul_poly(x),
-                                   F.gen_elem(0).mul_poly(y)])
-    k = graded_residue_field(R2)
-    aug = GradedHom(F, k, [k.gen_elem(0)])
-    assert verify_module_ses(incl, aug)
-    out = check_ses_dimension_calculus(incl, aug)
-    reps = out["pd"]["reports"]
-    assert [r.value for r in reps] == [1, 0, 2]
-    assert all(v is True for v in out["pd"]["bounds"].values())
-    assert all(v is True for v in out["gpd"]["bounds"].values())
-
-
-def test_ses_dimension_calculus_artin(A):
-    AA = artin_free(A, 1)
-    k = artin_residue_field(A)
-    # socle inclusion 1 |-> x and the augmentation
-    f = ArtinHom(k, AA, Mat.from_rows(A.field, [[A.field.zero], [A.field.one]]))
-    g = ArtinHom(AA, k, Mat.from_rows(A.field, [[A.field.one, A.field.zero]]))
-    assert verify_module_ses(f, g)
-    out = check_ses_dimension_calculus(f, g)
-    pd_vals = [r.extended() for r in out["pd"]["reports"]]
-    assert pd_vals == [float("inf"), 0, float("inf")]
-    for kind in ("pd", "id", "gpd", "gid"):
-        assert all(v is True for v in out[kind]["bounds"].values()), kind
-
-
-def test_verify_module_ses_rejects_bad_pairs(A):
-    AA = artin_free(A, 1)
-    k = artin_residue_field(A)
-    f = ArtinHom(k, AA, Mat.from_rows(A.field, [[A.field.zero], [A.field.one]]))
-    ident = AA.identity_hom()
-    assert not verify_module_ses(f, ident)
 
 
 def test_resolution_of_exact_complex_is_empty(A):
