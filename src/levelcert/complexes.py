@@ -7,7 +7,9 @@ Conventions, fixed once for the whole package:
 A Triangle stores a chain-map witness t between Cone(u) and the claimed
 third object W, and construction checks none of it: verify() is the one
 place the witness is checked. It first checks that the stored cone was
-built on the triangle's own u, so a u swapped in afterwards fails. A
+built on the triangle's own u, so a u swapped in afterwards fails;
+the components of a chain map and the differentials of a complex are
+read-only mappings, so no u is changed in place under its cone. A
 triangle on its own cone (t the identity of W) is then checked by
 equality of W with the cone built from u; any other witness must be a
 quasi-isomorphism, which is checked by exactness of the cone of t.
@@ -18,6 +20,8 @@ on degree 0, null-homotopic maps the image of its differential on degree 1.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .linalg import Mat, hstack, vstack
 from .modules import direct_sum, hom_space, zero_hom, zero_module
@@ -32,18 +36,19 @@ class Complex:
                  label: str | None = None):
         self.ring = ring
         self.modules = {i: m for i, m in modules.items() if not m.is_zero_module()}
-        self.diffs = {}
         self.label = label
         self._zero = zero_module(ring)
         self._hdata = None
         self._dual = None
+        kept = {}
         for i, d in diffs.items():
             if d.source.is_zero_module() or d.target.is_zero_module():
                 continue
-            self.diffs[i] = d
-        for i, d in self.diffs.items():
             if not (d.source == self.module(i) and d.target == self.module(i - 1)):
                 raise ComplexError(f"differential at degree {i} mismatches modules")
+            kept[i] = d
+        # read-only, like Mat: the cached homology, dual and cones hang on it
+        self.diffs = MappingProxyType(kept)
         if check:
             for i in list(self.diffs):
                 if i + 1 in self.diffs:
@@ -167,13 +172,15 @@ class ChainMap:
                  check: bool = True):
         self.source = source
         self.target = target
-        self.comps = {}
+        kept = {}
         for i, h in comps.items():
             if h.source.is_zero_module() or h.target.is_zero_module():
                 continue
             if not (h.source == source.module(i) and h.target == target.module(i)):
                 raise ComplexError(f"component at degree {i} mismatches modules")
-            self.comps[i] = h
+            kept[i] = h
+        # read-only, so a cone built on this map cannot go stale
+        self.comps = MappingProxyType(kept)
         if check and not self.is_chain_map():
             raise ComplexError("not a chain map")
 

@@ -24,8 +24,9 @@ classes over a graded ring are out of scope; the one-step test runs on
 m; on an artinian base the injective classes pass by Matlis duality to
 the projective ones on the dual complex; one cover tower of the
 (possibly dualized) complex is set up, built on first use; the upper
-and lower routes read that tower; certificates computed on the dual are
-relabelled with the original class.
+bound is decided first, and its value caps the lower search, which
+tests no ghost composite at or past it; certificates computed on the
+dual are relabelled with the original class.
 """
 
 from collections import Counter
@@ -527,7 +528,7 @@ class LowerCertificate(BoundCertificate):
 
 
 def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
-                      tower: AdamsTower):
+                      tower: AdamsTower, upper: int | None):
     """Best lower bound for the level of m, a complex with homology and a
     class in scope on its ring, from the routes valid for the class.
 
@@ -540,20 +541,35 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     bound falls back to a certified failure of the one-step test. The
     caller supplies one = level_one_test(m, cls) and the cover tower of
     m; the tower is built only for the classes whose ghosts it gives.
+
+    upper is the value U of the upper certificate already proved for m,
+    or None when there is none. It caps the search, which tests the
+    composites from n = min(len(tower), U - 1) down. That loses nothing:
+    by the ghost lemma a non-null n-fold composite proves level >= n + 1,
+    and the upper certificate proves level <= U, so every composite with
+    n >= U is null-homotopic and testing one would only confirm that.
+    The capped search thus finds the same n, route and chain length as
+    the uncapped one. When U is no more than the bound already in hand,
+    the search is empty: it builds no tower, replacement or Hom complex.
     """
     best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
     if one.verdict == "no" and one.exhaustive:
         best = LowerCertificate(cls, 2, "one-step-impossible",
                                 level_one=one)
+    if upper is not None and upper <= best.value:
+        return best
 
     if cls in ("proj", "flat") or (cls in ("gproj", "gflat")
                                    and m.ring.kind != "artin"):
+        top = len(tower.steps)
+        if upper is not None:
+            top = min(top, upper - 1)
+        if top < best.value:
+            return best
         # targets of the composites carry homology up to n degrees above
         # the top of H(m), so the replacement needs that much headroom
-        P, aug = _replacement(m, extra=len(tower.steps) + 2)
-        for n in range(len(tower.steps), 0, -1):
-            if best.value >= n + 1:
-                break
+        P, aug = _replacement(m, extra=top + 2)
+        for n in range(top, best.value - 1, -1):
             gamma = tower.ghost_composite(n)
             factors = [tower.steps[0].delta] + \
                 [tower.steps[s].delta.shift(s) for s in range(1, n)]
@@ -632,7 +648,8 @@ def level_report(m: Complex, cls: str, budget: int = 4,
     base, bcls = (m.dual(), DUAL_CLASS[cls]) if dualized else (m, cls)
     tower = adams_tower(base, budget)
     upper = upper_certificate(base, bcls, one, tower, window)
-    lower = ghost_lower_bound(base, bcls, one, tower)
+    lower = ghost_lower_bound(base, bcls, one, tower,
+                              upper.value if upper is not None else None)
     if dualized:
         for cert, note in ((upper, "computed on the vector-space dual; "
                             "duality swaps projective and injective layers"),

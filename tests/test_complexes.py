@@ -67,6 +67,22 @@ def test_chain_map_condition_checked():
         ChainMap(K, K, {0: AA.identity_hom()})  # not compatible with d
 
 
+def test_differentials_and_components_are_read_only():
+    # cones and homology are cached on these, so they never change
+    diffs = dict(koszul_x().diffs)
+    K = Complex(A, {0: artin_free(A, 1), 1: artin_free(A, 1)}, diffs)
+    f = identity_chain_map(K)
+    diffs[1] = diffs[1].scale(0)
+    assert not K.diffs[1].is_zero()
+    for mapping in (K.diffs, f.comps):
+        i = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[i] = mapping[i].scale(0)
+        with pytest.raises(TypeError):
+            del mapping[i]
+    assert is_quasi_iso(f)
+
+
 def test_cone_of_multiplication_is_koszul():
     AA = artin_free(A, 1)
     x = ArtinHom(AA, AA, A.var_matrix(0))

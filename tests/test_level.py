@@ -6,11 +6,13 @@ reproduce; each expected number comes with the route that produces it.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from levelcert import adams, complexes
-from levelcert.cli import parse
+from levelcert import adams, complexes, level
+from levelcert.cli import build_arg_parser, parse
+from levelcert.corpus import run_corpus
 from levelcert.randgen import random_complex
 from levelcert.rings import make_ring
 from levelcert.modules import artin_free, artin_residue_field, \
@@ -155,15 +157,29 @@ def test_residue_field_attains_the_regular_bound(d, wall_bound):
 
 def test_report_builds_each_cover_step_once(A, R3, monkeypatch):
     # the upper and lower routes read one tower, so the tower makes one
-    # cover step per layer, and none when no route reads it
-    steps = []
+    # cover step per layer, and none when no route reads it; the ghost
+    # search tests only composites below the proved upper bound
+    steps, decisions, lengths = [], [], []
 
     def counted(*args, **kwargs):
         steps.append(args)
         return cover_step(*args, **kwargs)
 
+    def decided(space, f):
+        decisions.append(f)
+        return null_homotopic(space, f)
+
+    def composed(tower, n):
+        lengths.append(n)
+        return composite(tower, n)
+
     cover_step = adams.adams_step_proj
+    null_homotopic = complexes.ChainMapSpace.is_null_homotopic
+    composite = adams.AdamsTower.ghost_composite
     monkeypatch.setattr(adams, "adams_step_proj", counted)
+    monkeypatch.setattr(complexes.ChainMapSpace, "is_null_homotopic",
+                        decided)
+    monkeypatch.setattr(adams.AdamsTower, "ghost_composite", composed)
     k = module_stalk(R3, graded_residue_field(R3))
     rep = level_report(k, "proj")
     assert rep.upper.route == "cover-tower"
@@ -173,6 +189,75 @@ def test_report_builds_each_cover_step_once(A, R3, monkeypatch):
     rep = level_report(koszul_complex(A), "gproj")
     assert rep.upper.route == "cycle-boundary"
     assert steps == []
+    # the upper bound meets the one-step bound: no search at all
+    decisions.clear()
+    lengths.clear()
+    rep = level_report(koszul_complex(A), "proj")
+    assert rep.verdict == ("exact", 2)
+    assert steps == [] and decisions == [] and lengths == []
+    # K (x) K, golden TA1: stratification proves 3 and the one-step
+    # failure 2, so only the 2-fold composite is decided
+    sess = parse("A = artin(F2; x | x^2)\n"
+                 "complex TA1 over A : range 2..0 ; "
+                 "d2 = [[-(1)*(x)], [(x)*(1)]] ; d1 = [[(x)*(1), (1)*(x)]]\n")
+    rep = level_report(sess.complexes["TA1"], "proj")
+    assert rep.verdict == ("range", 2, 3)
+    assert rep.upper.route == "stratification"
+    assert len(decisions) == 1 and lengths == [2]
+
+
+def _uncapped_ghost_search(m, cls, one, tower):
+    """The ghost search with no upper cap, as a test oracle: every
+    composite from the top of the tower down, as the search ran before
+    the proved upper bound capped it. (value, route, chain_length)."""
+    best = (1, "nonzero-homology", None)
+    if one.verdict == "no" and one.exhaustive:
+        best = (2, "one-step-impossible", None)
+    if cls in ("proj", "flat") or (cls in ("gproj", "gflat")
+                                   and m.ring.kind != "artin"):
+        P, aug = level._replacement(m, extra=len(tower.steps) + 2)
+        for n in range(len(tower.steps), 0, -1):
+            if best[0] >= n + 1:
+                break
+            gamma = tower.ghost_composite(n)
+            space = complexes.ChainMapSpace(P, gamma.target)
+            if not space.is_null_homotopic(gamma.compose(aug)):
+                best = (n + 1, "ghost-chain", n)
+                break
+    return best
+
+
+def test_capped_ghost_search_matches_the_uncapped_oracle(monkeypatch,
+                                                         wall_bound):
+    # every level report of the golden scripts, the corpus included:
+    # the capped search finds what the uncapped one finds, and the
+    # uncapped lower bound never passes the upper certificate
+    checked, capped = [], level.ghost_lower_bound
+
+    def with_oracle(m, cls, one, tower, upper):
+        lower = capped(m, cls, one, tower, upper)
+        want = _uncapped_ghost_search(m, cls, one, tower)
+        got = (lower.value, lower.route, lower.data.get("chain_length"))
+        assert got == want, (cls, m)
+        assert upper is None or want[0] <= upper, (cls, m)
+        checked.append(upper is not None and upper <= len(tower.steps))
+        return lower
+
+    monkeypatch.setattr(level, "ghost_lower_bound", with_oracle)
+    defaults = build_arg_parser().parse_args(["-"])
+    golden = Path(__file__).resolve().parent / "golden"
+    with wall_bound(60):
+        for name in ("artinian-5", "regular-5", "rational-5", "corpus"):
+            sess = parse((golden / f"{name}.lvc").read_text())
+            for cmd, _ in sess.commands:
+                if cmd[0] == "level":
+                    level_report(sess.as_complex(cmd[2], 0), cmd[1],
+                                 budget=defaults.budget,
+                                 window=defaults.cutoff)
+                elif cmd[0] == "corpus":
+                    assert run_corpus()["passed"] == 15
+    # the cap cut the search short of the tower top on some reports
+    assert len(checked) > 50 and any(checked)
 
 
 @pytest.mark.parametrize("cls", ["gproj", "gflat"])
@@ -390,6 +475,13 @@ def test_tampered_triangle_evidence_fails_verification(A):
                 assert not rep.verify(), cert.route
             tri.u = u
             assert cert.verify() and rep.verify()
+    # nor may u change in place under its cone, or a differential of it
+    tri = tower.upper.triangles[0]
+    for mapping in (tri.u.comps, tri.cone_data.complex.diffs):
+        i = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[i] = mapping[i].scale(2)
+    assert tower.verify()
 
 
 def test_triangle_witnesses_are_checked_once_in_verify(A, monkeypatch):
