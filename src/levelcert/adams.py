@@ -92,9 +92,6 @@ class AdamsTower:
     def layer(self, s: int) -> Complex:
         return self.m if s == 0 else self.steps[s - 1].omega
 
-    def __len__(self):
-        return len(self.steps)
-
     def ghost_composite(self, n: int) -> ChainMap:
         """m -> shift(L_n, n), the composite of n connecting maps.
 

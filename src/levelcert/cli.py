@@ -520,20 +520,14 @@ def _jsonable(obj):
 def _homology_payload(x: Complex) -> dict:
     hd = x.hdata()
     per = {}
-    for i in x.support():
+    for i in hd.nonzero_degrees():
         h = hd.homology(i)
-        if h.is_zero_module():
-            continue
         if h.mode == "artin":
             per[str(i)] = {"dim": h.dim, "generators": len(h.min_gens())}
         else:
             per[str(i)] = {"generators": h.ngens,
                            "generator_twists": list(h.gen_twists)}
     return {"per_degree": per, "exact": not per}
-
-
-def _first_failed_route(rep) -> bool:
-    return rep.status in ("at_least", "inconclusive")
 
 
 def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
@@ -559,7 +553,7 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
         rep = dimension_report(obj, verb, window=config["cutoff"])
         out["name"] = cmd[1]
         out["report"] = rep.to_dict()
-        inconclusive = _first_failed_route(rep)
+        inconclusive = rep.status in ("at_least", "inconclusive")
     elif verb == "depth":
         out["name"] = cmd[1]
         out["depth"] = depth_of(sess.object(cmd[1], line))
@@ -632,7 +626,9 @@ def _human_lines(payload: dict):
             yield f"resolve {name}: ranks {{{text}}}"
         elif verb in DIM_KINDS:
             r = rep["report"]
-            val = {"exact": str(r["value"]), "infinite": "infinite",
+            # an exact None is the zero object's dimension
+            val = {"exact": "-infinity" if r["value"] is None
+                   else str(r["value"]), "infinite": "infinite",
                    "at_least": f">= {r.get('lower')}",
                    "out_of_scope": "out of scope"}.get(
                        r["status"], r["status"])

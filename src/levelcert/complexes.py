@@ -2,7 +2,8 @@
 
 Conventions, fixed once for the whole package:
   (shift X)_i = X_{i-1} with differential negated per shift;
-  Cone(f: A -> B)_i = A_{i-1} (+) B_i with d(a, b) = (-da, f(a) + db).
+  Cone(f: A -> B)_i = A_{i-1} (+) B_i with d(a, b) = (-da, f(a) + db);
+  so X (+) Y is the cone of the zero map shift(X, -1) -> Y.
 
 A Triangle stores a chain-map witness t between Cone(u) and the claimed
 third object W, and construction checks none of it: verify() is the one
@@ -35,7 +36,10 @@ class Complex:
     def __init__(self, ring, modules: dict, diffs: dict, check: bool = True,
                  label: str | None = None):
         self.ring = ring
-        self.modules = {i: m for i, m in modules.items() if not m.is_zero_module()}
+        # modules and differentials are read-only, like Mat: the cached
+        # homology, dual and cones hang on them
+        self.modules = MappingProxyType(
+            {i: m for i, m in modules.items() if not m.is_zero_module()})
         self.label = label
         self._zero = zero_module(ring)
         self._hdata = None
@@ -47,7 +51,6 @@ class Complex:
             if not (d.source == self.module(i) and d.target == self.module(i - 1)):
                 raise ComplexError(f"differential at degree {i} mismatches modules")
             kept[i] = d
-        # read-only, like Mat: the cached homology, dual and cones hang on it
         self.diffs = MappingProxyType(kept)
         if check:
             for i in list(self.diffs):
@@ -133,38 +136,6 @@ class Complex:
 
 def module_stalk(ring, M, n: int = 0) -> Complex:
     return Complex(ring, {n: M}, {}, check=False)
-
-
-def complex_direct_sum(xs):
-    """(S, incls, projs) of complexes over one ring, degreewise."""
-    assert xs
-    ring = xs[0].ring
-    degs = sorted({i for x in xs for i in x.support()})
-    mods, sum_incls, sum_projs = {}, {}, {}
-    for i in degs:
-        S, incs, prs = direct_sum([x.module(i) for x in xs])
-        mods[i] = S
-        sum_incls[i] = incs
-        sum_projs[i] = prs
-    diffs = {}
-    for i in degs:
-        if i - 1 not in mods:
-            continue
-        total = None
-        for t, x in enumerate(xs):
-            piece = sum_incls[i - 1][t].compose(x.diff(i)).compose(sum_projs[i][t])
-            total = piece if total is None else total + piece
-        diffs[i] = total
-    S = Complex(ring, mods, diffs, check=False)
-    incls = []
-    projs = []
-    for t, x in enumerate(xs):
-        incls.append(ChainMap(x, S, {i: sum_incls[i][t] for i in x.support()},
-                              check=False))
-        projs.append(ChainMap(S, x, {i: sum_projs[i][t] for i in S.support()
-                                     if not x.module(i).is_zero_module()},
-                              check=False))
-    return S, incls, projs
 
 
 class ChainMap:
@@ -337,11 +308,8 @@ class HomologyData:
         return self._cmod[i]
 
     def nonzero_degrees(self):
-        out = []
-        for i in self.x.support():
-            if not self.homology(i).is_zero_module():
-                out.append(i)
-        return out
+        return [i for i in self.x.support()
+                if not self.homology(i).is_zero_module()]
 
     def is_exact(self) -> bool:
         return all(self.homology(i).is_zero_module() for i in self.x.support())

@@ -35,7 +35,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle, cone,
-                        identity_chain_map, is_quasi_iso)
+                        identity_chain_map)
 from .linalg import Mat, full_rank_combination
 from .modules import top_matrices
 from .resolutions import (dimension_report, semiprojective_resolution,
@@ -60,9 +60,6 @@ _ALIASES = {
 
 # Matlis duality swaps these pairs on an artinian base
 DUAL_CLASS = {"inj": "proj", "ginj": "gproj"}
-
-# classes whose one-step objects include all free modules
-PROJ_SIDE = ("proj", "flat", "gproj", "gflat")
 
 
 def normalize_class(name: str) -> str:
@@ -108,11 +105,8 @@ def homology_class_check(m: Complex, cls: str, window: int = 4):
     hd = m.hdata()
     per = {}
     overall = True
-    for i in sorted(m.support()):
-        h = hd.homology(i)
-        if h.is_zero_module():
-            continue
-        verdict, note = module_in_class(h, cls, window)
+    for i in hd.nonzero_degrees():
+        verdict, note = module_in_class(hd.homology(i), cls, window)
         per[i] = (verdict, note)
         if verdict is False:
             overall = False
@@ -190,18 +184,20 @@ def level_one_test(m: Complex, cls: str, window: int = 4) -> LevelOneResult:
             "yes", "homology concentrated in a single degree", per,
             exhaustive=True)
 
+    # every class left here contains the free modules: inj and ginj
+    # were dualized above, or failed the class check over a graded base
     hd = m.hdata()
-    if cls in PROJ_SIDE and all(hd.homology(i).is_free() for i in hdegs):
+    if all(hd.homology(i).is_free() for i in hdegs):
         # the minimal cover of free homology is an isomorphism on
-        # homology, so the cover map itself is the witness
+        # homology, so the cover map itself is the witness; it is one
+        # exactly when the layer the step has built is exact
         st = adams_step_proj(m)
-        if is_quasi_iso(st.phi):
+        if st.omega.is_exact():
             return LevelOneResult("yes", "free homology, cover map is a "
                                   "quasi-isomorphism", per,
                                   witness=st.phi, exhaustive=True)
 
-    P, aug = _replacement(m)
-    cms = ChainMapSpace(P, homology_stalks(m))
+    cms, aug = derived_hom(m, homology_stalks(m))
     reps = list(_iter_class_maps(cms))
     verdict, found = "none", "no nonzero class"
     if reps:
@@ -224,21 +220,19 @@ def level_one_test(m: Complex, cls: str, window: int = 4) -> LevelOneResult:
         "complex was found", per)
 
 
-def derived_hom(m: Complex, n: Complex) -> ChainMapSpace:
-    """Maps m -> n in the derived category, as a chain-map space.
+def derived_hom(m: Complex, n: Complex):
+    """Maps m -> n in the derived category: (space, aug), the chain-map
+    space out of a free replacement aug: P -> m.
 
-    The source is replaced by a degreewise free complex built far enough
-    beyond sup(n) that no chain-map or homotopy constraint is lost; the
-    class space of the result has the dimension of the derived hom.
+    P is degreewise free and built far enough beyond sup(n) that no
+    chain-map or homotopy constraint is lost; the class space of the
+    result has the dimension of the derived hom.
     """
-    if m.is_zero_complex() or n.is_zero_complex():
-        return ChainMapSpace(m, n)
     hdegs = m.hdata().nonzero_degrees()
-    if not hdegs:
-        return ChainMapSpace(m, n)
-    extra = max(2, n.max_deg - max(hdegs) + 2)
-    P, _ = _replacement(m, extra)
-    return ChainMapSpace(P, n)
+    if not hdegs or n.is_zero_complex():
+        return ChainMapSpace(m, n), identity_chain_map(m)
+    P, aug = _replacement(m, max(2, n.max_deg - max(hdegs) + 2))
+    return ChainMapSpace(P, n), aug
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +356,6 @@ def _stalk_members_ok(mods, cls, window):
     return True
 
 
-def _zero_diff_complex(ring, mods: dict) -> Complex:
-    return Complex(ring, {i: M for i, M in mods.items()
-                          if not M.is_zero_module()}, {}, check=False)
-
-
 def upper_via_cycle_boundary(m: Complex, cls: str, window: int = 4):
     """Two-layer bound from the triangle Z -> m -> shift(B) built on the
     cycle inclusion: both outer layers have zero differentials, so if
@@ -389,8 +378,10 @@ def upper_via_cycle_boundary(m: Complex, cls: str, window: int = 4):
     if not _stalk_members_ok([cycles[i][0] for i in degs]
                              + [bounds[i][0] for i in degs], cls, window):
         return None
-    sub_cx = _zero_diff_complex(m.ring, {i: cycles[i][0] for i in degs})
-    quot_cx = _zero_diff_complex(m.ring, {i: bounds[i][0] for i in degs})
+    sub_cx = Complex(m.ring, {i: cycles[i][0] for i in degs}, {},
+                     check=False)
+    quot_cx = Complex(m.ring, {i: bounds[i][0] for i in degs}, {},
+                      check=False)
     # the d^2 check of the cone confirms that u is a chain map
     u = ChainMap(sub_cx, m, {i: cycles[i][1] for i in degs
                              if not cycles[i][0].is_zero_module()},
@@ -425,15 +416,14 @@ def upper_via_stratification(m: Complex, cls: str, window: int = 4):
         return UpperCertificate(cls, 1, "stratification",
                                 data={"strata": [int(degs[0])]}, subject=m)
     triangles = []
-    for n in degs[:-1]:
-        nxt = _next_degree(degs, n)
+    for n, nxt in zip(degs, degs[1:]):
         below = m.truncate_le(n)
         upto = m.truncate_le(nxt)
         u = ChainMap(below, upto,
                      {i: below.module(i).identity_hom()
                       for i in below.support()}, check=False)
         cd = cone(u)
-        stalk = _zero_diff_complex(m.ring, {nxt: m.module(nxt)})
+        stalk = Complex(m.ring, {nxt: m.module(nxt)}, {}, check=False)
         t = ChainMap(cd.complex, stalk, {nxt: cd.pr_b[nxt]}, check=False)
         triangles.append(Triangle(u, stalk, t, cone_data=cd))
     return UpperCertificate(
@@ -442,20 +432,15 @@ def upper_via_stratification(m: Complex, cls: str, window: int = 4):
         subject=m)
 
 
-def _next_degree(degs, n):
-    return min(d for d in degs if d > n)
-
-
 def upper_via_tower(cls: str, tower: AdamsTower, window: int = 4):
     """Cover-tower bound: peel free covers of the tower's complex until a
     one-layer terminus.
 
     Each step contributes a triangle whose free stalk layer lies in C,
     so a terminus at layer n certifies level at most n + 1. Valid for
-    the classes that contain the free modules.
+    the classes that contain the free modules, the only ones that reach
+    it: level_report passes inj and ginj on as their duals.
     """
-    if cls not in PROJ_SIDE:
-        return None
     for n in range(1, len(tower.steps) + 1):
         layer = tower.layer(n)
         lo = level_one_test(layer, cls, window)
@@ -544,13 +529,14 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
 
     upper is the value U of the upper certificate already proved for m,
     or None when there is none. It caps the search, which tests the
-    composites from n = min(len(tower), U - 1) down. That loses nothing:
-    by the ghost lemma a non-null n-fold composite proves level >= n + 1,
-    and the upper certificate proves level <= U, so every composite with
-    n >= U is null-homotopic and testing one would only confirm that.
-    The capped search thus finds the same n, route and chain length as
-    the uncapped one. When U is no more than the bound already in hand,
-    the search is empty: it builds no tower, replacement or Hom complex.
+    composites from n = min(len(tower.steps), U - 1) down. That loses
+    nothing: by the ghost lemma a non-null n-fold composite proves
+    level >= n + 1, and the upper certificate proves level <= U, so
+    every composite with n >= U is null-homotopic and testing one would
+    only confirm that. The capped search thus finds the same n, route
+    and chain length as the uncapped one. When U is no more than the
+    bound already in hand, the search is empty: it builds no tower,
+    replacement or Hom complex.
     """
     best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
     if one.verdict == "no" and one.exhaustive:
@@ -559,8 +545,7 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     if upper is not None and upper <= best.value:
         return best
 
-    if cls in ("proj", "flat") or (cls in ("gproj", "gflat")
-                                   and m.ring.kind != "artin"):
+    if cls in ("proj", "flat") or m.ring.kind != "artin":
         top = len(tower.steps)
         if upper is not None:
             top = min(top, upper - 1)
@@ -679,14 +664,8 @@ def bass_check(m: Complex, full: bool = False) -> dict:
                 "reason": "needs a depth-zero artinian base"}
     if _is_exact(m):
         return {"applies": False, "reason": "no homology"}
-    hd = m.hdata()
-    bad = []
-    for i in sorted(m.support()):
-        h = hd.homology(i)
-        if h.is_zero_module():
-            continue
-        if not h.dual().is_free():
-            bad.append(int(i))
+    _, per = homology_class_check(m, "inj")
+    bad = [int(i) for i, (verdict, _) in per.items() if verdict is False]
     if bad:
         out = {"applies": False,
                "reason": "homology has infinite injective dimension",
@@ -696,7 +675,9 @@ def bass_check(m: Complex, full: bool = False) -> dict:
             out["level_inj_verdict"] = list(rep.verdict)
         return out
     st = adams_step_inj(m)
-    ok = is_quasi_iso(st.psi)
+    # psi is the dual of the cover map phi, and the vector-space dual is
+    # exact, so psi is a quasi-isomorphism exactly when phi's layer is exact
+    ok = st.dual_step.omega.is_exact()
     return {"applies": True, "level_inj": 1 if ok else None,
             "witness_quasi_iso": ok,
             "gorenstein_note": "positive-depth variant does not apply "
@@ -720,11 +701,8 @@ def homology_dimension_bound(m: Complex, cls: str, window: int = 6):
     hd = m.hdata()
     per = {}
     worst = 0
-    for i in sorted(m.support()):
-        h = hd.homology(i)
-        if h.is_zero_module():
-            continue
-        rep = dimension_report(h, kind, window)
+    for i in hd.nonzero_degrees():
+        rep = dimension_report(hd.homology(i), kind, window)
         per[int(i)] = rep
         if rep.status != "exact":
             return None, per

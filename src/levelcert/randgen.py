@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .linalg import Mat
 from .modules import free_module, hom_space
-from .complexes import Complex, complex_direct_sum, module_stalk
+from .complexes import Complex, cone, module_stalk, zero_chain_map
 
 
 def random_hom(M, N, rng):
@@ -136,6 +136,14 @@ def _disk(M, at: int) -> Complex:
                    {at: M.identity_hom()}, check=False)
 
 
+def _sum(parts) -> Complex:
+    """The direct sum of the parts, each added as the cone of a zero map."""
+    out = parts[0]
+    for y in parts[1:]:
+        out = cone(zero_chain_map(out.shift(-1), y)).complex
+    return out
+
+
 def random_injective_homology_complex(ring, rng, lo: int = 0,
                                       width: int = 2,
                                       pieces: int = 3) -> Complex:
@@ -152,7 +160,7 @@ def random_injective_homology_complex(ring, rng, lo: int = 0,
                                at))
     if not any(p.diffs == {} for p in parts):
         parts.append(module_stalk(ring, E, rng.randint(lo, lo + width)))
-    return _scramble(complex_direct_sum(parts)[0], rng)
+    return _scramble(_sum(parts), rng)
 
 
 def random_free_homology_complex(ring, rng, lo: int = 0, width: int = 2,
@@ -171,4 +179,4 @@ def random_free_homology_complex(ring, rng, lo: int = 0, width: int = 2,
     if not any(p.diffs == {} for p in parts):
         F = free_module(ring, [0])
         parts.append(module_stalk(ring, F, rng.randint(lo, lo + width)))
-    return _scramble(complex_direct_sum(parts)[0], rng)
+    return _scramble(_sum(parts), rng)

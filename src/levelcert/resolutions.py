@@ -46,10 +46,6 @@ class ResolutionError(ValueError):
     pass
 
 
-def _is_complex(obj) -> bool:
-    return isinstance(obj, Complex)
-
-
 @dataclass
 class Resolution:
     """P -> x with P free in each degree, built to the stated ceiling.
@@ -244,7 +240,7 @@ def koszul_complex(ring) -> Complex:
 
 def depth_of(obj):
     """Depth via Koszul homology; None for an object with no homology."""
-    x = obj if _is_complex(obj) else module_stalk(obj.ring, obj, 0)
+    x = obj if isinstance(obj, Complex) else module_stalk(obj.ring, obj, 0)
     ky = koszul_of_complex(x)
     degs = ky.hdata().nonzero_degrees()
     if not degs:
@@ -563,7 +559,7 @@ def dimension_report(obj, kind: str, window: int = 6) -> DimensionReport:
     projective ones for finitely generated objects over a noetherian
     base. Injective kinds over a graded base are out of scope.
     """
-    is_cx = _is_complex(obj)
+    is_cx = isinstance(obj, Complex)
     g = "Gorenstein " if kind.startswith("g") else ""
     proj = "gpd" if g else "pd"
     if kind == "pd":

@@ -321,6 +321,25 @@ def test_json_output_byte_identical(tmp_path):
     assert payload["reports"][0]["certificate"]["verdict"] == ["exact", 2]
 
 
+@pytest.mark.parametrize("ring", ["artin(F2; x | x^2)", "poly(F101; x, y)"])
+def test_zero_object_dimension_prints_minus_infinity(tmp_path, capsys,
+                                                     ring):
+    # a zero module and an exact complex are the zero object, whose
+    # dimension is -infinity; the JSON keeps it as null
+    script = tmp_path / "z.lvc"
+    script.write_text(f"A = {ring}\n"
+                      "module Z over A = coker [[1]]\n"
+                      "complex E over A : range 1..0 ; d1 = [[1]]\n"
+                      "pd Z\ngpd E\n")
+    out = tmp_path / "z.json"
+    assert main([str(script), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pd Z = -infinity", "gpd E = -infinity"]
+    for rep in json.loads(out.read_text())["reports"]:
+        assert rep["report"]["status"] == "exact"
+        assert rep["report"]["value"] is None
+
+
 def test_default_field_flag(tmp_path):
     script = tmp_path / "s.lvc"
     script.write_text("R = poly(x, y)\nmodule k over R = coker [[x, y]]\n"

@@ -8,15 +8,17 @@ from levelcert.adams import adams_tower
 from levelcert.linalg import Mat, PrimeField, hstack, vstack
 from levelcert.poly import PolyVec, parse_poly
 from levelcert.rings import ArtinRing, GradedPolyRing, make_ring
+from levelcert import randgen
 from levelcert.modules import (ArtinHom, GradedHom, artin_free,
-                               artin_residue_field, find_isomorphism,
-                               graded_free, graded_residue_field, hom_space,
-                               zero_hom)
+                               artin_residue_field, direct_sum,
+                               find_isomorphism, graded_free,
+                               graded_residue_field, hom_space, zero_hom)
 from levelcert.complexes import (ChainMap, ChainMapSpace, Complex, ComplexError,
                                  HomologyData, Triangle, cone,
-                                 complex_direct_sum, identity_chain_map,
-                                 is_quasi_iso, module_stalk, zero_chain_map)
-from levelcert.randgen import random_complex
+                                 identity_chain_map, is_quasi_iso,
+                                 module_stalk, zero_chain_map)
+from levelcert.randgen import (random_complex, random_free_homology_complex,
+                               random_injective_homology_complex)
 
 F2 = PrimeField(2)
 F101 = PrimeField(101)
@@ -69,17 +71,27 @@ def test_chain_map_condition_checked():
 
 def test_differentials_and_components_are_read_only():
     # cones and homology are cached on these, so they never change
+    mods = {0: artin_free(A, 1), 1: artin_free(A, 1)}
     diffs = dict(koszul_x().diffs)
-    K = Complex(A, {0: artin_free(A, 1), 1: artin_free(A, 1)}, diffs)
+    K = Complex(A, mods, diffs)
     f = identity_chain_map(K)
     diffs[1] = diffs[1].scale(0)
+    mods[1] = artin_free(A, 2)
     assert not K.diffs[1].is_zero()
+    assert K.module(1).dim == 2
     for mapping in (K.diffs, f.comps):
         i = next(iter(mapping))
         with pytest.raises(TypeError):
             mapping[i] = mapping[i].scale(0)
         with pytest.raises(TypeError):
             del mapping[i]
+    layer = adams_tower(K, 1).layer(1)
+    for x in (K, layer):
+        i = next(iter(x.modules))
+        with pytest.raises(TypeError):
+            x.modules[i] = artin_free(A, 1)
+        with pytest.raises(TypeError):
+            del x.modules[i]
     assert is_quasi_iso(f)
 
 
@@ -294,15 +306,74 @@ def test_tower_triangles_agree_with_the_homology_rule(ring, seeds):
 
 
 def test_complex_direct_sum():
+    # K (+) shift(K) is the cone of the zero map shift(K, -1) -> shift(K)
     K = koszul_x()
-    S, incls, projs = complex_direct_sum([K, K.shift(1)])
+    L = K.shift(1)
+    cd = cone(zero_chain_map(K.shift(-1), L))
+    S = cd.complex
     assert S.support() == [0, 1, 2]
     hd = S.hdata()
     assert hd.homology(0).dim == 1
     assert hd.homology(1).dim == 2
     assert hd.homology(2).dim == 1
-    assert projs[0].compose(incls[0]) == identity_chain_map(K)
-    assert projs[0].compose(incls[1]).is_zero()
+    for i in S.support():
+        assert cd.pr_b[i].compose(cd.in_b[i]) == L.module(i).identity_hom()
+        assert cd.pr_a[i].compose(cd.in_b[i]).is_zero()
+    assert cd.inclusion().is_chain_map()
+
+
+def reference_direct_sum(xs):
+    """The former n-ary sum of complexes, all parts at once, degreewise."""
+    ring = xs[0].ring
+    degs = sorted({i for x in xs for i in x.support()})
+    mods, sum_incls, sum_projs = {}, {}, {}
+    for i in degs:
+        mods[i], sum_incls[i], sum_projs[i] = direct_sum(
+            [x.module(i) for x in xs])
+    diffs = {}
+    for i in degs:
+        if i - 1 not in mods:
+            continue
+        total = None
+        for t, x in enumerate(xs):
+            piece = sum_incls[i - 1][t].compose(x.diff(i)).compose(
+                sum_projs[i][t])
+            total = piece if total is None else total + piece
+        diffs[i] = total
+    return Complex(ring, mods, diffs, check=False)
+
+
+SUM_RINGS = ["artin(F2; x | x^2)", "artin(F3; x, y | x^2, y^2)",
+             "poly(F101; x, y)", "artin(Q; x | x^2)"]
+
+
+@pytest.mark.parametrize("ring_text", SUM_RINGS)
+def test_sum_built_from_cones_matches_the_n_ary_sum(ring_text):
+    ring = make_ring(ring_text)
+    for seed in range(30):
+        rng = random.Random(seed)
+        parts = [random_complex(ring, rng, lo=rng.randint(-1, 1),
+                                width=rng.randint(0, 2), max_rank=2)
+                 for _ in range(rng.randint(1, 3))]
+        # equal modules and differentials, degree by degree
+        assert randgen._sum(parts) == reference_direct_sum(parts)
+
+
+@pytest.mark.parametrize("ring_text", SUM_RINGS)
+def test_random_homology_complexes_keep_their_inputs(ring_text,
+                                                     monkeypatch):
+    # the seeded property suites read these generators, so building the
+    # sum from cones must not move them onto other complexes
+    ring = make_ring(ring_text)
+    gens = [random_free_homology_complex]
+    if ring.kind == "artin":
+        gens.append(random_injective_homology_complex)
+    for gen in gens:
+        got = [gen(ring, random.Random(seed)) for seed in range(10)]
+        with monkeypatch.context() as mp:
+            mp.setattr(randgen, "_sum", reference_direct_sum)
+            want = [gen(ring, random.Random(seed)) for seed in range(10)]
+        assert got == want
 
 
 def test_graded_koszul_homology():

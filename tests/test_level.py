@@ -260,6 +260,29 @@ def test_capped_ghost_search_matches_the_uncapped_oracle(monkeypatch,
     assert len(checked) > 50 and any(checked)
 
 
+@pytest.mark.parametrize("ring_text", ["artin(F2; x | x^2)",
+                                       "artin(F3; x, y | x^2, y^2)"])
+def test_cover_tower_route_never_succeeds_on_non_free_homology(ring_text):
+    # minimal covers give H(L_{s+1}) = Omega H(L_s), and over an artinian
+    # local ring a module of finite projective dimension is free
+    # (Auslander-Buchsbaum at depth zero): a non-free homology module
+    # has no free syzygy, so no layer of the tower passes the one-step
+    # test and the route returns nothing at any budget
+    ring = make_ring(ring_text)
+    seen = 0
+    for seed in range(30):
+        m = random_complex(ring, random.Random(seed), width=2, max_rank=2)
+        hd = m.hdata()
+        if all(hd.homology(i).is_free() for i in hd.nonzero_degrees()):
+            continue
+        seen += 1
+        for budget in range(1, 5):
+            tower = adams.adams_tower(m, budget)
+            for cls in ("proj", "flat"):
+                assert level.upper_via_tower(cls, tower) is None
+    assert seen >= 5
+
+
 @pytest.mark.parametrize("cls", ["gproj", "gflat"])
 def test_gorenstein_levels_over_regular_ring(R3, cls):
     # over a regular ring the Gorenstein projective and flat modules are

@@ -23,7 +23,6 @@ UNREACHED = {
     "Mat.inverse": "tracer target",
     # helpers the test suite builds its cases with
     "Complex.truncate_ge": "test API: top truncations in complex tests",
-    "zero_chain_map": "test API: the zero witness in triangle tests",
     "GroebnerBasis.contains": "test API: ideal membership in Groebner "
                               "tests",
     "Mat.entry": "test API: reading one entry of a matrix",
