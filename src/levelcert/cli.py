@@ -576,8 +576,7 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
     elif verb == "level":
         _, cls, name = cmd
         x = sess.as_complex(name, line)
-        rep = level_report(x, cls, budget=config["budget"],
-                           window=config["cutoff"])
+        rep = level_report(x, cls, budget=config["budget"])
         payload = rep.to_dict()
         payload["verified"] = rep.verify()
         out["name"] = name
@@ -675,7 +674,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="default coefficient field for ring "
                          "declarations that omit one")
     ap.add_argument("--cutoff", type=int, default=6,
-                    help="resolution window for dimension reports")
+                    help="resolution window of dimension reports and resolve")
     ap.add_argument("--budget", type=int, default=4,
                     help="tower depth for level bounds")
     ap.add_argument("--out", default=None,

@@ -97,16 +97,6 @@ class Complex:
         diffs = {i + n: -d if n % 2 else d for i, d in self.diffs.items()}
         return Complex(self.ring, mods, diffs, check=False)
 
-    def truncate_ge(self, n: int) -> "Complex":
-        mods = {i: m for i, m in self.modules.items() if i >= n}
-        diffs = {i: d for i, d in self.diffs.items() if i >= n + 1}
-        return Complex(self.ring, mods, diffs, check=False)
-
-    def truncate_le(self, n: int) -> "Complex":
-        mods = {i: m for i, m in self.modules.items() if i <= n}
-        diffs = {i: d for i, d in self.diffs.items() if i <= n}
-        return Complex(self.ring, mods, diffs, check=False)
-
     def dual(self) -> "Complex":
         """Degreewise linear dual: (X^v)_i = (X_{-i})^v, d_i = (d^X_{1-i})^v.
 

@@ -35,7 +35,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle, cone,
-                        identity_chain_map)
+                        identity_chain_map, module_stalk)
 from .linalg import Mat, full_rank_combination
 from .modules import top_matrices
 from .resolutions import (dimension_report, semiprojective_resolution,
@@ -70,7 +70,7 @@ def normalize_class(name: str) -> str:
     return key
 
 
-def module_in_class(M, cls: str, window: int = 4):
+def module_in_class(M, cls: str):
     """(verdict, note) with verdict True, False, or None for undecided."""
     cls = normalize_class(cls)
     if M.is_zero_module():
@@ -79,7 +79,7 @@ def module_in_class(M, cls: str, window: int = 4):
     if cls in DUAL_CLASS:
         if ring.kind != "artin":
             return False, "no nonzero finitely generated graded injectives"
-        verdict, note = module_in_class(M.dual(), DUAL_CLASS[cls], window)
+        verdict, note = module_in_class(M.dual(), DUAL_CLASS[cls])
         return verdict, f"dual: {note}"
     if cls in ("proj", "flat"):
         return (True, "free") if M.is_free() else (False, "not free")
@@ -92,21 +92,21 @@ def module_in_class(M, cls: str, window: int = 4):
             return True, "every module over a self-injective base"
         if M.is_free():
             return True, "free"
-        scr = tr_screen(M, window)
+        scr = tr_screen(M)
         if scr["first_obstruction"] is not None:
             kind, i = scr["first_obstruction"]
             return False, f"reflexivity screen fails: {kind} at step {i}"
-        return None, f"reflexivity screen clean to window {window}"
+        return None, f"reflexivity screen clean to window {scr['window']}"
     raise LevelError(f"unknown class {cls!r}")
 
 
-def homology_class_check(m: Complex, cls: str, window: int = 4):
+def homology_class_check(m: Complex, cls: str):
     """Membership of every homology module; (overall, per-degree notes)."""
     hd = m.hdata()
     per = {}
     overall = True
     for i in hd.nonzero_degrees():
-        verdict, note = module_in_class(hd.homology(i), cls, window)
+        verdict, note = module_in_class(hd.homology(i), cls)
         per[i] = (verdict, note)
         if verdict is False:
             overall = False
@@ -132,7 +132,7 @@ class LevelOneResult:
 
 def _replacement(m: Complex, extra: int = 2):
     """(P, aug) with P degreewise free and quasi-isomorphic to m in the
-    window that matters for maps into complexes bounded above by
+    range that matters for maps into complexes bounded above by
     sup H(m) + extra - 2; chain-map spaces out of P into such a target
     need all differentials up to that bound plus two.
     """
@@ -150,7 +150,7 @@ def _iter_class_maps(cms: ChainMapSpace):
         yield cms.class_representative(j)
 
 
-def level_one_test(m: Complex, cls: str, window: int = 4) -> LevelOneResult:
+def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     """Decide whether m is built from C in a single layer.
 
     That happens exactly when m is quasi-isomorphic to its homology
@@ -164,11 +164,11 @@ def level_one_test(m: Complex, cls: str, window: int = 4) -> LevelOneResult:
     if _is_exact(m):
         return LevelOneResult("yes", "no homology", {}, exhaustive=True)
     if cls in DUAL_CLASS and m.ring.kind == "artin":
-        inner = level_one_test(m.dual(), DUAL_CLASS[cls], window)
+        inner = level_one_test(m.dual(), DUAL_CLASS[cls])
         inner.reason += " (computed on the dual complex)"
         return inner
 
-    overall, per = homology_class_check(m, cls, window)
+    overall, per = homology_class_check(m, cls)
     if overall is False:
         bad = [i for i, (v, _) in per.items() if v is False]
         return LevelOneResult(
@@ -335,11 +335,16 @@ class UpperCertificate(BoundCertificate):
             # an empty quotient layer leaves the sub layer alone
             return 1 if tris[0].w.is_zero_complex() else 2
         if self.route == "stratification":
-            # one peel per term after the first
-            if (self.subject is None
-                    or len(self.subject.support()) != len(tris) + 1):
+            # from one layer, each peel attaches a layer to what the one
+            # before it built, and the last peel builds the subject
+            built = tris[0].u.target if tris else self.subject
+            if built is None or built.diffs:
                 return None
-            return len(tris) + 1
+            for tri in tris:
+                if tri.u.target is not built or tri.u.source.diffs:
+                    return None
+                built = tri.w
+            return len(tris) + 1 if built == self.subject else None
         if self.route == "cover-tower":
             # n peeled covers and a one-step terminus
             if not tris or not _says(self.level_one, "yes"):
@@ -348,15 +353,11 @@ class UpperCertificate(BoundCertificate):
         return None
 
 
-def _stalk_members_ok(mods, cls, window):
-    for M in mods:
-        verdict, _ = module_in_class(M, cls, window)
-        if verdict is not True:
-            return False
-    return True
+def _stalk_members_ok(mods, cls):
+    return all(module_in_class(M, cls)[0] is True for M in mods)
 
 
-def upper_via_cycle_boundary(m: Complex, cls: str, window: int = 4):
+def upper_via_cycle_boundary(m: Complex, cls: str):
     """Two-layer bound from the triangle Z -> m -> shift(B) built on the
     cycle inclusion: both outer layers have zero differentials, so if
     every cycle and boundary module lies in C the level is at most 2.
@@ -376,7 +377,7 @@ def upper_via_cycle_boundary(m: Complex, cls: str, window: int = 4):
         cycles[i] = hd.cycles(i)           # (Z_i, inclusion)
         bounds[i] = hd.boundaries(i - 1)   # (B_{i-1}, inclusion, epi)
     if not _stalk_members_ok([cycles[i][0] for i in degs]
-                             + [bounds[i][0] for i in degs], cls, window):
+                             + [bounds[i][0] for i in degs], cls):
         return None
     sub_cx = Complex(m.ring, {i: cycles[i][0] for i in degs}, {},
                      check=False)
@@ -402,48 +403,46 @@ def upper_via_cycle_boundary(m: Complex, cls: str, window: int = 4):
         triangles=[tri])
 
 
-def upper_via_stratification(m: Complex, cls: str, window: int = 4):
+def upper_via_stratification(m: Complex, cls: str):
     """Peel the complex one term at a time by brutal truncations.
 
     Needs every term of the complex itself to lie in C; gives the number
-    of nonzero terms as the bound, one triangle per peel.
+    of nonzero terms as the bound, one triangle per peel. The truncation
+    at degree n is the cone of d_n from m_n, placed in degree n - 1, to
+    the truncation below n, so each peel is the triangle on its own cone
+    and the last one builds m itself.
     """
     cls = normalize_class(cls)
     degs = sorted(m.support())
-    if not _stalk_members_ok([m.module(i) for i in degs], cls, window):
+    if not _stalk_members_ok([m.module(i) for i in degs], cls):
         return None
-    if len(degs) == 1:
-        return UpperCertificate(cls, 1, "stratification",
-                                data={"strata": [int(degs[0])]}, subject=m)
+    built = module_stalk(m.ring, m.module(degs[0]), degs[0])
     triangles = []
-    for n, nxt in zip(degs, degs[1:]):
-        below = m.truncate_le(n)
-        upto = m.truncate_le(nxt)
-        u = ChainMap(below, upto,
-                     {i: below.module(i).identity_hom()
-                      for i in below.support()}, check=False)
-        cd = cone(u)
-        stalk = Complex(m.ring, {nxt: m.module(nxt)}, {}, check=False)
-        t = ChainMap(cd.complex, stalk, {nxt: cd.pr_b[nxt]}, check=False)
-        triangles.append(Triangle(u, stalk, t, cone_data=cd))
+    for nxt in degs[1:]:
+        layer = module_stalk(m.ring, m.module(nxt), nxt - 1)
+        tri = Triangle(ChainMap(layer, built, {nxt - 1: m.diff(nxt)},
+                                check=False))
+        triangles.append(tri)
+        built = tri.w
     return UpperCertificate(
         cls, len(degs), "stratification",
         data={"strata": [int(i) for i in degs]}, triangles=triangles,
         subject=m)
 
 
-def upper_via_tower(cls: str, tower: AdamsTower, window: int = 4):
+def upper_via_tower(cls: str, tower: AdamsTower):
     """Cover-tower bound: peel free covers of the tower's complex until a
     one-layer terminus.
 
     Each step contributes a triangle whose free stalk layer lies in C,
     so a terminus at layer n certifies level at most n + 1. Valid for
     the classes that contain the free modules, the only ones that reach
-    it: level_report passes inj and ginj on as their duals.
+    it: upper_certificate runs it over a graded base only, where inj and
+    ginj are out of scope.
     """
     for n in range(1, len(tower.steps) + 1):
         layer = tower.layer(n)
-        lo = level_one_test(layer, cls, window)
+        lo = level_one_test(layer, cls)
         if lo.verdict == "yes":
             tris = [tower.steps[s].triangle for s in range(n)]
             return UpperCertificate(
@@ -454,28 +453,39 @@ def upper_via_tower(cls: str, tower: AdamsTower, window: int = 4):
 
 
 def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
-                      tower: AdamsTower, window: int = 4):
+                      tower: AdamsTower):
     """Best available upper certificate for the level of m, a complex
     with homology and a class in scope on its ring.
 
     The caller supplies one = level_one_test(m, cls) and the cover tower
     of m; the tower is built only if the short routes give no bound of
     at most two.
+
+    No cover-tower route runs over an artinian base: it never succeeds
+    there. Minimal covers give H(L_{s+1}) = Omega H(L_s). The classes
+    that reach it are proj, flat, and gproj or gflat over a
+    non-Gorenstein base (inj and ginj arrive dualized; over a Gorenstein
+    base cycle-boundary bounds the Gorenstein classes by 2 first), and
+    module_in_class admits only free or zero modules to each. So a layer
+    passes the one-step test only when Omega^s H(m) is free, which over
+    an artinian local ring forces H(m) free (Auslander-Buchsbaum at
+    depth 0); free homology makes m formal, and the one-step route has
+    already returned.
     """
     if one.verdict == "yes":
         return UpperCertificate(cls, 1, "one-step", level_one=one)
 
-    best = upper_via_cycle_boundary(m, cls, window=window)
+    best = upper_via_cycle_boundary(m, cls)
     # stratification proves the number of terms, so it is tried only
     # when that number beats the bound already found
     if best is None or len(m.support()) < best.value:
-        best = upper_via_stratification(m, cls, window) or best
+        best = upper_via_stratification(m, cls) or best
     if best is not None and best.value <= 2:
         best.level_one = best.level_one or one
-        return best
-    tow = upper_via_tower(cls, tower, window)
-    if tow is not None and (best is None or tow.value < best.value):
-        best = tow
+    elif m.ring.kind != "artin":
+        tow = upper_via_tower(cls, tower)
+        if tow is not None and (best is None or tow.value < best.value):
+            best = tow
     return best
 
 
@@ -613,8 +623,7 @@ class LevelCertificate:
         return True
 
 
-def level_report(m: Complex, cls: str, budget: int = 4,
-                 window: int = 4) -> LevelCertificate:
+def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
     """Upper and lower certificates for the level of m, decided in the
     order of the module docstring; one tower of at most budget cover
     steps serves both bound routes."""
@@ -628,11 +637,11 @@ def level_report(m: Complex, cls: str, budget: int = 4,
             cls, None, None,
             notes=["out of scope: no nonzero finitely generated graded "
                    "injectives, the class builds only the zero object"])
-    one = level_one_test(m, cls, window)
+    one = level_one_test(m, cls)
     dualized = cls in DUAL_CLASS and m.ring.kind == "artin"
     base, bcls = (m.dual(), DUAL_CLASS[cls]) if dualized else (m, cls)
     tower = adams_tower(base, budget)
-    upper = upper_certificate(base, bcls, one, tower, window)
+    upper = upper_certificate(base, bcls, one, tower)
     lower = ghost_lower_bound(base, bcls, one, tower,
                               upper.value if upper is not None else None)
     if dualized:

@@ -300,6 +300,34 @@ def test_cutoff_below_zero_is_a_clean_error(tmp_path, capsys, cutoff):
     assert capsys.readouterr().out.strip() == "pd k = infinite"
 
 
+SQUARE_ZERO = """\
+N = artin(F2; x, y | x^2, x*y, y^2)
+module M over N = coker [[x]]
+"""
+
+
+def test_gpd_and_level_share_one_reflexivity_screen():
+    # the screen has one depth, so both reports read the same entry
+    sess = parse(SQUARE_ZERO + "gpd M\nlevel GP M\n")
+    run_session(sess, {"budget": 4, "cutoff": 6, "corpus_filter": None})
+    M = sess.modules["M"]
+    assert [key for key in sess.rings["N"].tr_screens
+            if key[0] == M] == [(M, 4)]
+
+
+def test_level_does_not_read_the_cutoff(tmp_path):
+    # --cutoff sizes dimension reports and resolve, not level
+    script = tmp_path / "gp.lvc"
+    script.write_text(SQUARE_ZERO + "level GP M\n")
+    certs = []
+    for cutoff in ("2", "8"):
+        out = tmp_path / f"gp-{cutoff}.json"
+        main([str(script), "--cutoff", cutoff, "--out", str(out)])
+        certs.append(json.loads(out.read_text())["reports"][0]["certificate"])
+    assert certs[0] == certs[1]
+    assert certs[0]["verdict"] == ["at_least", 2]
+
+
 def test_bad_field_is_a_clean_error(tmp_path, capsys):
     script = tmp_path / "f4.lvc"
     script.write_text("A = artin(F4; x | x^2)\n")

@@ -196,15 +196,14 @@ def test_triangle_verification():
 
 
 def test_truncation_triangle():
-    # 0 -> X_{<=0} -> X -> X_{>=1} -> 0 is degreewise split exact; the cone
-    # of the inclusion is a model of the top truncation
+    # K is the cone of d_1 on its desuspended top term: the stalk of K_1
+    # in degree 0 mapped by d_1 onto the stalk of K_0, so the triangle
+    # on that cone has K itself as its third object
     K = koszul_x()
-    top = K.truncate_ge(1)
-    bot = K.truncate_le(0)
-    u = ChainMap(bot, K, {0: K.module(0).identity_hom()})
-    cd = cone(u)
-    t = ChainMap(cd.complex, top, {1: cd.pr_b[1]}, check=True)
-    tri = Triangle(u, top, t)
+    top = module_stalk(A, K.module(1), 0)
+    bot = module_stalk(A, K.module(0), 0)
+    tri = Triangle(ChainMap(top, bot, {0: K.diff(1)}))
+    assert tri.w == K
     assert tri.verify()
 
 

@@ -24,7 +24,8 @@ from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
                              bass_check, certificate_audit,
                              homology_dimension_bound, level_one_test,
                              level_report, module_in_class, normalize_class,
-                             upper_via_cycle_boundary)
+                             upper_via_cycle_boundary,
+                             upper_via_stratification)
 
 
 @pytest.fixture(scope="module")
@@ -252,8 +253,7 @@ def test_capped_ghost_search_matches_the_uncapped_oracle(monkeypatch,
             for cmd, _ in sess.commands:
                 if cmd[0] == "level":
                     level_report(sess.as_complex(cmd[2], 0), cmd[1],
-                                 budget=defaults.budget,
-                                 window=defaults.cutoff)
+                                 budget=defaults.budget)
                 elif cmd[0] == "corpus":
                     assert run_corpus()["passed"] == 15
     # the cap cut the search short of the tower top on some reports
@@ -261,14 +261,17 @@ def test_capped_ghost_search_matches_the_uncapped_oracle(monkeypatch,
 
 
 @pytest.mark.parametrize("ring_text", ["artin(F2; x | x^2)",
-                                       "artin(F3; x, y | x^2, y^2)"])
+                                       "artin(F3; x, y | x^2, y^2)",
+                                       "artin(F2; x, y | x^2, x*y, y^2)"])
 def test_cover_tower_route_never_succeeds_on_non_free_homology(ring_text):
     # minimal covers give H(L_{s+1}) = Omega H(L_s), and over an artinian
     # local ring a module of finite projective dimension is free
     # (Auslander-Buchsbaum at depth zero): a non-free homology module
     # has no free syzygy, so no layer of the tower passes the one-step
-    # test and the route returns nothing at any budget
+    # test and the route returns nothing at any budget. Over a
+    # non-Gorenstein base gproj admits only free modules as well.
     ring = make_ring(ring_text)
+    classes = ("proj", "flat") + (() if ring.is_gorenstein else ("gproj",))
     seen = 0
     for seed in range(30):
         m = random_complex(ring, random.Random(seed), width=2, max_rank=2)
@@ -278,9 +281,51 @@ def test_cover_tower_route_never_succeeds_on_non_free_homology(ring_text):
         seen += 1
         for budget in range(1, 5):
             tower = adams.adams_tower(m, budget)
-            for cls in ("proj", "flat"):
+            for cls in classes:
                 assert level.upper_via_tower(cls, tower) is None
     assert seen >= 5
+
+
+ARTINIAN_RINGS = ["artin(F2; x | x^2)", "artin(F3; x, y | x^2, y^2)",
+                  "artin(Q; x | x^2)", "artin(F2; x, y | x^2, x*y, y^2)"]
+
+
+@pytest.mark.parametrize("ring_text", ARTINIAN_RINGS)
+def test_no_cover_tower_route_over_an_artinian_base(ring_text, monkeypatch):
+    # level_report never runs the route there, and an oracle run of the
+    # route on the same base and tower gives nothing wherever the upper
+    # search would have reached it, so skipping it changes no report
+    ring = make_ring(ring_text)
+    route, build = level.upper_via_tower, level.adams_tower
+    calls, towers = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return route(*args)
+
+    def kept(base, budget):
+        towers.append(build(base, budget))
+        return towers[-1]
+
+    monkeypatch.setattr(level, "upper_via_tower", counted)
+    monkeypatch.setattr(level, "adams_tower", kept)
+    subjects = [koszul_complex(ring),
+                module_stalk(ring, artin_residue_field(ring))]
+    subjects += [random_complex(ring, random.Random(seed), width=2,
+                                max_rank=2) for seed in range(4)]
+    reached = 0
+    for m in subjects:
+        if m.hdata().is_exact():
+            continue
+        for cls in level.CLASS_KEYS:
+            towers.clear()
+            rep = level_report(m, cls, budget=2)
+            assert calls == [] and rep.verify(), cls
+            if rep.upper is None or rep.upper.value > 2:
+                reached += 1
+                bcls = level.DUAL_CLASS.get(cls, cls)
+                assert route(bcls, towers[0]) is None, cls
+    assert reached > 0
 
 
 @pytest.mark.parametrize("cls", ["gproj", "gflat"])
@@ -326,6 +371,41 @@ def test_upper_stratification_counts_terms(A):
     assert up.value == 2
     assert up.route in ("stratification", "cycle-boundary")
     assert up.verify()
+
+
+# every module lies in gproj over a Gorenstein base; over the polynomial
+# ring only complexes with free terms have a stratification
+PEEL_CLASSES = {"artin(F2; x | x^2)": "gproj",
+                "artin(F3; x, y | x^2, y^2)": "gproj",
+                "artin(Q; x | x^2)": "gproj",
+                "poly(F101; x, y)": "proj"}
+
+
+@pytest.mark.parametrize("ring_text", sorted(PEEL_CLASSES))
+def test_last_peel_builds_the_subject(ring_text):
+    # each peel is the triangle on its own cone, so the third object of
+    # the last one is the complex itself, also across a zero term
+    ring = make_ring(ring_text)
+    cls = PEEL_CLASSES[ring_text]
+    seen = gaps = 0
+    for seed in range(12):
+        m = random_complex(ring, random.Random(seed), width=2, max_rank=2)
+        if m.is_zero_complex():
+            continue
+        gapped = Complex(ring, {**m.modules, m.max_deg + 2:
+                                m.module(m.min_deg)}, dict(m.diffs))
+        for x in (m, gapped):
+            cert = upper_via_stratification(x, cls)
+            if cert is None:
+                continue
+            terms = len(x.support())
+            assert cert.value == terms == len(cert.triangles) + 1
+            if cert.triangles:
+                assert cert.triangles[-1].w == x
+            assert cert.verify()
+            seen += 1
+            gaps += x is gapped
+    assert seen >= 6 and gaps >= 3
 
 
 @pytest.mark.parametrize("decl, classes", [
@@ -498,6 +578,25 @@ def test_tampered_triangle_evidence_fails_verification(A):
                 assert not rep.verify(), cert.route
             tri.u = u
             assert cert.verify() and rep.verify()
+    # stratification peels must chain from one layer up to the subject:
+    # reversed, duplicated or dropped peels, or one from another complex
+    # (an equal Koszul complex built again, or a shifted one), prove
+    # nothing
+    strat = _routed_reports(A)[0]
+    cert = strat.upper
+    tris = list(cert.triangles)
+    assert len(tris) == 2 and cert.value == 3
+    K = koszul_complex(cert.subject.ring)
+    foreign = [level_report(x, "proj").upper.triangles[1]
+               for x in (K, K.shift(1))]
+    for bad, value in ((tris[::-1], 3), ([tris[0], tris[0]], 3),
+                       ([tris[1], tris[1]], 3), (tris[1:], 2),
+                       (tris[:1], 2), (tris[:1] + foreign[:1], 3),
+                       (tris[:1] + foreign[1:], 3)):
+        cert.triangles, cert.value = bad, value
+        assert not cert.verify() and not strat.verify()
+        cert.triangles, cert.value = list(tris), 3
+        assert cert.verify() and strat.verify()
     # nor may u change in place under its cone, or a differential of it
     tri = tower.upper.triangles[0]
     for mapping in (tri.u.comps, tri.cone_data.complex.diffs):
@@ -516,17 +615,15 @@ def test_triangle_witnesses_are_checked_once_in_verify(A, monkeypatch):
         return quasi_iso(f)
 
     monkeypatch.setattr(complexes, "is_quasi_iso", counted)
-    reps = _routed_reports(A)
+    strat, cb = _routed_reports(A)
     # building the reports checks no triangle witness
     assert calls == []
-    for rep in reps:
-        # verify() checks each witness that is not an identity once
-        witnessed = [tri.t for tri in rep.upper.triangles
-                     if tri.w != tri.cone_data.complex]
-        assert witnessed
-        assert rep.verify()
-        assert calls == witnessed
-        calls.clear()
+    # stratification peels are their own cones: no witness to check
+    assert strat.verify()
+    assert calls == []
+    # the cycle-boundary witness is checked once
+    assert cb.verify()
+    assert calls == [cb.upper.triangles[0].t]
 
 
 def test_ghost_chain_over_free_terms_finishes(B, wall_bound):

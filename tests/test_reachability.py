@@ -1,19 +1,26 @@
 """Every function, class and method in the package is reached from it.
 
-A definition counts as reached when its name appears somewhere in the
-package source, outside the definition itself, as a name, an attribute
-or an import alias. The check is by name only, so it can miss dead code
-that shares a name with live code, but it catches a function that only
-tests call. The names below are the deliberate exceptions.
+The walk starts at the entry points: `cli.main` (the console script),
+`run_corpus`, the module-level statements that run on import, and the
+deliberate exceptions listed below. A reached definition reaches every
+definition whose name its body uses, as a name, an attribute or an
+import; a reached class also reaches what its dunder methods and the
+rest of its body name. The match is by name only, so it can miss dead
+code that shares a name with live code, but a definition that only
+tests or other unreached code call is reported.
 """
 
 import ast
-from collections import Counter
+import shutil
+from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 import levelcert
 
 SRC = Path(levelcert.__file__).parent
+
+ENTRY_POINTS = {"main", "run_corpus"}
 
 UNREACHED = {
     # perfbench/tracer.py wraps these by name
@@ -22,7 +29,6 @@ UNREACHED = {
     "subspace_basis": "tracer target",
     "Mat.inverse": "tracer target",
     # helpers the test suite builds its cases with
-    "Complex.truncate_ge": "test API: top truncations in complex tests",
     "GroebnerBasis.contains": "test API: ideal membership in Groebner "
                               "tests",
     "Mat.entry": "test API: reading one entry of a matrix",
@@ -38,50 +44,81 @@ UNREACHED = {
 }
 
 
-def _names(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.asname or n.name
+def _names(nodes):
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.alias):
+                yield n.name
 
 
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions(tree):
-    """(qualified name, bare name, node) of each module-level function and
-    class and each non-dunder method of a module-level class."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node
-        if isinstance(node, ast.ClassDef):
-            for m in node.body:
-                if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name):
-                    yield f"{node.name}.{m.name}", m.name, m
+@lru_cache(maxsize=None)
+def _package(src):
+    """(definitions, import-time names): each module-level function and
+    class and each non-dunder method of a module-level class, by
+    qualified name, with the names its body uses; and the names the
+    module-level statements other than definitions and imports use."""
+    defs, on_import = {}, set()
+    for path in sorted(Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name] = set(_names([node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not _is_dunder(m.name)]
+                rest = [m for m in node.body if m not in methods]
+                defs[node.name] = set(_names(node.bases + node.decorator_list
+                                             + rest))
+                for m in methods:
+                    defs[f"{node.name}.{m.name}"] = set(_names([m]))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                on_import.update(_names([node]))
+    return defs, on_import
 
 
-def unreached_definitions():
-    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-             for p in sorted(SRC.glob("*.py"))]
-    uses = Counter()
-    for tree in trees:
-        uses.update(_names(tree))
-    out = set()
-    for tree in trees:
-        for qual, name, node in _definitions(tree):
-            # a recursive call does not reach a definition from outside
-            if uses[name] == sum(1 for n in _names(node) if n == name):
-                out.add(qual)
-    return out
+def unreached_definitions(roots, src=SRC):
+    """Qualified names of the definitions that no walk from roots (bare
+    or qualified names) and the import-time statements reaches."""
+    defs, on_import = _package(src)
+    by_name = defaultdict(list)
+    for qual in defs:
+        by_name[qual.rpartition(".")[2]].append(qual)
+    reached = set()
+    todo = list(on_import) + list(roots)
+    while todo:
+        name = todo.pop()
+        for qual in by_name[name] + ([name] if name in defs else []):
+            if qual not in reached:
+                reached.add(qual)
+                todo.extend(defs[qual])
+    return set(defs) - reached
 
 
 def test_every_definition_is_reached_or_listed():
-    unreached = unreached_definitions()
-    assert sorted(unreached - set(UNREACHED)) == [], \
-        "no code in the package reaches these; delete them or list them"
-    assert sorted(set(UNREACHED) - unreached) == [], \
-        "these are reached now, or gone; take them off the list"
+    roots = ENTRY_POINTS | set(UNREACHED)
+    assert sorted(unreached_definitions(roots)) == [], \
+        "no entry point reaches these; delete them or list them"
+    stale = [qual for qual in sorted(UNREACHED)
+             if qual not in unreached_definitions(roots - {qual})]
+    assert stale == [], "these are reached now; take them off the list"
+
+
+def test_a_dead_chain_is_reported(tmp_path):
+    # the second function is named, but only by the dead first one
+    src = tmp_path / "levelcert"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "level.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef _planted_head():\n    return _planted_tail()\n"
+                 "\n\ndef _planted_tail():\n    return 0\n")
+    roots = ENTRY_POINTS | set(UNREACHED)
+    assert unreached_definitions(roots, src) == {"_planted_head",
+                                                  "_planted_tail"}
