@@ -1,19 +1,17 @@
-"""Bounded chain complexes, chain maps, cones, and triangles with witnesses.
+"""Bounded chain complexes, chain maps, cones, and triangles.
 
 Conventions, fixed once for the whole package:
   (shift X)_i = X_{i-1} with differential negated per shift;
   Cone(f: A -> B)_i = A_{i-1} (+) B_i with d(a, b) = (-da, f(a) + db);
   so X (+) Y is the cone of the zero map shift(X, -1) -> Y.
 
-A Triangle stores a chain-map witness t between Cone(u) and the claimed
-third object W, and construction checks none of it: verify() is the one
-place the witness is checked. It first checks that the stored cone was
-built on the triangle's own u, so a u swapped in afterwards fails;
+A triangle is the cone of its map: Triangle(u) builds Cone(u), and its
+third object w is that cone. verify() checks only that the stored cone
+was built on the triangle's own u, so a u swapped in afterwards fails;
 the components of a chain map and the differentials of a complex are
 read-only mappings, so no u is changed in place under its cone. A
-triangle on its own cone (t the identity of W) is then checked by
-equality of W with the cone built from u; any other witness must be a
-quasi-isomorphism, which is checked by exactness of the cone of t.
+route that needs the third object up to quasi-isomorphism (the
+cycle-boundary bound) carries that map on its own certificate.
 
 ChainMapSpace is the Hom complex Hom(X, Y) in degrees 1, 0 and -1, with
 one differential builder: chain maps are the kernel of its differential
@@ -347,51 +345,23 @@ def is_quasi_iso(f: ChainMap) -> bool:
 
 
 class Triangle:
-    """A distinguished triangle presented as (u: X -> Y, third object W).
+    """The distinguished triangle X -> Y -> Cone(u) on u: X -> Y.
 
-    The witness t is a chain map Cone(u) -> W. Construction only
-    records it; verify() checks that the stored cone was built on this
-    very u (so replacing u after construction fails) and that t is a
-    quasi-isomorphism from that cone to W. That exhibits Y as an
-    extension of W by X up to quasi-isomorphism, which is the only
-    property the level calculus consumes. Triangle(u) alone takes
-    W = Cone(u) and t = id_W. When t is the identity of W, equality of
-    W with the cone built here from u proves it: an isomorphism of
-    complexes is a quasi-isomorphism, so no homology is computed. A
-    caller that built Cone(u) to write t passes it as cone_data instead
-    of having it built again.
+    The third object w is the cone built here, so the triangle holds no
+    witness of its own: verify() checks that the stored cone was built
+    on this very u, which fails once u is replaced after construction.
     """
 
-    def __init__(self, u: ChainMap, w: Complex | None = None,
-                 t: ChainMap | None = None,
-                 cone_data: ConeData | None = None):
-        if cone_data is not None and cone_data.f is not u:
-            raise ComplexError("cone_data is not the cone of u")
+    def __init__(self, u: ChainMap):
         self.u = u
-        self.cone_data = cone(u) if cone_data is None else cone_data
-        if w is None and t is None:
-            w = self.cone_data.complex
-            t = identity_chain_map(w)
-        elif w is None or t is None:
-            raise ComplexError("a triangle needs both W and t, or neither")
-        self.w = w
-        self.t = t
+        self.cone_data = cone(u)
+
+    @property
+    def w(self) -> Complex:
+        return self.cone_data.complex
 
     def verify(self) -> bool:
-        t = self.t
-        if self.cone_data.f is not self.u:
-            return False
-        if not (t.source == self.cone_data.complex and t.target == self.w):
-            return False
-        return _is_identity(t) or (t.is_chain_map() and is_quasi_iso(t))
-
-
-def _is_identity(f: ChainMap) -> bool:
-    """Whether f is the identity chain map of its source."""
-    x = f.source
-    return (f.target == x and set(f.comps) == set(x.support())
-            and all(h == x.module(i).identity_hom()
-                    for i, h in f.comps.items()))
+        return self.cone_data.f is self.u
 
 
 class ChainMapSpace:

@@ -10,13 +10,16 @@ upper routes build m itself, and the ghost lemma bounds retracts too.
 
 Upper bounds are returned as explicit data: a route name together with
 triangles whose outer layers are complexes with zero differential and
-entries from C, or a one-step witness. Lower bounds come from chains of
-homology-killing maps with a composite that is not null-homotopic, or
-from a certified failure of the one-step test. Both sides share one
-certificate record. Construction checks none of the evidence it
-records: verify() is the one place that checks it, replaying the
-checks from scratch and recomputing the value from the evidence, so a
-changed value or a wrong witness fails.
+entries from C, or a one-step witness; the cycle-boundary route adds an
+end map, a quasi-isomorphism from its triangle's cone onto the quotient
+layer. Lower bounds come from chains of homology-killing maps with a
+composite that is not null-homotopic, or from a certified failure of
+the one-step test. Both sides share one certificate record, which names
+its subject, the complex the bound is about; upper evidence must chain
+from it. Construction checks none of the evidence it records: verify()
+is the one place that checks it, replaying the checks from scratch and
+recomputing the value from the evidence, so a changed value or a wrong
+witness fails.
 
 level_report makes the decisions every route shares, once and in this
 order: an exact complex is the zero object (level 0); the injective
@@ -34,8 +37,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle, cone,
-                        identity_chain_map, module_stalk)
+from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle,
+                        identity_chain_map, is_quasi_iso, module_stalk)
 from .linalg import Mat, full_rank_combination
 from .modules import top_matrices
 from .resolutions import (dimension_report, semiprojective_resolution,
@@ -117,6 +120,7 @@ def homology_class_check(m: Complex, cls: str):
 
 @dataclass
 class LevelOneResult:
+    subject: Complex             # the complex the verdict is about
     verdict: str                 # "yes" | "no" | "inconclusive"
     reason: str
     pieces: dict
@@ -162,7 +166,7 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     """
     cls = normalize_class(cls)
     if _is_exact(m):
-        return LevelOneResult("yes", "no homology", {}, exhaustive=True)
+        return LevelOneResult(m, "yes", "no homology", {}, exhaustive=True)
     if cls in DUAL_CLASS and m.ring.kind == "artin":
         inner = level_one_test(m.dual(), DUAL_CLASS[cls])
         inner.reason += " (computed on the dual complex)"
@@ -172,16 +176,16 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     if overall is False:
         bad = [i for i, (v, _) in per.items() if v is False]
         return LevelOneResult(
-            "no", f"homology at degree {bad[0]} is outside the class",
+            m, "no", f"homology at degree {bad[0]} is outside the class",
             per, exhaustive=True)
     if overall is None:
         return LevelOneResult(
-            "inconclusive", "class membership screen undecided", per)
+            m, "inconclusive", "class membership screen undecided", per)
 
     hdegs = sorted(per)
     if len(hdegs) == 1:
         return LevelOneResult(
-            "yes", "homology concentrated in a single degree", per,
+            m, "yes", "homology concentrated in a single degree", per,
             exhaustive=True)
 
     # every class left here contains the free modules: inj and ginj
@@ -193,7 +197,7 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
         # exactly when the layer the step has built is exact
         st = adams_step_proj(m)
         if st.omega.is_exact():
-            return LevelOneResult("yes", "free homology, cover map is a "
+            return LevelOneResult(m, "yes", "free homology, cover map is a "
                                   "quasi-isomorphism", per,
                                   witness=st.phi, exhaustive=True)
 
@@ -206,17 +210,17 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
             for i in hdegs])
     if verdict == "none":
         return LevelOneResult(
-            "no", "no homotopy class of maps onto the homology complex "
+            m, "no", "no homotopy class of maps onto the homology complex "
             f"induces an isomorphism: {found}", per, exhaustive=True)
     if verdict == "found":
         f = cms.map_from_coords(
             cms.class_space()[1] @ Mat.column(cms.field, found))
         if all(f.induced_on_homology(i).is_iso() for i in hdegs):
             return LevelOneResult(
-                "yes", "found a quasi-isomorphism onto the homology "
+                m, "yes", "found a quasi-isomorphism onto the homology "
                 "complex", per, witness=(aug, f), exhaustive=True)
     return LevelOneResult(
-        "inconclusive", "no verified quasi-isomorphism onto the homology "
+        m, "inconclusive", "no verified quasi-isomorphism onto the homology "
         "complex was found", per)
 
 
@@ -296,7 +300,7 @@ class BoundCertificate:
     level_one: LevelOneResult = None
     dualized: bool = False
     notes: list = field(default_factory=list)
-    subject: Complex = None       # the complex, where it is the evidence
+    subject: Complex = None       # the complex the bound is about
 
     def __post_init__(self):
         _record(self)
@@ -313,6 +317,7 @@ class BoundCertificate:
 @dataclass
 class UpperCertificate(BoundCertificate):
     triangles: list = field(default_factory=list)
+    end_map: ChainMap = None      # cycle-boundary: Cone(u) -> its layer
 
     def to_dict(self):
         return {**super().to_dict(), "triangles": len(self.triangles)}
@@ -328,12 +333,20 @@ class UpperCertificate(BoundCertificate):
         if self.route == "zero-object":
             return 0 if _is_exact(self.subject) else None
         if self.route == "one-step":
-            return 1 if _says(self.level_one, "yes") else None
+            return 1 if _says(self.level_one, "yes") \
+                and self.level_one.subject is self.subject else None
         if self.route == "cycle-boundary":
-            if len(tris) != 1:
+            # the sub layer maps into the subject, and the end map is a
+            # quasi-isomorphism from its cone onto the quotient layer
+            t = self.end_map
+            if (len(tris) != 1 or t is None
+                    or tris[0].u.target is not self.subject
+                    or tris[0].u.source.diffs or t.target.diffs
+                    or t.source is not tris[0].w
+                    or not (t.is_chain_map() and is_quasi_iso(t))):
                 return None
             # an empty quotient layer leaves the sub layer alone
-            return 1 if tris[0].w.is_zero_complex() else 2
+            return 1 if t.target.is_zero_complex() else 2
         if self.route == "stratification":
             # from one layer, each peel attaches a layer to what the one
             # before it built, and the last peel builds the subject
@@ -346,8 +359,17 @@ class UpperCertificate(BoundCertificate):
                 built = tri.w
             return len(tris) + 1 if built == self.subject else None
         if self.route == "cover-tower":
-            # n peeled covers and a one-step terminus
-            if not tris or not _says(self.level_one, "yes"):
+            # n peeled covers, each from the layer the one before it
+            # left, starting at the subject, and a one-step terminus
+            if not tris or tris[0].u.target is not self.subject:
+                return None
+            layer = self.subject
+            for tri in tris:
+                if tri.u.target != layer or tri.u.source.diffs:
+                    return None
+                layer = tri.w.shift(-1)
+            one = self.level_one
+            if not _says(one, "yes") or one.subject != layer:
                 return None
             return len(tris) + 1
         return None
@@ -387,12 +409,13 @@ def upper_via_cycle_boundary(m: Complex, cls: str):
     u = ChainMap(sub_cx, m, {i: cycles[i][1] for i in degs
                              if not cycles[i][0].is_zero_module()},
                  check=False)
-    cd = cone(u)
+    tri = Triangle(u)
+    cd = tri.cone_data
+    # (z, x) in Cone(u)_i goes to the boundary d(x) in B_{i-1}
     t = ChainMap(cd.complex, quot_cx,
                  {i: bounds[i][2].compose(cd.pr_b[i])
                   for i in cd.complex.support() if i in quot_cx.support()},
                  check=False)
-    tri = Triangle(u, quot_cx, t, cone_data=cd)
     # an empty quotient layer means the sub layer alone is already
     # quasi-isomorphic to m, so the bound tightens to one
     value = 1 if quot_cx.is_zero_complex() else 2
@@ -400,7 +423,7 @@ def upper_via_cycle_boundary(m: Complex, cls: str):
         cls, value, "cycle-boundary",
         data={"sub_support": [int(i) for i in sub_cx.support()],
               "quotient_support": [int(i) for i in quot_cx.support()]},
-        triangles=[tri])
+        subject=m, triangles=[tri], end_map=t)
 
 
 def upper_via_stratification(m: Complex, cls: str):
@@ -448,7 +471,7 @@ def upper_via_tower(cls: str, tower: AdamsTower):
             return UpperCertificate(
                 cls, n + 1, "cover-tower",
                 data={"layers": n, "tower": tower.summary()},
-                triangles=tris, level_one=lo)
+                level_one=lo, subject=tower.m, triangles=tris)
     return None
 
 
@@ -473,7 +496,8 @@ def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
     already returned.
     """
     if one.verdict == "yes":
-        return UpperCertificate(cls, 1, "one-step", level_one=one)
+        return UpperCertificate(cls, 1, "one-step", level_one=one,
+                                subject=m)
 
     best = upper_via_cycle_boundary(m, cls)
     # stratification proves the number of terms, so it is tried only
@@ -508,8 +532,9 @@ class LowerCertificate(BoundCertificate):
             return 1 if self.subject is not None \
                 and not _is_exact(self.subject) else None
         if self.route == "one-step-impossible":
-            return 2 if _says(self.level_one, "no") \
-                and self.level_one.exhaustive else None
+            one = self.level_one
+            return 2 if _says(one, "no") and one.exhaustive \
+                and one.subject is self.subject else None
         if self.route == "ghost-chain" and self.ghost is not None:
             space, comp, factors = self.ghost
             # n ghosts whose composite is a chain map, not null-homotopic
@@ -551,7 +576,7 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
     if one.verdict == "no" and one.exhaustive:
         best = LowerCertificate(cls, 2, "one-step-impossible",
-                                level_one=one)
+                                level_one=one, subject=m)
     if upper is not None and upper <= best.value:
         return best
 
@@ -573,7 +598,7 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
             if not space.is_null_homotopic(comp):
                 best = LowerCertificate(
                     cls, n + 1, "ghost-chain",
-                    data={"chain_length": n},
+                    data={"chain_length": n}, subject=m,
                     ghost=(space, comp, factors))
                 break
     return best
@@ -619,7 +644,8 @@ class LevelCertificate:
         if self.lower is not None and not self.lower.verify():
             return False
         if self.upper is not None and self.lower is not None:
-            return self.lower.value <= self.upper.value
+            return (self.upper.subject is self.lower.subject
+                    and self.lower.value <= self.upper.value)
         return True
 
 

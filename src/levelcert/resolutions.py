@@ -447,7 +447,7 @@ def _module_gpd(M, window: int) -> DimensionReport:
                      "ring_depth": 0, "module_depth": d},
             notes="Gorenstein artinian base: the dimension is finite and "
                   "equals depth of the ring minus depth of the module")
-    screen = tr_screen(M, min(window, 4))
+    screen = tr_screen(M)
     first = screen["first_obstruction"]
     if first is not None:
         return DimensionReport(

@@ -315,6 +315,25 @@ def test_gpd_and_level_share_one_reflexivity_screen():
             if key[0] == M] == [(M, 4)]
 
 
+def test_gpd_below_cutoff_four_reads_the_level_screen(tmp_path):
+    # --cutoff sizes resolutions, not the screen: at --cutoff 2, gpd and
+    # level still share one screen of depth 4, and the gpd report is the
+    # one at the default cutoff
+    sess = parse(SQUARE_ZERO + "gpd M\nlevel GP M\n")
+    run_session(sess, {"budget": 4, "cutoff": 2, "corpus_filter": None})
+    M = sess.modules["M"]
+    assert [key for key in sess.rings["N"].tr_screens
+            if key[0] == M] == [(M, 4)]
+    script = tmp_path / "gpd.lvc"
+    script.write_text(SQUARE_ZERO + "gpd M\n")
+    out = tmp_path / "gpd.json"
+    reports = []
+    for extra in (["--cutoff", "2"], []):
+        main([str(script), "--out", str(out)] + extra)
+        reports.append(json.loads(out.read_text())["reports"][0])
+    assert reports[0] == reports[1]
+
+
 def test_level_does_not_read_the_cutoff(tmp_path):
     # --cutoff sizes dimension reports and resolve, not level
     script = tmp_path / "gp.lvc"

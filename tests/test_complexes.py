@@ -9,6 +9,7 @@ from levelcert.linalg import Mat, PrimeField, hstack, vstack
 from levelcert.poly import PolyVec, parse_poly
 from levelcert.rings import ArtinRing, GradedPolyRing, make_ring
 from levelcert import randgen
+from levelcert.level import upper_via_cycle_boundary
 from levelcert.modules import (ArtinHom, GradedHom, artin_free,
                                artin_residue_field, direct_sum,
                                find_isomorphism, graded_free,
@@ -183,16 +184,26 @@ def test_triangle_verification():
     sk = module_stalk(A, k)
     aug = ChainMap(K, sk, {0: ArtinHom(K.module(0), k,
                                        Mat.from_rows(F2, [[1, 0]]))})
-    cd = cone(aug)
-    tri = Triangle(aug, cd.complex, identity_chain_map(cd.complex))
+    tri = Triangle(aug)
+    # the third object is the cone of u, built once, and nothing else
+    assert tri.w is tri.cone_data.complex and tri.w == cone(aug).complex
     assert tri.verify()
-    # a wrong third object fails
-    bad = Triangle.__new__(Triangle)
-    bad.u = aug
-    bad.w = sk
-    bad.t = identity_chain_map(cd.complex)
-    bad.cone_data = cd
-    assert not bad.verify()
+    with pytest.raises(AttributeError):
+        tri.w = sk
+    with pytest.raises(TypeError):
+        Triangle(aug, sk, identity_chain_map(sk))
+    # an equal u other than the one the cone was built on fails, and so
+    # does a cone built on an equal copy of u
+    copy = ChainMap(K, sk, dict(aug.comps))
+    tri.u = copy
+    assert not tri.verify()
+    tri.u = aug
+    assert tri.verify()
+    cd = tri.cone_data
+    tri.cone_data = cone(copy)
+    assert not tri.verify()
+    tri.cone_data = cd
+    assert tri.verify()
 
 
 def test_truncation_triangle():
@@ -207,11 +218,12 @@ def test_truncation_triangle():
     assert tri.verify()
 
 
-def old_triangle_rule(tri):
-    """Triangle verification as it was before the identity shortcut."""
-    t = tri.t
-    return (t.source == cone(tri.u).complex and t.target == tri.w
-            and is_quasi_iso(t))
+def end_map_rule(tri, t):
+    """The homology rule, the reference for a cycle-boundary end map: a
+    chain map from the cone of u onto a complex with zero differential,
+    whose own cone is exact."""
+    return (t.source == cone(tri.u).complex and not t.target.diffs
+            and t.is_chain_map() and is_quasi_iso(t))
 
 
 def test_cover_triangle_verifies_without_homology(monkeypatch):
@@ -255,53 +267,62 @@ def test_homology_and_a_cover_step_make_no_solve(monkeypatch):
 
 
 def test_wrong_witness_on_a_cover_triangle_fails():
+    # a cover triangle is the cone of its map and takes no witness; the
+    # one witness left is the end map of a cycle-boundary certificate,
+    # and each wrong one fails
     tri = adams_tower(koszul_x(), 2).steps[0].triangle
-    W = tri.w
-    assert not W.is_exact()
-
-    def with_witness(w, t):
-        return Triangle(tri.u, w, t)
-
-    assert not with_witness(W, zero_chain_map(W, W)).verify()
-    W2 = W.shift(2)
-    assert not with_witness(W2, identity_chain_map(W2)).verify()
-    ident = identity_chain_map(W)
-    for i in W.support():
-        dropped = {j: h for j, h in ident.comps.items() if j != i}
-        assert not with_witness(W, ChainMap(W, W, dropped,
-                                            check=False)).verify()
-    # the same terms with one differential set to zero
-    i = max(W.diffs)
-    d = W.diffs[i]
-    other = Complex(W.ring, W.modules,
-                    {**W.diffs, i: zero_hom(d.source, d.target)})
-    assert other != W
-    assert not with_witness(other, ident).verify()
-    # identity components from the cone onto the altered complex
-    assert not with_witness(other, ChainMap(W, other, ident.comps,
-                                            check=False)).verify()
-    assert not with_witness(other, identity_chain_map(other)).verify()
-    with pytest.raises(ComplexError):
-        Triangle(tri.u, W)
+    with pytest.raises(TypeError):
+        Triangle(tri.u, tri.w, identity_chain_map(tri.w))
+    cert = upper_via_cycle_boundary(koszul_x(), "gproj")
+    W, t = cert.triangles[0].w, cert.end_map
+    Q = t.target
+    assert cert.verify() and not W.is_exact() and not Q.is_zero_complex()
+    another = upper_via_cycle_boundary(koszul_x(), "gproj").end_map
+    assert another.source == W and another.source is not W
+    wrong = [zero_chain_map(W, Q),
+             # onto the shifted layer, from the cone or the shifted cone
+             zero_chain_map(W, Q.shift(1)), t.shift(1),
+             # onto a target with a nonzero differential: the cone itself
+             identity_chain_map(W),
+             # from another cone of an equal map
+             another]
+    wrong += [ChainMap(W, Q, {j: h for j, h in t.comps.items() if j != i},
+                       check=False) for i in t.comps]
+    for bad in wrong:
+        cert.end_map = bad
+        assert not cert.verify()
+    cert.end_map = t
+    assert cert.verify()
 
 
-@pytest.mark.parametrize("ring, seeds", [(A, range(6)), (R2, range(3))],
+@pytest.mark.parametrize("ring, cls, seeds",
+                         [(A, "gproj", range(6)), (R2, "proj", range(3))],
                          ids=["artin-F2", "poly-F101-xy"])
-def test_tower_triangles_agree_with_the_homology_rule(ring, seeds):
-    # the zero witness is a quasi-isomorphism exactly when W is exact,
-    # so it exercises both answers of the homology rule
-    zero_verdicts = set()
+def test_tower_triangles_agree_with_the_homology_rule(ring, cls, seeds):
+    # cover triangles are cones and verify; a cycle-boundary end map
+    # verifies exactly when the homology rule accepts it, and the zero
+    # map onto a nonzero layer exercises the other answer
+    verdicts, hits = set(), 0
     for seed in seeds:
         x = random_complex(ring, random.Random(300 + seed), lo=0, width=2,
                            max_rank=2)
-        for step in adams_tower(x, 2).steps:
-            tri = step.triangle
-            W = tri.w
-            assert tri.verify() and old_triangle_rule(tri)
-            probe = Triangle(tri.u, W, zero_chain_map(W, W))
-            assert probe.verify() == old_triangle_rule(probe)
-            zero_verdicts.add(probe.verify())
-    assert zero_verdicts == {True, False}
+        assert all(step.triangle.verify()
+                   for step in adams_tower(x, 2).steps)
+        cert = upper_via_cycle_boundary(x, cls)
+        if cert is None:
+            continue
+        hits += 1
+        tri, t = cert.triangles[0], cert.end_map
+        for probe in [t, zero_chain_map(t.source, t.target)] + [
+                ChainMap(t.source, t.target,
+                         {j: h for j, h in t.comps.items() if j != i},
+                         check=False) for i in t.comps]:
+            cert.end_map = probe
+            assert cert.verify() == end_map_rule(tri, probe)
+            verdicts.add(cert.verify())
+        cert.end_map = t
+        assert cert.verify() and end_map_rule(tri, t)
+    assert hits and verdicts == {True, False}
 
 
 def test_complex_direct_sum():

@@ -556,17 +556,21 @@ def test_tampered_triangle_evidence_fails_verification(A):
     tower = level_report(module_stalk(R2, graded_residue_field(R2)), "proj")
     assert tower.verdict == ("exact", 3)
     assert tower.upper.route == "cover-tower"
+    # the cycle-boundary end map: the zero map, a map onto the shifted
+    # layer, one onto a target with a nonzero differential (the cone
+    # itself), and the end map from the cone of an equal report
+    cb = _routed_reports(A)[1]
+    t = cb.upper.end_map
+    W, Q = t.source, t.target
+    for bad in (zero_chain_map(W, Q), zero_chain_map(W, Q.shift(1)),
+                t.shift(1), complexes.identity_chain_map(W),
+                _routed_reports(A)[1].upper.end_map):
+        cb.upper.end_map = bad
+        assert not cb.upper.verify() and not cb.verify()
+    cb.upper.end_map = t
+    assert cb.verify()
     for rep in _routed_reports(A) + [tower]:
         cert = rep.upper
-        tri = cert.triangles[-1]
-        w, t = tri.w, tri.t
-        for bad_w, bad_t in ((w, zero_chain_map(t.source, w)),
-                             (w.shift(1), t)):
-            tri.w, tri.t = bad_w, bad_t
-            assert not cert.verify(), cert.route
-            assert not rep.verify(), cert.route
-        tri.w, tri.t = w, t
-        assert cert.verify() and rep.verify()
         # a u other than the one the cone was built on: a rescaled copy,
         # or another triangle's
         for tri in cert.triangles:
@@ -606,6 +610,130 @@ def test_tampered_triangle_evidence_fails_verification(A):
     assert tower.verify()
 
 
+def test_upper_certificates_chain_from_their_subject(A):
+    # each piece of evidence must be about the complex the certificate
+    # names: tampered, it fails, and restored, it passes again
+    R2, R3 = make_ring("poly(F101; x, y)"), make_ring("poly(F101; x, y, z)")
+    k2 = module_stalk(R2, graded_residue_field(R2))
+    rep = level_report(k2, "proj")
+    cert = rep.upper
+    assert rep.verdict == ("exact", 3) and cert.route == "cover-tower"
+    tris = list(cert.triangles)
+    foreign = level_report(module_stalk(R3, graded_residue_field(R3)),
+                           "proj").upper
+    assert foreign.route == "cover-tower" and len(foreign.triangles) >= 2
+    for bad in (tris[::-1], [tris[0], tris[0]], foreign.triangles[:2]):
+        cert.triangles = bad
+        assert not cert.verify() and not rep.verify()
+        cert.triangles = list(tris)
+        assert cert.verify() and rep.verify()
+    # a one-step verdict about another layer of the same tower
+    one = cert.level_one
+    later = level_one_test(adams.adams_tower(k2, 4).layer(3), "proj")
+    assert later.verdict == "yes"
+    cert.level_one = later
+    assert not cert.verify() and not rep.verify()
+    cert.level_one = one
+    assert cert.verify() and rep.verify()
+    # the cycle-boundary triangle of another Koszul complex
+    B3 = make_ring("artin(F3; x, y | x^2, y^2)")
+    cb = level_report(koszul_complex(A), "gproj")
+    other = level_report(koszul_complex(B3), "gproj").upper
+    assert cb.upper.route == other.route == "cycle-boundary"
+    tri, t = cb.upper.triangles, cb.upper.end_map
+    for bad in ((other.triangles, t), (other.triangles, other.end_map)):
+        cb.upper.triangles, cb.upper.end_map = bad
+        assert not cb.upper.verify() and not cb.verify()
+    cb.upper.triangles, cb.upper.end_map = tri, t
+    assert cb.verify()
+    # a one-step certificate with another complex's level-one result
+    k = module_stalk(A, artin_residue_field(A))
+    one_step = level_report(k, "ginj")
+    assert one_step.upper.route == "one-step"
+    one = one_step.upper.level_one
+    free = level_one_test(module_stalk(A, artin_free(A, 1)), "ginj")
+    assert free.verdict == "yes"
+    one_step.upper.level_one = free
+    assert not one_step.upper.verify() and not one_step.verify()
+    one_step.upper.level_one = one
+    assert one_step.verify()
+
+
+def test_upper_and_lower_bounds_share_one_subject(A):
+    # a lower certificate of another complex, itself valid and below the
+    # upper bound, does not complete the report
+    K = koszul_complex(A)
+    rep = level_report(K, "inj")
+    other = level_report(K.shift(1), "inj").lower
+    assert rep.upper.subject is rep.lower.subject is K.dual()
+    assert other.verify() and other.value <= rep.upper.value
+    lower = rep.lower
+    rep.lower = other
+    assert not rep.verify()
+    rep.lower = lower
+    assert rep.verify()
+    # nor does its one-step verdict prove anything about K
+    assert lower.route == other.route == "one-step-impossible"
+    one = lower.level_one
+    lower.level_one = other.level_one
+    assert not lower.verify() and not rep.verify()
+    lower.level_one = one
+    assert rep.verify()
+
+
+# the evidence each upper route reads, swapped one part at a time and
+# all together: none of it may come from another draw. Stratification
+# reads its peels only; the one-step result it carries is informational
+EVIDENCE = {"stratification": (("triangles",),),
+            "cycle-boundary": (("triangles",), ("end_map",),
+                               ("triangles", "end_map")),
+            "cover-tower": (("triangles",), ("level_one",),
+                            ("triangles", "level_one")),
+            "one-step": (("level_one",),)}
+
+
+def test_random_upper_certificates_resist_swapped_evidence():
+    reached = {}
+    for ring_text in sorted(PEEL_CLASSES):
+        ring = make_ring(ring_text)
+        by_route = {}
+        for seed in range(16):
+            m = random_complex(ring, random.Random(seed), width=2,
+                               max_rank=2)
+            for cls in level.CLASS_KEYS:
+                rep = level_report(m, cls)
+                if rep.upper is None:
+                    continue
+                assert rep.verify(), (ring_text, seed, cls)
+                by_route.setdefault(rep.upper.route, []).append((seed, rep))
+        reached[ring_text] = {route: len(reps)
+                              for route, reps in by_route.items()}
+        for route, reps in by_route.items():
+            for seed, rep in reps:
+                donor = next((r.upper for s, r in reps if s != seed), None)
+                if donor is None:
+                    continue
+                cert = rep.upper
+                for parts in EVIDENCE.get(route, ()):
+                    kept = {part: getattr(cert, part) for part in parts}
+                    for part in parts:
+                        setattr(cert, part, getattr(donor, part))
+                    assert not cert.verify(), (ring_text, seed, route, parts)
+                    for part, value in kept.items():
+                        setattr(cert, part, value)
+                    assert cert.verify() and rep.verify()
+    # the sweep reaches every route that builds a complex layer by layer
+    assert reached == {
+        "artin(F2; x | x^2)": {"one-step": 54, "zero-object": 12,
+                               "stratification": 9, "cycle-boundary": 9},
+        "artin(F3; x, y | x^2, y^2)": {"one-step": 42, "zero-object": 36,
+                                       "stratification": 6,
+                                       "cycle-boundary": 6},
+        "artin(Q; x | x^2)": {"one-step": 78, "zero-object": 18},
+        "poly(F101; x, y)": {"cover-tower": 12, "one-step": 32,
+                             "zero-object": 6, "cycle-boundary": 16}}
+
+
 def test_triangle_witnesses_are_checked_once_in_verify(A, monkeypatch):
     calls = []
     quasi_iso = complexes.is_quasi_iso
@@ -614,16 +742,23 @@ def test_triangle_witnesses_are_checked_once_in_verify(A, monkeypatch):
         calls.append(f)
         return quasi_iso(f)
 
-    monkeypatch.setattr(complexes, "is_quasi_iso", counted)
+    for module in (complexes, level):
+        monkeypatch.setattr(module, "is_quasi_iso", counted)
     strat, cb = _routed_reports(A)
-    # building the reports checks no triangle witness
+    R2 = make_ring("poly(F101; x, y)")
+    tower = level_report(module_stalk(R2, graded_residue_field(R2)), "proj")
+    assert tower.upper.route == "cover-tower"
+    # building the reports checks no end map
     assert calls == []
-    # stratification peels are their own cones: no witness to check
-    assert strat.verify()
+    # stratification peels and cover triangles are their own cones: no
+    # witness to check
+    assert strat.verify() and tower.verify()
     assert calls == []
-    # the cycle-boundary witness is checked once
+    # the cycle-boundary end map is checked once per verify()
     assert cb.verify()
-    assert calls == [cb.upper.triangles[0].t]
+    assert calls == [cb.upper.end_map]
+    assert cb.verify()
+    assert calls == [cb.upper.end_map] * 2
 
 
 def test_ghost_chain_over_free_terms_finishes(B, wall_bound):
