@@ -202,26 +202,10 @@ def verify_splice(tower: AdamsTower, n: int = None) -> dict:
             "layers": n, "side": "proj"}
 
 
-@dataclass
-class InjStep:
-    """Dual presentation of a cover step: m -> E with E degreewise dual-free."""
-
-    m: Complex
-    E: Complex
-    psi: ChainMap
-    theta: Complex
-    dual_step: AdamsStep
-
-
-def adams_step_inj(m: Complex) -> InjStep:
-    """Envelope step m -> E, the dual of a free cover of the dual."""
-    if m.ring.kind != "artin":
-        raise AdamsError("injective-side steps need an artinian base")
-    st = adams_step_proj(m.dual())
-    E = st.F.dual()
-    psi = st.phi.dual()
-    theta = st.omega.dual()
-    if not all(psi.induced_on_homology(i).is_injective()
-               for i in m.support()):
-        raise AdamsError("envelope step failed to embed homology")
-    return InjStep(m, E, psi, theta, st)
+def adams_step_inj(m: Complex) -> AdamsStep:
+    """The envelope step of m, on an artinian base: the cover step of the
+    dual complex. Dualized, its cover phi: F -> m^v is the envelope
+    m -> F^v into degreewise dual-free modules, injective on homology,
+    and the dual of its next layer omega is the layer the envelope leaves.
+    """
+    return adams_step_proj(m.dual())

@@ -584,7 +584,7 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
         inconclusive = rep.verdict[0] != "exact"
     elif verb == "bass":
         x = sess.as_complex(cmd[1], line)
-        rep = bass_check(x, full=True)
+        rep = bass_check(x)
         out["name"] = cmd[1]
         out["bass"] = rep
         inconclusive = rep.get("applies") and rep.get("level_inj") is None

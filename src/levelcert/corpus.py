@@ -131,7 +131,7 @@ def _case_bass_applies():
 
 def _case_bass_counterexample():
     kx = koszul_complex(_square_zero_ring())
-    rep = bass_check(kx, full=True)
+    rep = bass_check(kx)
     return {"applies": rep["applies"],
             "level_inj_verdict": rep.get("level_inj_verdict")}
 

@@ -23,18 +23,15 @@ witness fails.
 
 level_report makes the decisions every route shares, once and in this
 order: an exact complex is the zero object (level 0); the injective
-classes over a graded ring are out of scope; the one-step test runs on
-m; on an artinian base the injective classes pass by Matlis duality to
-the projective ones on the dual complex; one cover tower of the
-(possibly dualized) complex is set up, built on first use; the upper
-bound is decided first, and its value caps the lower search, which
-tests no ghost composite at or past it; certificates computed on the
-dual are relabelled with the original class.
+classes over a graded ring are out of scope; on an artinian base the
+injective classes pass by Matlis duality to the projective ones on the
+dual complex, once per report; the one-step test runs on the (possibly
+dualized) complex; one cover tower of it is set up, built on first use;
+the upper bound is decided first, and its value caps the lower search,
+which tests no ghost composite at or past it; certificates computed on
+the dual are relabelled with the original class.
 """
 
-from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle,
@@ -120,7 +117,7 @@ def homology_class_check(m: Complex, cls: str):
 
 @dataclass
 class LevelOneResult:
-    subject: Complex             # the complex the verdict is about
+    subject: Complex             # the complex decided: m, or its dual
     verdict: str                 # "yes" | "no" | "inconclusive"
     reason: str
     pieces: dict
@@ -163,15 +160,12 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     when it is onto every homology module H (source and target homology
     are isomorphic), by Nakayama when it is onto H/mH: one
     full_rank_combination call over the homotopy classes decides that.
+    The test runs on m itself for every class; level_report passes the
+    injective classes on an artinian base as their duals on m.dual().
     """
     cls = normalize_class(cls)
     if _is_exact(m):
         return LevelOneResult(m, "yes", "no homology", {}, exhaustive=True)
-    if cls in DUAL_CLASS and m.ring.kind == "artin":
-        inner = level_one_test(m.dual(), DUAL_CLASS[cls])
-        inner.reason += " (computed on the dual complex)"
-        return inner
-
     overall, per = homology_class_check(m, cls)
     if overall is False:
         bad = [i for i, (v, _) in per.items() if v is False]
@@ -188,8 +182,8 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
             m, "yes", "homology concentrated in a single degree", per,
             exhaustive=True)
 
-    # every class left here contains the free modules: inj and ginj
-    # were dualized above, or failed the class check over a graded base
+    # every homology module lies in C, so what is left is whether m is
+    # quasi-isomorphic to its homology complex
     hd = m.hdata()
     if all(hd.homology(i).is_free() for i in hdegs):
         # the minimal cover of free homology is an isomorphism on
@@ -243,43 +237,6 @@ def derived_hom(m: Complex, n: Complex):
 # upper certificates
 
 
-class CertificateAudit:
-    """The certificates built while its certificate_audit() scope is open."""
-
-    def __init__(self):
-        self.certificates: list = []
-
-    def report(self) -> dict:
-        """Re-verify every recorded certificate."""
-        failures = [(type(cert).__name__, cert) for cert in self.certificates
-                    if not cert.verify()]
-        counts = Counter(type(cert).__name__ for cert in self.certificates)
-        return {"total": len(self.certificates), "counts": dict(counts),
-                "failures": failures}
-
-
-# the audits whose scopes are open; outside every scope nothing is kept
-_OPEN_AUDITS: ContextVar = ContextVar("open_audits", default=())
-
-
-@contextmanager
-def certificate_audit():
-    """`with certificate_audit() as audit:` records in audit.certificates
-    every certificate built inside the block (and in every enclosing
-    scope), so a soundness sweep can re-verify them with audit.report()."""
-    audit = CertificateAudit()
-    token = _OPEN_AUDITS.set(_OPEN_AUDITS.get() + (audit,))
-    try:
-        yield audit
-    finally:
-        _OPEN_AUDITS.reset(token)
-
-
-def _record(cert):
-    for audit in _OPEN_AUDITS.get():
-        audit.certificates.append(cert)
-
-
 def _is_exact(m) -> bool:
     return m is not None and (m.is_zero_complex() or m.hdata().is_exact())
 
@@ -301,9 +258,6 @@ class BoundCertificate:
     dualized: bool = False
     notes: list = field(default_factory=list)
     subject: Complex = None       # the complex the bound is about
-
-    def __post_init__(self):
-        _record(self)
 
     def to_dict(self):
         out = {"class": self.cls, "value": self.value, "route": self.route,
@@ -330,11 +284,16 @@ class UpperCertificate(BoundCertificate):
     def _proved_value(self):
         """The bound the evidence proves, or None if it proves none."""
         tris = self.triangles
+        one = self.level_one
+        # a carried one-step result is about the subject, except on the
+        # cover tower, where it is about the last layer
+        if (one is not None and self.route != "cover-tower"
+                and one.subject is not self.subject):
+            return None
         if self.route == "zero-object":
             return 0 if _is_exact(self.subject) else None
         if self.route == "one-step":
-            return 1 if _says(self.level_one, "yes") \
-                and self.level_one.subject is self.subject else None
+            return 1 if _says(one, "yes") else None
         if self.route == "cycle-boundary":
             # the sub layer maps into the subject, and the end map is a
             # quasi-isomorphism from its cone onto the quotient layer
@@ -368,7 +327,6 @@ class UpperCertificate(BoundCertificate):
                 if tri.u.target != layer or tri.u.source.diffs:
                     return None
                 layer = tri.w.shift(-1)
-            one = self.level_one
             if not _says(one, "yes") or one.subject != layer:
                 return None
             return len(tris) + 1
@@ -615,9 +573,6 @@ class LevelCertificate:
     lower: LowerCertificate
     notes: list = field(default_factory=list)
 
-    def __post_init__(self):
-        _record(self)
-
     @property
     def verdict(self):
         if self.upper is not None and self.lower is not None:
@@ -663,14 +618,15 @@ def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
             cls, None, None,
             notes=["out of scope: no nonzero finitely generated graded "
                    "injectives, the class builds only the zero object"])
-    one = level_one_test(m, cls)
     dualized = cls in DUAL_CLASS and m.ring.kind == "artin"
     base, bcls = (m.dual(), DUAL_CLASS[cls]) if dualized else (m, cls)
+    one = level_one_test(base, bcls)
     tower = adams_tower(base, budget)
     upper = upper_certificate(base, bcls, one, tower)
     lower = ghost_lower_bound(base, bcls, one, tower,
                               upper.value if upper is not None else None)
     if dualized:
+        one.reason += " (computed on the dual complex)"
         for cert, note in ((upper, "computed on the vector-space dual; "
                             "duality swaps projective and injective layers"),
                            (lower, "computed on the vector-space dual")):
@@ -684,15 +640,15 @@ def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
 # structural consequences
 
 
-def bass_check(m: Complex, full: bool = False) -> dict:
+def bass_check(m: Complex) -> dict:
     """Depth-zero base with finite injective dimension homology.
 
     Over an artinian base every module has injective dimension zero or
     infinity; when all homology modules are injective, the injective
     envelope of the homology maps in quasi-isomorphically and the level
-    with respect to the injectives is exactly one.  With full=True a
-    failing hypothesis additionally reports the actual injective-class
-    level, so counterexamples carry the value that escapes the bound.
+    with respect to the injectives is exactly one. A failing hypothesis
+    reports the actual injective-class level, so counterexamples carry
+    the value that escapes the bound.
     """
     if m.ring.kind != "artin":
         return {"applies": False,
@@ -702,24 +658,22 @@ def bass_check(m: Complex, full: bool = False) -> dict:
     _, per = homology_class_check(m, "inj")
     bad = [int(i) for i, (verdict, _) in per.items() if verdict is False]
     if bad:
-        out = {"applies": False,
-               "reason": "homology has infinite injective dimension",
-               "degrees": bad}
-        if full:
-            rep = level_report(m, "inj")
-            out["level_inj_verdict"] = list(rep.verdict)
-        return out
+        return {"applies": False,
+                "reason": "homology has infinite injective dimension",
+                "degrees": bad,
+                "level_inj_verdict": list(level_report(m, "inj").verdict)}
+    # the envelope m -> E = F^v is the dual of the cover phi: F -> m^v,
+    # and the vector-space dual is exact, so it is a quasi-isomorphism
+    # exactly when the layer the cover leaves is exact
     st = adams_step_inj(m)
-    # psi is the dual of the cover map phi, and the vector-space dual is
-    # exact, so psi is a quasi-isomorphism exactly when phi's layer is exact
-    ok = st.dual_step.omega.is_exact()
+    ok = st.omega.is_exact()
     return {"applies": True, "level_inj": 1 if ok else None,
             "witness_quasi_iso": ok,
             "gorenstein_note": "positive-depth variant does not apply "
                                "over an artinian base; the two bound "
                                "ingredients are checked separately",
-            "envelope_ranks": {str(i): st.E.module(i).dim
-                               for i in st.E.support()}}
+            "envelope_ranks": {str(-i): st.F.module(i).dim
+                               for i in reversed(st.F.support())}}
 
 
 def homology_dimension_bound(m: Complex, cls: str, window: int = 6):

@@ -7,11 +7,12 @@ meet; randomized suites use fixed seeds so failures reproduce. Run with
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from levelcert.complexes import module_stalk
-from levelcert.level import (CLASS_KEYS, LowerCertificate, certificate_audit,
+from levelcert.level import (CLASS_KEYS, LowerCertificate,
                              homology_dimension_bound, level_report,
                              upper_via_cycle_boundary)
 from levelcert.linalg import Mat
@@ -98,37 +99,36 @@ def test_03_regular_base_attainment(R3):
     assert time.monotonic() - t0 < 30.0
 
 
-def test_04_depth_zero_envelope_formula(A, B):
+def test_04_depth_zero_envelope_formula(A, B, built_certificates):
     """Ten randomized complexes with injective total homology land at
     injective level exactly 1 = depth + 1 in under ten seconds; the
     dimension-driven upper bounds cover the bundled artinian inputs and
     every lower bound it emits carries a machine-checked witness."""
-    with certificate_audit() as audit:
-        t0 = time.monotonic()
-        for s in range(10):
-            ring = A if s % 2 == 0 else B
-            x = random_injective_homology_complex(ring,
-                                                  random.Random(100 + s))
-            rep = level_report(x, "inj")
-            assert rep.verdict == ("exact", 1), (s, rep.verdict)
-            assert rep.upper.verify() and rep.lower.verify()
-        assert time.monotonic() - t0 < 10.0
+    t0 = time.monotonic()
+    for s in range(10):
+        ring = A if s % 2 == 0 else B
+        x = random_injective_homology_complex(ring, random.Random(100 + s))
+        rep = level_report(x, "inj")
+        assert rep.verdict == ("exact", 1), (s, rep.verdict)
+        assert rep.upper.verify() and rep.lower.verify()
+    assert time.monotonic() - t0 < 10.0
 
-        # dimension bounds against verified uppers on the bundled inputs
-        kx = koszul_complex(A)
-        inputs = [kx, module_stalk(A, artin_residue_field(A)),
-                  module_stalk(A, free_module(A, [0]).dual()),
-                  module_stalk(A, free_module(A, [0, 0]))]
-        for m in inputs:
-            for cls in ("inj", "ginj"):
-                bound, _ = homology_dimension_bound(m, cls)
-                rep = level_report(m, cls)
-                if bound is None or rep.upper is None:
-                    continue
-                assert rep.upper.verify()
-                assert rep.upper.value <= bound, (m.label, cls, bound)
+    # dimension bounds against verified uppers on the bundled inputs
+    kx = koszul_complex(A)
+    inputs = [kx, module_stalk(A, artin_residue_field(A)),
+              module_stalk(A, free_module(A, [0]).dual()),
+              module_stalk(A, free_module(A, [0, 0]))]
+    for m in inputs:
+        for cls in ("inj", "ginj"):
+            bound, _ = homology_dimension_bound(m, cls)
+            rep = level_report(m, cls)
+            if bound is None or rep.upper is None:
+                continue
+            assert rep.upper.verify()
+            assert rep.upper.value <= bound, (m.label, cls, bound)
 
-    lowers = [c for c in audit.certificates if isinstance(c, LowerCertificate)]
+    lowers = [c for c in built_certificates
+              if isinstance(c, LowerCertificate)]
     assert lowers
     assert all(c.verify() for c in lowers)
 
@@ -188,25 +188,24 @@ def test_09_cycle_triangle_bound(R2):
         assert cert.verify(), s
 
 
-def test_10_certificate_soundness_audit(A, R2):
+def test_10_certificate_soundness_audit(A, R2, built_certificates):
     """Every certificate emitted by a sweep of all six classes over the
     Koszul complex, the graded residue field and six seeded complexes
     re-verifies: triangles pass cone verification, ghost chains kill
     homology with a nonzero composite, and no lower bound crosses its
     upper bound."""
-    with certificate_audit() as audit:
-        subjects = [koszul_complex(A),
-                    module_stalk(R2, graded_residue_field(R2))]
-        for s in range(6):
-            subjects.append(random_complex((A, R2)[s % 2],
-                                           random.Random(700 + s), lo=0,
-                                           width=2, max_rank=2))
-        for m in subjects:
-            for cls in CLASS_KEYS:
-                level_report(m, cls)
-    report = audit.report()
-    assert report["total"] > 100
-    assert report["counts"].get("UpperCertificate", 0) > 10
-    assert report["counts"].get("LowerCertificate", 0) > 10
-    assert report["counts"].get("LevelCertificate", 0) > 10
-    assert report["failures"] == []
+    subjects = [koszul_complex(A),
+                module_stalk(R2, graded_residue_field(R2))]
+    for s in range(6):
+        subjects.append(random_complex((A, R2)[s % 2],
+                                       random.Random(700 + s), lo=0,
+                                       width=2, max_rank=2))
+    for m in subjects:
+        for cls in CLASS_KEYS:
+            level_report(m, cls)
+    counts = Counter(type(cert).__name__ for cert in built_certificates)
+    assert len(built_certificates) > 100
+    assert counts["UpperCertificate"] > 10
+    assert counts["LowerCertificate"] > 10
+    assert counts["LevelCertificate"] > 10
+    assert [cert for cert in built_certificates if not cert.verify()] == []

@@ -128,12 +128,18 @@ def test_graded_tower_and_splice(R2):
 
 
 def test_inj_step_embeds_homology(A):
+    # the envelope step of m is the cover step of its dual: the cover is
+    # onto H(m^v), so its dual psi: m -> E = F^v embeds H(m), and the dual
+    # of the next layer has the homology of the old cokernel layer, k
     m = k_stalk(A)
     st = adams_step_inj(m)
-    assert st.psi.source == m
-    assert st.E.module(0).dim == 2
-    assert st.psi.induced_on_homology(0).is_injective()
-    h = st.theta.hdata().homology(0)
+    assert st.m is m.dual()
+    assert st.phi.induced_on_homology(0).is_surjective()
+    assert st.F.dual().module(0).dim == 2
+    psi = st.phi.dual()
+    assert psi.source == m
+    assert psi.induced_on_homology(0).is_injective()
+    h = st.omega.dual().hdata().homology(0)
     verdict, _ = find_isomorphism(h, m.module(0))
     assert verdict == "iso"
 

@@ -6,6 +6,7 @@ reproduce; each expected number comes with the route that produces it.
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,9 @@ from levelcert.complexes import (ChainMap, Complex, module_stalk,
                                  zero_chain_map)
 from levelcert.resolutions import koszul_complex
 from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
-                             bass_check, certificate_audit,
-                             homology_dimension_bound, level_one_test,
-                             level_report, module_in_class, normalize_class,
-                             upper_via_cycle_boundary,
+                             bass_check, homology_dimension_bound,
+                             level_one_test, level_report, module_in_class,
+                             normalize_class, upper_via_cycle_boundary,
                              upper_via_stratification)
 
 
@@ -471,17 +471,49 @@ def test_out_of_scope_and_zero(A, R3):
     assert any("out of scope" in n for n in rep.notes)
 
 
-def test_certificates_are_recorded_only_inside_an_audit_scope(A):
+def test_level_report_runs_the_one_step_test_once(A, monkeypatch):
+    # no cover tower runs over an artinian base, so a report's only call
+    # is its one-step decision: on the dual complex for the injective
+    # classes, which keeps a note of that, and on m itself otherwise
+    calls = []
+    decide = level.level_one_test
+
+    def counted(m, cls):
+        calls.append((m, decide(m, cls)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(level, "level_one_test", counted)
+    zero = Complex(A, {}, {}, check=False)
+    level_report(zero, "inj")
+    assert calls == []
+    for m in (koszul_complex(A), module_stalk(A, artin_residue_field(A)),
+              module_stalk(A, artin_free(A, 2))):
+        for cls in level.CLASS_KEYS:
+            calls.clear()
+            level_report(m, cls)
+            dual = cls in ("inj", "ginj")
+            assert len(calls) == 1, cls
+            (subject, one), = calls
+            assert subject is (m.dual() if dual else m), cls
+            assert one.reason.endswith(" (computed on the dual complex)") \
+                == dual, cls
+
+
+def test_carried_one_step_results_are_about_the_subject(A):
+    # cycle-boundary and stratification bounds of at most two carry the
+    # report's one-step result; one about another complex fails, as it
+    # would otherwise describe the subject in the JSON
     K = koszul_complex(A)
-    level_report(K, "inj")
-    with certificate_audit() as outer:
-        assert outer.certificates == []
-        with certificate_audit() as inner:
-            rep = level_report(K, "inj")
-        assert rep in inner.certificates and rep in outer.certificates
-        assert inner.report()["failures"] == []
-    level_report(K, "inj")
-    assert len(outer.certificates) == len(inner.certificates)
+    free = level_one_test(module_stalk(A, artin_free(A, 1)), "gproj")
+    for cls, route in (("gproj", "cycle-boundary"), ("inj", "stratification")):
+        rep = level_report(K, cls)
+        one = rep.upper.level_one
+        assert rep.upper.route == route
+        assert one is not None and one.subject is rep.upper.subject
+        rep.upper.level_one = free
+        assert not rep.upper.verify() and not rep.verify()
+        rep.upper.level_one = one
+        assert rep.verify()
 
 
 def test_certificate_json_round_trip(A):
@@ -682,18 +714,19 @@ def test_upper_and_lower_bounds_share_one_subject(A):
 
 
 # the evidence each upper route reads, swapped one part at a time and
-# all together: none of it may come from another draw. Stratification
-# reads its peels only; the one-step result it carries is informational
-EVIDENCE = {"stratification": (("triangles",),),
+# all together: none of it may come from another draw. A one-step
+# result is swapped only where the certificate and its donor both carry
+# one; stratification and cycle-boundary carry it for bounds up to two
+EVIDENCE = {"stratification": (("triangles",), ("level_one",)),
             "cycle-boundary": (("triangles",), ("end_map",),
-                               ("triangles", "end_map")),
+                               ("triangles", "end_map"), ("level_one",)),
             "cover-tower": (("triangles",), ("level_one",),
                             ("triangles", "level_one")),
             "one-step": (("level_one",),)}
 
 
 def test_random_upper_certificates_resist_swapped_evidence():
-    reached = {}
+    reached, swapped = {}, Counter()
     for ring_text in sorted(PEEL_CLASSES):
         ring = make_ring(ring_text)
         by_route = {}
@@ -710,18 +743,26 @@ def test_random_upper_certificates_resist_swapped_evidence():
                               for route, reps in by_route.items()}
         for route, reps in by_route.items():
             for seed, rep in reps:
-                donor = next((r.upper for s, r in reps if s != seed), None)
-                if donor is None:
-                    continue
                 cert = rep.upper
                 for parts in EVIDENCE.get(route, ()):
                     kept = {part: getattr(cert, part) for part in parts}
+                    donor = next((r.upper for s, r in reps if s != seed
+                                  and all(getattr(r.upper, part) is not None
+                                          for part in parts)), None)
+                    if donor is None or None in kept.values():
+                        continue
+                    swapped[route, parts] += 1
                     for part in parts:
                         setattr(cert, part, getattr(donor, part))
                     assert not cert.verify(), (ring_text, seed, route, parts)
                     for part, value in kept.items():
                         setattr(cert, part, value)
                     assert cert.verify() and rep.verify()
+    # and swaps a carried one-step result on every route that carries one
+    assert {route: n for (route, parts), n in swapped.items()
+            if parts == ("level_one",)} == {
+        "one-step": 206, "stratification": 6, "cycle-boundary": 31,
+        "cover-tower": 12}
     # the sweep reaches every route that builds a complex layer by layer
     assert reached == {
         "artin(F2; x | x^2)": {"one-step": 54, "zero-object": 12,

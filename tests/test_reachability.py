@@ -8,6 +8,9 @@ import; a reached class also reaches what its dunder methods and the
 rest of its body name. The match is by name only, so it can miss dead
 code that shares a name with live code, but a definition that only
 tests or other unreached code call is reported.
+
+No module keeps process-global state: no context variable, thread-local
+or global statement, so one report cannot change the next.
 """
 
 import ast
@@ -33,9 +36,6 @@ UNREACHED = {
                               "tests",
     "Mat.entry": "test API: reading one entry of a matrix",
     "Mat.to_lists": "test API: a matrix as nested lists",
-    # claim 10 re-verifies every certificate built inside this scope
-    "certificate_audit": "soundness audit of acceptance claim 10",
-    "CertificateAudit.report": "soundness audit of acceptance claim 10",
     # the paper's bound from the dimension of the homology
     "homology_dimension_bound": "the paper's bound, not yet in reports",
     # generators of the property suites
@@ -122,3 +122,31 @@ def test_a_dead_chain_is_reported(tmp_path):
     roots = ENTRY_POINTS | set(UNREACHED)
     assert unreached_definitions(roots, src) == {"_planted_head",
                                                   "_planted_tail"}
+
+
+def _process_global_state(path):
+    """(line, name) for each global statement, use of contextvars and
+    use of threading.local in the module at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            names = ["global"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        for name in names:
+            if name in ("global", "threading.local") \
+                    or name.partition(".")[0] == "contextvars":
+                yield node.lineno, name
+
+
+def test_no_process_global_state():
+    found = [(path.name, line, what) for path in sorted(SRC.glob("*.py"))
+             for line, what in _process_global_state(path)]
+    assert found == [], "state shared by every report in the process"
