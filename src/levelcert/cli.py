@@ -404,8 +404,7 @@ def _build_complex(ring, name, hi, lo, dmats, twists, ranks, line):
                 raise ParseError(
                     f"inconsistent rank at degree {deg}", line)
     mods = {}
-    for i in range(lo, hi + 1):
-        n = sizes.get(i, 0)
+    for i, n in sorted(sizes.items()):
         if n:
             mods[i] = free_module(ring, twists.get(i, [0] * n))
     diffs = {}

@@ -122,7 +122,11 @@ class LevelOneResult:
     reason: str
     pieces: dict
     witness: object = None       # chain map or cover data, when available
-    exhaustive: bool = False
+
+    @property
+    def exhaustive(self) -> bool:
+        """Whether the verdict is decided: every "yes" and "no" is."""
+        return self.verdict != "inconclusive"
 
     def to_dict(self):
         return {"verdict": self.verdict, "reason": self.reason,
@@ -165,13 +169,13 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     """
     cls = normalize_class(cls)
     if _is_exact(m):
-        return LevelOneResult(m, "yes", "no homology", {}, exhaustive=True)
+        return LevelOneResult(m, "yes", "no homology", {})
     overall, per = homology_class_check(m, cls)
     if overall is False:
         bad = [i for i, (v, _) in per.items() if v is False]
         return LevelOneResult(
             m, "no", f"homology at degree {bad[0]} is outside the class",
-            per, exhaustive=True)
+            per)
     if overall is None:
         return LevelOneResult(
             m, "inconclusive", "class membership screen undecided", per)
@@ -179,8 +183,7 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     hdegs = sorted(per)
     if len(hdegs) == 1:
         return LevelOneResult(
-            m, "yes", "homology concentrated in a single degree", per,
-            exhaustive=True)
+            m, "yes", "homology concentrated in a single degree", per)
 
     # every homology module lies in C, so what is left is whether m is
     # quasi-isomorphic to its homology complex
@@ -192,8 +195,7 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
         st = adams_step_proj(m)
         if st.omega.is_exact():
             return LevelOneResult(m, "yes", "free homology, cover map is a "
-                                  "quasi-isomorphism", per,
-                                  witness=st.phi, exhaustive=True)
+                                  "quasi-isomorphism", per, witness=st.phi)
 
     cms, aug = derived_hom(m, homology_stalks(m))
     reps = list(_iter_class_maps(cms))
@@ -205,14 +207,14 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     if verdict == "none":
         return LevelOneResult(
             m, "no", "no homotopy class of maps onto the homology complex "
-            f"induces an isomorphism: {found}", per, exhaustive=True)
+            f"induces an isomorphism: {found}", per)
     if verdict == "found":
         f = cms.map_from_coords(
             cms.class_space()[1] @ Mat.column(cms.field, found))
         if all(f.induced_on_homology(i).is_iso() for i in hdegs):
             return LevelOneResult(
                 m, "yes", "found a quasi-isomorphism onto the homology "
-                "complex", per, witness=(aug, f), exhaustive=True)
+                "complex", per, witness=(aug, f))
     return LevelOneResult(
         m, "inconclusive", "no verified quasi-isomorphism onto the homology "
         "complex was found", per)
@@ -491,7 +493,7 @@ class LowerCertificate(BoundCertificate):
                 and not _is_exact(self.subject) else None
         if self.route == "one-step-impossible":
             one = self.level_one
-            return 2 if _says(one, "no") and one.exhaustive \
+            return 2 if _says(one, "no") \
                 and one.subject is self.subject else None
         if self.route == "ghost-chain" and self.ghost is not None:
             space, comp, factors = self.ghost
@@ -532,7 +534,7 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     replacement or Hom complex.
     """
     best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
-    if one.verdict == "no" and one.exhaustive:
+    if one.verdict == "no":
         best = LowerCertificate(cls, 2, "one-step-impossible",
                                 level_one=one, subject=m)
     if upper is not None and upper <= best.value:

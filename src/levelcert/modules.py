@@ -984,10 +984,6 @@ class GradedHomSpace:
         # when every entry is a basis direction (no relation to kill and
         # no trivial hom), the coordinates are the entries themselves
         self._read_off = not M.rels and not self.triv.ncols
-        kern = Mat.identity(M.field, na)
-        if self._read_off:
-            self.quot = kern
-            return
         if M.rels:
             # a hom kills relation k of M when its image of that relation
             # is a combination of multiples of the relations of N
@@ -996,6 +992,11 @@ class GradedHomSpace:
             kern = hstack([self._pre(M.rels, rows),
                            -N.rel_multiples(degs, rows)]
                           ).kernel_basis().take_rows(range(na))
+        else:
+            kern = Mat.identity(M.field, na)
+        if self._read_off:
+            self.quot = kern
+            return
         full = hstack([self.triv, kern])
         # quotient basis: pivot columns of [triv | kernel] beyond the triv block
         self.quot = full.take_columns(

@@ -4,6 +4,7 @@ import pytest
 
 import levelcert.cli
 import levelcert.corpus
+import levelcert.level
 import levelcert.rings
 from levelcert.cli import (ParseError, VerificationError, main, parse,
                            run_session)
@@ -266,6 +267,22 @@ def test_huge_exponent_reduces_without_expanding(tmp_path, capsys,
         "H_1: {'dim': 2, 'generators': 1}")
 
 
+def test_wide_range_builds_only_the_declared_terms(tmp_path, capsys,
+                                                   wall_bound):
+    # the parser reads the degrees the parts name, not every degree of
+    # the range
+    script = tmp_path / "wide.lvc"
+    script.write_text("A = artin(F2; x | x^2)\n"
+                      "complex K over A : range 999999999999..0 ; "
+                      "d1 = [[x]]\n"
+                      "homology K\n")
+    with wall_bound(10):
+        assert main([str(script)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "homology K: H_0: {'dim': 1, 'generators': 1}, "
+        "H_1: {'dim': 1, 'generators': 1}")
+
+
 def test_dangling_exponent_is_a_clean_error(tmp_path, capsys):
     script = tmp_path / "caret.lvc"
     script.write_text("A = artin(Q; x | x^2)\n"
@@ -397,9 +414,15 @@ def test_default_field_flag(tmp_path):
     assert payload["reports"][0]["report"]["value"] == 2
 
 
-def test_corpus_all_pass_and_filter(tmp_path):
-    table = run_corpus("square-zero base ring")
-    assert table["total"] == 1 and table["all_ok"]
+def test_corpus_all_pass_and_filter(tmp_path, capsys):
+    table = run_corpus()
+    assert table["total"] == len(levelcert.corpus.CASES) and table["all_ok"]
+
+    bass = run_corpus("Bass formula")
+    assert [row["name"] for row in bass["rows"]] == [
+        name for name, _, _ in levelcert.corpus.CASES
+        if "Bass formula" in name]
+    assert bass["total"] == 2 and bass["all_ok"]
 
     empty = run_corpus("no such case")
     assert empty["total"] == 0 and empty["all_ok"]
@@ -407,18 +430,34 @@ def test_corpus_all_pass_and_filter(tmp_path):
     script = tmp_path / "c.lvc"
     script.write_text("corpus\n")
     assert main([str(script), "--corpus-filter", "no such case"]) == 0
+    assert capsys.readouterr().out == "corpus: no cases selected\n"
 
 
-def test_corpus_perturbed_row_fails(monkeypatch):
-    # damage the expected value of one row of a copy of the cases
-    cases = [(name, fn, {**expected, "perturbed": True}
-              if "depth formula" in name else expected)
-             for name, fn, expected in levelcert.corpus.CASES]
+def test_corpus_perturbed_row_fails(tmp_path, monkeypatch):
+    # damage one expected line of a copy of the rows: that row fails and
+    # every other row passes
+    cases = [(name, script, [line.replace("exact 2", "exact 3")
+                             for line in expected]
+              if name.startswith("Bass formula needs") else expected)
+             for name, script, expected in levelcert.corpus.CASES]
     monkeypatch.setattr(levelcert.corpus, "CASES", cases)
-    table = run_corpus("depth formula")
-    assert table["total"] == 1
-    assert not table["rows"][0]["ok"]
-    assert not table["all_ok"]
+    table = run_corpus()
+    assert [row["name"] for row in table["rows"] if not row["ok"]] == [
+        name for name, _, _ in cases if name.startswith("Bass formula needs")]
+    assert table["passed"] == len(cases) - 1 and not table["all_ok"]
+    script = tmp_path / "c.lvc"
+    script.write_text("corpus\n")
+    assert main([str(script), "--corpus-filter", "Bass formula needs"]) == 2
+
+
+def test_corpus_row_fails_on_an_unverified_report(monkeypatch):
+    # a row checks the printed line, which flags a report whose
+    # certificate does not verify
+    monkeypatch.setattr(levelcert.level.LevelCertificate, "verify",
+                        lambda self: False)
+    table = run_corpus("GI level of the Koszul complex")
+    assert table["total"] == 1 and not table["all_ok"]
+    assert table["rows"][0]["got"][-1] == "level ginj K: exact 2 (UNVERIFIED)"
 
 
 @pytest.fixture

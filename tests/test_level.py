@@ -11,15 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from levelcert import adams, complexes, level
+from levelcert import adams, complexes, corpus, level
 from levelcert.cli import build_arg_parser, parse
-from levelcert.corpus import run_corpus
-from levelcert.randgen import random_complex
+from levelcert.randgen import random_complex, random_free_homology_complex
 from levelcert.rings import make_ring
 from levelcert.modules import artin_free, artin_residue_field, \
     graded_residue_field
-from levelcert.complexes import (ChainMap, Complex, module_stalk,
-                                 zero_chain_map)
+from levelcert.complexes import (ChainMap, Complex, is_quasi_iso,
+                                 module_stalk, zero_chain_map)
 from levelcert.resolutions import koszul_complex
 from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
                              bass_check, homology_dimension_bound,
@@ -105,6 +104,35 @@ def test_level_one_formal_two_degrees(A):
     r = level_one_test(m, "ginj")
     assert r.verdict == "yes"
     assert r.exhaustive
+
+
+def test_maps_from_the_koszul_complex_to_its_homology_miss_the_top(A):
+    # Hom(K, H(K)) in the derived category has two classes, and both are
+    # zero on H_1, so no map onto the homology complex is a
+    # quasi-isomorphism, though both homology modules are Gorenstein
+    # projective
+    K = koszul_complex(A)
+    space, _ = level.derived_hom(K, adams.homology_stalks(K))
+    assert space.hom_classes_dim() == 2
+    assert all(space.class_representative(t).induced_on_homology(1).is_zero()
+               for t in range(2))
+    assert level_one_test(K, "gproj").verdict == "no"
+
+
+def test_free_homology_complexes_are_one_layer():
+    # over a graded base a complex of frees with free homology splits:
+    # with homology in two degrees, the minimal cover of the homology is
+    # a quasi-isomorphism and the witness of the one-step test
+    R2 = make_ring("poly(F101; x, y)")
+    spread = 0
+    for s in range(8):
+        m = random_free_homology_complex(R2, random.Random(s), pieces=3)
+        one = level_one_test(m, "proj")
+        assert one.verdict == "yes", s
+        if len(m.hdata().nonzero_degrees()) > 1:
+            assert is_quasi_iso(one.witness), s
+            spread += 1
+    assert spread > 0
 
 
 def test_headline_injective_level(A):
@@ -212,7 +240,7 @@ def _uncapped_ghost_search(m, cls, one, tower):
     composite from the top of the tower down, as the search ran before
     the proved upper bound capped it. (value, route, chain_length)."""
     best = (1, "nonzero-homology", None)
-    if one.verdict == "no" and one.exhaustive:
+    if one.verdict == "no":
         best = (2, "one-step-impossible", None)
     if cls in ("proj", "flat") or (cls in ("gproj", "gflat")
                                    and m.ring.kind != "artin"):
@@ -255,9 +283,32 @@ def test_capped_ghost_search_matches_the_uncapped_oracle(monkeypatch,
                     level_report(sess.as_complex(cmd[2], 0), cmd[1],
                                  budget=defaults.budget)
                 elif cmd[0] == "corpus":
-                    assert run_corpus()["passed"] == 15
+                    assert corpus.run_corpus()["passed"] == len(corpus.CASES)
     # the cap cut the search short of the tower top on some reports
     assert len(checked) > 50 and any(checked)
+
+
+def test_levels_are_shift_invariant(wall_bound):
+    # level_C(m) = level_C(m.shift(n)): shifting a certificate's triangles
+    # and layers builds the shifted complex from as many shifted layers,
+    # and a shifted stalk of a module in C is again one layer
+    budget = build_arg_parser().get_default("budget")
+    golden = Path(__file__).resolve().parent / "golden"
+    shifted = 0
+    with wall_bound(60):
+        for name in ("artinian-5", "regular-5", "rational-5"):
+            sess = parse((golden / f"{name}.lvc").read_text())
+            for cmd, _ in sess.commands:
+                if cmd[0] != "level":
+                    continue
+                m = sess.as_complex(cmd[2], 0)
+                want = level_report(m, cmd[1], budget=budget).verdict
+                for n in (1, -1):
+                    rep = level_report(m.shift(n), cmd[1], budget=budget)
+                    assert rep.verdict == want, (name, cmd, n)
+                    assert rep.verify(), (name, cmd, n)
+                    shifted += 1
+    assert shifted > 150
 
 
 @pytest.mark.parametrize("ring_text", ["artin(F2; x | x^2)",

@@ -36,10 +36,16 @@ UNREACHED = {
                               "tests",
     "Mat.entry": "test API: reading one entry of a matrix",
     "Mat.to_lists": "test API: a matrix as nested lists",
+    "artin_residue_field": "test API: the residue field of an artinian "
+                           "base",
+    "graded_residue_field": "test API: the residue field of a polynomial "
+                            "base",
+    "koszul_complex": "test API: the Koszul complex of the base",
     # the paper's bound from the dimension of the homology
     "homology_dimension_bound": "the paper's bound, not yet in reports",
     # generators of the property suites
     "random_complex": "property-suite generator",
+    "random_free_homology_complex": "property-suite generator",
     "random_injective_homology_complex": "property-suite generator",
 }
 
