@@ -11,7 +11,8 @@ of a cover step on the dual complex.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import islice
+from types import MappingProxyType
 
 from .modules import free_hom, free_module
 from .complexes import ChainMap, Complex, Triangle
@@ -28,19 +29,20 @@ def homology_stalks(x: Complex) -> Complex:
     return Complex(x.ring, mods, {}, check=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamsStep:
     """One cover step F -> m with its cone and connecting map.
 
     phi induces a surjection on homology in every degree by construction,
     so H(delta) = 0 and the cone rotates to the degreewise short exact
-    sequences 0 -> H(omega) -> F -> H(m) -> 0 on homology.
+    sequences 0 -> H(omega) -> F -> H(m) -> 0 on homology. A step is
+    read-only: m keeps it, and every tower through m reads it.
     """
 
     m: Complex
     F: Complex
     phi: ChainMap
-    cover: dict          # degree -> module hom F_i -> H_i(m)
+    cover: MappingProxyType  # degree -> module hom F_i -> H_i(m)
     omega: Complex       # next layer, shift(-1) of the cone
     delta: ChainMap      # m -> cone(phi) = shift(omega)
     triangle: Triangle
@@ -64,33 +66,55 @@ def adams_step_proj(m: Complex) -> AdamsStep:
     phi = ChainMap(F, m, comps, check=False)
     tri = Triangle(phi)
     cd = tri.cone_data
-    return AdamsStep(m, F, phi, cover, cd.complex.shift(-1),
-                     cd.inclusion(), tri)
+    return AdamsStep(m, F, phi, MappingProxyType(cover),
+                     cd.complex.shift(-1), cd.inclusion(), tri)
+
+
+def cover_step(m: Complex) -> AdamsStep:
+    """The cover step of m, built on first use and kept on m, like its
+    homology, so every tower through m shares it."""
+    if m._cover_step is None:
+        m._cover_step = adams_step_proj(m)
+    return m._cover_step
 
 
 @dataclass
 class AdamsTower:
     """Layers L0 = m, L1, ..., Ln with covers F^s -> L_s.
 
-    The steps are built on first use, at most n of them; the tower stops
-    early at an exact layer.
+    A capped walk along the cover steps each layer keeps: step(s) builds
+    the steps up to s only, and the tower stops early at an exact layer
+    and at the cap n.
     """
 
     m: Complex
     n: int
 
-    @cached_property
-    def steps(self) -> list:
-        steps, cur = [], self.m
-        for _ in range(self.n):
+    def _walk(self, cap: int):
+        """The steps from layer 0, at most min(cap, n) of them."""
+        cur = self.m
+        for _ in range(min(cap, self.n)):
             if cur.is_exact():
-                break
-            steps.append(adams_step_proj(cur))
-            cur = steps[-1].omega
-        return steps
+                return
+            st = cover_step(cur)
+            yield st
+            cur = st.omega
+
+    def step(self, s: int) -> AdamsStep | None:
+        """The cover step of layer s, or None when the tower stops first."""
+        return next(islice(self._walk(s + 1), s, None), None)
+
+    def length(self, cap: int) -> int:
+        """The number of steps, counting at most cap of them."""
+        return sum(1 for _ in self._walk(cap))
+
+    @property
+    def steps(self) -> list:
+        """Every step of the tower, up to the cap."""
+        return list(self._walk(self.n))
 
     def layer(self, s: int) -> Complex:
-        return self.m if s == 0 else self.steps[s - 1].omega
+        return self.m if s == 0 else self.step(s - 1).omega
 
     def ghost_composite(self, n: int) -> ChainMap:
         """m -> shift(L_n, n), the composite of n connecting maps.
@@ -98,17 +122,18 @@ class AdamsTower:
         Each factor induces zero on homology, so a nonzero homotopy
         class of the composite forces at least n + 1 free-cover layers.
         """
-        if not 1 <= n <= len(self.steps):
+        if not 1 <= n <= self.length(n):
             raise AdamsError("tower too short for the requested composite")
-        gamma = self.steps[0].delta
+        gamma = self.step(0).delta
         for s in range(1, n):
-            gamma = self.steps[s].delta.shift(s).compose(gamma)
+            gamma = self.step(s).delta.shift(s).compose(gamma)
         return gamma
 
     def summary(self) -> dict:
+        steps = self.steps
         out = {"side": "proj", "generators": "minimal",
-               "layers": len(self.steps), "steps": []}
-        for s, st in enumerate(self.steps):
+               "layers": len(steps), "steps": []}
+        for s, st in enumerate(steps):
             ranks = {str(i): st.F.module(i).free_rank for i in st.F.support()}
             out["steps"].append({
                 "layer": s,
@@ -131,7 +156,7 @@ def _h_into_cover(tower: AdamsTower, s: int, i: int):
     defined because boundaries have zero F-component, and it is injective
     because phi is surjective on homology.
     """
-    step = tower.steps[s - 1]
+    step = tower.step(s - 1)
     omega = step.omega
     hd = omega.hdata()
     H = hd.homology(i)
@@ -208,4 +233,4 @@ def adams_step_inj(m: Complex) -> AdamsStep:
     m -> F^v into degreewise dual-free modules, injective on homology,
     and the dual of its next layer omega is the layer the envelope leaves.
     """
-    return adams_step_proj(m.dual())
+    return cover_step(m.dual())

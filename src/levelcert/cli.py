@@ -76,6 +76,9 @@ class Session:
     modules: dict = dataclass_field(default_factory=dict)
     complexes: dict = dataclass_field(default_factory=dict)
     commands: list = dataclass_field(default_factory=list)
+    # one degree-0 stalk per module name, so the commands on a module
+    # share its homology and cover tower
+    stalks: dict = dataclass_field(default_factory=dict)
 
     def bind(self, name: str, line: int):
         if name in self.rings or name in self.modules \
@@ -99,7 +102,9 @@ class Session:
         obj = self.object(name, line)
         if isinstance(obj, Complex):
             return obj
-        return module_stalk(obj.ring, obj)
+        if name not in self.stalks:
+            self.stalks[name] = module_stalk(obj.ring, obj)
+        return self.stalks[name]
 
 
 # ---------------------------------------------------------------- parsing
@@ -565,8 +570,7 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
         x = sess.as_complex(cmd[1], line)
         n = cmd[2] if cmd[2] is not None else config["budget"]
         tower = adams_tower(x, n)
-        n = min(n, len(tower.steps))
-        rep = verify_splice(tower, n)
+        rep = verify_splice(tower, tower.length(n))
         out["name"] = cmd[1]
         out["splice"] = {"layers": rep["layers"], "ok": rep["ok"],
                          "per_degree": {str(k): v for k, v

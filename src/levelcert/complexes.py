@@ -35,13 +35,15 @@ class Complex:
                  label: str | None = None):
         self.ring = ring
         # modules and differentials are read-only, like Mat: the cached
-        # homology, dual and cones hang on them
+        # homology, dual and cover step (adams.cover_step, shared by every
+        # tower through this complex) hang on them
         self.modules = MappingProxyType(
             {i: m for i, m in modules.items() if not m.is_zero_module()})
         self.label = label
         self._zero = zero_module(ring)
         self._hdata = None
         self._dual = None
+        self._cover_step = None
         kept = {}
         for i, d in diffs.items():
             if d.source.is_zero_module() or d.target.is_zero_module():
@@ -144,12 +146,12 @@ class ChainMap:
             raise ComplexError("not a chain map")
 
     def is_chain_map(self) -> bool:
-        """Whether d . f == f . d in every degree."""
-        lo = min(self.source.min_deg, self.target.min_deg)
-        hi = max(self.source.max_deg, self.target.max_deg)
+        """Whether d . f == f . d in every degree: both sides vanish at
+        degree i unless f has a component at i or i - 1."""
+        degs = set(self.comps) | {i + 1 for i in self.comps}
         return all((self.target.diff(i).compose(self.comp(i))
                     - self.comp(i - 1).compose(self.source.diff(i))).is_zero()
-                   for i in range(lo, hi + 2))
+                   for i in degs)
 
     def comp(self, i: int):
         h = self.comps.get(i)
@@ -382,13 +384,11 @@ class ChainMapSpace:
         self._chain_basis = self._h_image = self._class_basis = None
 
     def _hom_spaces(self, n: int) -> dict:
-        """Degree n of the Hom complex: i -> Hom(X_i, Y_{i+n})."""
+        """Degree n of the Hom complex: i -> Hom(X_i, Y_{i+n}), over the
+        degrees where both terms are nonzero."""
         x, y = self.x, self.y
-        if x.is_zero_complex() or y.is_zero_complex():
-            return {}
         return {i: hom_space(x.module(i), y.module(i + n))
-                for i in range(max(x.min_deg, y.min_deg - n),
-                               min(x.max_deg, y.max_deg - n) + 1)}
+                for i in x.support() if i + n in y.modules}
 
     def _differential(self, n: int) -> Mat:
         """The matrix of D from degree n (0 or 1) to degree n - 1. Its

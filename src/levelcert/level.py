@@ -26,10 +26,13 @@ order: an exact complex is the zero object (level 0); the injective
 classes over a graded ring are out of scope; on an artinian base the
 injective classes pass by Matlis duality to the projective ones on the
 dual complex, once per report; the one-step test runs on the (possibly
-dualized) complex; one cover tower of it is set up, built on first use;
-the upper bound is decided first, and its value caps the lower search,
-which tests no ghost composite at or past it; certificates computed on
-the dual are relabelled with the original class.
+dualized) complex; one cover tower of it is set up, a capped walk along
+the cover steps each layer keeps (adams.cover_step), so the steps are
+built on first use and shared with every other report and command on
+the same complex; the upper bound is decided first, and its value caps
+the lower search, which tests no ghost composite at or past it and
+builds no step past the ones those composites read; certificates
+computed on the dual are relabelled with the original class.
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +43,8 @@ from .linalg import Mat, full_rank_combination
 from .modules import top_matrices
 from .resolutions import (dimension_report, semiprojective_resolution,
                           tr_screen)
-from .adams import (AdamsTower, adams_step_inj, adams_step_proj,
-                    adams_tower, homology_stalks)
+from .adams import (AdamsTower, adams_step_inj, adams_tower, cover_step,
+                    homology_stalks)
 
 
 class LevelError(ValueError):
@@ -192,7 +195,7 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
         # the minimal cover of free homology is an isomorphism on
         # homology, so the cover map itself is the witness; it is one
         # exactly when the layer the step has built is exact
-        st = adams_step_proj(m)
+        st = cover_step(m)
         if st.omega.is_exact():
             return LevelOneResult(m, "yes", "free homology, cover map is a "
                                   "quasi-isomorphism", per, witness=st.phi)
@@ -423,11 +426,13 @@ def upper_via_tower(cls: str, tower: AdamsTower):
     it: upper_certificate runs it over a graded base only, where inj and
     ginj are out of scope.
     """
-    for n in range(1, len(tower.steps) + 1):
-        layer = tower.layer(n)
-        lo = level_one_test(layer, cls)
+    for n in range(1, tower.n + 1):
+        step = tower.step(n - 1)
+        if step is None:
+            break
+        lo = level_one_test(step.omega, cls)
         if lo.verdict == "yes":
-            tris = [tower.steps[s].triangle for s in range(n)]
+            tris = [tower.step(s).triangle for s in range(n)]
             return UpperCertificate(
                 cls, n + 1, "cover-tower",
                 data={"layers": n, "tower": tower.summary()},
@@ -441,8 +446,10 @@ def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
     with homology and a class in scope on its ring.
 
     The caller supplies one = level_one_test(m, cls) and the cover tower
-    of m; the tower is built only if the short routes give no bound of
-    at most two.
+    of m; the cover-tower route reads its steps only if the short routes
+    give no bound of at most two, one step at a time up to the first
+    one-layer terminus, and then the rest up to the cap for the
+    certificate's tower summary.
 
     No cover-tower route runs over an artinian base: it never succeeds
     there. Minimal covers give H(L_{s+1}) = Omega H(L_s). The classes
@@ -520,17 +527,18 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     artinian base they prove nothing for the Gorenstein classes, and the
     bound falls back to a certified failure of the one-step test. The
     caller supplies one = level_one_test(m, cls) and the cover tower of
-    m; the tower is built only for the classes whose ghosts it gives.
+    m; the search reads its steps only for the classes whose ghosts it
+    gives.
 
     upper is the value U of the upper certificate already proved for m,
     or None when there is none. It caps the search, which tests the
-    composites from n = min(len(tower.steps), U - 1) down. That loses
-    nothing: by the ghost lemma a non-null n-fold composite proves
-    level >= n + 1, and the upper certificate proves level <= U, so
-    every composite with n >= U is null-homotopic and testing one would
-    only confirm that. The capped search thus finds the same n, route
+    composites from n = tower.length(U - 1) down and so builds at most
+    U - 1 steps. That loses nothing: by the ghost lemma a non-null
+    n-fold composite proves level >= n + 1, and the upper certificate
+    proves level <= U, so every composite with n >= U is null-homotopic
+    and testing one would only confirm that. The capped search thus finds the same n, route
     and chain length as the uncapped one. When U is no more than the
-    bound already in hand, the search is empty: it builds no tower,
+    bound already in hand, the search is empty: it builds no step,
     replacement or Hom complex.
     """
     best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
@@ -541,9 +549,7 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
         return best
 
     if cls in ("proj", "flat") or m.ring.kind != "artin":
-        top = len(tower.steps)
-        if upper is not None:
-            top = min(top, upper - 1)
+        top = tower.length(tower.n if upper is None else upper - 1)
         if top < best.value:
             return best
         # targets of the composites carry homology up to n degrees above
@@ -551,8 +557,8 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
         P, aug = _replacement(m, extra=top + 2)
         for n in range(top, best.value - 1, -1):
             gamma = tower.ghost_composite(n)
-            factors = [tower.steps[0].delta] + \
-                [tower.steps[s].delta.shift(s) for s in range(1, n)]
+            factors = [tower.step(0).delta] + \
+                [tower.step(s).delta.shift(s) for s in range(1, n)]
             comp = gamma.compose(aug)
             space = ChainMapSpace(P, gamma.target)
             if not space.is_null_homotopic(comp):
@@ -608,7 +614,7 @@ class LevelCertificate:
 
 def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
     """Upper and lower certificates for the level of m, decided in the
-    order of the module docstring; one tower of at most budget cover
+    order of the module docstring; one tower capped at budget cover
     steps serves both bound routes."""
     cls = normalize_class(cls)
     if _is_exact(m):

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from levelcert.rings import make_ring
@@ -21,6 +23,25 @@ def R2():
 
 def k_stalk(ring):
     return module_stalk(ring, artin_residue_field(ring))
+
+
+def test_a_cover_step_is_read_only(A):
+    # every tower through a complex reads the one step it keeps, so no
+    # reader may change it for the next
+    st = adams_step_proj(k_stalk(A))
+    with pytest.raises(FrozenInstanceError):
+        st.omega = st.m
+    with pytest.raises(TypeError):
+        st.cover[1] = st.cover[0]
+
+
+def test_towers_through_a_complex_share_its_steps(A):
+    K = koszul_complex(A)
+    short, long = adams_tower(K, 1), adams_tower(K, 3)
+    assert short.step(0) is long.step(0)
+    assert short.step(1) is None and short.length(5) == 1
+    assert long.step(1) is adams_tower(long.layer(1), 1).step(0)
+    assert adams_step_inj(K) is adams_tower(K.dual(), 1).step(0)
 
 
 def test_step_on_residue_field(A):

@@ -1,12 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import levelcert.adams
 import levelcert.cli
 import levelcert.corpus
 import levelcert.level
 import levelcert.rings
-from levelcert.cli import (ParseError, VerificationError, main, parse,
+from levelcert.cli import (ParseError, VerificationError, _jsonable,
+                           build_arg_parser, main, parse, run_command,
                            run_session)
 from levelcert.corpus import run_corpus
 from levelcert.grobner import BudgetExceeded
@@ -23,10 +26,36 @@ module k over R = coker [[x, y, z]]
 """
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def run_payload(src, **config):
     cfg = {"budget": 4, "cutoff": 6, "corpus_filter": None}
     cfg.update(config)
     return run_session(parse(src), cfg)
+
+
+def default_config():
+    args = build_arg_parser().parse_args(["-"])
+    return {"budget": args.budget, "cutoff": args.cutoff,
+            "corpus_filter": args.corpus_filter}
+
+
+def count_cover_steps(monkeypatch) -> list:
+    """The complexes adams_step_proj is called on while the test runs."""
+    built, step = [], levelcert.adams.adams_step_proj
+
+    def counted(m):
+        built.append(m)
+        return step(m)
+
+    monkeypatch.setattr(levelcert.adams, "adams_step_proj", counted)
+    return built
+
+
+def report_alone(source, cmd, line, config):
+    """The JSON report of one command run in a fresh session."""
+    return _jsonable(run_command(parse(source), cmd, config, line))
 
 
 def test_parse_binds_rings_modules_complexes():
@@ -283,6 +312,21 @@ def test_wide_range_builds_only_the_declared_terms(tmp_path, capsys,
         "H_1: {'dim': 1, 'generators': 1}")
 
 
+def test_wide_range_level_reads_only_the_nonzero_terms(tmp_path, capsys,
+                                                      wall_bound):
+    # the Hom complex and the chain-map check visit the degrees where
+    # the complexes have terms, not every degree between them
+    script = tmp_path / "wide.lvc"
+    script.write_text("A = artin(F2; x | x^2)\n"
+                      "complex K over A : range 999999999999..0 ; "
+                      "rank 999999999999 = 1 ; d1 = [[x]]\n"
+                      "level Proj K\nlevel GP K\n")
+    with wall_bound(10):
+        assert main([str(script)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "level proj K: range 2 3", "level gproj K: exact 2"]
+
+
 def test_dangling_exponent_is_a_clean_error(tmp_path, capsys):
     script = tmp_path / "caret.lvc"
     script.write_text("A = artin(Q; x | x^2)\n"
@@ -526,3 +570,57 @@ def test_memory_error_in_command_is_a_clean_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "error: out of memory"
+
+
+def test_commands_on_one_module_share_its_cover_tower(monkeypatch):
+    # k over poly(F101; x, y, z) has pd 3: the four level reports, adams
+    # and splice all read one tower of four steps on one stalk of k
+    built = count_cover_steps(monkeypatch)
+    payload = run_payload(REGULAR + "level Proj k\nlevel Flat k\n"
+                          "level GP k\nlevel GF k\nadams k\nsplice k\n")
+    assert len(built) == 4 and len(set(map(id, built))) == 4
+    assert [rep["certificate"]["verdict"] for rep in payload["reports"][:4]] \
+        == [["exact", 4]] * 4
+    assert payload["reports"][4]["tower"]["layers"] == 4
+    assert payload["reports"][5]["splice"]["ok"] is True
+
+
+def test_towers_of_every_cap_read_one_set_of_steps(tmp_path, capsys):
+    # towers capped below, at and past the steps already built give the
+    # reports of towers built from scratch
+    body = ("adams k 2\nlevel Proj k\nadams k 1\nsplice k 3\n"
+            "adams k\n")
+    script = tmp_path / "caps.lvc"
+    script.write_text(REGULAR + body)
+    out = tmp_path / "caps.json"
+    assert main([str(script), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "adams k: 2 layers, cover ranks [{'0': 1}, {'0': 3}]",
+        "level proj k: exact 4",
+        "adams k: 1 layers, cover ranks [{'0': 1}]",
+        "splice k: 3 layers, all exact",
+        "adams k: 4 layers, cover ranks "
+        "[{'0': 1}, {'0': 3}, {'0': 3}, {'0': 1}]"]
+    reports = json.loads(out.read_text())["reports"]
+    config = default_config()
+    source = REGULAR + body
+    assert reports == [report_alone(source, cmd, line, config)
+                       for cmd, line in parse(source).commands]
+
+
+@pytest.mark.parametrize("name", ["artinian-5", "regular-5", "rational-5"])
+def test_reports_do_not_depend_on_the_commands_before_them(name,
+                                                           wall_bound):
+    # each command reports the same run alone in a fresh session and in
+    # a session run backwards as in the script's own order, so what one
+    # report leaves cached on a complex changes no later report
+    source = (GOLDEN / f"{name}.lvc").read_text()
+    config = default_config()
+    with wall_bound(60):
+        forward = _jsonable(run_session(parse(source), config))["reports"]
+        sess = parse(source)
+        backward = [run_command(sess, cmd, config, line)
+                    for cmd, line in reversed(sess.commands)]
+        assert _jsonable(backward[::-1]) == forward
+        for (cmd, line), want in zip(sess.commands, forward):
+            assert report_alone(source, cmd, line, config) == want, cmd

@@ -235,6 +235,28 @@ def test_report_builds_each_cover_step_once(A, R3, monkeypatch):
     assert len(decisions) == 1 and lengths == [2]
 
 
+def test_capped_search_builds_only_the_steps_it_reads(monkeypatch):
+    # golden artinian-5: stratification proves 3 for these four reports,
+    # so the ghost search reads the composites of at most 2 steps, and
+    # the tower builds those 2, not all 4 of --budget
+    sess = parse((Path(__file__).resolve().parent / "golden"
+                  / "artinian-5.lvc").read_text())
+    budget = build_arg_parser().get_default("budget")
+    steps, cover_step = [], adams.adams_step_proj
+
+    def counted(m):
+        steps.append(m)
+        return cover_step(m)
+
+    monkeypatch.setattr(adams, "adams_step_proj", counted)
+    for cls, name in (("inj", "KB"), ("proj", "TA1"), ("proj", "TB1"),
+                      ("proj", "TC1")):
+        steps.clear()
+        rep = level_report(sess.complexes[name], cls, budget=budget)
+        assert rep.upper.route == "stratification" and rep.upper.value == 3
+        assert len(steps) == 2 < budget, name
+
+
 def _uncapped_ghost_search(m, cls, one, tower):
     """The ghost search with no upper cap, as a test oracle: every
     composite from the top of the tower down, as the search ran before
