@@ -73,9 +73,7 @@ def adams_step_proj(m: Complex) -> AdamsStep:
 def cover_step(m: Complex) -> AdamsStep:
     """The cover step of m, built on first use and kept on m, like its
     homology, so every tower through m shares it."""
-    if m._cover_step is None:
-        m._cover_step = adams_step_proj(m)
-    return m._cover_step
+    return m.derived("cover_step", adams_step_proj, m)
 
 
 @dataclass

@@ -13,6 +13,12 @@ read-only mappings, so no u is changed in place under its cone. A
 route that needs the third object up to quasi-isomorphism (the
 cycle-boundary bound) carries that map on its own certificate.
 
+Complexes and chain maps are read-only, so what is derived from one is
+kept on it (Kept.derived): the homology, the dual and the cover step of
+a complex, the cone of a chain map, and the class-free evidence of the
+level reports of a complex. A shift records the complex it shifts, its
+root, and reads the root's homology through ShiftedHomologyData.
+
 ChainMapSpace is the Hom complex Hom(X, Y) in degrees 1, 0 and -1, with
 one differential builder: chain maps are the kernel of its differential
 on degree 0, null-homotopic maps the image of its differential on degree 1.
@@ -30,20 +36,33 @@ class ComplexError(ValueError):
     pass
 
 
-class Complex:
+class Kept:
+    """A read-only object that keeps the values derived from it."""
+
+    def derived(self, key, build, *args):
+        """build(*args), built on the first call with this key and kept
+        on the object, so every later caller reads the same value. Only
+        what the object alone determines is kept under a key."""
+        kept = self._derived
+        if key not in kept:
+            kept[key] = build(*args)
+        return kept[key]
+
+
+class Complex(Kept):
     def __init__(self, ring, modules: dict, diffs: dict, check: bool = True,
                  label: str | None = None):
         self.ring = ring
-        # modules and differentials are read-only, like Mat: the cached
-        # homology, dual and cover step (adams.cover_step, shared by every
-        # tower through this complex) hang on them
+        # modules and differentials are read-only, like Mat: the kept
+        # homology, dual, cover step (adams.cover_step, shared by every
+        # tower through this complex) and level evidence hang on them
         self.modules = MappingProxyType(
             {i: m for i, m in modules.items() if not m.is_zero_module()})
         self.label = label
         self._zero = zero_module(ring)
-        self._hdata = None
-        self._dual = None
-        self._cover_step = None
+        self._derived = {}
+        # shift() records the complex it shifts and by how much
+        self._root, self._offset = self, 0
         kept = {}
         for i, d in diffs.items():
             if d.source.is_zero_module() or d.target.is_zero_module():
@@ -85,31 +104,45 @@ class Complex:
         return not self.modules
 
     def hdata(self) -> "HomologyData":
-        if self._hdata is None:
-            self._hdata = HomologyData(self)
-        return self._hdata
+        return self.derived("hdata", self._homology_data)
+
+    def _homology_data(self) -> "HomologyData":
+        root, n = self._root, self._offset
+        if root is self:
+            return HomologyData(self)
+        return root.hdata() if n == 0 else \
+            ShiftedHomologyData(self, root.hdata(), n)
 
     def is_exact(self) -> bool:
         return self.hdata().is_exact()
 
     def shift(self, n: int = 1) -> "Complex":
+        """(shift X)_i = X_{i-n} with differential (-1)^n d.
+
+        The shift records its root, the complex that is not itself a
+        shift, and its offset from it, so shifts of shifts compose. Its
+        homology is a view of the root's, reindexed by the offset: a sign
+        changes no kernel or image inclusion, so only the epi onto the
+        boundaries is negated, for an odd offset. At offset 0 it is the
+        root's homology itself.
+        """
         mods = {i + n: m for i, m in self.modules.items()}
         diffs = {i + n: -d if n % 2 else d for i, d in self.diffs.items()}
-        return Complex(self.ring, mods, diffs, check=False)
+        out = Complex(self.ring, mods, diffs, check=False)
+        out._root, out._offset = self._root, self._offset + n
+        return out
 
     def dual(self) -> "Complex":
         """Degreewise linear dual: (X^v)_i = (X_{-i})^v, d_i = (d^X_{1-i})^v.
 
-        Cached like hdata(), so the dual keeps its computed homology.
+        Kept like hdata(), so the dual keeps its computed homology.
         """
         if self.ring.kind != "artin":
             raise ComplexError("duality is only available over artinian rings")
-        if self._dual is None:
-            # d: X_i -> X_{i-1} dualizes to (X_{i-1})^v -> (X_i)^v at 1-i
-            self._dual = Complex(
-                self.ring, {-i: m.dual() for i, m in self.modules.items()},
-                {1 - i: d.dual() for i, d in self.diffs.items()}, check=False)
-        return self._dual
+        # d: X_i -> X_{i-1} dualizes to (X_{i-1})^v -> (X_i)^v at 1-i
+        return self.derived("dual", lambda: Complex(
+            self.ring, {-i: m.dual() for i, m in self.modules.items()},
+            {1 - i: d.dual() for i, d in self.diffs.items()}, check=False))
 
     def __eq__(self, other):
         if other is self:
@@ -128,11 +161,12 @@ def module_stalk(ring, M, n: int = 0) -> Complex:
     return Complex(ring, {n: M}, {}, check=False)
 
 
-class ChainMap:
+class ChainMap(Kept):
     def __init__(self, source: Complex, target: Complex, comps: dict,
                  check: bool = True):
         self.source = source
         self.target = target
+        self._derived = {}
         kept = {}
         for i, h in comps.items():
             if h.source.is_zero_module() or h.target.is_zero_module():
@@ -140,7 +174,7 @@ class ChainMap:
             if not (h.source == source.module(i) and h.target == target.module(i)):
                 raise ComplexError(f"component at degree {i} mismatches modules")
             kept[i] = h
-        # read-only, so a cone built on this map cannot go stale
+        # read-only, so the cone kept on this map cannot go stale
         self.comps = MappingProxyType(kept)
         if check and not self.is_chain_map():
             raise ComplexError("not a chain map")
@@ -305,6 +339,31 @@ class HomologyData:
         return all(self.homology(i).is_zero_module() for i in self.x.support())
 
 
+class ShiftedHomologyData(HomologyData):
+    """The homology data of x = root.shift(n), read off the root's.
+
+    Degree i of x is degree i - n of the root, and d^x = (-1)^n d, so
+    cycles, boundary inclusions, homology and C_i are the root's; the
+    epi X_{i+1} ->> B_i is negated for odd n, so that incl . epi is d^x.
+    """
+
+    def __init__(self, x: Complex, root: HomologyData, n: int):
+        self.x, self.root, self.n = x, root, n
+
+    def cycles(self, i: int):
+        return self.root.cycles(i - self.n)
+
+    def _image_of_diff(self, i: int):
+        b, beta, epi = self.root._image_of_diff(i - self.n)
+        return b, beta, -epi if self.n % 2 else epi
+
+    def _homology_parts(self, i: int):
+        return self.root._homology_parts(i - self.n)
+
+    def cmod(self, i: int):
+        return self.root.cmod(i - self.n)
+
+
 class ConeData:
     """Cone(f: A -> B) with the degreewise summand maps remembered."""
 
@@ -339,7 +398,8 @@ class ConeData:
 
 
 def cone(f: ChainMap) -> ConeData:
-    return ConeData(f)
+    """Cone(f), kept on f, so is_quasi_iso reads one cone per map."""
+    return f.derived("cone", ConeData, f)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

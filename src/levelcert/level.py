@@ -33,9 +33,20 @@ the same complex; the upper bound is decided first, and its value caps
 the lower search, which tests no ghost composite at or past it and
 builds no step past the ones those composites read; certificates
 computed on the dual are relabelled with the original class.
+
+Only the class-membership screens depend on the class. The rest of the
+evidence is kept on the (possibly dualized) complex by Complex.derived,
+built on first use and shared by every report of it: besides its
+homology, dual and cover step, the formality decision of the one-step
+test (whether m is quasi-isomorphic to its homology complex) with its
+witness, the cycle-boundary triangle with its end map, the free
+replacement of the ghost search, and for each n the n-fold ghost
+composite, its Hom complex and whether it is null-homotopic. verify()
+reads none of these decisions: it checks the evidence again, and shares
+only the homology and cones kept on the complexes and maps it reads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle,
                         identity_chain_map, is_quasi_iso, module_stalk)
@@ -118,8 +129,11 @@ def homology_class_check(m: Complex, cls: str):
     return overall, per
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelOneResult:
+    """The one-step decision about subject. Read-only: its witness is
+    kept on the subject and shared by every report of it."""
+
     subject: Complex             # the complex decided: m, or its dual
     verdict: str                 # "yes" | "no" | "inconclusive"
     reason: str
@@ -183,22 +197,29 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
         return LevelOneResult(
             m, "inconclusive", "class membership screen undecided", per)
 
-    hdegs = sorted(per)
-    if len(hdegs) == 1:
+    if len(per) == 1:
         return LevelOneResult(
             m, "yes", "homology concentrated in a single degree", per)
-
     # every homology module lies in C, so what is left is whether m is
-    # quasi-isomorphic to its homology complex
+    # quasi-isomorphic to its homology complex: a question about m alone,
+    # decided once and kept on m for every class
+    verdict, reason, witness = m.derived("formality", _formality, m)
+    return LevelOneResult(m, verdict, reason, per, witness)
+
+
+def _formality(m: Complex):
+    """(verdict, reason, witness): whether m, with homology in more than
+    one degree, is quasi-isomorphic to its homology complex."""
     hd = m.hdata()
+    hdegs = hd.nonzero_degrees()
     if all(hd.homology(i).is_free() for i in hdegs):
         # the minimal cover of free homology is an isomorphism on
         # homology, so the cover map itself is the witness; it is one
         # exactly when the layer the step has built is exact
         st = cover_step(m)
         if st.omega.is_exact():
-            return LevelOneResult(m, "yes", "free homology, cover map is a "
-                                  "quasi-isomorphism", per, witness=st.phi)
+            return ("yes", "free homology, cover map is a quasi-isomorphism",
+                    st.phi)
 
     cms, aug = derived_hom(m, homology_stalks(m))
     reps = list(_iter_class_maps(cms))
@@ -208,19 +229,16 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
             top_matrices([f.induced_on_homology(i) for f in reps])
             for i in hdegs])
     if verdict == "none":
-        return LevelOneResult(
-            m, "no", "no homotopy class of maps onto the homology complex "
-            f"induces an isomorphism: {found}", per)
+        return ("no", "no homotopy class of maps onto the homology complex "
+                f"induces an isomorphism: {found}", None)
     if verdict == "found":
         f = cms.map_from_coords(
             cms.class_space()[1] @ Mat.column(cms.field, found))
         if all(f.induced_on_homology(i).is_iso() for i in hdegs):
-            return LevelOneResult(
-                m, "yes", "found a quasi-isomorphism onto the homology "
-                "complex", per, witness=(aug, f))
-    return LevelOneResult(
-        m, "inconclusive", "no verified quasi-isomorphism onto the homology "
-        "complex was found", per)
+            return ("yes", "found a quasi-isomorphism onto the homology "
+                    "complex", (aug, f))
+    return ("inconclusive", "no verified quasi-isomorphism onto the "
+            "homology complex was found", None)
 
 
 def derived_hom(m: Complex, n: Complex):
@@ -353,17 +371,34 @@ def upper_via_cycle_boundary(m: Complex, cls: str):
     kernels of surjections and summands. So if every B_i and X_i/B_i
     lies in C, then so do H_i, by 0 -> H_i -> X_i/B_i -> B_{i-1} -> 0,
     and Z_i; and the quotient layer X/B is zero only when m is.
+
+    Only the membership screen depends on the class: the triangle and
+    its end map are kept on m and shared by every class that passes it.
     """
     cls = normalize_class(cls)
     hd = m.hdata()
-    degs = sorted(m.support())
-    cycles, bounds = {}, {}
-    for i in degs:
-        cycles[i] = hd.cycles(i)           # (Z_i, inclusion)
-        bounds[i] = hd.boundaries(i - 1)   # (B_{i-1}, inclusion, epi)
-    if not _stalk_members_ok([cycles[i][0] for i in degs]
-                             + [bounds[i][0] for i in degs], cls):
+    degs = m.support()
+    if not _stalk_members_ok([hd.cycles(i)[0] for i in degs]
+                             + [hd.boundaries(i - 1)[0] for i in degs], cls):
         return None
+    tri, t = m.derived("cycle_boundary", _cycle_boundary_triangle, m)
+    sub_cx, quot_cx = tri.u.source, t.target
+    # an empty quotient layer means the sub layer alone is already
+    # quasi-isomorphic to m, so the bound tightens to one
+    value = 1 if quot_cx.is_zero_complex() else 2
+    return UpperCertificate(
+        cls, value, "cycle-boundary",
+        data={"sub_support": [int(i) for i in sub_cx.support()],
+              "quotient_support": [int(i) for i in quot_cx.support()]},
+        subject=m, triangles=[tri], end_map=t)
+
+
+def _cycle_boundary_triangle(m: Complex):
+    """(triangle Z -> m -> Cone(u), end map Cone(u) -> shift(B))."""
+    hd = m.hdata()
+    degs = m.support()
+    cycles = {i: hd.cycles(i) for i in degs}          # (Z_i, inclusion)
+    bounds = {i: hd.boundaries(i - 1) for i in degs}  # (B_{i-1}, incl, epi)
     sub_cx = Complex(m.ring, {i: cycles[i][0] for i in degs}, {},
                      check=False)
     quot_cx = Complex(m.ring, {i: bounds[i][0] for i in degs}, {},
@@ -379,14 +414,7 @@ def upper_via_cycle_boundary(m: Complex, cls: str):
                  {i: bounds[i][2].compose(cd.pr_b[i])
                   for i in cd.complex.support() if i in quot_cx.support()},
                  check=False)
-    # an empty quotient layer means the sub layer alone is already
-    # quasi-isomorphic to m, so the bound tightens to one
-    value = 1 if quot_cx.is_zero_complex() else 2
-    return UpperCertificate(
-        cls, value, "cycle-boundary",
-        data={"sub_support": [int(i) for i in sub_cx.support()],
-              "quotient_support": [int(i) for i in quot_cx.support()]},
-        subject=m, triangles=[tri], end_map=t)
+    return tri, t
 
 
 def upper_via_stratification(m: Complex, cls: str):
@@ -540,6 +568,10 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     and chain length as the uncapped one. When U is no more than the
     bound already in hand, the search is empty: it builds no step,
     replacement or Hom complex.
+
+    The search itself is class-free: each composite is decided once and
+    kept on m (_ghost_test), so every class whose ghosts are the tower's
+    reads one search.
     """
     best = LowerCertificate(cls, 1, "nonzero-homology", subject=m)
     if one.verdict == "no":
@@ -554,20 +586,32 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
             return best
         # targets of the composites carry homology up to n degrees above
         # the top of H(m), so the replacement needs that much headroom
-        P, aug = _replacement(m, extra=top + 2)
         for n in range(top, best.value - 1, -1):
-            gamma = tower.ghost_composite(n)
-            factors = [tower.step(0).delta] + \
-                [tower.step(s).delta.shift(s) for s in range(1, n)]
-            comp = gamma.compose(aug)
-            space = ChainMapSpace(P, gamma.target)
-            if not space.is_null_homotopic(comp):
+            space, comp, factors, null = m.derived(
+                ("ghost", n, top + 2), _ghost_test, tower, n, top + 2)
+            if not null:
                 best = LowerCertificate(
                     cls, n + 1, "ghost-chain",
                     data={"chain_length": n}, subject=m,
                     ghost=(space, comp, factors))
                 break
     return best
+
+
+def _ghost_test(tower: AdamsTower, n: int, extra: int):
+    """(space, comp, factors, null) for the n-fold ghost composite of the
+    tower of m = tower.m: the composite after the augmentation of the
+    free replacement of m with headroom extra (kept on m), the Hom
+    complex it lies in, its n ghost factors, and whether it is
+    null-homotopic."""
+    m = tower.m
+    gamma = tower.ghost_composite(n)
+    factors = (tower.step(0).delta,) + tuple(
+        tower.step(s).delta.shift(s) for s in range(1, n))
+    P, aug = m.derived(("replacement", extra), _replacement, m, extra)
+    comp = gamma.compose(aug)
+    space = ChainMapSpace(P, gamma.target)
+    return space, comp, factors, space.is_null_homotopic(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +673,14 @@ def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
     dualized = cls in DUAL_CLASS and m.ring.kind == "artin"
     base, bcls = (m.dual(), DUAL_CLASS[cls]) if dualized else (m, cls)
     one = level_one_test(base, bcls)
+    if dualized:
+        one = replace(one, reason=one.reason + " (computed on the dual "
+                      "complex)")
     tower = adams_tower(base, budget)
     upper = upper_certificate(base, bcls, one, tower)
     lower = ghost_lower_bound(base, bcls, one, tower,
                               upper.value if upper is not None else None)
     if dualized:
-        one.reason += " (computed on the dual complex)"
         for cert, note in ((upper, "computed on the vector-space dual; "
                             "duality swaps projective and injective layers"),
                            (lower, "computed on the vector-space dual")):

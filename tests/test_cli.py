@@ -11,6 +11,7 @@ import levelcert.rings
 from levelcert.cli import (ParseError, VerificationError, _jsonable,
                            build_arg_parser, main, parse, run_command,
                            run_session)
+from levelcert.complexes import zero_chain_map
 from levelcert.corpus import run_corpus
 from levelcert.grobner import BudgetExceeded
 
@@ -583,6 +584,76 @@ def test_commands_on_one_module_share_its_cover_tower(monkeypatch):
         == [["exact", 4]] * 4
     assert payload["reports"][4]["tower"]["layers"] == 4
     assert payload["reports"][5]["splice"]["ok"] is True
+
+
+def test_level_reports_of_one_module_share_one_ghost_search(monkeypatch):
+    # the ghost search is class-free: the four level reports of k over
+    # poly(F101; x, y, z) read one free replacement and one Hom complex,
+    # kept on the stalk of k, where each report once built its own
+    built = {"semiprojective_resolution": [], "ChainMapSpace": []}
+    for name, calls in built.items():
+        make = getattr(levelcert.level, name)
+
+        def counted(*args, _make=make, _calls=calls, **kwargs):
+            _calls.append(args)
+            return _make(*args, **kwargs)
+
+        monkeypatch.setattr(levelcert.level, name, counted)
+    payload = run_payload(REGULAR + "level Proj k\nlevel Flat k\n"
+                          "level GP k\nlevel GF k\n")
+    certs = [rep["certificate"] for rep in payload["reports"]]
+    assert [c["verdict"] for c in certs] == [["exact", 4]] * 4
+    assert [c["lower"]["route"] for c in certs] == ["ghost-chain"] * 4
+    assert all(c["verified"] for c in certs)
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "semiprojective_resolution": 1, "ChainMapSpace": 1}
+
+
+@pytest.mark.parametrize("source, route", [
+    (REGULAR + "level Proj k\nlevel Flat k\nlevel GF k\n", "ghost-chain"),
+    (KOSZUL + "level GP K\nlevel GF K\nlevel GI K\n", "cycle-boundary")])
+def test_verify_reads_no_kept_decision(source, route):
+    # the ghost search and the cycle-boundary triangle are kept on the
+    # complex and shared by its reports, but verify() checks the
+    # evidence again: a tampered certificate fails while the kept
+    # decision is intact, passes once restored, and the reports after it
+    # are those of the same commands run alone
+    sess = parse(source)
+    config = default_config()
+    (_, cls, name), line = sess.commands[0]
+    x = sess.as_complex(name, line)
+    rep = levelcert.level.level_report(x, cls, budget=config["budget"])
+    if route == "ghost-chain":
+        cert = rep.lower
+        space, comp, factors = kept = cert.ghost
+        bad = (space, zero_chain_map(comp.source, comp.target), factors)
+        part = "ghost"
+    else:
+        cert = rep.upper
+        kept = cert.end_map
+        # the zero map onto a nonzero layer is not a quasi-isomorphism
+        assert not kept.target.is_zero_complex()
+        bad, part = zero_chain_map(kept.source, kept.target), "end_map"
+    assert cert.route == route and rep.verify()
+    setattr(cert, part, bad)
+    assert not cert.verify() and not rep.verify()
+    later = [run_command(sess, cmd, config, line)
+             for cmd, line in sess.commands[1:]]
+    setattr(cert, part, kept)
+    assert cert.verify() and rep.verify()
+    later += [run_command(sess, cmd, config, line)
+              for cmd, line in sess.commands[1:]]
+    alone = [report_alone(source, cmd, line, config)
+             for cmd, line in sess.commands[1:]]
+    assert _jsonable(later) == alone * 2
+    assert all(r["certificate"]["verified"] for r in later)
+    # the later reports read the evidence this one left on the complex
+    again = levelcert.level.level_report(x, sess.commands[1][0][1],
+                                         budget=config["budget"])
+    if route == "ghost-chain":
+        assert again.lower.ghost[0] is space
+    else:
+        assert again.upper.end_map is kept
 
 
 def test_towers_of_every_cap_read_one_set_of_steps(tmp_path, capsys):

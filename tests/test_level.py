@@ -7,6 +7,7 @@ reproduce; each expected number comes with the route that produces it.
 import json
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -547,7 +548,8 @@ def test_out_of_scope_and_zero(A, R3):
 def test_level_report_runs_the_one_step_test_once(A, monkeypatch):
     # no cover tower runs over an artinian base, so a report's only call
     # is its one-step decision: on the dual complex for the injective
-    # classes, which keeps a note of that, and on m itself otherwise
+    # classes, whose certificates carry it with a note of that, and on m
+    # itself otherwise; the decision itself is read-only and unchanged
     calls = []
     decide = level.level_one_test
 
@@ -563,13 +565,32 @@ def test_level_report_runs_the_one_step_test_once(A, monkeypatch):
               module_stalk(A, artin_free(A, 2))):
         for cls in level.CLASS_KEYS:
             calls.clear()
-            level_report(m, cls)
+            rep = level_report(m, cls)
             dual = cls in ("inj", "ginj")
             assert len(calls) == 1, cls
             (subject, one), = calls
             assert subject is (m.dual() if dual else m), cls
-            assert one.reason.endswith(" (computed on the dual complex)") \
-                == dual, cls
+            carried = [cert.level_one for cert in (rep.upper, rep.lower)
+                       if cert is not None and cert.level_one is not None]
+            assert carried or rep.lower.route == "ghost-chain", cls
+            for got in carried:
+                assert (got.subject, got.verdict) == (subject, one.verdict)
+                assert got.reason == one.reason + (
+                    " (computed on the dual complex)" if dual else ""), cls
+            assert not one.reason.endswith(" (computed on the dual complex)")
+
+
+def test_a_level_one_result_is_read_only(A):
+    # its decision and witness are kept on the subject and shared by
+    # every report of it, so no report may change them for the next
+    K = koszul_complex(A)
+    one = level_one_test(K, "gproj")
+    assert one.verdict == "no"
+    for name, value in (("verdict", "yes"), ("reason", "edited"),
+                        ("witness", None), ("subject", K.dual())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(one, name, value)
+    assert level_one_test(K, "gflat").reason == one.reason
 
 
 def test_carried_one_step_results_are_about_the_subject(A):
