@@ -11,7 +11,6 @@ of a cover step on the dual complex.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 from types import MappingProxyType
 
 from .modules import free_hom, free_module
@@ -80,15 +79,15 @@ def cover_step(m: Complex) -> AdamsStep:
 class AdamsTower:
     """Layers L0 = m, L1, ..., Ln with covers F^s -> L_s.
 
-    A capped walk along the cover steps each layer keeps: step(s) builds
-    the steps up to s only, and the tower stops early at an exact layer
-    and at the cap n.
+    A capped walk along the cover steps each layer keeps: a reader takes
+    walk(cap) once, which builds the steps it reaches only, and stops
+    early at an exact layer and at the cap n.
     """
 
     m: Complex
     n: int
 
-    def _walk(self, cap: int):
+    def walk(self, cap: int):
         """The steps from layer 0, at most min(cap, n) of them."""
         cur = self.m
         for _ in range(min(cap, self.n)):
@@ -98,34 +97,26 @@ class AdamsTower:
             yield st
             cur = st.omega
 
-    def step(self, s: int) -> AdamsStep | None:
-        """The cover step of layer s, or None when the tower stops first."""
-        return next(islice(self._walk(s + 1), s, None), None)
-
-    def length(self, cap: int) -> int:
-        """The number of steps, counting at most cap of them."""
-        return sum(1 for _ in self._walk(cap))
-
     @property
     def steps(self) -> list:
         """Every step of the tower, up to the cap."""
-        return list(self._walk(self.n))
+        return list(self.walk(self.n))
 
-    def layer(self, s: int) -> Complex:
-        return self.m if s == 0 else self.step(s - 1).omega
-
-    def ghost_composite(self, n: int) -> ChainMap:
-        """m -> shift(L_n, n), the composite of n connecting maps.
+    def ghost_composite(self, n: int):
+        """(m -> shift(L_n, n), its factors): the composite of the first n
+        connecting maps, each shifted to follow the one before.
 
         Each factor induces zero on homology, so a nonzero homotopy
         class of the composite forces at least n + 1 free-cover layers.
         """
-        if not 1 <= n <= self.length(n):
+        factors = tuple(st.delta.shift(s) if s else st.delta
+                        for s, st in enumerate(self.walk(n)))
+        if not 1 <= n <= len(factors):
             raise AdamsError("tower too short for the requested composite")
-        gamma = self.step(0).delta
-        for s in range(1, n):
-            gamma = self.step(s).delta.shift(s).compose(gamma)
-        return gamma
+        gamma = factors[0]
+        for delta in factors[1:]:
+            gamma = delta.compose(gamma)
+        return gamma, factors
 
     def summary(self) -> dict:
         steps = self.steps
@@ -146,17 +137,16 @@ def adams_tower(m: Complex, n: int) -> AdamsTower:
     return AdamsTower(m, n)
 
 
-def _h_into_cover(tower: AdamsTower, s: int, i: int):
-    """H_i(L_s) -> F^{s-1}_i, the connecting inclusion, for s >= 1.
+def _h_into_cover(step: AdamsStep, i: int):
+    """H_i(omega) -> F_i, the connecting inclusion of the layer the step
+    leaves into its cover.
 
-    A class of L_s = shift(cone(phi), -1) is represented by a cycle
+    A class of omega = shift(cone(phi), -1) is represented by a cycle
     (f, m') with zero F-differential component; sending it to f is well
     defined because boundaries have zero F-component, and it is injective
     because phi is surjective on homology.
     """
-    step = tower.step(s - 1)
-    omega = step.omega
-    hd = omega.hdata()
+    hd = step.omega.hdata()
     H = hd.homology(i)
     if H.is_zero_module():
         return None, H
@@ -168,32 +158,22 @@ def _h_into_cover(tower: AdamsTower, s: int, i: int):
     return incl, H
 
 
-def splice_complex(tower: AdamsTower, i: int, n: int = None) -> Complex:
-    """The degree-i splice 0 -> H_i(L_n) -> F^{n-1}_i -> ... -> H_i(m).
+def splice_complex(steps: list, i: int) -> Complex:
+    """The degree-i splice 0 -> H_i(L_n) -> F^{n-1}_i -> ... -> H_i(m)
+    of the n steps of a tower.
 
     Returned as a complex in degrees 0..n+1 whose exactness (including
     at both ends) is the splice property.
     """
-    steps = tower.steps
-    if n is None:
-        n = len(steps)
-    if not 1 <= n <= len(steps):
+    n = len(steps)
+    if n == 0:
         raise AdamsError("tower too short for the requested splice")
-    ring = steps[0].m.ring
-    mods, diffs = {}, {}
-    hd0 = steps[0].m.hdata()
-    mods[0] = hd0.homology(i)
-    for s in range(n):
-        st = steps[s]
-        if i in st.cover:
-            mods[s + 1] = st.F.module(i)
-        else:
-            mods[s + 1] = None
+    mods, diffs = {0: steps[0].m.hdata().homology(i)}, {}
     incls = {}
-    for s in range(1, n + 1):
-        incls[s], hs = _h_into_cover(tower, s, i)
-        if s == n:
-            mods[n + 1] = hs
+    for s, st in enumerate(steps, 1):
+        mods[s] = st.F.module(i) if i in st.cover else None
+        incls[s], top = _h_into_cover(st, i)
+    mods[n + 1] = top
     for s in range(n + 1):
         src, tgt = mods[s + 1], mods[s]
         if src is None or tgt is None or src.is_zero_module() \
@@ -206,23 +186,18 @@ def splice_complex(tower: AdamsTower, i: int, n: int = None) -> Complex:
         else:
             diffs[s + 1] = incls[s].compose(steps[s].cover[i])
     clean = {d: m for d, m in mods.items() if m is not None}
-    return Complex(ring, clean, diffs, check=True)
+    return Complex(steps[0].m.ring, clean, diffs, check=True)
 
 
-def verify_splice(tower: AdamsTower, n: int = None) -> dict:
-    """Exactness of every degreewise splice through layer n."""
+def verify_splice(tower: AdamsTower) -> dict:
+    """Exactness of every degreewise splice through the tower's steps."""
     steps = tower.steps
-    if n is None:
-        n = len(steps)
-    degs = set()
-    for st in steps[:n]:
+    degs = set(tower.m.hdata().nonzero_degrees())
+    for st in steps:
         degs |= set(st.F.support())
-    degs |= set(tower.m.hdata().nonzero_degrees())
-    per = {}
-    for i in sorted(degs):
-        per[int(i)] = splice_complex(tower, i, n).is_exact()
+    per = {int(i): splice_complex(steps, i).is_exact() for i in sorted(degs)}
     return {"ok": all(per.values()), "per_degree": per,
-            "layers": n, "side": "proj"}
+            "layers": len(steps), "side": "proj"}
 
 
 def adams_step_inj(m: Complex) -> AdamsStep:

@@ -569,8 +569,7 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
     elif verb == "splice":
         x = sess.as_complex(cmd[1], line)
         n = cmd[2] if cmd[2] is not None else config["budget"]
-        tower = adams_tower(x, n)
-        rep = verify_splice(tower, tower.length(n))
+        rep = verify_splice(adams_tower(x, n))
         out["name"] = cmd[1]
         out["splice"] = {"layers": rep["layers"], "ok": rep["ok"],
                          "per_degree": {str(k): v for k, v
@@ -636,7 +635,9 @@ def _human_lines(payload: dict):
                        r["status"], r["status"])
             yield f"{verb} {name} = {val}"
         elif verb == "depth":
-            yield f"depth {name} = {rep['depth']}"
+            # None is the zero object's depth
+            depth = "infinity" if rep["depth"] is None else rep["depth"]
+            yield f"depth {name} = {depth}"
         elif verb == "adams":
             ranks = [st["cover_ranks"] for st in rep["tower"]["steps"]]
             yield (f"adams {name}: {rep['tower']['layers']} layers, "

@@ -15,9 +15,11 @@ cycle-boundary bound) carries that map on its own certificate.
 
 Complexes and chain maps are read-only, so what is derived from one is
 kept on it (Kept.derived): the homology, the dual and the cover step of
-a complex, the cone of a chain map, and the class-free evidence of the
-level reports of a complex. A shift records the complex it shifts, its
-root, and reads the root's homology through ShiftedHomologyData.
+a complex, the cone of a chain map, and from the class-free evidence
+of the level reports of a complex, the formality decision and the ghost
+search with its free replacement (the cycle-boundary triangle is built
+per report). A shift records the complex it shifts, its root, and
+reads the root's homology through ShiftedHomologyData.
 
 ChainMapSpace is the Hom complex Hom(X, Y) in degrees 1, 0 and -1, with
 one differential builder: chain maps are the kernel of its differential

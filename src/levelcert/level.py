@@ -39,11 +39,12 @@ evidence is kept on the (possibly dualized) complex by Complex.derived,
 built on first use and shared by every report of it: besides its
 homology, dual and cover step, the formality decision of the one-step
 test (whether m is quasi-isomorphic to its homology complex) with its
-witness, the cycle-boundary triangle with its end map, the free
-replacement of the ghost search, and for each n the n-fold ghost
-composite, its Hom complex and whether it is null-homotopic. verify()
-reads none of these decisions: it checks the evidence again, and shares
-only the homology and cones kept on the complexes and maps it reads.
+witness, the free replacement of the ghost search, and for each n the
+n-fold ghost composite, its Hom complex and whether it is
+null-homotopic. The cycle-boundary triangle is not kept: each report
+whose class passes its screen builds it again. verify() reads none of
+these decisions: it checks the evidence again, and shares only the
+homology and cones kept on the complexes and maps it reads.
 """
 
 from dataclasses import dataclass, field, replace
@@ -372,8 +373,9 @@ def upper_via_cycle_boundary(m: Complex, cls: str):
     lies in C, then so do H_i, by 0 -> H_i -> X_i/B_i -> B_{i-1} -> 0,
     and Z_i; and the quotient layer X/B is zero only when m is.
 
-    Only the membership screen depends on the class: the triangle and
-    its end map are kept on m and shared by every class that passes it.
+    The triangle and its end map are built for each class that passes
+    the membership screen and are not kept on m: they are most of the
+    memory the kept evidence would hold, and few reports read them.
     """
     cls = normalize_class(cls)
     hd = m.hdata()
@@ -381,7 +383,7 @@ def upper_via_cycle_boundary(m: Complex, cls: str):
     if not _stalk_members_ok([hd.cycles(i)[0] for i in degs]
                              + [hd.boundaries(i - 1)[0] for i in degs], cls):
         return None
-    tri, t = m.derived("cycle_boundary", _cycle_boundary_triangle, m)
+    tri, t = _cycle_boundary_triangle(m)
     sub_cx, quot_cx = tri.u.source, t.target
     # an empty quotient layer means the sub layer alone is already
     # quasi-isomorphic to m, so the bound tightens to one
@@ -454,16 +456,14 @@ def upper_via_tower(cls: str, tower: AdamsTower):
     it: upper_certificate runs it over a graded base only, where inj and
     ginj are out of scope.
     """
-    for n in range(1, tower.n + 1):
-        step = tower.step(n - 1)
-        if step is None:
-            break
+    tris = []
+    for step in tower.walk(tower.n):
+        tris.append(step.triangle)
         lo = level_one_test(step.omega, cls)
         if lo.verdict == "yes":
-            tris = [tower.step(s).triangle for s in range(n)]
             return UpperCertificate(
-                cls, n + 1, "cover-tower",
-                data={"layers": n, "tower": tower.summary()},
+                cls, len(tris) + 1, "cover-tower",
+                data={"layers": len(tris), "tower": tower.summary()},
                 level_one=lo, subject=tower.m, triangles=tris)
     return None
 
@@ -559,15 +559,16 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     gives.
 
     upper is the value U of the upper certificate already proved for m,
-    or None when there is none. It caps the search, which tests the
-    composites from n = tower.length(U - 1) down and so builds at most
-    U - 1 steps. That loses nothing: by the ghost lemma a non-null
-    n-fold composite proves level >= n + 1, and the upper certificate
-    proves level <= U, so every composite with n >= U is null-homotopic
-    and testing one would only confirm that. The capped search thus finds the same n, route
-    and chain length as the uncapped one. When U is no more than the
-    bound already in hand, the search is empty: it builds no step,
-    replacement or Hom complex.
+    or None when there is none. It caps the search, which sizes itself
+    by one walk capped at U - 1 steps and tests the composites from
+    the last step that walk reaches down, so it builds at most U - 1
+    steps. That loses nothing: by the ghost lemma a non-null n-fold
+    composite proves level >= n + 1, and the upper certificate proves
+    level <= U, so every composite with n >= U is null-homotopic and
+    testing one would only confirm that. The capped search thus finds
+    the same n, route and chain length as the uncapped one. When U is
+    no more than the bound already in hand, the search is empty: it
+    builds no step, replacement or Hom complex.
 
     The search itself is class-free: each composite is decided once and
     kept on m (_ghost_test), so every class whose ghosts are the tower's
@@ -581,7 +582,8 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
         return best
 
     if cls in ("proj", "flat") or m.ring.kind != "artin":
-        top = tower.length(tower.n if upper is None else upper - 1)
+        top = sum(1 for _ in tower.walk(tower.n if upper is None
+                                        else upper - 1))
         if top < best.value:
             return best
         # targets of the composites carry homology up to n degrees above
@@ -605,9 +607,7 @@ def _ghost_test(tower: AdamsTower, n: int, extra: int):
     complex it lies in, its n ghost factors, and whether it is
     null-homotopic."""
     m = tower.m
-    gamma = tower.ghost_composite(n)
-    factors = (tower.step(0).delta,) + tuple(
-        tower.step(s).delta.shift(s) for s in range(1, n))
+    gamma, factors = tower.ghost_composite(n)
     P, aug = m.derived(("replacement", extra), _replacement, m, extra)
     comp = gamma.compose(aug)
     space = ChainMapSpace(P, gamma.target)

@@ -2,6 +2,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+import levelcert.adams
+from levelcert.level import level_report
 from levelcert.rings import make_ring
 from levelcert.modules import (artin_free, artin_residue_field,
                                find_isomorphism, graded_residue_field)
@@ -38,10 +40,10 @@ def test_a_cover_step_is_read_only(A):
 def test_towers_through_a_complex_share_its_steps(A):
     K = koszul_complex(A)
     short, long = adams_tower(K, 1), adams_tower(K, 3)
-    assert short.step(0) is long.step(0)
-    assert short.step(1) is None and short.length(5) == 1
-    assert long.step(1) is adams_tower(long.layer(1), 1).step(0)
-    assert adams_step_inj(K) is adams_tower(K.dual(), 1).step(0)
+    assert short.steps[0] is long.steps[0]
+    assert len(short.steps) == len(list(short.walk(5))) == 1
+    assert long.steps[1] is adams_tower(long.steps[0].omega, 1).steps[0]
+    assert adams_step_inj(K) is adams_tower(K.dual(), 1).steps[0]
 
 
 def test_step_on_residue_field(A):
@@ -78,7 +80,7 @@ def test_splice_residue_field_one_layer(A):
     # 0 -> k -> A -> k -> 0 in degree 0
     m = k_stalk(A)
     tw = adams_tower(m, 1)
-    sp = splice_complex(tw, 0)
+    sp = splice_complex(tw.steps, 0)
     dims = [sp.module(j).dim for j in range(3)]
     assert dims == [1, 2, 1]
     assert sp.is_exact()
@@ -125,10 +127,12 @@ def test_tower_stops_on_exact_layer(A):
 def test_ghost_composite_is_chain_map(A):
     m = k_stalk(A)
     tw = adams_tower(m, 3)
-    g2 = tw.ghost_composite(2)
+    g2, factors = tw.ghost_composite(2)
     assert g2.source == m
     # target is the double shift of layer 2
-    assert g2.target == tw.layer(2).shift(2)
+    assert g2.target == tw.steps[1].omega.shift(2)
+    assert len(factors) == 2
+    assert all(d.induces_zero_on_homology() for d in factors)
     # recheck commuting squares explicitly
     ChainMap(g2.source, g2.target, g2.comps, check=True)
 
@@ -172,7 +176,7 @@ def test_inj_tower_coghost(A):
     tw = adams_tower(K.dual(), 2)
     rep = verify_splice(tw)
     assert rep["ok"]
-    cg = tw.ghost_composite(2).dual()
+    cg = tw.ghost_composite(2)[0].dual()
     assert cg.target == K.dual().dual()
     ChainMap(cg.source, cg.target, cg.comps, check=True)
 
@@ -183,3 +187,27 @@ def test_homology_stalks_helper(A):
     assert sorted(hs.support()) == [0, 1]
     assert all(hs.module(i).dim == 1 for i in (0, 1))
     assert hs.is_zero_complex() is False
+
+
+def test_each_reader_walks_the_tower_once(monkeypatch):
+    # over poly(F101; x, y, z) the tower of k has 4 steps; the splice
+    # reads each of them once, and one level report takes one walk per
+    # reader (the upper route, its summary, the search size and the
+    # composite it tests), not one walk per step it reads
+    R3 = make_ring("poly(F101; x, y, z)")
+    calls, cover_step = [], levelcert.adams.cover_step
+
+    def counted(m):
+        calls.append(m)
+        return cover_step(m)
+
+    monkeypatch.setattr(levelcert.adams, "cover_step", counted)
+    k = module_stalk(R3, graded_residue_field(R3))
+    rep = verify_splice(adams_tower(k, 4))
+    assert rep["ok"] and rep["layers"] == 4
+    assert len(calls) == 4
+    calls.clear()
+    k = module_stalk(R3, graded_residue_field(R3))
+    cert = level_report(k, "proj", budget=4)
+    assert cert.verdict == ("exact", 4)
+    assert len(set(map(id, calls))) == 4 and len(calls) <= 20

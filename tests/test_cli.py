@@ -449,6 +449,22 @@ def test_zero_object_dimension_prints_minus_infinity(tmp_path, capsys,
         assert rep["report"]["value"] is None
 
 
+@pytest.mark.parametrize("ring", ["artin(F2; x | x^2)", "poly(F101; x, y)"])
+def test_zero_object_depth_prints_infinity(tmp_path, capsys, ring):
+    # the depth of the zero object is infinity; the JSON keeps it as null
+    script = tmp_path / "z.lvc"
+    script.write_text(f"A = {ring}\n"
+                      "module Z over A = free 0\n"
+                      "complex E over A : range 1..0 ; d1 = [[1]]\n"
+                      "depth Z\ndepth E\n")
+    out = tmp_path / "z.json"
+    assert main([str(script), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "depth Z = infinity", "depth E = infinity"]
+    assert [rep["depth"] for rep in json.loads(out.read_text())["reports"]] \
+        == [None, None]
+
+
 def test_default_field_flag(tmp_path):
     script = tmp_path / "s.lvc"
     script.write_text("R = poly(x, y)\nmodule k over R = coker [[x, y]]\n"
@@ -613,11 +629,11 @@ def test_level_reports_of_one_module_share_one_ghost_search(monkeypatch):
     (REGULAR + "level Proj k\nlevel Flat k\nlevel GF k\n", "ghost-chain"),
     (KOSZUL + "level GP K\nlevel GF K\nlevel GI K\n", "cycle-boundary")])
 def test_verify_reads_no_kept_decision(source, route):
-    # the ghost search and the cycle-boundary triangle are kept on the
-    # complex and shared by its reports, but verify() checks the
-    # evidence again: a tampered certificate fails while the kept
-    # decision is intact, passes once restored, and the reports after it
-    # are those of the same commands run alone
+    # the ghost search is kept on the complex and shared by its reports,
+    # the cycle-boundary triangle is built per report, and verify()
+    # checks the evidence again: a tampered certificate fails while the
+    # kept decision is intact, passes once restored, and the reports
+    # after it are those of the same commands run alone
     sess = parse(source)
     config = default_config()
     (_, cls, name), line = sess.commands[0]
@@ -647,13 +663,15 @@ def test_verify_reads_no_kept_decision(source, route):
              for cmd, line in sess.commands[1:]]
     assert _jsonable(later) == alone * 2
     assert all(r["certificate"]["verified"] for r in later)
-    # the later reports read the evidence this one left on the complex
+    # the later reports read the ghost search this one left on the
+    # complex, and build their own cycle-boundary triangle
     again = levelcert.level.level_report(x, sess.commands[1][0][1],
                                          budget=config["budget"])
     if route == "ghost-chain":
         assert again.lower.ghost[0] is space
     else:
-        assert again.upper.end_map is kept
+        assert again.upper.end_map is not kept
+        assert again.upper.end_map.target == kept.target
 
 
 def test_towers_of_every_cap_read_one_set_of_steps(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_differentials_and_components_are_read_only():
             mapping[i] = mapping[i].scale(0)
         with pytest.raises(TypeError):
             del mapping[i]
-    layer = adams_tower(K, 1).layer(1)
+    layer = adams_tower(K, 1).steps[0].omega
     for x in (K, layer):
         i = next(iter(x.modules))
         with pytest.raises(TypeError):

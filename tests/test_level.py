@@ -271,7 +271,7 @@ def _uncapped_ghost_search(m, cls, one, tower):
         for n in range(len(tower.steps), 0, -1):
             if best[0] >= n + 1:
                 break
-            gamma = tower.ghost_composite(n)
+            gamma, _ = tower.ghost_composite(n)
             space = complexes.ChainMapSpace(P, gamma.target)
             if not space.is_null_homotopic(gamma.compose(aug)):
                 best = (n + 1, "ghost-chain", n)
@@ -755,7 +755,7 @@ def test_upper_certificates_chain_from_their_subject(A):
         assert cert.verify() and rep.verify()
     # a one-step verdict about another layer of the same tower
     one = cert.level_one
-    later = level_one_test(adams.adams_tower(k2, 4).layer(3), "proj")
+    later = level_one_test(adams.adams_tower(k2, 4).steps[2].omega, "proj")
     assert later.verdict == "yes"
     cert.level_one = later
     assert not cert.verify() and not rep.verify()

@@ -376,6 +376,22 @@ def test_gpd_non_gorenstein(B):
     assert dimension_report(artin_free(B, 2), "gpd").value == 0
 
 
+def test_gpd_of_a_complex_with_homology_in_one_degree(B):
+    # over the non-Gorenstein base a complex with homology in one degree
+    # s is the module H_s shifted by s, so its dimension is the module's
+    # plus s: gpd k >= 1 gives gpd >= 3 for k in degree 2, and a free
+    # stalk in degree 2 has gpd exactly 2; gid of k in degree -1 is the
+    # gpd of its dual, k in degree 1, so at least 2
+    k = artin_residue_field(B)
+    rep = dimension_report(module_stalk(B, k, 2), "gpd")
+    assert rep.status == "at_least" and rep.lower == 3
+    assert rep.witness["shift"] == 2
+    rep = dimension_report(module_stalk(B, artin_free(B, 1), 2), "gpd")
+    assert (rep.status, rep.value) == ("exact", 2)
+    rep = dimension_report(module_stalk(B, k, -1), "gid")
+    assert rep.status == "at_least" and rep.lower == 2
+
+
 def test_resolution_of_exact_complex_is_empty(A):
     AA = artin_free(A, 1)
     x = Complex(A, {0: AA, 1: AA}, {1: AA.identity_hom()})
