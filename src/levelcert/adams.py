@@ -25,7 +25,7 @@ def homology_stalks(x: Complex) -> Complex:
     """H(x) as a complex with zero differentials."""
     hd = x.hdata()
     mods = {i: hd.homology(i) for i in hd.nonzero_degrees()}
-    return Complex(x.ring, mods, {}, check=False)
+    return Complex(x.ring, mods, {})
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,10 @@ def adams_step_proj(m: Complex) -> AdamsStep:
         fmods[i] = Fi
         comps[i] = free_hom(Fi, m.module(i), reps)
         cover[i] = free_hom(Fi, H, hg)
-    F = Complex(ring, fmods, {}, check=False)
+    F = Complex(ring, fmods, {})
     # every generator image is a cycle, so phi commutes; the d^2 = 0
     # check of its cone, built in the triangle, confirms it
-    phi = ChainMap(F, m, comps, check=False)
+    phi = ChainMap(F, m, comps)
     tri = Triangle(phi)
     cd = tri.cone_data
     return AdamsStep(m, F, phi, MappingProxyType(cover),
@@ -186,7 +186,7 @@ def splice_complex(steps: list, i: int) -> Complex:
         else:
             diffs[s + 1] = incls[s].compose(steps[s].cover[i])
     clean = {d: m for d, m in mods.items() if m is not None}
-    return Complex(steps[0].m.ring, clean, diffs, check=True)
+    return Complex(steps[0].m.ring, clean, diffs).checked()
 
 
 def verify_splice(tower: AdamsTower) -> dict:

@@ -315,7 +315,7 @@ def _parse_action_module(ring, text: str, line: int) -> ArtinModule:
     if missing:
         raise ParseError(
             f"missing action matrices for {', '.join(missing)}", line)
-    return ArtinModule(ring, dim, [mats[v] for v in ring.varnames])
+    return ArtinModule(ring, dim, [mats[v] for v in ring.varnames]).checked()
 
 
 def _bind_complex(sess: Session, text: str, line: int):
@@ -421,7 +421,7 @@ def _build_complex(ring, name, hi, lo, dmats, twists, ranks, line):
                 raise VerificationError(
                     f"d{i} touches a zero term", line)
             diffs[i] = free_hom_from_polys(mods[i], mods[i - 1], rows)
-        return Complex(ring, mods, diffs, check=True, label=name)
+        return Complex(ring, mods, diffs, label=name).checked()
     except (ModuleError, ComplexError) as e:
         raise VerificationError(str(e), line) from e
 
@@ -586,7 +586,7 @@ def run_command(sess: Session, cmd, config, line: int = 0) -> dict:
         inconclusive = rep.verdict[0] != "exact"
     elif verb == "bass":
         x = sess.as_complex(cmd[1], line)
-        rep = bass_check(x)
+        rep = bass_check(x, config["budget"])
         out["name"] = cmd[1]
         out["bass"] = rep
         inconclusive = rep.get("applies") and rep.get("level_inj") is None
@@ -680,7 +680,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cutoff", type=int, default=6,
                     help="resolution window of dimension reports and resolve")
     ap.add_argument("--budget", type=int, default=4,
-                    help="tower depth for level bounds")
+                    help="tower depth for level bounds (level, bass) "
+                         "and the default count of adams and splice")
     ap.add_argument("--out", default=None,
                     help="write the JSON report to this path")
     ap.add_argument("--corpus-filter", default=None,

@@ -24,6 +24,11 @@ reads the root's homology through ShiftedHomologyData.
 ChainMapSpace is the Hom complex Hom(X, Y) in degrees 1, 0 and -1, with
 one differential builder: chain maps are the kernel of its differential
 on degree 0, null-homotopic maps the image of its differential on degree 1.
+
+Construction checks only that maps run between the right modules;
+checked() checks d^2 = 0 or the chain-map condition. It runs on the
+complexes of the command line and randgen, on every cone, on the splice
+and on a semiprojective resolution with its augmentation.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class Kept:
 
 
 class Complex(Kept):
-    def __init__(self, ring, modules: dict, diffs: dict, check: bool = True,
+    def __init__(self, ring, modules: dict, diffs: dict,
                  label: str | None = None):
         self.ring = ring
         # modules and differentials are read-only, like Mat: the kept
@@ -73,12 +78,14 @@ class Complex(Kept):
                 raise ComplexError(f"differential at degree {i} mismatches modules")
             kept[i] = d
         self.diffs = MappingProxyType(kept)
-        if check:
-            for i in list(self.diffs):
-                if i + 1 in self.diffs:
-                    comp = self.diffs[i].compose(self.diffs[i + 1])
-                    if not comp.is_zero():
-                        raise ComplexError(f"d^2 != 0 at degree {i + 1}")
+
+    def checked(self) -> "Complex":
+        """self, if d^2 = 0 in every degree; ComplexError if not."""
+        for i, d in self.diffs.items():
+            up = self.diffs.get(i + 1)
+            if up is not None and not d.compose(up).is_zero():
+                raise ComplexError(f"d^2 != 0 at degree {i + 1}")
+        return self
 
     def module(self, i: int):
         return self.modules.get(i, self._zero)
@@ -130,7 +137,7 @@ class Complex(Kept):
         """
         mods = {i + n: m for i, m in self.modules.items()}
         diffs = {i + n: -d if n % 2 else d for i, d in self.diffs.items()}
-        out = Complex(self.ring, mods, diffs, check=False)
+        out = Complex(self.ring, mods, diffs)
         out._root, out._offset = self._root, self._offset + n
         return out
 
@@ -144,7 +151,7 @@ class Complex(Kept):
         # d: X_i -> X_{i-1} dualizes to (X_{i-1})^v -> (X_i)^v at 1-i
         return self.derived("dual", lambda: Complex(
             self.ring, {-i: m.dual() for i, m in self.modules.items()},
-            {1 - i: d.dual() for i, d in self.diffs.items()}, check=False))
+            {1 - i: d.dual() for i, d in self.diffs.items()}))
 
     def __eq__(self, other):
         if other is self:
@@ -160,12 +167,11 @@ class Complex(Kept):
 
 
 def module_stalk(ring, M, n: int = 0) -> Complex:
-    return Complex(ring, {n: M}, {}, check=False)
+    return Complex(ring, {n: M}, {})
 
 
 class ChainMap(Kept):
-    def __init__(self, source: Complex, target: Complex, comps: dict,
-                 check: bool = True):
+    def __init__(self, source: Complex, target: Complex, comps: dict):
         self.source = source
         self.target = target
         self._derived = {}
@@ -178,8 +184,12 @@ class ChainMap(Kept):
             kept[i] = h
         # read-only, so the cone kept on this map cannot go stale
         self.comps = MappingProxyType(kept)
-        if check and not self.is_chain_map():
+
+    def checked(self) -> "ChainMap":
+        """self, if it is a chain map; ComplexError if not."""
+        if not self.is_chain_map():
             raise ComplexError("not a chain map")
+        return self
 
     def is_chain_map(self) -> bool:
         """Whether d . f == f . d in every degree: both sides vanish at
@@ -199,24 +209,24 @@ class ChainMap(Kept):
         comps = {}
         for i in set(self.comps) | set(other.comps):
             comps[i] = self.comp(i).compose(other.comp(i))
-        return ChainMap(other.source, self.target, comps, check=False)
+        return ChainMap(other.source, self.target, comps)
 
     def __add__(self, other):
         comps = {}
         for i in set(self.comps) | set(other.comps):
             comps[i] = self.comp(i) + other.comp(i)
-        return ChainMap(self.source, self.target, comps, check=False)
+        return ChainMap(self.source, self.target, comps)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return ChainMap(self.source, self.target,
-                        {i: -h for i, h in self.comps.items()}, check=False)
+                        {i: -h for i, h in self.comps.items()})
 
     def scale(self, c):
         return ChainMap(self.source, self.target,
-                        {i: h.scale(c) for i, h in self.comps.items()}, check=False)
+                        {i: h.scale(c) for i, h in self.comps.items()})
 
     def is_zero(self) -> bool:
         return all(h.is_zero() for h in self.comps.values())
@@ -227,11 +237,11 @@ class ChainMap(Kept):
 
     def shift(self, n: int = 1) -> "ChainMap":
         return ChainMap(self.source.shift(n), self.target.shift(n),
-                        {i + n: h for i, h in self.comps.items()}, check=False)
+                        {i + n: h for i, h in self.comps.items()})
 
     def dual(self) -> "ChainMap":
         return ChainMap(self.target.dual(), self.source.dual(),
-                        {-i: h.dual() for i, h in self.comps.items()}, check=False)
+                        {-i: h.dual() for i, h in self.comps.items()})
 
     def induced_on_homology(self, i: int):
         """The map H_i(source) -> H_i(target)."""
@@ -256,12 +266,11 @@ class ChainMap(Kept):
 
 
 def identity_chain_map(x: Complex) -> ChainMap:
-    return ChainMap(x, x, {i: x.module(i).identity_hom() for i in x.support()},
-                    check=False)
+    return ChainMap(x, x, {i: x.module(i).identity_hom() for i in x.support()})
 
 
 def zero_chain_map(x: Complex, y: Complex) -> ChainMap:
-    return ChainMap(x, y, {}, check=False)
+    return ChainMap(x, y, {})
 
 
 class HomologyData:
@@ -391,12 +400,13 @@ class ConeData:
             t2 = self.in_b[i - 1].compose(f.comp(i - 1)).compose(self.pr_a[i])
             t3 = self.in_b[i - 1].compose(b.diff(i)).compose(self.pr_b[i])
             diffs[i] = t1 + t2 + t3
-        self.complex = Complex(ring, mods, diffs, check=True)
+        # d^2 = 0 on the cone is what confirms that f is a chain map
+        self.complex = Complex(ring, mods, diffs).checked()
 
     def inclusion(self) -> ChainMap:
         """B -> Cone(f)."""
         return ChainMap(self.f.target, self.complex,
-                        {i: self.in_b[i] for i in self.in_b}, check=False)
+                        {i: self.in_b[i] for i in self.in_b})
 
 
 def cone(f: ChainMap) -> ConeData:
@@ -487,8 +497,7 @@ class ChainMapSpace:
                       + [s.coords(f.comp(i)) for i, s in self.spaces.items()])
 
     def map_from_coords(self, col: Mat) -> ChainMap:
-        return ChainMap(self.x, self.y, self._split(self.spaces, col),
-                        check=False)
+        return ChainMap(self.x, self.y, self._split(self.spaces, col))
 
     # -- chain maps and null homotopies
 

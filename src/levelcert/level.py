@@ -15,11 +15,11 @@ end map, a quasi-isomorphism from its triangle's cone onto the quotient
 layer. Lower bounds come from chains of homology-killing maps with a
 composite that is not null-homotopic, or from a certified failure of
 the one-step test. Both sides share one certificate record, which names
-its subject, the complex the bound is about; upper evidence must chain
-from it. Construction checks none of the evidence it records: verify()
-is the one place that checks it, replaying the checks from scratch and
-recomputing the value from the evidence, so a changed value or a wrong
-witness fails.
+its subject, the complex the bound is about; upper evidence and ghost
+chains must chain from it. Construction checks none of the evidence it
+records: verify() is the one place that checks it, replaying the checks
+from scratch and recomputing the value from the evidence, so a changed
+value or a wrong witness fails.
 
 level_report makes the decisions every route shares, once and in this
 order: an exact complex is the zero object (level 0); the injective
@@ -48,6 +48,7 @@ homology and cones kept on the complexes and maps it reads.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from .complexes import (ChainMap, ChainMapSpace, Complex, Triangle,
                         identity_chain_map, is_quasi_iso, module_stalk)
@@ -222,7 +223,10 @@ def _formality(m: Complex):
             return ("yes", "free homology, cover map is a quasi-isomorphism",
                     st.phi)
 
-    cms, aug = derived_hom(m, homology_stalks(m))
+    # maps onto the stalks, whose top is the top of H(m), need the
+    # replacement's default headroom
+    P, aug = _replacement(m)
+    cms = ChainMapSpace(P, homology_stalks(m))
     reps = list(_iter_class_maps(cms))
     verdict, found = "none", "no nonzero class"
     if reps:
@@ -240,21 +244,6 @@ def _formality(m: Complex):
                     "complex", (aug, f))
     return ("inconclusive", "no verified quasi-isomorphism onto the "
             "homology complex was found", None)
-
-
-def derived_hom(m: Complex, n: Complex):
-    """Maps m -> n in the derived category: (space, aug), the chain-map
-    space out of a free replacement aug: P -> m.
-
-    P is degreewise free and built far enough beyond sup(n) that no
-    chain-map or homotopy constraint is lost; the class space of the
-    result has the dimension of the derived hom.
-    """
-    hdegs = m.hdata().nonzero_degrees()
-    if not hdegs or n.is_zero_complex():
-        return ChainMapSpace(m, n), identity_chain_map(m)
-    P, aug = _replacement(m, max(2, n.max_deg - max(hdegs) + 2))
-    return ChainMapSpace(P, n), aug
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +390,17 @@ def _cycle_boundary_triangle(m: Complex):
     degs = m.support()
     cycles = {i: hd.cycles(i) for i in degs}          # (Z_i, inclusion)
     bounds = {i: hd.boundaries(i - 1) for i in degs}  # (B_{i-1}, incl, epi)
-    sub_cx = Complex(m.ring, {i: cycles[i][0] for i in degs}, {},
-                     check=False)
-    quot_cx = Complex(m.ring, {i: bounds[i][0] for i in degs}, {},
-                      check=False)
+    sub_cx = Complex(m.ring, {i: cycles[i][0] for i in degs}, {})
+    quot_cx = Complex(m.ring, {i: bounds[i][0] for i in degs}, {})
     # the d^2 check of the cone confirms that u is a chain map
     u = ChainMap(sub_cx, m, {i: cycles[i][1] for i in degs
-                             if not cycles[i][0].is_zero_module()},
-                 check=False)
+                             if not cycles[i][0].is_zero_module()})
     tri = Triangle(u)
     cd = tri.cone_data
     # (z, x) in Cone(u)_i goes to the boundary d(x) in B_{i-1}
     t = ChainMap(cd.complex, quot_cx,
                  {i: bounds[i][2].compose(cd.pr_b[i])
-                  for i in cd.complex.support() if i in quot_cx.support()},
-                 check=False)
+                  for i in cd.complex.support() if i in quot_cx.support()})
     return tri, t
 
 
@@ -436,8 +421,7 @@ def upper_via_stratification(m: Complex, cls: str):
     triangles = []
     for nxt in degs[1:]:
         layer = module_stalk(m.ring, m.module(nxt), nxt - 1)
-        tri = Triangle(ChainMap(layer, built, {nxt - 1: m.diff(nxt)},
-                                check=False))
+        tri = Triangle(ChainMap(layer, built, {nxt - 1: m.diff(nxt)}))
         triangles.append(tri)
         built = tri.w
     return UpperCertificate(
@@ -514,7 +498,7 @@ def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
 
 @dataclass
 class LowerCertificate(BoundCertificate):
-    ghost: object = None          # (space, chain map, factors) if any
+    ghost: object = None          # (space, comp, factors, aug) if any
 
     def verify(self) -> bool:
         return self.value == self._proved_value()
@@ -531,10 +515,22 @@ class LowerCertificate(BoundCertificate):
             return 2 if _says(one, "no") \
                 and one.subject is self.subject else None
         if self.route == "ghost-chain" and self.ghost is not None:
-            space, comp, factors = self.ghost
-            # n ghosts whose composite is a chain map, not null-homotopic
-            if (len(factors) != self.data.get("chain_length")
+            space, comp, factors, aug = self.ghost
+            # n ghosts from the subject, each from where the one before
+            # ends, whose composite after aug, onto the subject from a
+            # degreewise free complex, is comp: a chain map that is not
+            # null-homotopic
+            if (not factors or len(factors) != self.data.get("chain_length")
+                    or factors[0].source is not self.subject
+                    or any(g.source != f.target
+                           for f, g in zip(factors, factors[1:]))
+                    or aug.target is not self.subject
+                    or aug.source is not space.x
+                    or space.y is not factors[-1].target
+                    or not all(P.is_free()
+                               for P in aug.source.modules.values())
                     or not all(d.induces_zero_on_homology() for d in factors)
+                    or comp != reduce(lambda c, f: f.compose(c), factors, aug)
                     or not comp.is_chain_map()
                     or space.is_null_homotopic(comp)):
                 return None
@@ -589,29 +585,28 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
         # targets of the composites carry homology up to n degrees above
         # the top of H(m), so the replacement needs that much headroom
         for n in range(top, best.value - 1, -1):
-            space, comp, factors, null = m.derived(
+            ghost, null = m.derived(
                 ("ghost", n, top + 2), _ghost_test, tower, n, top + 2)
             if not null:
                 best = LowerCertificate(
                     cls, n + 1, "ghost-chain",
-                    data={"chain_length": n}, subject=m,
-                    ghost=(space, comp, factors))
+                    data={"chain_length": n}, subject=m, ghost=ghost)
                 break
     return best
 
 
 def _ghost_test(tower: AdamsTower, n: int, extra: int):
-    """(space, comp, factors, null) for the n-fold ghost composite of the
-    tower of m = tower.m: the composite after the augmentation of the
-    free replacement of m with headroom extra (kept on m), the Hom
-    complex it lies in, its n ghost factors, and whether it is
+    """((space, comp, factors, aug), null) for the n-fold ghost composite
+    of the tower of m = tower.m: the composite after the augmentation aug
+    of the free replacement of m with headroom extra (kept on m), the
+    Hom complex it lies in, its n ghost factors, and whether it is
     null-homotopic."""
     m = tower.m
     gamma, factors = tower.ghost_composite(n)
     P, aug = m.derived(("replacement", extra), _replacement, m, extra)
     comp = gamma.compose(aug)
     space = ChainMapSpace(P, gamma.target)
-    return space, comp, factors, space.is_null_homotopic(comp)
+    return (space, comp, factors, aug), space.is_null_homotopic(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +689,7 @@ def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
 # structural consequences
 
 
-def bass_check(m: Complex) -> dict:
+def bass_check(m: Complex, budget: int = 4) -> dict:
     """Depth-zero base with finite injective dimension homology.
 
     Over an artinian base every module has injective dimension zero or
@@ -702,7 +697,7 @@ def bass_check(m: Complex) -> dict:
     envelope of the homology maps in quasi-isomorphically and the level
     with respect to the injectives is exactly one. A failing hypothesis
     reports the actual injective-class level, so counterexamples carry
-    the value that escapes the bound.
+    the value that escapes the bound, at the given tower budget.
     """
     if m.ring.kind != "artin":
         return {"applies": False,
@@ -712,10 +707,10 @@ def bass_check(m: Complex) -> dict:
     _, per = homology_class_check(m, "inj")
     bad = [int(i) for i, (verdict, _) in per.items() if verdict is False]
     if bad:
+        rep = level_report(m, "inj", budget)
         return {"applies": False,
                 "reason": "homology has infinite injective dimension",
-                "degrees": bad,
-                "level_inj_verdict": list(level_report(m, "inj").verdict)}
+                "degrees": bad, "level_inj_verdict": list(rep.verdict)}
     # the envelope m -> E = F^v is the dual of the cover phi: F -> m^v,
     # and the vector-space dual is exact, so it is a quasi-isomorphism
     # exactly when the layer the cover leaves is exact

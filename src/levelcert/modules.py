@@ -43,9 +43,17 @@ trivial homs, composition, Hilbert functions and minimal generators)
 comes from one degree-piece builder: _piece numbers the monomials of
 given degrees of a free cover, _multiples writes the monomial multiples
 of vectors in those rows.
+
+Construction checks shapes only; checked() checks that a module's
+actions commute and satisfy the ring relations, or that a hom respects
+the structure. It runs on the action literal of the command line, the
+projection of ArtinHom.cokernel, the graded free_hom and
+free_hom_from_polys, and in ring_dual_module and reflexivity_map.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .linalg import (Mat, block_diag, extend_to_basis, full_rank_combination,
                      hstack, vstack)
@@ -72,7 +80,7 @@ def mat_unvec(nrows: int, ncols: int, col: Mat) -> Mat:
 class ArtinModule:
     mode = "artin"
 
-    def __init__(self, ring: ArtinRing, dim: int, actions, check: bool = True,
+    def __init__(self, ring: ArtinRing, dim: int, actions,
                  label: str | None = None):
         self.ring = ring
         self.dim = dim
@@ -85,18 +93,14 @@ class ArtinModule:
         for a in self.actions:
             if a.shape != (dim, dim):
                 raise ModuleError("action matrix shape mismatch")
-        if check:
-            self._verify()
 
-    def _verify(self):
-        for i in range(len(self.actions)):
-            for j in range(i):
-                if not (self.actions[i] @ self.actions[j]
-                        == self.actions[j] @ self.actions[i]):
-                    raise ModuleError("actions do not commute")
-        for r in self.ring.gb.basis:
-            if not self.poly_action(r).is_zero():
-                raise ModuleError("ring relation not satisfied by actions")
+    def checked(self) -> "ArtinModule":
+        """self, if it is a module over its ring; ModuleError if not."""
+        if not all(a @ b == b @ a for a, b in combinations(self.actions, 2)):
+            raise ModuleError("actions do not commute")
+        if not all(self.poly_action(r).is_zero() for r in self.ring.gb.basis):
+            raise ModuleError("ring relation not satisfied by actions")
+        return self
 
     @property
     def field(self):
@@ -168,11 +172,11 @@ class ArtinModule:
     def dual(self) -> "ArtinModule":
         """Matlis dual Hom_k(M, k) with (x.f)(m) = f(x.m)."""
         return ArtinModule(self.ring, self.dim,
-                           [a.transpose() for a in self.actions], check=False,
+                           [a.transpose() for a in self.actions],
                            label=None if self.label is None else self.label + "^v")
 
     def identity_hom(self) -> "ArtinHom":
-        return ArtinHom(self, self, Mat.identity(self.field, self.dim), check=False)
+        return ArtinHom(self, self, Mat.identity(self.field, self.dim))
 
     def invariants(self):
         return (self.dim, self.mu(), self.socle_dim(),
@@ -192,14 +196,14 @@ class ArtinModule:
 def artin_free(ring: ArtinRing, n: int) -> ArtinModule:
     acts = [block_diag(ring.field, [ring.var_matrix(v)] * n)
             for v in range(ring.nvars)]
-    out = ArtinModule(ring, n * ring.dim, acts, check=False, label=f"free^{n}")
+    out = ArtinModule(ring, n * ring.dim, acts, label=f"free^{n}")
     out.free_rank = n
     return out
 
 
 def artin_residue_field(ring: ArtinRing) -> ArtinModule:
     return ArtinModule(ring, 1, [Mat.zeros(ring.field, 1, 1)] * ring.nvars,
-                       check=False, label="k")
+                       label="k")
 
 
 def _artin_sub(ambient: ArtinModule, cols: Mat, acts, images):
@@ -209,8 +213,8 @@ def _artin_sub(ambient: ArtinModule, cols: Mat, acts, images):
     and y is its action."""
     assert all(cols @ y == xc for y, xc in zip(acts, images)), \
         "columns do not span a submodule"
-    sub = ArtinModule(ambient.ring, cols.ncols, acts, check=False)
-    return sub, ArtinHom(sub, ambient, cols, check=False)
+    sub = ArtinModule(ambient.ring, cols.ncols, acts)
+    return sub, ArtinHom(sub, ambient, cols)
 
 
 class ArtinHom:
@@ -219,39 +223,38 @@ class ArtinHom:
     retraction = None
     section = None
 
-    def __init__(self, source: ArtinModule, target: ArtinModule, matrix: Mat,
-                 check: bool = True):
+    def __init__(self, source: ArtinModule, target: ArtinModule, matrix: Mat):
         self.source = source
         self.target = target
         self.matrix = matrix
         if matrix.shape != (target.dim, source.dim):
             raise ModuleError("hom matrix shape mismatch")
-        if check:
-            for xs, xt in zip(source.actions, target.actions):
-                if not (xt @ matrix == matrix @ xs):
-                    raise ModuleError("hom does not intertwine the actions")
+
+    def checked(self) -> "ArtinHom":
+        """self, if it intertwines the actions; ModuleError if not."""
+        for xs, xt in zip(self.source.actions, self.target.actions):
+            if not (xt @ self.matrix == self.matrix @ xs):
+                raise ModuleError("hom does not intertwine the actions")
+        return self
 
     def apply(self, elem: Mat) -> Mat:
         return self.matrix @ elem
 
     def compose(self, other: "ArtinHom") -> "ArtinHom":
         assert other.target is self.source or other.target == self.source
-        return ArtinHom(other.source, self.target, self.matrix @ other.matrix,
-                        check=False)
+        return ArtinHom(other.source, self.target, self.matrix @ other.matrix)
 
     def __add__(self, other):
-        return ArtinHom(self.source, self.target, self.matrix + other.matrix,
-                        check=False)
+        return ArtinHom(self.source, self.target, self.matrix + other.matrix)
 
     def __sub__(self, other):
-        return ArtinHom(self.source, self.target, self.matrix - other.matrix,
-                        check=False)
+        return ArtinHom(self.source, self.target, self.matrix - other.matrix)
 
     def __neg__(self):
-        return ArtinHom(self.source, self.target, -self.matrix, check=False)
+        return ArtinHom(self.source, self.target, -self.matrix)
 
     def scale(self, c):
-        return ArtinHom(self.source, self.target, self.matrix.scale(c), check=False)
+        return ArtinHom(self.source, self.target, self.matrix.scale(c))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -308,7 +311,7 @@ class ArtinHom:
             self.target, ib,
             [epi_mat @ x.take_columns(piv) for x in self.source.actions],
             [x @ ib for x in self.target.actions])
-        return img, incl, ArtinHom(self.source, img, epi_mat, check=False)
+        return img, incl, ArtinHom(self.source, img, epi_mat)
 
     def cokernel(self):
         """(C, proj: target -> C), proj carrying a section.
@@ -331,8 +334,8 @@ class ArtinHom:
         idx = [c - m for c in pivots[r:]]
         proj_mat = R.take_rows(range(r, n)).take_columns(range(m, m + n))
         acts = [proj_mat @ x.take_columns(idx) for x in self.target.actions]
-        cok = ArtinModule(self.target.ring, len(idx), acts, check=False)
-        proj = ArtinHom(self.target, cok, proj_mat, check=True)
+        cok = ArtinModule(self.target.ring, len(idx), acts)
+        proj = ArtinHom(self.target, cok, proj_mat).checked()
         proj.section = eye.take_columns(idx)
         return cok, proj
 
@@ -349,7 +352,7 @@ class ArtinHom:
                 return None
         else:
             h = mono.retraction @ self.matrix
-        out = ArtinHom(self.source, mono.source, h, check=False)
+        out = ArtinHom(self.source, mono.source, h)
         return out if mono.compose(out) == self else None
 
     def factor_through(self, epi: "ArtinHom"):
@@ -364,7 +367,7 @@ class ArtinHom:
                                                  epi.target.dim))
             if sect is None:
                 return None
-        h = ArtinHom(epi.target, self.target, self.matrix @ sect, check=False)
+        h = ArtinHom(epi.target, self.target, self.matrix @ sect)
         if not (h.compose(epi) == self):
             return None
         return h
@@ -379,7 +382,7 @@ class ArtinHom:
 
     def dual(self) -> "ArtinHom":
         return ArtinHom(self.target.dual(), self.source.dual(),
-                        self.matrix.transpose(), check=False)
+                        self.matrix.transpose())
 
     def __repr__(self):
         return f"ArtinHom({self.source.dim}->{self.target.dim})"
@@ -391,17 +394,11 @@ class ArtinHom:
 class GradedModule:
     mode = "graded"
 
-    def __init__(self, ring: GradedPolyRing, gen_twists, rels, check: bool = True,
+    def __init__(self, ring: GradedPolyRing, gen_twists, rels,
                  label: str | None = None):
         self.ring = ring
         self.gen_twists = list(gen_twists)
-        self.rels = []
-        for r in rels or []:
-            if r.is_zero():
-                continue
-            if check and r.homogeneous_degree(self.gen_twists) is None:
-                raise ModuleError("relation is not homogeneous for the twists")
-            self.rels.append(r)
+        self.rels = [r for r in rels or [] if not r.is_zero()]
         self.label = label
         self._gb = None
         self._min_idx = None
@@ -516,8 +513,8 @@ class GradedModule:
         return all(r.is_zero() for r in rels)
 
     def identity_hom(self) -> "GradedHom":
-        return GradedHom(self, self, [self.gen_elem(j) for j in range(self.ngens)],
-                         check=False)
+        return GradedHom(self, self,
+                         [self.gen_elem(j) for j in range(self.ngens)])
 
     def invariants(self, window: int = 6):
         idx = self.min_gens_indices()
@@ -545,15 +542,14 @@ class GradedModule:
 
 
 def graded_free(ring: GradedPolyRing, twists) -> GradedModule:
-    out = GradedModule(ring, list(twists), [], check=False,
-                       label=f"free{tuple(twists)}")
+    out = GradedModule(ring, list(twists), [], label=f"free{tuple(twists)}")
     out.free_rank = len(out.gen_twists)
     return out
 
 
 def graded_residue_field(ring: GradedPolyRing) -> GradedModule:
     rels = [PolyVec.variable(ring.field, ring.nvars, v) for v in range(ring.nvars)]
-    return GradedModule(ring, [0], rels, check=False, label="k")
+    return GradedModule(ring, [0], rels, label="k")
 
 
 def graded_submodule(ambient: GradedModule, gens):
@@ -561,32 +557,32 @@ def graded_submodule(ambient: GradedModule, gens):
     of ambient)."""
     gens = [g for g in gens if not ambient.is_zero_elem(g)]
     if not gens:
-        K = GradedModule(ambient.ring, [], [], check=False)
-        return K, GradedHom(K, ambient, [], check=False)
+        K = GradedModule(ambient.ring, [], [])
+        return K, GradedHom(K, ambient, [])
     K = GradedModule(ambient.ring, [ambient.degree(g) for g in gens],
-                     ambient.relations_of(gens), check=False)
-    incl = GradedHom(K, ambient, list(gens), check=False)
+                     ambient.relations_of(gens))
+    incl = GradedHom(K, ambient, list(gens))
     return K, incl
 
 
 class GradedHom:
-    def __init__(self, source: GradedModule, target: GradedModule, cols,
-                 check: bool = True):
+    def __init__(self, source: GradedModule, target: GradedModule, cols):
         self.source = source
         self.target = target
         self.cols = list(cols)
         if len(self.cols) != source.ngens:
             raise ModuleError("one column per source generator required")
-        if check:
-            for j, c in enumerate(self.cols):
-                if c.is_zero():
-                    continue
-                d = c.homogeneous_degree(target.gen_twists)
-                if d != source.gen_twists[j]:
-                    raise ModuleError("hom column has wrong degree")
-            for r in source.rels:
-                if not self.target.is_zero_elem(self._apply_raw(r)):
-                    raise ModuleError("hom does not kill a source relation")
+
+    def checked(self) -> "GradedHom":
+        """self, if it is a degree-0 hom; ModuleError if not."""
+        twists = self.target.gen_twists
+        if any(not c.is_zero() and c.homogeneous_degree(twists) != t
+               for c, t in zip(self.cols, self.source.gen_twists)):
+            raise ModuleError("hom column has wrong degree")
+        for r in self.source.rels:
+            if not self.target.is_zero_elem(self._apply_raw(r)):
+                raise ModuleError("hom does not kill a source relation")
+        return self
 
     def _apply_raw(self, elem: PolyVec) -> PolyVec:
         f = self.target.field
@@ -598,23 +594,22 @@ class GradedHom:
 
     def compose(self, other: "GradedHom") -> "GradedHom":
         cols = [self._apply_raw(c) for c in other.cols]
-        return GradedHom(other.source, self.target, cols, check=False)
+        return GradedHom(other.source, self.target, cols)
 
     def __add__(self, other):
         return GradedHom(self.source, self.target,
-                         [a + b for a, b in zip(self.cols, other.cols)], check=False)
+                         [a + b for a, b in zip(self.cols, other.cols)])
 
     def __sub__(self, other):
         return GradedHom(self.source, self.target,
-                         [a - b for a, b in zip(self.cols, other.cols)], check=False)
+                         [a - b for a, b in zip(self.cols, other.cols)])
 
     def __neg__(self):
-        return GradedHom(self.source, self.target, [-c for c in self.cols],
-                         check=False)
+        return GradedHom(self.source, self.target, [-c for c in self.cols])
 
     def scale(self, c):
         return GradedHom(self.source, self.target,
-                         [col.scale(c) for col in self.cols], check=False)
+                         [col.scale(c) for col in self.cols])
 
     def is_zero(self) -> bool:
         return all(self.target.is_zero_elem(c) for c in self.cols)
@@ -647,21 +642,19 @@ class GradedHom:
         the vectors the composite sends into the target relations.
         """
         img = GradedModule(self.target.ring, list(self.source.gen_twists),
-                           self.target.relations_of(self.cols), check=False)
-        incl = GradedHom(img, self.target, self.cols, check=False)
+                           self.target.relations_of(self.cols))
+        incl = GradedHom(img, self.target, self.cols)
         epi = GradedHom(self.source, img,
-                        [img.gen_elem(j) for j in range(self.source.ngens)],
-                        check=False)
+                        [img.gen_elem(j) for j in range(self.source.ngens)])
         return img, incl, epi
 
     def cokernel(self):
         """(C, proj: target -> C)."""
         C = GradedModule(self.target.ring, list(self.target.gen_twists),
-                         self.target.rels + [c for c in self.cols if not c.is_zero()],
-                         check=False)
+                         self.target.rels
+                         + [c for c in self.cols if not c.is_zero()])
         proj = GradedHom(self.target, C,
-                         [C.gen_elem(i) for i in range(self.target.ngens)],
-                         check=False)
+                         [C.gen_elem(i) for i in range(self.target.ngens)])
         return C, proj
 
     def is_injective(self) -> bool:
@@ -696,7 +689,7 @@ class GradedHom:
             if pre is None:
                 return None
             cols.append(pre)
-        out = GradedHom(self.source, mono.source, cols, check=False)
+        out = GradedHom(self.source, mono.source, cols)
         if not (mono.compose(out) == self):
             return None
         return out
@@ -709,7 +702,7 @@ class GradedHom:
             if pre is None:
                 return None
             cols.append(self._apply_raw(pre))
-        out = GradedHom(epi.target, self.target, cols, check=False)
+        out = GradedHom(epi.target, self.target, cols)
         if not (out.compose(epi) == self):
             return None
         return out
@@ -735,8 +728,8 @@ def zero_module(ring):
 
 def zero_hom(M, N):
     if M.mode == "artin":
-        return ArtinHom(M, N, Mat.zeros(M.field, N.dim, M.dim), check=False)
-    return GradedHom(M, N, [N.zero_elem() for _ in range(M.ngens)], check=False)
+        return ArtinHom(M, N, Mat.zeros(M.field, N.dim, M.dim))
+    return GradedHom(M, N, [N.zero_elem() for _ in range(M.ngens)])
 
 
 def free_cover(M):
@@ -747,7 +740,7 @@ def free_cover(M):
         phi = free_hom(F, M, gens)
         assert phi.is_surjective()
         return F, phi
-    return F, GradedHom(F, M, gens, check=False)
+    return F, GradedHom(F, M, gens)
 
 
 def direct_sum(mods):
@@ -761,14 +754,14 @@ def direct_sum(mods):
         acts = []
         for v in range(ring.nvars):
             acts.append(block_diag(field, [m.actions[v] for m in mods]))
-        S = ArtinModule(ring, total, acts, check=False)
+        S = ArtinModule(ring, total, acts)
         incls, projs = [], []
         off = 0
         eye = Mat.identity(field, total)
         for m in mods:
             block = range(off, off + m.dim)
-            incls.append(ArtinHom(m, S, eye.take_columns(block), check=False))
-            projs.append(ArtinHom(S, m, eye.take_rows(block), check=False))
+            incls.append(ArtinHom(m, S, eye.take_columns(block)))
+            projs.append(ArtinHom(S, m, eye.take_rows(block)))
             off += m.dim
         return S, incls, projs
     ring = mods[0].ring
@@ -784,16 +777,16 @@ def direct_sum(mods):
             rels.append(PolyVec(field, ring.nvars,
                                 {(j + off, mm): c for (j, mm), c in r.terms.items()}))
         off += m.ngens
-    S = GradedModule(ring, twists, rels, check=False)
+    S = GradedModule(ring, twists, rels)
     incls, projs = [], []
     for t, m in enumerate(mods):
         incls.append(GradedHom(m, S,
-                               [S.gen_elem(offs[t] + j) for j in range(m.ngens)],
-                               check=False))
+                               [S.gen_elem(offs[t] + j)
+                                for j in range(m.ngens)]))
         pcols = [m.zero_elem()] * S.ngens
         for j in range(m.ngens):
             pcols[offs[t] + j] = m.gen_elem(j)
-        projs.append(GradedHom(S, m, pcols, check=False))
+        projs.append(GradedHom(S, m, pcols))
     return S, incls, projs
 
 
@@ -803,7 +796,7 @@ def free_hom(F, N, images):
         assert len(images) == F.free_rank
         return _artin_free_hom(
             F, N, hstack([Mat.zeros(F.field, N.dim, 0)] + list(images)))
-    return GradedHom(F, N, list(images), check=True)
+    return GradedHom(F, N, list(images)).checked()
 
 
 def _artin_free_hom(F, N, images: Mat) -> ArtinHom:
@@ -813,7 +806,7 @@ def _artin_free_hom(F, N, images: Mat) -> ArtinHom:
     mat = hstack([N.mono_action(m) @ images for m in monos])
     order = [m * n + j for j in range(n) for m in range(len(monos))]
     # equivariant by construction
-    return ArtinHom(F, N, mat.take_columns(order), check=False)
+    return ArtinHom(F, N, mat.take_columns(order))
 
 
 def free_hom_from_polys(F, G, entries):
@@ -836,7 +829,7 @@ def free_hom_from_polys(F, G, entries):
                             {(i, mono): c
                              for i in range(m)
                              for (_, mono), c in entries[i][j].terms.items()}))
-    return GradedHom(F, G, cols, check=True)
+    return GradedHom(F, G, cols).checked()
 
 
 # ------------------------------------------------------------- hom spaces
@@ -895,7 +888,7 @@ class ArtinHomSpace:
         mat = _artin_free_hom(self.F, self.N, images).matrix
         if self.section is not None:
             mat = mat @ self.section
-        return ArtinHom(self.M, self.N, mat, check=False)
+        return ArtinHom(self.M, self.N, mat)
 
     def compose_matrix(self, U: "ArtinHomSpace", post=None,
                        pre=None) -> Mat:
@@ -1032,7 +1025,7 @@ class GradedHomSpace:
         for (j, i, m), c in zip(self.entry_index, col.col_entries(0)):
             cols[j][(i, m)] = c
         return GradedHom(self.M, self.N,
-                         [PolyVec(f, self.M.ring.nvars, t) for t in cols], check=False)
+                         [PolyVec(f, self.M.ring.nvars, t) for t in cols])
 
     def basis_hom(self, i: int) -> GradedHom:
         return self._hom_from_entry_vec(self.quot.take_columns([i]))

@@ -101,7 +101,7 @@ def random_complex(ring, rng, lo: int = 0, width: int = 3,
                 break
             diffs[i] = zeta.compose(h)
         prev_cycles = diffs[i].kernel()
-    return Complex(ring, mods, diffs, check=True)
+    return Complex(ring, mods, diffs).checked()
 
 
 def _invert(g):
@@ -127,13 +127,12 @@ def _scramble(x: Complex, rng) -> Complex:
             continue
         diffs[i] = autos[i - 1].compose(d).compose(inverses[i])
     return Complex(x.ring, {i: x.module(i) for i in x.support()},
-                   diffs, check=True)
+                   diffs).checked()
 
 
 def _disk(M, at: int) -> Complex:
     """Exact two-term complex M -> M concentrated in degrees at, at-1."""
-    return Complex(M.ring, {at: M, at - 1: M},
-                   {at: M.identity_hom()}, check=False)
+    return Complex(M.ring, {at: M, at - 1: M}, {at: M.identity_hom()})
 
 
 def _sum(parts) -> Complex:

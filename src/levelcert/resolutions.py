@@ -114,8 +114,8 @@ def semiprojective_resolution(x: Complex, ceiling: int | None = None) -> Resolut
     hd = x.hdata()
     hdegs = hd.nonzero_degrees()
     if not hdegs:
-        P = Complex(ring, {}, {}, check=False)
-        aug = ChainMap(P, x, {}, check=False)
+        P = Complex(ring, {}, {})
+        aug = ChainMap(P, x, {})
         return Resolution(x, P, aug, ceiling or 0, True)
     lo = min(hdegs)
     if ceiling is None:
@@ -175,9 +175,9 @@ def semiprojective_resolution(x: Complex, ceiling: int | None = None) -> Resolut
             complete = True
             break
 
-    P = Complex(ring, mods, diffs, check=True)
-    aug = ChainMap(P, x, {i: e for i, e in eps.items() if not e.is_zero()},
-                   check=True)
+    P = Complex(ring, mods, diffs).checked()
+    aug = ChainMap(P, x, {i: e for i, e in eps.items()
+                          if not e.is_zero()}).checked()
     return Resolution(x, P, aug, ceiling, complete, ranks, syz)
 
 
@@ -192,16 +192,15 @@ def minimal_free_resolution(M, length: int) -> Resolution:
 
 
 def twist_module(M: GradedModule, a: int) -> GradedModule:
-    return GradedModule(M.ring, [t + a for t in M.gen_twists], M.rels,
-                        check=False)
+    return GradedModule(M.ring, [t + a for t in M.gen_twists], M.rels)
 
 
 def twist_complex(x: Complex, a: int) -> Complex:
     mods = {i: twist_module(m, a) for i, m in x.modules.items()}
     diffs = {i: GradedHom(mods[i], mods.get(i - 1, twist_module(x.module(i - 1), a)),
-                          d.cols, check=False)
+                          d.cols)
              for i, d in x.diffs.items()}
-    return Complex(x.ring, mods, diffs, check=False)
+    return Complex(x.ring, mods, diffs)
 
 
 def multiplication_chain_map(x: Complex, v: int) -> ChainMap:
@@ -213,15 +212,15 @@ def multiplication_chain_map(x: Complex, v: int) -> ChainMap:
     ring = x.ring
     p = PolyVec.variable(ring.field, ring.nvars, v)
     if ring.kind == "artin":
-        comps = {i: ArtinHom(m, m, m.poly_action(p), check=False)
+        comps = {i: ArtinHom(m, m, m.poly_action(p))
                  for i, m in x.modules.items()}
-        return ChainMap(x, x, comps, check=False)
+        return ChainMap(x, x, comps)
     xt = twist_complex(x, 1)
     comps = {}
     for i, m in x.modules.items():
         cols = [m.gen_elem(j).mul_poly(p) for j in range(m.ngens)]
-        comps[i] = GradedHom(xt.module(i), m, cols, check=False)
-    return ChainMap(xt, x, comps, check=False)
+        comps[i] = GradedHom(xt.module(i), m, cols)
+    return ChainMap(xt, x, comps)
 
 
 def koszul_of_complex(x: Complex) -> Complex:
@@ -256,10 +255,9 @@ def ring_dual_module(M: ArtinModule):
     ring = M.ring
     F1 = free_module(ring, [0])
     hs = hom_space(M, F1)
-    acts = [hs.compose_matrix(hs, post=ArtinHom(F1, F1, ring.var_matrix(v),
-                                                 check=False))
+    acts = [hs.compose_matrix(hs, post=ArtinHom(F1, F1, ring.var_matrix(v)))
             for v in range(ring.nvars)]
-    return ArtinModule(ring, hs.dim, acts, check=True), hs
+    return ArtinModule(ring, hs.dim, acts).checked(), hs
 
 
 def reflexivity_map(M: ArtinModule):
@@ -275,9 +273,9 @@ def reflexivity_map(M: ArtinModule):
             mat = hstack([hs.basis_hom(t).matrix.col(j) for t in range(s)])
         else:
             mat = Mat.zeros(ring.field, ring.dim, 0)
-        cols.append(hs2.coords(ArtinHom(Mstar, F1, mat, check=True)))
+        cols.append(hs2.coords(ArtinHom(Mstar, F1, mat).checked()))
     mat = hstack(cols) if cols else Mat.zeros(ring.field, hs2.dim, 0)
-    return ArtinHom(M, Mss, mat, check=True), Mstar
+    return ArtinHom(M, Mss, mat).checked(), Mstar
 
 
 def ext_dims_into_ring(M: ArtinModule, window: int):

@@ -165,7 +165,7 @@ def test_08_duality_transport(A, B):
         assert (rp.status, rp.value) == (ri.status, ri.value), s
 
         ev = ArtinHom(M, M.dual().dual(),
-                      Mat.identity(ring.field, M.dim), check=True)
+                      Mat.identity(ring.field, M.dim)).checked()
         assert ev.is_iso(), s
 
         lg = level_report(module_stalk(ring, M), "gflat").lower

@@ -134,7 +134,7 @@ def test_ghost_composite_is_chain_map(A):
     assert len(factors) == 2
     assert all(d.induces_zero_on_homology() for d in factors)
     # recheck commuting squares explicitly
-    ChainMap(g2.source, g2.target, g2.comps, check=True)
+    ChainMap(g2.source, g2.target, g2.comps).checked()
 
 
 def test_graded_tower_and_splice(R2):
@@ -178,7 +178,7 @@ def test_inj_tower_coghost(A):
     assert rep["ok"]
     cg = tw.ghost_composite(2)[0].dual()
     assert cg.target == K.dual().dual()
-    ChainMap(cg.source, cg.target, cg.comps, check=True)
+    ChainMap(cg.source, cg.target, cg.comps).checked()
 
 
 def test_homology_stalks_helper(A):

@@ -119,6 +119,37 @@ def test_action_module_literal():
     assert rep["applies"] and rep["level_inj"] == 1
 
 
+@pytest.mark.parametrize("actions, message", [
+    ("x: [[0, 1], [0, 0]], y: [[0, 0], [1, 0]]", "actions do not commute"),
+    ("x: [[1, 0], [0, 0]], y: [[0, 0], [0, 0]]",
+     "ring relation not satisfied by actions"),
+], ids=["commute", "relation"])
+def test_action_literal_that_is_no_module_is_a_clean_error(tmp_path, capsys,
+                                                          actions, message):
+    script = tmp_path / "action.lvc"
+    script.write_text("A = artin(F2; x, y | x^2, y^2)\n"
+                      f"module M over A = action {{ {actions} }}\n"
+                      "homology M\n")
+    assert main([str(script)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: line 2: {message}"
+
+
+def test_bass_reads_the_budget(tmp_path, capsys):
+    # the level the bass report carries is the level command's own, at
+    # the budget given on the command line
+    script = tmp_path / "bass.lvc"
+    script.write_text("A = artin(F2; x | x^2)\n"
+                      "module MA1 over A = coker [[x, x]]\n"
+                      "level Inj MA1\nbass MA1\n")
+    for budget, verdict in (("2", ["at_least", 3]), ("4", ["at_least", 5])):
+        out = tmp_path / f"bass{budget}.json"
+        assert main([str(script), "--budget", budget, "--out", str(out)]) == 2
+        level, bass = json.loads(out.read_text())["reports"]
+        assert level["certificate"]["verdict"] == verdict
+        assert bass["bass"]["level_inj_verdict"] == verdict
+    capsys.readouterr()
+
+
 def test_homology_and_level_commands():
     payload = run_payload(KOSZUL + "homology K\nlevel GI K\n")
     hom = payload["reports"][0]
@@ -641,8 +672,8 @@ def test_verify_reads_no_kept_decision(source, route):
     rep = levelcert.level.level_report(x, cls, budget=config["budget"])
     if route == "ghost-chain":
         cert = rep.lower
-        space, comp, factors = kept = cert.ghost
-        bad = (space, zero_chain_map(comp.source, comp.target), factors)
+        space, comp, factors, aug = kept = cert.ghost
+        bad = (space, zero_chain_map(comp.source, comp.target), factors, aug)
         part = "ghost"
     else:
         cert = rep.upper

@@ -31,8 +31,8 @@ R2 = GradedPolyRing(F101, ["x", "y"])
 def koszul_x():
     """A -x-> A in degrees 1, 0 over the dual numbers."""
     AA = artin_free(A, 1)
-    x = ArtinHom(AA, AA, A.var_matrix(0))
-    return Complex(A, {0: AA, 1: AA}, {1: x})
+    x = ArtinHom(AA, AA, A.var_matrix(0)).checked()
+    return Complex(A, {0: AA, 1: AA}, {1: x}).checked()
 
 
 def graded_koszul_xy():
@@ -44,9 +44,9 @@ def graded_koszul_xy():
     F0 = graded_free(R2, [0])
     F1 = graded_free(R2, [1, 1])
     Ftop = graded_free(R2, [2])
-    d1 = GradedHom(F1, F0, [pv("x"), pv("y")])
-    d2 = GradedHom(Ftop, F1, [pv("-y", "x")])
-    return Complex(R2, {0: F0, 1: F1, 2: Ftop}, {1: d1, 2: d2})
+    d1 = GradedHom(F1, F0, [pv("x"), pv("y")]).checked()
+    d2 = GradedHom(Ftop, F1, [pv("-y", "x")]).checked()
+    return Complex(R2, {0: F0, 1: F1, 2: Ftop}, {1: d1, 2: d2}).checked()
 
 
 def test_koszul_homology_frozen():
@@ -61,21 +61,35 @@ def test_d_squared_checked():
     AA = artin_free(A, 1)
     ident = AA.identity_hom()
     with pytest.raises(ComplexError):
-        Complex(A, {0: AA, 1: AA, 2: AA}, {1: ident, 2: ident})
+        Complex(A, {0: AA, 1: AA, 2: AA}, {1: ident, 2: ident}).checked()
 
 
 def test_chain_map_condition_checked():
     K = koszul_x()
     AA = artin_free(A, 1)
     with pytest.raises(ComplexError):
-        ChainMap(K, K, {0: AA.identity_hom()})  # not compatible with d
+        # not compatible with d
+        ChainMap(K, K, {0: AA.identity_hom()}).checked()
+
+
+def test_cone_of_a_map_that_is_not_a_chain_map_is_refused():
+    # d^2 = 0 on Cone(f) exactly when f is a chain map, so the cone's
+    # check is what confirms the map of a triangle
+    K = koszul_x()
+    AA = artin_free(A, 1)
+    f = ChainMap(K, K, {0: AA.identity_hom()})
+    assert not f.is_chain_map()
+    with pytest.raises(ComplexError, match="d\\^2 != 0"):
+        cone(f)
+    with pytest.raises(ComplexError, match="d\\^2 != 0"):
+        Triangle(f)
 
 
 def test_differentials_and_components_are_read_only():
     # cones and homology are cached on these, so they never change
     mods = {0: artin_free(A, 1), 1: artin_free(A, 1)}
     diffs = dict(koszul_x().diffs)
-    K = Complex(A, mods, diffs)
+    K = Complex(A, mods, diffs).checked()
     f = identity_chain_map(K)
     diffs[1] = diffs[1].scale(0)
     mods[1] = artin_free(A, 2)
@@ -99,9 +113,9 @@ def test_differentials_and_components_are_read_only():
 
 def test_cone_of_multiplication_is_koszul():
     AA = artin_free(A, 1)
-    x = ArtinHom(AA, AA, A.var_matrix(0))
+    x = ArtinHom(AA, AA, A.var_matrix(0)).checked()
     sx = module_stalk(A, AA)
-    f = ChainMap(sx, sx, {0: x})
+    f = ChainMap(sx, sx, {0: x}).checked()
     c = cone(f).complex
     K = koszul_x()
     assert c.support() == [0, 1]
@@ -199,8 +213,8 @@ def test_quasi_iso_detection():
     sk = module_stalk(A, k)
     assert not is_quasi_iso(zero_chain_map(sk, sk))
     # the augmentation K -> k is not a quasi-iso (H_1 survives)
-    aug = ChainMap(K, sk, {0: ArtinHom(K.module(0), k,
-                                       Mat.from_rows(F2, [[1, 0]]))})
+    eps = ArtinHom(K.module(0), k, Mat.from_rows(F2, [[1, 0]])).checked()
+    aug = ChainMap(K, sk, {0: eps}).checked()
     assert not is_quasi_iso(aug)
     h0 = aug.induced_on_homology(0)
     assert h0.is_iso()
@@ -210,7 +224,7 @@ def test_quasi_iso_detection():
 def test_exact_complex_identity_null_homotopic():
     AA = artin_free(A, 1)
     ident = AA.identity_hom()
-    E = Complex(A, {0: AA, 1: AA}, {1: ident})
+    E = Complex(A, {0: AA, 1: AA}, {1: ident}).checked()
     assert E.is_exact()
     sp = ChainMapSpace(E, E)
     idm = identity_chain_map(E)
@@ -241,8 +255,8 @@ def test_triangle_verification():
     K = koszul_x()
     k = artin_residue_field(A)
     sk = module_stalk(A, k)
-    aug = ChainMap(K, sk, {0: ArtinHom(K.module(0), k,
-                                       Mat.from_rows(F2, [[1, 0]]))})
+    eps = ArtinHom(K.module(0), k, Mat.from_rows(F2, [[1, 0]])).checked()
+    aug = ChainMap(K, sk, {0: eps}).checked()
     tri = Triangle(aug)
     # the third object is the cone of u, built once, and nothing else
     assert tri.w is tri.cone_data.complex and tri.w == cone(aug).complex
@@ -253,7 +267,7 @@ def test_triangle_verification():
         Triangle(aug, sk, identity_chain_map(sk))
     # an equal u other than the one the cone was built on fails, and so
     # does a cone built on an equal copy of u
-    copy = ChainMap(K, sk, dict(aug.comps))
+    copy = ChainMap(K, sk, dict(aug.comps)).checked()
     tri.u = copy
     assert not tri.verify()
     tri.u = aug
@@ -272,7 +286,7 @@ def test_truncation_triangle():
     K = koszul_x()
     top = module_stalk(A, K.module(1), 0)
     bot = module_stalk(A, K.module(0), 0)
-    tri = Triangle(ChainMap(top, bot, {0: K.diff(1)}))
+    tri = Triangle(ChainMap(top, bot, {0: K.diff(1)}).checked())
     assert tri.w == K
     assert tri.verify()
 
@@ -344,8 +358,8 @@ def test_wrong_witness_on_a_cover_triangle_fails():
              identity_chain_map(W),
              # from another cone of an equal map
              another]
-    wrong += [ChainMap(W, Q, {j: h for j, h in t.comps.items() if j != i},
-                       check=False) for i in t.comps]
+    wrong += [ChainMap(W, Q, {j: h for j, h in t.comps.items() if j != i})
+              for i in t.comps]
     for bad in wrong:
         cert.end_map = bad
         assert not cert.verify()
@@ -373,8 +387,8 @@ def test_tower_triangles_agree_with_the_homology_rule(ring, cls, seeds):
         tri, t = cert.triangles[0], cert.end_map
         for probe in [t, zero_chain_map(t.source, t.target)] + [
                 ChainMap(t.source, t.target,
-                         {j: h for j, h in t.comps.items() if j != i},
-                         check=False) for i in t.comps]:
+                         {j: h for j, h in t.comps.items() if j != i})
+                for i in t.comps]:
             cert.end_map = probe
             assert cert.verify() == end_map_rule(tri, probe)
             verdicts.add(cert.verify())
@@ -418,7 +432,7 @@ def reference_direct_sum(xs):
                 sum_projs[i][t])
             total = piece if total is None else total + piece
         diffs[i] = total
-    return Complex(ring, mods, diffs, check=False)
+    return Complex(ring, mods, diffs)
 
 
 SUM_RINGS = ["artin(F2; x | x^2)", "artin(F3; x, y | x^2, y^2)",
@@ -474,7 +488,8 @@ def test_graded_chain_map_space():
     sp = ChainMapSpace(K, sk)
     # K is a free resolution of k, so maps to the stalk mod homotopy = Hom(k,k)
     assert sp.hom_classes_dim() == 1
-    aug = ChainMap(K, sk, {0: GradedHom(K.module(0), k, [k.gen_elem(0)])})
+    eps = GradedHom(K.module(0), k, [k.gen_elem(0)]).checked()
+    aug = ChainMap(K, sk, {0: eps}).checked()
     assert not sp.class_coords(aug).is_zero()
 
 
@@ -484,10 +499,10 @@ def test_chain_maps_into_a_space_of_trivial_homs():
     # dimension 0 and its coordinates have no rows
     F0, F1 = graded_free(R2, [0]), graded_free(R2, [1])
     k = graded_residue_field(R2)
-    x = Complex(R2, {2: F1, 1: F1}, {2: F1.identity_hom()})
-    y = Complex(R2, {2: F1, 1: F0, 0: k},
-                {2: GradedHom(F1, F0, [parse_poly(F101, ["x", "y"], "x")]),
-                 1: GradedHom(F0, k, [k.gen_elem(0)])})
+    x = Complex(R2, {2: F1, 1: F1}, {2: F1.identity_hom()}).checked()
+    x_mult = GradedHom(F1, F0, [parse_poly(F101, ["x", "y"], "x")]).checked()
+    quot = GradedHom(F0, k, [k.gen_elem(0)]).checked()
+    y = Complex(R2, {2: F1, 1: F0, 0: k}, {2: x_mult, 1: quot}).checked()
     sp = ChainMapSpace(x, y)
     assert sp.chain_map_basis().shape == (3, 1)
     assert sp.hom_classes_dim() == 0
@@ -505,7 +520,7 @@ def per_column_homotopy_image(sp):
                 comps[i] = sp.y.diff(i + 1).compose(s)
             if i + 1 in sp.spaces:
                 comps[i + 1] = s.compose(sp.x.diff(i + 1))
-            cols.append(sp.coords(ChainMap(sp.x, sp.y, comps, check=False)))
+            cols.append(sp.coords(ChainMap(sp.x, sp.y, comps)))
     return hstack([Mat.zeros(sp.field, sp.total_dim, 0)] + cols)
 
 
@@ -556,7 +571,7 @@ def test_block_chain_map_coordinates_match_per_column_rule(ring_text, seeds):
         rng = random.Random(800 + seed)
         x = random_complex(ring, rng, lo=0, width=2, max_rank=2)
         y = random_complex(ring, rng, lo=0, width=2, max_rank=2)
-        zero = Complex(ring, {}, {})
+        zero = Complex(ring, {}, {}).checked()
         # offset supports give the three Hom degrees different ranges
         for src, tgt in ((x, y), (y, x), (x, x), (x, y.shift(1)),
                          (x.shift(1), y), (x, y.shift(2)), (zero, y),

@@ -18,8 +18,8 @@ from levelcert.randgen import random_complex, random_free_homology_complex
 from levelcert.rings import make_ring
 from levelcert.modules import artin_free, artin_residue_field, \
     graded_residue_field
-from levelcert.complexes import (ChainMap, Complex, is_quasi_iso,
-                                 module_stalk, zero_chain_map)
+from levelcert.complexes import (ChainMap, ChainMapSpace, Complex,
+                                 is_quasi_iso, module_stalk, zero_chain_map)
 from levelcert.resolutions import koszul_complex
 from levelcert.level import (LevelError, LowerCertificate, UpperCertificate,
                              bass_check, homology_dimension_bound,
@@ -101,7 +101,7 @@ def test_koszul_level_one_decisions(field):
 def test_level_one_formal_two_degrees(A):
     # zero differential, so the complex equals its homology stalks
     k = artin_residue_field(A)
-    m = Complex(A, {0: k, 1: k}, {}, check=False)
+    m = Complex(A, {0: k, 1: k}, {})
     r = level_one_test(m, "ginj")
     assert r.verdict == "yes"
     assert r.exhaustive
@@ -113,7 +113,8 @@ def test_maps_from_the_koszul_complex_to_its_homology_miss_the_top(A):
     # quasi-isomorphism, though both homology modules are Gorenstein
     # projective
     K = koszul_complex(A)
-    space, _ = level.derived_hom(K, adams.homology_stalks(K))
+    P, _ = level._replacement(K)
+    space = ChainMapSpace(P, adams.homology_stalks(K))
     assert space.hom_classes_dim() == 2
     assert all(space.class_representative(t).induced_on_homology(1).is_zero()
                for t in range(2))
@@ -467,7 +468,7 @@ def test_last_peel_builds_the_subject(ring_text):
         if m.is_zero_complex():
             continue
         gapped = Complex(ring, {**m.modules, m.max_deg + 2:
-                                m.module(m.min_deg)}, dict(m.diffs))
+                                m.module(m.min_deg)}, dict(m.diffs)).checked()
         for x in (m, gapped):
             cert = upper_via_stratification(x, cls)
             if cert is None:
@@ -535,7 +536,7 @@ def test_dimension_bound_consistency(A, R3):
 
 
 def test_out_of_scope_and_zero(A, R3):
-    z = Complex(A, {}, {}, check=False)
+    z = Complex(A, {}, {})
     rep = level_report(z, "proj")
     assert rep.verdict == ("exact", 0)
     k = module_stalk(R3, graded_residue_field(R3))
@@ -558,7 +559,7 @@ def test_level_report_runs_the_one_step_test_once(A, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(level, "level_one_test", counted)
-    zero = Complex(A, {}, {}, check=False)
+    zero = Complex(A, {}, {})
     level_report(zero, "inj")
     assert calls == []
     for m in (koszul_complex(A), module_stalk(A, artin_residue_field(A)),
@@ -627,7 +628,7 @@ def test_tampered_values_fail_verification(A):
     kR = module_stalk(R2, graded_residue_field(R2))
     reps = [level_report(K, "inj"), level_report(K, "ginj"),
             level_report(k, "ginj"), level_report(kR, "proj"),
-            level_report(Complex(A, {}, {}, check=False), "proj")]
+            level_report(Complex(A, {}, {}), "proj")]
     routes = set()
     for rep in reps:
         assert rep.verify()
@@ -644,16 +645,42 @@ def test_tampered_values_fail_verification(A):
     # a composite that is not a chain map is not null-homotopic, yet it
     # proves nothing: doctoring one component must fail verification
     ghost = reps[3].lower
-    space, comp, factors = ghost.ghost
+    space, comp, factors, aug = ghost.ghost
     doctored = dict(comp.comps)
     doctored[1] = comp.comp(1) + space.spaces[1].basis_hom(0)
-    bad = ChainMap(comp.source, comp.target, doctored, check=False)
+    bad = ChainMap(comp.source, comp.target, doctored)
     assert not bad.is_chain_map()
-    ghost.ghost = (space, bad, factors)
+    ghost.ghost = (space, bad, factors, aug)
     assert not ghost.verify()
     assert not reps[3].verify()
-    ghost.ghost = (space, comp, factors)
+    ghost.ghost = (space, comp, factors, aug)
     assert reps[3].verify()
+
+
+def test_ghost_evidence_is_bound_to_its_subject():
+    # the ghost chain of one complex proves nothing about another: the
+    # factors start at the subject, the augmentation lands on it, and
+    # comp is the composite of the factors after the augmentation
+    R = make_ring("poly(F101; x, y)")
+    rep = level_report(koszul_complex(R), "proj")
+    low = rep.lower
+    assert rep.verdict == ("exact", 3) and low.route == "ghost-chain"
+    kept = space, comp, factors, aug = low.ghost
+    B = make_ring("artin(F3; x, y | x^2, y^2)")
+    other = level_report(koszul_complex(B), "proj").lower
+    assert other.route == "ghost-chain"
+    assert other.data == low.data and other.verify()
+    # an equal copy of the subject is another complex all the same
+    twin = ChainMap(aug.source, koszul_complex(R), aug.comps)
+    assert twin.target == aug.target
+    for bad in (other.ghost,
+                (space, comp, factors, other.ghost[3]),
+                (space, comp, factors, twin),
+                (space, comp.scale(2), factors, aug)):
+        low.ghost = bad
+        assert not low.verify() and not rep.verify()
+        low.ghost = kept
+        assert low.verify() and rep.verify()
 
 
 def test_bare_certificates_fail_verification():

@@ -56,7 +56,7 @@ def test_free_module_and_residue_field():
 def test_min_gens_of_maximal_ideal():
     AA = artin_free(A, 1)
     k = artin_residue_field(A)
-    aug = ArtinHom(AA, k, Mat.from_rows(F2, [[1, 0]]))
+    aug = ArtinHom(AA, k, Mat.from_rows(F2, [[1, 0]])).checked()
     m, incl = aug.kernel()
     assert m.dim == 1
     assert m.mu() == 1
@@ -108,7 +108,7 @@ def kronecker_hom_dim(M, N) -> int:
 def _hom_test_modules(ring):
     """Zero, free and non-free modules over a local ring."""
     F1 = artin_free(ring, 1)
-    x = ArtinHom(F1, F1, ring.var_matrix(0))
+    x = ArtinHom(F1, F1, ring.var_matrix(0)).checked()
     return [zero_module(ring), F1, artin_free(ring, 2),
             artin_residue_field(ring), x.cokernel()[0], x.kernel()[0],
             F1.dual()]
@@ -125,7 +125,7 @@ def test_hom_space_coords_faithful(field):
             assert H.dim == kronecker_hom_dim(M, N), (M, N)
             for i in range(H.dim):
                 h = H.basis_hom(i)
-                ArtinHom(M, N, h.matrix, check=True)
+                ArtinHom(M, N, h.matrix).checked()
                 unit = Mat.column(f, [int(t == i) for t in range(H.dim)])
                 assert H.coords(h) == unit
             c = Mat.column(f, [3 * t + 1 for t in range(H.dim)])
@@ -141,10 +141,10 @@ def test_hom_space_coords_faithful(field):
                                  zip(M.actions, N.actions))
                     if is_hom:
                         assert H.from_coords(
-                            H.coords(ArtinHom(M, N, e))).matrix == e
+                            H.coords(ArtinHom(M, N, e).checked())).matrix == e
                     else:
                         with pytest.raises(ModuleError):
-                            H.coords(ArtinHom(M, N, e, check=False))
+                            H.coords(ArtinHom(M, N, e))
 
 
 def test_artin_coords_reject_a_matrix_that_is_not_a_hom():
@@ -154,14 +154,14 @@ def test_artin_coords_reject_a_matrix_that_is_not_a_hom():
     for M, rows in ((AA, [[1, 0], [0, 0]]), (k, [[1], [0]])):
         H = hom_space(M, AA)
         with pytest.raises(ModuleError):
-            H.coords(ArtinHom(M, AA, Mat.from_rows(F2, rows), check=False))
+            H.coords(ArtinHom(M, AA, Mat.from_rows(F2, rows)))
     assert hom_space(AA, AA).basis_mat is None
     assert hom_space(k, AA).basis_mat is not None
 
 
 def test_kernel_image_cokernel_artin():
     AA = artin_free(A, 1)
-    x = ArtinHom(AA, AA, A.var_matrix(0))
+    x = ArtinHom(AA, AA, A.var_matrix(0)).checked()
     K, incl = x.kernel()
     I, iincl, epi = x.image()
     C, proj = x.cokernel()
@@ -177,9 +177,9 @@ def test_exactness_of_image_kernel_chain():
     # for f: F -> k the kernel of f equals the image of x-multiplication
     k = artin_residue_field(A)
     AA = artin_free(A, 1)
-    aug = ArtinHom(AA, k, Mat.from_rows(F2, [[1, 0]]))
+    aug = ArtinHom(AA, k, Mat.from_rows(F2, [[1, 0]])).checked()
     K, kincl = aug.kernel()
-    x = ArtinHom(AA, AA, A.var_matrix(0))
+    x = ArtinHom(AA, AA, A.var_matrix(0)).checked()
     I, iincl, _ = x.image()
     lifted = iincl.lift_through(kincl)
     assert lifted is not None and lifted.is_iso()
@@ -188,7 +188,7 @@ def test_exactness_of_image_kernel_chain():
 def test_factor_through_and_preimage():
     AA = artin_free(A, 1)
     k = artin_residue_field(A)
-    aug = ArtinHom(AA, k, Mat.from_rows(F2, [[1, 0]]))
+    aug = ArtinHom(AA, k, Mat.from_rows(F2, [[1, 0]])).checked()
     idk = k.identity_hom()
     h = idk.compose(aug).factor_through(aug)
     assert h is not None and h == idk
@@ -234,8 +234,8 @@ def _reference_cokernel(h):
     assert inv is not None
     proj = inv.take_rows(range(ib.ncols, ib.ncols + len(idx)))
     acts = [proj @ x @ sect for x in h.target.actions]
-    cok = ArtinModule(h.target.ring, len(idx), acts, check=False)
-    ArtinHom(h.target, cok, proj, check=True)
+    cok = ArtinModule(h.target.ring, len(idx), acts)
+    ArtinHom(h.target, cok, proj).checked()
     return proj, acts, sect
 
 
@@ -305,9 +305,9 @@ def test_a_map_that_does_not_intertwine_still_fails_loudly():
     AA = artin_free(A, 1)
     k = artin_residue_field(A)
     # 1 -> 1, x -> 0 on A: its image span(1) is not a submodule
-    e1 = ArtinHom(AA, AA, Mat.from_rows(F2, [[1, 0], [0, 0]]), check=False)
+    e1 = ArtinHom(AA, AA, Mat.from_rows(F2, [[1, 0], [0, 0]]))
     # the coefficient of x, A -> k: its kernel span(1) is not a submodule
-    cx = ArtinHom(AA, k, Mat.from_rows(F2, [[0, 1]]), check=False)
+    cx = ArtinHom(AA, k, Mat.from_rows(F2, [[0, 1]]))
     for bad, build, reference in ((e1, ArtinHom.image, _reference_image),
                                   (cx, ArtinHom.kernel, _reference_kernel)):
         with pytest.raises(AssertionError, match="submodule"):
@@ -400,7 +400,7 @@ def test_find_isomorphism_decides_large_hom_space():
     x, y = AA.actions
 
     def cyclic(t):
-        Q, _ = ArtinHom(AA, AA, x - y.scale(t)).cokernel()
+        Q, _ = ArtinHom(AA, AA, x - y.scale(t)).checked().cokernel()
         return direct_sum([k, Q])[0]
 
     M, N = cyclic(1), cyclic(2)
@@ -419,7 +419,7 @@ def test_graded_kernel_frozen():
     # R(-1)^2 -> R via (x, y): kernel is generated by (y, -x), free of rank 1
     F1 = graded_free(R2, [1, 1])
     F0 = graded_free(R2, [0])
-    f = GradedHom(F1, F0, [pv(R2, "x"), pv(R2, "y")])
+    f = GradedHom(F1, F0, [pv(R2, "x"), pv(R2, "y")]).checked()
     K, incl = f.kernel()
     assert K.mu() == 1
     assert K.is_free()
@@ -524,8 +524,7 @@ def test_graded_coords_keep_their_input_checks():
     free = hom_space(F, F)
     assert free._read_off
     with pytest.raises(ModuleError):
-        free.coords(GradedHom(F, F, [pv(R2, "x", "0"), F.gen_elem(1)],
-                              check=False))
+        free.coords(GradedHom(F, F, [pv(R2, "x", "0"), F.gen_elem(1)]))
     for H in (hom_space(M, k), hom_space(M, M), free):
         c = Mat.column(F101, [5 * t + 2 for t in range(H.dim)])
         assert H.coords(H.from_coords(c)) == c
@@ -540,14 +539,14 @@ def test_graded_space_of_trivial_homs_has_no_coordinates():
     assert H.dim == 0 and H.triv.ncols == 2
     assert H.coords(zero_hom(F1, k)).shape == (0, 1)
     E = hom_space(F1, F1)
-    assert E.compose_matrix(H, post=GradedHom(F1, k, [k.zero_elem()])).shape \
-        == (0, 1)
+    zero = GradedHom(F1, k, [k.zero_elem()]).checked()
+    assert E.compose_matrix(H, post=zero).shape == (0, 1)
 
 
 def test_graded_image_cokernel():
     F1 = graded_free(R2, [1, 1])
     F0 = graded_free(R2, [0])
-    f = GradedHom(F1, F0, [pv(R2, "x"), pv(R2, "y")])
+    f = GradedHom(F1, F0, [pv(R2, "x"), pv(R2, "y")]).checked()
     I, incl, epi = f.image()
     assert incl.compose(epi) == f
     assert incl.is_injective()
@@ -561,14 +560,15 @@ def test_graded_image_cokernel():
 def test_graded_lift_and_factor():
     F0 = graded_free(R2, [0])
     k = graded_residue_field(R2)
-    quot = GradedHom(F0, k, [k.gen_elem(0)])
+    quot = GradedHom(F0, k, [k.gen_elem(0)]).checked()
     idk = k.identity_hom()
     h = idk.compose(quot).factor_through(quot)
     assert h is not None and h == idk
     # lift x . (-) : R(-1) -> R through the inclusion of the ideal (x, y)
     F1 = graded_free(R2, [1])
-    xonly = GradedHom(F1, F0, [pv(R2, "x")])
-    ideal = GradedHom(graded_free(R2, [1, 1]), F0, [pv(R2, "x"), pv(R2, "y")])
+    xonly = GradedHom(F1, F0, [pv(R2, "x")]).checked()
+    ideal = GradedHom(graded_free(R2, [1, 1]), F0,
+                      [pv(R2, "x"), pv(R2, "y")]).checked()
     img, incl, _ = ideal.image()
     lifted = xonly.lift_through(incl)
     assert lifted is not None
@@ -633,9 +633,10 @@ def buchberger_calls(monkeypatch):
 def test_lift_through_computes_target_basis_once(buchberger_calls):
     R = GradedPolyRing(F101, ["x", "y", "z"])
     F0 = graded_free(R, [0])
-    ideal = GradedHom(graded_free(R, [1, 1]), F0, [pv(R, "x"), pv(R, "y")])
+    ideal = GradedHom(graded_free(R, [1, 1]), F0,
+                      [pv(R, "x"), pv(R, "y")]).checked()
     quads = GradedHom(graded_free(R, [2, 2, 2]), F0,
-                      [pv(R, "x^2"), pv(R, "x*y"), pv(R, "y*z")])
+                      [pv(R, "x^2"), pv(R, "x*y"), pv(R, "y*z")]).checked()
     lifted = quads.lift_through(ideal)
     assert lifted is not None and ideal.compose(lifted) == quads
     assert buchberger_calls == [tuple(ideal.cols)]
@@ -787,7 +788,7 @@ def _reference_compose(H, U, post=None, pre=None):
         cols = [PolyVec.zero(f, H.M.ring.nvars) for _ in range(H.M.ngens)]
         for (j, i, m), c in zip(H.entry_index, H.quot.col_entries(t)):
             cols[j] = cols[j] + PolyVec(f, H.M.ring.nvars, {(i, m): c})
-        h = GradedHom(H.M, H.N, cols, check=False)
+        h = GradedHom(H.M, H.N, cols)
         homs.append(post.compose(h) if post is not None else h.compose(pre))
     v = [[f.zero] * len(homs) for _ in U.entry_index]
     upos = {e: t for t, e in enumerate(U.entry_index)}
@@ -868,7 +869,7 @@ def test_graded_hom_space_matches_reference(text):
 def test_graded_compose_rejects_a_hom_of_nonzero_degree():
     F0, F1 = graded_free(R2, [0]), graded_free(R2, [1])
     # x^2 . (-) : R(-1) -> R has degree one, not zero
-    bad = GradedHom(F1, F0, [pv(R2, "x^2")], check=False)
+    bad = GradedHom(F1, F0, [pv(R2, "x^2")])
     with pytest.raises(ModuleError, match="not homogeneous of degree zero"):
         hom_space(F1, F1).compose_matrix(hom_space(F1, F0), post=bad)
     with pytest.raises(ModuleError, match="not homogeneous of degree zero"):

@@ -10,7 +10,9 @@ code that shares a name with live code, but a definition that only
 tests or other unreached code call is reported.
 
 No module keeps process-global state: no context variable, thread-local
-or global statement, so one report cannot change the next.
+or global statement, so one report cannot change the next. No
+constructor takes a `check` option: where a check runs is named in the
+code, by a call to `checked()`.
 """
 
 import ast
@@ -156,3 +158,26 @@ def test_no_process_global_state():
     found = [(path.name, line, what) for path in sorted(SRC.glob("*.py"))
              for line, what in _process_global_state(path)]
     assert found == [], "state shared by every report in the process"
+
+
+def _check_parameters(path):
+    """(line, qualified name) for each __init__ in the module at path that
+    takes a parameter named check."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "check" for a in params):
+                    yield node.lineno, f"{cls.name}.__init__"
+
+
+def test_no_constructor_takes_a_check_option():
+    # construction trusts its caller; the places that take objects from
+    # outside or confirm a map by its cone call checked() by name
+    found = [(path.name, line, what) for path in sorted(SRC.glob("*.py"))
+             for line, what in _check_parameters(path)]
+    assert found == [], "constructors with a check option"

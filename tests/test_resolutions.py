@@ -218,7 +218,7 @@ def hom_complex_ext_dims(M, window):
             continue
         diffs[1 - i] = free_hom_from_polys(
             mods[1 - i], mods[-i], transposed_entries(res.complex.diff(i)))
-    cx = Complex(ring, mods, diffs, check=True)
+    cx = Complex(ring, mods, diffs).checked()
     return [cx.hdata().homology(-i).dim for i in range(window + 1)]
 
 
@@ -316,7 +316,7 @@ def test_screen_is_kept_per_module_value(resolved):
     first = tr_screen(M, 3)
     assert resolved
     resolved.clear()
-    twin = ArtinModule(ring, M.dim, M.actions)
+    twin = ArtinModule(ring, M.dim, M.actions).checked()
     assert twin is not M
     assert tr_screen(twin, 3) == first
     assert resolved == []
@@ -394,7 +394,7 @@ def test_gpd_of_a_complex_with_homology_in_one_degree(B):
 
 def test_resolution_of_exact_complex_is_empty(A):
     AA = artin_free(A, 1)
-    x = Complex(A, {0: AA, 1: AA}, {1: AA.identity_hom()})
+    x = Complex(A, {0: AA, 1: AA}, {1: AA.identity_hom()}).checked()
     res = semiprojective_resolution(x)
     assert res.complete
     assert res.complex.support() == []
