@@ -61,7 +61,7 @@ class PrimeField:
     """The field F_p for a prime p < 2**31."""
 
     __slots__ = ("p",)
-    dtype = np.int64
+    dtype = np.dtype(np.int64)
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -133,25 +133,35 @@ class PrimeField:
         """The entries of a as (nested) lists of field elements."""
         return a.tolist()
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b up to normalize: the inner dimension is cut into chunks
-        whose sums of products stay below 2**62."""
+    def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether two arrays of one shape hold the same entries: their
+        reduced int64 entries have the same bytes."""
+        return a.tobytes() == b.tobytes()
+
+    def matmul(self, a: np.ndarray, b: np.ndarray,
+               den: int) -> tuple[np.ndarray, int]:
+        """The normalized product (a @ b mod p, 1), reduced once: an
+        inner dimension too long for int64 sums is cut into chunks whose
+        sums of products stay below 2**62, reduced between chunks."""
         step = 2**62 // (self.p - 1) ** 2
-        out = a[:, :step] @ b[:step]
+        out = a @ b if a.shape[1] <= step else a[:, :step] @ b[:step]
         for s in range(step, a.shape[1], step):
-            out = out % self.p + a[:, s:s + step] @ b[s:s + step]
-        return out
+            out %= self.p
+            out += a[:, s:s + step] @ b[s:s + step]
+        out %= self.p
+        return out, 1
 
     def eliminate(self, a: np.ndarray, r: int, c: int) -> None:
         """Scale row r to a pivot 1 at column c, then clear column c in
         every other row."""
         # row r is zero left of column c, so only columns c: change
-        a[r, c:] = a[r, c:] * self.inv(a.item(r, c)) % self.p
-        mask = a[:, c] != 0
+        row = a[r, c:]
+        np.remainder(row * pow(a.item(r, c), -1, self.p), self.p, out=row)
+        mask = a[:, c].astype(bool)
         mask[r] = False
-        if mask.any():
-            a[mask, c:] = (a[mask, c:]
-                           - np.outer(a[mask, c], a[r, c:])) % self.p
+        if np.count_nonzero(mask):
+            rows = a[mask, c:]
+            a[mask, c:] = (rows - rows[:, :1] * row) % self.p
 
     def from_work(self, a: np.ndarray,
                   pivots: Sequence[int]) -> tuple[np.ndarray, int]:
@@ -166,7 +176,7 @@ class RationalField:
     reduction run on those ints."""
 
     __slots__ = ()
-    dtype = object
+    dtype = np.dtype(object)
 
     @property
     def is_prime_field(self) -> bool:
@@ -246,21 +256,28 @@ class RationalField:
         out = [Fraction(x, den) if x else _ZERO for x in a.ravel().tolist()]
         return np.array(out, dtype=object).reshape(a.shape).tolist()
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The integer product a @ b; its denominator is the product of
-        the factors' denominators."""
-        return a @ b
+    def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether two arrays of one shape hold the same entries, compared
+        as Python ints (the bytes of an object array are pointers)."""
+        return a.tolist() == b.tolist()
+
+    def matmul(self, a: np.ndarray, b: np.ndarray,
+               den: int) -> tuple[np.ndarray, int]:
+        """The integer product a @ b over den, the product of the
+        factors' denominators, normalized."""
+        return self.normalize(a @ b, den)
 
     def eliminate(self, a: np.ndarray, r: int, c: int) -> None:
         """Clear column c in every other row: row_i becomes
         pv * row_i - a_ic * row_r (pv = a_rc), divided by its content."""
-        mask = a[:, c] != 0
+        mask = a[:, c].astype(bool)
         mask[r] = False
-        if not mask.any():
+        if not np.count_nonzero(mask):
             return
         # cross-multiplying scales the whole of row_i, also the entries
         # left of c that an earlier pivot row keeps in non-pivot columns
-        rows = a.item(r, c) * a[mask] - np.outer(a[mask, c], a[r])
+        rows = a[mask]
+        rows = a.item(r, c) * rows - rows[:, c:c + 1] * a[r]
         for row in rows:
             g = math.gcd(*row.tolist())
             if g > 1:
@@ -327,18 +344,14 @@ class Mat:
 
     def __init__(self, field, nrows: int, ncols: int, data, den: int = 1, *,
                  reduced: bool = False):
-        if reduced:
+        if reduced or (isinstance(data, np.ndarray)
+                       and data.dtype == field.dtype):
             a = data
         else:
-            if not (isinstance(data, np.ndarray)
-                    and data.dtype == field.dtype):
-                try:
-                    data = [[field.of(x) for x in row] for row in data]
-                except TypeError:
-                    raise LinalgError("bad row data shape") from None
             try:
-                a = np.asarray(data, dtype=field.dtype)
-            except ValueError:
+                a = np.array([[field.of(x) for x in row] for row in data],
+                             dtype=field.dtype)
+            except (TypeError, ValueError):
                 raise LinalgError("bad row data shape") from None
         if a.shape != (nrows, ncols):
             if a.size or nrows * ncols:
@@ -378,9 +391,14 @@ class Mat:
 
     @staticmethod
     def identity(field, n: int) -> "Mat":
-        a = _zeros(field, n, n)
-        np.fill_diagonal(a, 1)
-        return Mat(field, n, n, a, reduced=True)
+        return Mat(field, n, n, np.eye(n, dtype=field.dtype), reduced=True)
+
+    @staticmethod
+    def units(field, n: int, idx: Iterable[int], axis: int = 1) -> "Mat":
+        """The unit vectors e_i of k^n, i in idx, as columns (axis 1) or
+        rows (axis 0): those columns or rows of the identity."""
+        a = np.eye(n, dtype=field.dtype).take(list(idx), axis)
+        return Mat(field, *a.shape, a, reduced=True)
 
     @staticmethod
     def column(field, entries: Sequence) -> "Mat":
@@ -407,12 +425,12 @@ class Mat:
 
     def take_columns(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
-        return Mat(self.field, self.nrows, len(idx), self._a[:, idx],
+        return Mat(self.field, self.nrows, len(idx), self._a.take(idx, 1),
                    self._den, reduced=self._den == 1)
 
     def take_rows(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
-        return Mat(self.field, len(idx), self.ncols, self._a[idx],
+        return Mat(self.field, len(idx), self.ncols, self._a.take(idx, 0),
                    self._den, reduced=self._den == 1)
 
     def reshape(self, nrows: int, ncols: int) -> "Mat":
@@ -439,13 +457,13 @@ class Mat:
         return self.field.entries(self._a, self._den)
 
     def is_zero(self) -> bool:
-        return not self._a.any()
+        return not np.count_nonzero(self._a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or other.field != self.field:
             return NotImplemented
-        return (self._den == other._den
-                and bool(np.array_equal(self._a, other._a)))
+        return (self._a.shape == other._a.shape and self._den == other._den
+                and self.field.equal(self._a, other._a))
 
     def __hash__(self):
         return hash((self.shape, self._den, tuple(self._a.ravel().tolist())))
@@ -482,8 +500,9 @@ class Mat:
         if self.ncols == 0:  # nothing to multiply: the zero matrix
             return Mat.zeros(self.field, self.nrows, other.ncols)
         return Mat(self.field, self.nrows, other.ncols,
-                   self.field.matmul(self._a, other._a),
-                   self._den * other._den)
+                   *self.field.matmul(self._a, other._a,
+                                      self._den * other._den),
+                   reduced=True)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product self (x) other."""
@@ -520,7 +539,7 @@ class Mat:
                 continue
             i = r + int(nz[0])
             if i != r:
-                a[[r, i]] = a[[i, r]]
+                a[r], a[i] = a[i].copy(), a[r].copy()
             f.eliminate(a, r, c)
             pivots.append(c)
         out = Mat(f, self.nrows, self.ncols, *f.from_work(a, pivots),
@@ -597,28 +616,26 @@ def _over_common_den(mats: Sequence[Mat]) -> tuple[list[np.ndarray], int]:
 # lowest terms: a prime power dividing the lcm exactly divides some block's
 # denominator, and that block has an entry the prime does not divide.
 
-def hstack(mats: Sequence[Mat]) -> Mat:
+def _stack(mats: Sequence[Mat], axis: int, name: str) -> Mat:
+    """The blocks joined along axis: 1 side by side, 0 one above another."""
     mats = list(mats)
     if not mats:
-        raise LinalgError("hstack of nothing")
-    f, n = mats[0].field, mats[0].nrows
-    if any(m.nrows != n or m.field != f for m in mats):
-        raise LinalgError("hstack mismatch")
+        raise LinalgError(f"{name} of nothing")
+    f, side = mats[0].field, mats[0]._a.shape[1 - axis]
+    for m in mats:
+        if m._a.shape[1 - axis] != side or m.field != f:
+            raise LinalgError(f"{name} mismatch")
     arrays, den = _over_common_den(mats)
-    return Mat(f, n, sum(m.ncols for m in mats), np.hstack(arrays), den,
-               reduced=True)
+    a = np.concatenate(arrays, axis)
+    return Mat(f, *a.shape, a, den, reduced=True)
+
+
+def hstack(mats: Sequence[Mat]) -> Mat:
+    return _stack(mats, 1, "hstack")
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
-    mats = list(mats)
-    if not mats:
-        raise LinalgError("vstack of nothing")
-    f, c = mats[0].field, mats[0].ncols
-    if any(m.ncols != c or m.field != f for m in mats):
-        raise LinalgError("vstack mismatch")
-    arrays, den = _over_common_den(mats)
-    return Mat(f, sum(m.nrows for m in mats), c, np.vstack(arrays), den,
-               reduced=True)
+    return _stack(mats, 0, "vstack")
 
 
 def block_diag(field, mats: Sequence[Mat]) -> Mat:

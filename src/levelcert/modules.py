@@ -132,7 +132,7 @@ class ArtinModule:
         return 0
 
     def basis_elem(self, i: int) -> Mat:
-        return Mat.identity(self.field, self.dim).take_columns([i])
+        return Mat.units(self.field, self.dim, [i])
 
     def elem_eq(self, a: Mat, b: Mat) -> bool:
         return a == b
@@ -281,8 +281,8 @@ class ArtinHom:
         The canonical kernel basis is the identity on the non-pivot rows
         (free), so the coordinates of any element of its span are its
         entries at free: the actions on K are those rows of x @ incl, and
-        the identity rows at free are kept as incl.retraction, a left
-        inverse for lift_through. No solve.
+        the unit rows at free are kept as incl.retraction, a left inverse
+        for lift_through. No solve.
         """
         kb = self.matrix.kernel_basis()
         pivots = set(self.matrix.rref()[1])
@@ -290,8 +290,8 @@ class ArtinHom:
         images = [x @ kb for x in self.source.actions]
         K, incl = _artin_sub(self.source, kb,
                              [xk.take_rows(free) for xk in images], images)
-        incl.retraction = Mat.identity(self.matrix.field,
-                                       self.source.dim).take_rows(free)
+        incl.retraction = Mat.units(self.matrix.field, self.source.dim,
+                                    free, axis=0)
         return K, incl
 
     def image(self):
@@ -757,11 +757,11 @@ def direct_sum(mods):
         S = ArtinModule(ring, total, acts)
         incls, projs = [], []
         off = 0
-        eye = Mat.identity(field, total)
         for m in mods:
             block = range(off, off + m.dim)
-            incls.append(ArtinHom(m, S, eye.take_columns(block)))
-            projs.append(ArtinHom(S, m, eye.take_rows(block)))
+            incls.append(ArtinHom(m, S, Mat.units(field, total, block)))
+            projs.append(ArtinHom(S, m, Mat.units(field, total, block,
+                                                  axis=0)))
             off += m.dim
         return S, incls, projs
     ring = mods[0].ring
@@ -975,8 +975,12 @@ class GradedHomSpace:
         # trivial homs: columns lying in the relation submodule of N
         self.triv = N.rel_multiples(M.gen_twists, self.pos).column_space_basis()
         # when every entry is a basis direction (no relation to kill and
-        # no trivial hom), the coordinates are the entries themselves
+        # no trivial hom), the coordinates are the entries themselves and
+        # there is no quotient basis quot
         self._read_off = not M.rels and not self.triv.ncols
+        if self._read_off:
+            self.dim = na
+            return
         if M.rels:
             # a hom kills relation k of M when its image of that relation
             # is a combination of multiples of the relations of N
@@ -987,18 +991,12 @@ class GradedHomSpace:
                           ).kernel_basis().take_rows(range(na))
         else:
             kern = Mat.identity(M.field, na)
-        if self._read_off:
-            self.quot = kern
-            return
         full = hstack([self.triv, kern])
         # quotient basis: pivot columns of [triv | kernel] beyond the triv block
         self.quot = full.take_columns(
             c for c in full.rref()[1] if c >= self.triv.ncols)
+        self.dim = self.quot.ncols
         self._solve_block = hstack([self.triv, self.quot])
-
-    @property
-    def dim(self) -> int:
-        return self.quot.ncols
 
     def _pre(self, vecs, rows: dict) -> Mat:
         """Matrix from the entries of a hom s to the images under s of
@@ -1028,7 +1026,10 @@ class GradedHomSpace:
                          [PolyVec(f, self.M.ring.nvars, t) for t in cols])
 
     def basis_hom(self, i: int) -> GradedHom:
-        return self._hom_from_entry_vec(self.quot.take_columns([i]))
+        # with read-off coordinates, coordinate i is entry i
+        return self._hom_from_entry_vec(
+            Mat.units(self.M.field, self.dim, [i]) if self._read_off
+            else self.quot.take_columns([i]))
 
     def coords(self, h: GradedHom) -> Mat:
         triples = [(_row(self.pos, (j, i, m)), 0, c)
@@ -1040,7 +1041,8 @@ class GradedHomSpace:
     def from_coords(self, c: Mat) -> GradedHom:
         if self.dim == 0:
             return zero_hom(self.M, self.N)
-        return self._hom_from_entry_vec(self.quot @ c)
+        return self._hom_from_entry_vec(c if self._read_off
+                                        else self.quot @ c)
 
     def compose_matrix(self, U: "GradedHomSpace", post=None,
                        pre=None) -> Mat:
@@ -1056,7 +1058,6 @@ class GradedHomSpace:
                              self.M.gen_twists, U.pos)
         else:
             mat = self._pre(pre.cols, U.pos)
-        # quot is the identity when the coordinates are the entries
         return U._coords(mat if self._read_off else mat @ self.quot)
 
 
