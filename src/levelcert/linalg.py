@@ -9,10 +9,11 @@ has denominator 1). Both forms are canonical, so equal matrices have
 equal arrays and denominators. Each matrix operation has one body for
 both fields. The field classes own the only array steps that differ:
 normalize (mod p over F_p, clearing and dividing by the gcd over Q),
-matmul, the elimination step of row reduction and the conversion out of
-its working array, and the conversion of entries into field elements.
-Over F_p, matmul is a chunked int64 product that keeps sums below 2**63,
-and elimination scales the pivot row to 1 and subtracts multiples of it.
+the comparison of entries, matmul, the elimination step of row reduction
+and the conversion out of its working array, and the conversion of
+entries into field elements. Over F_p, matmul is a chunked int64 product
+that keeps sums below 2**63, and elimination scales the pivot row to 1
+and subtracts multiples of it.
 Over Q no Fraction is built inside a product, a sum or an elimination:
 matmul multiplies the integer arrays and the denominators, sums and
 stacks bring their operands to the lcm of their denominators, and
@@ -26,6 +27,17 @@ point anywhere.
 Row reduction uses a fixed pivot rule, lowest row index then lowest column
 index, so ranks, kernel bases and solutions are deterministic functions of
 the input.
+
+Most matrices of the level search have sides below 16, where numpy's
+fixed cost per call outweighs the arithmetic, so each step uses the
+cheapest numpy call that does its work, with one code path at every
+size: a product is reduced once, inside field.matmul; F_p matrices are
+equal when their shapes, denominators and array bytes are, and Q
+matrices compare their shapes, denominators and then their entries
+through the field (the bytes of an object array are pointers); rows and
+columns are selected with ndarray.take, blocks stacked with
+np.concatenate; and rref swaps rows by two row copies and clears a
+column with one broadcast product on the rows it changes.
 """
 
 from __future__ import annotations
@@ -331,8 +343,8 @@ class Mat:
     Python ints over Q, with the pair in lowest terms (the zero matrix
     has denominator 1), so equal matrices have equal data. Every method
     has one body for both fields; the field supplies the array steps that
-    differ: normalize, matmul, the elimination step of rref with its
-    conversion out of the working array, and the entries as field
+    differ: normalize, equal, matmul, the elimination step of rref with
+    its conversion out of the working array, and the entries as field
     elements. Treat instances as values: every operation returns a new
     Mat. Row data that is not already an array of the field's dtype is
     converted entry by entry with field.of. Data and den are normalized

@@ -49,6 +49,32 @@ def test_script_output_is_unchanged(name, tmp_path):
     assert digest == want["out_sha256"]
 
 
+def _check_counts(workload, counts):
+    """Exit code and stdout of tests/trace_counts.py on a run with counts."""
+    metrics = {k: {"value": v, "unit": "count"} for k, v in counts.items()}
+    metrics["linalg.self_s"] = {"value": 0.5, "unit": "s"}
+    line = json.dumps({"correct": True, "metrics": metrics})
+    proc = subprocess.run(
+        [sys.executable, str(GOLDEN.parent / "trace_counts.py"), workload],
+        input=f"speed factor\n{line}\n", capture_output=True, text=True,
+        timeout=60)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("workload", ["artinian", "regular", "rational"])
+def test_trace_count_record_catches_a_moved_count(workload):
+    want = json.loads((GOLDEN / "trace_counts.json").read_text())
+    counts = dict(want["workloads"][workload])
+    assert counts["linalg.rref_calls"] > 0
+    assert _check_counts(workload, counts) == (0, "")
+    moved = dict(counts, **{"linalg.mat_builds":
+                            counts["linalg.mat_builds"] + 1})
+    code, out = _check_counts(workload, moved)
+    assert code == 1 and "linalg.mat_builds" in out
+    del counts["grobner.calls"]
+    assert _check_counts(workload, counts)[0] == 1
+
+
 if __name__ == "__main__":
     import tempfile
     record = {}

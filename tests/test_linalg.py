@@ -346,6 +346,22 @@ def test_chunked_product_near_the_largest_prime():
     assert (Mat.from_rows(F, a) @ Mat.from_rows(F, b)).to_lists() == want
 
 
+@pytest.mark.parametrize("p, inner", [(2147483647, 1), (2147483647, 2),
+                                      (2147483647, 3), (2, 4099)])
+def test_products_at_the_chunk_boundary(p, inner):
+    # at p = 2**31 - 1 an inner dimension of 1 is one chunk and 2 and 3
+    # are cut into chunks of 1; over F2 no inner dimension needs chunks
+    F = PrimeField(p)
+    rng = random.Random(31)
+    a = [[rng.randrange(p) for _ in range(inner)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(4)] for _ in range(inner)]
+    a[0] = [p - 1] * inner  # the largest products and sums
+    b = [[p - 1] + row[1:] for row in b]
+    want = [[sum(a[i][t] * b[t][j] for t in range(inner)) % p
+             for j in range(4)] for i in range(3)]
+    assert (Mat.from_rows(F, a) @ Mat.from_rows(F, b)).to_lists() == want
+
+
 def _random_rows(rng, field, n, m, rank):
     """n x m entries of rank at most `rank`: a product through k^rank."""
     def entry():
@@ -437,9 +453,16 @@ def test_from_triples_sums_repeated_positions(field):
 def test_matrix_data_is_one_read_only_array(field):
     A = Mat.from_rows(field, [[1, 200], [-1, 3]])
     for M in (A, A @ A, A.kron(A), A.rref()[0], A.kernel_basis(),
-              A.take_rows([1]), A.transpose(), hstack([A, A]),
-              block_diag(field, [A, A]), A.inverse(), Mat.identity(field, 2)):
+              A.take_rows([1]), A.take_columns([1, 1, 0]), A.transpose(),
+              hstack([A, A]), vstack([A, A.take_rows([])]),
+              block_diag(field, [A, A]), A.inverse(), Mat.identity(field, 2),
+              Mat.identity(field, 0), Mat.units(field, 3, [2, 0]),
+              Mat.units(field, 3, [1], axis=0), Mat.zeros(field, 2, 3),
+              A - A, A.scale(2), -A, A.reshape(1, 4), A.block_transpose(1),
+              Mat.from_triples(field, 2, 2, [(0, 1, field.of(3))]),
+              Mat(field, 1, 2, [[1, 2]]), A.solve(A.take_columns([0]))):
         assert M._a.dtype == field.dtype
+        assert M._a.shape == M.shape
         assert not M._a.flags.writeable
         if field is F101:
             assert ((M._a >= 0) & (M._a < 101)).all()
@@ -659,9 +682,10 @@ def _ref_mul(a, b, inner, width):
              for j in range(width)] for i in range(len(a))]
 
 
-def _ref_rref(rows, ncols):
-    """(reduced rows, pivots) by Fraction row operations: the pivot row is
-    scaled to 1 and its multiples subtracted, lowest row index first."""
+def _ref_rref(rows, ncols, field=QQ):
+    """(reduced rows, pivots) by row operations on lists of field
+    elements (Fractions over Q): the pivot row is scaled to 1 and its
+    multiples subtracted, lowest row index first."""
     a = [list(r) for r in rows]
     pivots = []
     for c in range(ncols):
@@ -670,12 +694,13 @@ def _ref_rref(rows, ncols):
         if i is None:
             continue
         a[r], a[i] = a[i], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(x, inv) for x in a[r]]
         for k in range(len(a)):
             if k != r and a[k][c]:
                 t = a[k][c]
-                a[k] = [x - t * y for x, y in zip(a[k], a[r])]
+                a[k] = [field.sub(x, field.mul(t, y))
+                        for x, y in zip(a[k], a[r])]
         pivots.append(c)
     return a, tuple(pivots)
 
@@ -982,3 +1007,143 @@ def test_q_kernels_build_no_fractions():
         if coprime is not None:
             Fraction._from_coprime_ints = coprime
     assert vars(Fraction)["__new__"] is new
+
+
+# ------------------------------------------------ kernel edge cases
+#
+# The kernel compares F_p matrices by shape, denominator and bytes and Q
+# matrices through the field, selects with take, stacks with concatenate
+# and swaps rows by copies. These cases sit on the edges of those steps.
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_equal_entries_in_other_shapes_are_other_matrices(field):
+    # 1 x 4, 2 x 2 and 4 x 1 hold the same entries in the same order, so
+    # their arrays have the same bytes; the empty shapes have no bytes
+    row = Mat.from_rows(field, [[1, 2, 3, 4]])
+    same_bytes = [row, row.reshape(2, 2), row.reshape(4, 1)]
+    empty = [Mat.zeros(field, 0, 3), Mat.zeros(field, 3, 0),
+             Mat.zeros(field, 0, 0)]
+    for group in (same_bytes, empty):
+        for x, y in itertools.combinations(group, 2):
+            assert x != y and not x == y, (x, y)
+        assert len(set(group)) == len(group)
+        assert len({m: None for m in group}) == len(group)
+    # equal matrices are equal and hash alike, however they are built
+    built = [Mat.from_rows(field, [[1, 3], [2, 4]]),
+             row.reshape(2, 2).transpose(),
+             Mat.from_triples(field, 2, 2, [(0, 0, field.of(1)),
+                                            (0, 1, field.of(3)),
+                                            (1, 0, field.of(2)),
+                                            (1, 1, field.of(4))])]
+    for x in built:
+        assert x == built[0] and hash(x) == hash(built[0])
+    for shape in [(0, 3), (3, 0), (0, 0)]:
+        assert Mat.zeros(field, *shape) == Mat.zeros(field, *shape)
+    # one shape, entries that differ only in the last place
+    assert row != Mat.from_rows(field, [[1, 2, 3, 2]])
+    assert row.reshape(2, 2).transpose() != built[0].transpose()
+    assert Mat.zeros(field, 0, 3) == row.take_rows([]).take_columns([0, 1, 2])
+    # the denominator takes part: over Q, [1/3, 2/3] holds the numerators
+    # of [1, 2] over 3
+    thirds = Mat.from_rows(field, [[Fraction(1, 3), Fraction(2, 3)]])
+    assert thirds != Mat.from_rows(field, [[1, 2]])
+    assert thirds == Mat.from_rows(field, [[1, 2]]).scale(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_is_zero_reads_every_entry(field):
+    for shape in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3)]:
+        assert Mat.zeros(field, *shape).is_zero()
+    for i, j in itertools.product(range(2), range(3)):
+        one = Mat.from_triples(field, 2, 3, [(i, j, field.of(1))])
+        assert not one.is_zero()
+        assert (one - one).is_zero()
+    if field is F5:  # entries that are zero only mod 5
+        assert Mat.from_rows(F5, [[5, -10]]).is_zero()
+    assert not Mat.from_rows(field, [[Fraction(1, 7), 0]]).is_zero()
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_take_rows_and_columns_with_any_indices(field):
+    rows = [[field.of(Fraction(3 * i + j, 1 + (i + j) % 2)) for j in range(3)]
+            for i in range(4)]
+    A = Mat.from_rows(field, rows)
+    for idx in ([], [2], [3, 0], [1, 1, 1], [2, 0, 2, 3], range(3, 0, -1)):
+        idx = list(idx)
+        got = A.take_rows(iter(idx))
+        assert got.shape == (len(idx), 3)
+        assert got.to_lists() == [rows[i] for i in idx]
+    for idx in ([], [1], [2, 0], [0, 0], [2, 1, 2, 0]):
+        got = A.take_columns(iter(idx))
+        assert got.shape == (4, len(idx))
+        assert got.to_lists() == [[r[j] for j in idx] for r in rows]
+    assert A.take_rows([]).take_columns([]).shape == (0, 0)
+    assert A.take_columns([1, 1]) == hstack([A.col(1), A.col(1)])
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_stacks_with_empty_blocks(field):
+    A = Mat.from_rows(field, [[1, 2], [3, Fraction(1, 2)]])
+    for empty in (Mat.zeros(field, 2, 0), Mat.identity(field, 2)
+                  .take_columns([])):
+        assert hstack([empty, A, empty]) == A
+        assert hstack([empty, empty]).shape == (2, 0)
+    for empty in (Mat.zeros(field, 0, 2), A.take_rows([])):
+        assert vstack([empty, A, empty]) == A
+        assert vstack([empty]).shape == (0, 2)
+    assert hstack([Mat.zeros(field, 0, 2), Mat.zeros(field, 0, 1)]).shape \
+        == (0, 3)
+    assert vstack([Mat.zeros(field, 2, 0), Mat.zeros(field, 1, 0)]).shape \
+        == (3, 0)
+    I0 = Mat.identity(field, 0)
+    assert I0.shape == (0, 0) and I0.is_zero() and I0.rank() == 0
+    assert I0 == Mat.zeros(field, 0, 0) and I0.inverse() == I0
+    assert block_diag(field, [I0, A, I0]) == A
+    assert (Mat.zeros(field, 3, 0) @ I0 @ Mat.zeros(field, 0, 2)
+            == Mat.zeros(field, 3, 2))
+    for bad in ([A, Mat.zeros(field, 3, 1)], []):
+        with pytest.raises(LinalgError):
+            hstack(bad)
+    with pytest.raises(LinalgError):
+        vstack([A, Mat.zeros(field, 1, 3)])
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_units_are_columns_and_rows_of_the_identity(field):
+    eye = Mat.identity(field, 4)
+    for idx in ([], [2], [3, 0, 3], range(4)):
+        assert Mat.units(field, 4, idx) == eye.take_columns(idx)
+        assert Mat.units(field, 4, idx, axis=0) == eye.take_rows(idx)
+    assert Mat.units(field, 0, []).shape == (0, 0)
+
+
+@pytest.mark.parametrize("field", [F2, F5, F101, QQ],
+                         ids=["F2", "F5", "F101", "Q"])
+def test_rref_swaps_rows_up_to_a_pivot_below(field):
+    # each column's first nonzero entry at or below the current row lies
+    # further down, so every pivot is swapped up, some past zero rows
+    cases = [[[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+             [[0, 0, 1, 1], [0, 0, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1]],
+             [[0, 0], [0, 0], [0, 1]],
+             [[0, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 0],
+              [1, 1, 1, 1]]]
+    rng = random.Random(f"swap-{field.name}")
+    for _ in range(20):
+        n, m = rng.randint(2, 6), rng.randint(1, 6)
+        rows = [[field.of(rng.choice([0, 0, 0, 1, 2, 3])) for _ in range(m)]
+                for _ in range(n)]
+        rows[0] = [field.zero] * m  # no pivot in row 0 at the first column
+        cases.append(rows)
+    swaps = 0
+    for rows in cases:
+        rows = [[field.of(x) for x in r] for r in rows]
+        A = Mat.from_rows(field, rows)
+        R, pivots = A.rref()
+        want, want_pivots = _ref_rref(rows, A.ncols, field)
+        assert pivots == want_pivots, rows
+        assert R.to_lists() == want, rows
+        # the first pivot lies below row 0
+        swaps += bool(pivots) and not rows[0][pivots[0]]
+        assert A.to_lists() == rows  # the input is left as it was
+    assert swaps >= 20
