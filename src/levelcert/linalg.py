@@ -158,8 +158,7 @@ class PrimeField:
         step = 2**62 // (self.p - 1) ** 2
         out = a @ b if a.shape[1] <= step else a[:, :step] @ b[:step]
         for s in range(step, a.shape[1], step):
-            out %= self.p
-            out += a[:, s:s + step] @ b[s:s + step]
+            out = out % self.p + a[:, s:s + step] @ b[s:s + step]
         out %= self.p
         return out, 1
 
@@ -409,7 +408,11 @@ class Mat:
     def units(field, n: int, idx: Iterable[int], axis: int = 1) -> "Mat":
         """The unit vectors e_i of k^n, i in idx, as columns (axis 1) or
         rows (axis 0): those columns or rows of the identity."""
-        a = np.eye(n, dtype=field.dtype).take(list(idx), axis)
+        idx = list(idx)
+        a = _zeros(field, n, len(idx))
+        for j, i in enumerate(idx):
+            a[i, j] = 1
+        a = a if axis else a.T
         return Mat(field, *a.shape, a, reduced=True)
 
     @staticmethod
@@ -634,9 +637,8 @@ def _stack(mats: Sequence[Mat], axis: int, name: str) -> Mat:
     if not mats:
         raise LinalgError(f"{name} of nothing")
     f, side = mats[0].field, mats[0]._a.shape[1 - axis]
-    for m in mats:
-        if m._a.shape[1 - axis] != side or m.field != f:
-            raise LinalgError(f"{name} mismatch")
+    if any(m._a.shape[1 - axis] != side or m.field != f for m in mats):
+        raise LinalgError(f"{name} mismatch")
     arrays, den = _over_common_den(mats)
     a = np.concatenate(arrays, axis)
     return Mat(f, *a.shape, a, den, reduced=True)

@@ -1041,6 +1041,9 @@ class GradedHomSpace:
     def from_coords(self, c: Mat) -> GradedHom:
         if self.dim == 0:
             return zero_hom(self.M, self.N)
+        if c.shape != (self.dim, 1):
+            raise ModuleError(f"{c.shape} coordinates for a hom space of "
+                              f"dimension {self.dim}")
         return self._hom_from_entry_vec(c if self._read_off
                                         else self.quot @ c)
 

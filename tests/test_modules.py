@@ -528,6 +528,10 @@ def test_graded_coords_keep_their_input_checks():
     for H in (hom_space(M, k), hom_space(M, M), free):
         c = Mat.column(F101, [5 * t + 2 for t in range(H.dim)])
         assert H.coords(H.from_coords(c)) == c
+        for bad in (c.take_rows(range(1, H.dim)), vstack([c, c]),
+                    hstack([c, c])):
+            with pytest.raises(ModuleError):
+                H.from_coords(bad)
     assert not hom_space(M, k)._read_off and not hom_space(M, M)._read_off
 
 

@@ -7,9 +7,8 @@ reads the run's result (the last line of standard input) and exits 1,
 naming each count, when the run's count metrics differ from the ones
 recorded for W in tests/golden/trace_counts.json. Counts do not depend
 on the host, so any difference is a change of the work the program
-does. After an intended change, rewrite W's record from a run with
-
-    python3 perfbench/run.py ... | python3 tests/trace_counts.py W --record
+does. A change that moves a count edits W's record by hand and says
+why in CHANGES.md.
 """
 
 import json
@@ -26,14 +25,9 @@ def counts(result: dict) -> dict:
 
 
 def main(argv) -> int:
-    workload, record = argv[0], argv[1:] == ["--record"]
+    workload = argv[0]
     got = counts(json.loads(sys.stdin.readlines()[-1]))
-    stored = json.loads(RECORD.read_text())
-    if record:
-        stored["workloads"][workload] = got
-        RECORD.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
-        return 0
-    want = stored["workloads"][workload]
+    want = json.loads(RECORD.read_text())["workloads"][workload]
     bad = [f"{k}: {got.get(k)} (recorded {want.get(k)})"
            for k in sorted(set(got) | set(want)) if got.get(k) != want.get(k)]
     for line in bad:
