@@ -146,7 +146,7 @@ class Complex(Kept):
 
         Kept like hdata(), so the dual keeps its computed homology.
         """
-        if self.ring.kind != "artin":
+        if not self.ring.has_dual:
             raise ComplexError("duality is only available over artinian rings")
         # d: X_i -> X_{i-1} dualizes to (X_{i-1})^v -> (X_i)^v at 1-i
         return self.derived("dual", lambda: Complex(

@@ -22,17 +22,19 @@ from scratch and recomputing the value from the evidence, so a changed
 value or a wrong witness fails.
 
 level_report makes the decisions every route shares, once and in this
-order: an exact complex is the zero object (level 0); the injective
-classes over a graded ring are out of scope; on an artinian base the
-injective classes pass by Matlis duality to the projective ones on the
-dual complex, once per report; the one-step test runs on the (possibly
+order, reading the base's facts off the ring (rings.py) and the class's
+off CLASSES: an exact complex is the zero object (level 0); the
+injective classes are out of scope on a base with no duality, and on a
+base with one pass by Matlis duality to the projective ones on the dual
+complex, once per report; the one-step test runs on the (possibly
 dualized) complex; one cover tower of it is set up, a capped walk along
 the cover steps each layer keeps (adams.cover_step), so the steps are
 built on first use and shared with every other report and command on
-the same complex; the upper bound is decided first, and its value caps
-the lower search, which tests no ghost composite at or past it and
-builds no step past the ones those composites read; certificates
-computed on the dual are relabelled with the original class.
+the same complex; the upper bound is decided first, with no cover-tower
+route on a base of depth 0, and its value caps the lower search, which
+tests no ghost composite at or past it and builds no step past the ones
+those composites read; certificates computed on the dual are relabelled
+with the original class.
 
 Only the class-membership screens depend on the class. The rest of the
 evidence is kept on the (possibly dualized) complex by Complex.derived,
@@ -64,7 +66,13 @@ class LevelError(ValueError):
     pass
 
 
-CLASS_KEYS = ("proj", "flat", "inj", "gproj", "gflat", "ginj")
+# class: (projective class it decides as, read on the dual?, dimension
+# kind); for finite modules fd = pd and Gfd = Gdim (Christensen, LNM 1747)
+CLASSES = {"proj": ("proj", False, "pd"), "flat": ("proj", False, "fd"),
+           "inj": ("proj", True, "id"), "gproj": ("gproj", False, "gpd"),
+           "gflat": ("gproj", False, "gfd"), "ginj": ("gproj", True, "gid")}
+CLASS_KEYS = tuple(CLASSES)
+DUAL_CLASS = {c: p for c, (p, dual, _) in CLASSES.items() if dual}
 
 _ALIASES = {
     "projective": "proj", "free": "proj",
@@ -74,46 +82,42 @@ _ALIASES = {
     "gorenstein-injective": "ginj", "gi": "ginj",
 }
 
-# Matlis duality swaps these pairs on an artinian base
-DUAL_CLASS = {"inj": "proj", "ginj": "gproj"}
-
 
 def normalize_class(name: str) -> str:
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    if key not in CLASS_KEYS:
+    if key not in CLASSES:
         raise LevelError(f"unknown class {name!r}")
     return key
 
 
 def module_in_class(M, cls: str):
-    """(verdict, note) with verdict True, False, or None for undecided."""
+    """(verdict, note) with verdict True, False, or None for undecided;
+    a dual class holds only the zero module on a base with no duality."""
     cls = normalize_class(cls)
     if M.is_zero_module():
         return True, "zero module"
     ring = M.ring
-    if cls in DUAL_CLASS:
-        if ring.kind != "artin":
+    proj, dual, _ = CLASSES[cls]
+    if dual:
+        if not ring.has_dual:
             return False, "no nonzero finitely generated graded injectives"
-        verdict, note = module_in_class(M.dual(), DUAL_CLASS[cls])
+        verdict, note = module_in_class(M.dual(), proj)
         return verdict, f"dual: {note}"
-    if cls in ("proj", "flat"):
+    if proj == "proj":
         return (True, "free") if M.is_free() else (False, "not free")
-    if cls in ("gproj", "gflat"):
-        if ring.kind != "artin":
-            # regular base: totally reflexive reduces to free
-            return (True, "free over a regular base") if M.is_free() \
-                else (False, "not free over a regular base")
-        if ring.is_gorenstein:
-            return True, "every module over a self-injective base"
-        if M.is_free():
-            return True, "free"
-        scr = tr_screen(M)
-        if scr["first_obstruction"] is not None:
-            kind, i = scr["first_obstruction"]
-            return False, f"reflexivity screen fails: {kind} at step {i}"
-        return None, f"reflexivity screen clean to window {scr['window']}"
-    raise LevelError(f"unknown class {cls!r}")
+    if ring.regular:
+        return (True, "free over a regular base") if M.is_free() \
+            else (False, "not free over a regular base")
+    if ring.is_gorenstein:
+        return True, "every module over a self-injective base"
+    if M.is_free():
+        return True, "free"
+    scr = tr_screen(M)
+    if scr["first_obstruction"] is not None:
+        kind, i = scr["first_obstruction"]
+        return False, f"reflexivity screen fails: {kind} at step {i}"
+    return None, f"reflexivity screen clean to window {scr['window']}"
 
 
 def homology_class_check(m: Complex, cls: str):
@@ -183,8 +187,8 @@ def level_one_test(m: Complex, cls: str) -> LevelOneResult:
     when it is onto every homology module H (source and target homology
     are isomorphic), by Nakayama when it is onto H/mH: one
     full_rank_combination call over the homotopy classes decides that.
-    The test runs on m itself for every class; level_report passes the
-    injective classes on an artinian base as their duals on m.dual().
+    The test runs on m itself for every class; level_report passes a
+    dual class as its projective one on m.dual().
     """
     cls = normalize_class(cls)
     if _is_exact(m):
@@ -437,8 +441,8 @@ def upper_via_tower(cls: str, tower: AdamsTower):
     Each step contributes a triangle whose free stalk layer lies in C,
     so a terminus at layer n certifies level at most n + 1. Valid for
     the classes that contain the free modules, the only ones that reach
-    it: upper_certificate runs it over a graded base only, where inj and
-    ginj are out of scope.
+    it: level_report passes inj and ginj on as their projective duals, or
+    not at all on a base with no duality.
     """
     tris = []
     for step in tower.walk(tower.n):
@@ -463,16 +467,15 @@ def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
     one-layer terminus, and then the rest up to the cap for the
     certificate's tower summary.
 
-    No cover-tower route runs over an artinian base: it never succeeds
+    No cover-tower route runs over a base of depth 0: it never succeeds
     there. Minimal covers give H(L_{s+1}) = Omega H(L_s). The classes
-    that reach it are proj, flat, and gproj or gflat over a
+    that reach it are proj, flat, and gproj or gflat over a regular or
     non-Gorenstein base (inj and ginj arrive dualized; over a Gorenstein
     base cycle-boundary bounds the Gorenstein classes by 2 first), and
     module_in_class admits only free or zero modules to each. So a layer
-    passes the one-step test only when Omega^s H(m) is free, which over
-    an artinian local ring forces H(m) free (Auslander-Buchsbaum at
-    depth 0); free homology makes m formal, and the one-step route has
-    already returned.
+    passes the one-step test only when Omega^s H(m) is free, which at
+    depth 0 forces H(m) free (Auslander-Buchsbaum); free homology makes
+    m formal, and the one-step route has already returned.
     """
     if one.verdict == "yes":
         return UpperCertificate(cls, 1, "one-step", level_one=one,
@@ -485,7 +488,7 @@ def upper_certificate(m: Complex, cls: str, one: LevelOneResult,
         best = upper_via_stratification(m, cls) or best
     if best is not None and best.value <= 2:
         best.level_one = best.level_one or one
-    elif m.ring.kind != "artin":
+    elif m.ring.depth > 0:
         tow = upper_via_tower(cls, tower)
         if tow is not None and (best is None or tow.value < best.value):
             best = tow
@@ -545,10 +548,10 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
 
     For proj and flat, chains of maps that kill homology are ghosts, so
     a nonzero n-fold composite forces level at least n + 1. Over a
-    polynomial ring (finite global dimension) a finitely generated
+    regular base (finite global dimension) a finitely generated
     Gorenstein projective module is projective and a Gorenstein flat one
-    is flat, so those chains are gproj- and gflat-ghosts as well. Over an
-    artinian base they prove nothing for the Gorenstein classes, and the
+    is flat, so those chains are gproj- and gflat-ghosts as well. Over
+    any other base they prove nothing for the Gorenstein classes, and the
     bound falls back to a certified failure of the one-step test. The
     caller supplies one = level_one_test(m, cls) and the cover tower of
     m; the search reads its steps only for the classes whose ghosts it
@@ -577,7 +580,7 @@ def ghost_lower_bound(m: Complex, cls: str, one: LevelOneResult,
     if upper is not None and upper <= best.value:
         return best
 
-    if cls in ("proj", "flat") or m.ring.kind != "artin":
+    if CLASSES[cls][0] == "proj" or m.ring.regular:
         top = sum(1 for _ in tower.walk(tower.n if upper is None
                                         else upper - 1))
         if top < best.value:
@@ -633,12 +636,10 @@ class LevelCertificate:
         return ("unknown",)
 
     def to_dict(self):
-        v = self.verdict
-        out = {"class": self.cls, "verdict": list(v),
-               "notes": list(self.notes)}
-        out["upper"] = self.upper.to_dict() if self.upper else None
-        out["lower"] = self.lower.to_dict() if self.lower else None
-        return out
+        return {"class": self.cls, "verdict": list(self.verdict),
+                "notes": list(self.notes),
+                "upper": self.upper.to_dict() if self.upper else None,
+                "lower": self.lower.to_dict() if self.lower else None}
 
     def verify(self) -> bool:
         if self.upper is not None and not self.upper.verify():
@@ -660,13 +661,13 @@ def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
         return LevelCertificate(
             cls, UpperCertificate(cls, 0, "zero-object", subject=m),
             LowerCertificate(cls, 0, "zero-object", subject=m))
-    if cls in ("inj", "ginj") and m.ring.kind != "artin":
+    proj, dualized, _ = CLASSES[cls]
+    if dualized and not m.ring.has_dual:
         return LevelCertificate(
             cls, None, None,
             notes=["out of scope: no nonzero finitely generated graded "
                    "injectives, the class builds only the zero object"])
-    dualized = cls in DUAL_CLASS and m.ring.kind == "artin"
-    base, bcls = (m.dual(), DUAL_CLASS[cls]) if dualized else (m, cls)
+    base, bcls = (m.dual(), proj) if dualized else (m, cls)
     one = level_one_test(base, bcls)
     if dualized:
         one = replace(one, reason=one.reason + " (computed on the dual "
@@ -692,14 +693,14 @@ def level_report(m: Complex, cls: str, budget: int = 4) -> LevelCertificate:
 def bass_check(m: Complex, budget: int = 4) -> dict:
     """Depth-zero base with finite injective dimension homology.
 
-    Over an artinian base every module has injective dimension zero or
+    Over a base of depth 0 every module has injective dimension zero or
     infinity; when all homology modules are injective, the injective
     envelope of the homology maps in quasi-isomorphically and the level
     with respect to the injectives is exactly one. A failing hypothesis
     reports the actual injective-class level, so counterexamples carry
     the value that escapes the bound, at the given tower budget.
     """
-    if m.ring.kind != "artin":
+    if m.ring.depth > 0:
         return {"applies": False,
                 "reason": "needs a depth-zero artinian base"}
     if _is_exact(m):
@@ -734,8 +735,7 @@ def homology_dimension_bound(m: Complex, cls: str, window: int = 6):
     to be finite.
     """
     cls = normalize_class(cls)
-    kind = {"proj": "pd", "flat": "fd", "inj": "id",
-            "gproj": "gpd", "gflat": "gfd", "ginj": "gid"}[cls]
+    proj, _, kind = CLASSES[cls]
     hd = m.hdata()
     per = {}
     worst = 0
@@ -746,6 +746,6 @@ def homology_dimension_bound(m: Complex, cls: str, window: int = 6):
             return None, per
         worst = max(worst, rep.value)
     bound = worst + 1
-    if cls in ("gproj", "gflat", "ginj"):
+    if proj == "gproj":
         bound = max(2, bound)
     return bound, per

@@ -475,7 +475,8 @@ class Mat:
         return not np.count_nonzero(self._a)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat) or other.field != self.field:
+        if not isinstance(other, Mat) or (other.field is not self.field
+                                          and other.field != self.field):
             return NotImplemented
         return (self._a.shape == other._a.shape and self._den == other._den
                 and self.field.equal(self._a, other._a))
@@ -489,7 +490,8 @@ class Mat:
     # ---- arithmetic ----
 
     def _binary(self, other: "Mat", op):
-        if self.shape != other.shape or self.field != other.field:
+        if self.shape != other.shape or (self.field is not other.field
+                                         and self.field != other.field):
             raise LinalgError("shape/field mismatch")
         (a, b), den = _over_common_den([self, other])
         return Mat(self.field, self.nrows, self.ncols, op(a, b), den)
@@ -510,7 +512,8 @@ class Mat:
                    self._a * c.numerator, self._den * c.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows or self.field != other.field:
+        if self.ncols != other.nrows or (self.field is not other.field
+                                         and self.field != other.field):
             raise LinalgError("matmul shape/field mismatch")
         if self.ncols == 0:  # nothing to multiply: the zero matrix
             return Mat.zeros(self.field, self.nrows, other.ncols)
@@ -521,7 +524,7 @@ class Mat:
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product self (x) other."""
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise LinalgError("kron field mismatch")
         return Mat(self.field, self.nrows * other.nrows,
                    self.ncols * other.ncols, np.kron(self._a, other._a),
@@ -582,7 +585,8 @@ class Mat:
 
         Free variables are set to zero, so the solution is deterministic.
         """
-        if B.nrows != self.nrows or B.field != self.field:
+        if B.nrows != self.nrows or (B.field is not self.field
+                                     and B.field != self.field):
             raise LinalgError("solve shape/field mismatch")
         n = self.ncols
         R, pivots = hstack([self, B]).rref()
@@ -637,7 +641,8 @@ def _stack(mats: Sequence[Mat], axis: int, name: str) -> Mat:
     if not mats:
         raise LinalgError(f"{name} of nothing")
     f, side = mats[0].field, mats[0]._a.shape[1 - axis]
-    if any(m._a.shape[1 - axis] != side or m.field != f for m in mats):
+    if any(m._a.shape[1 - axis] != side
+           or (m.field is not f and m.field != f) for m in mats):
         raise LinalgError(f"{name} mismatch")
     arrays, den = _over_common_den(mats)
     a = np.concatenate(arrays, axis)

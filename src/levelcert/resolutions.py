@@ -12,10 +12,10 @@ a machine-checkable witness. Projective dimension of a complex is read
 off the k-ranks of H(P (x) k); above the homology of the complex the
 resolution is a free resolution of one module (the image of the last
 needed differential), so the unbounded part is delegated to that
-module's report. Injective-side dimensions over an artinian base go
-through vector-space duality. Gorenstein dimensions use the depth
-formula where the base ring makes it unconditional and an obstruction
-screen (Ext into the ring, reflexivity) where it does not.
+module's report. Injective-side dimensions over a base with a duality
+go through vector-space duality. Gorenstein dimensions equal projective
+ones over a regular base, use the depth formula over a Gorenstein one
+and an obstruction screen (Ext into the ring, reflexivity) elsewhere.
 
 The screen reads Ext into an artinian ring R off ranks. For the minimal
 resolution P of M with ranks b_i and differentials d_i,
@@ -429,20 +429,19 @@ def _module_gpd(M, window: int) -> DimensionReport:
     if M.is_zero_module():
         return _zero_report("gpd")
     ring = M.ring
-    if ring.kind == "poly":
-        rep = _module_pd(M, window).rebrand(
+    if ring.regular:
+        return _module_pd(M, window).rebrand(
             "gpd", "regular base: Gorenstein projective dimension equals "
                    "projective dimension")
-        return rep
     if M.is_free():
         return DimensionReport("gpd", "exact", 0,
                                witness={"route": "free-module"})
     if ring.is_gorenstein:
         d = depth_of(M)
         return DimensionReport(
-            "gpd", "exact", 0 - d,
+            "gpd", "exact", ring.depth - d,
             witness={"route": "depth-formula",
-                     "ring_depth": 0, "module_depth": d},
+                     "ring_depth": ring.depth, "module_depth": d},
             notes="Gorenstein artinian base: the dimension is finite and "
                   "equals depth of the ring minus depth of the module")
     screen = tr_screen(M)
@@ -508,32 +507,25 @@ def _complex_pd(x: Complex, window: int) -> DimensionReport:
                            objects=objs)
 
 
-def _single_degree_of_homology(x: Complex):
-    degs = x.hdata().nonzero_degrees()
-    if len(degs) == 1:
-        return degs[0]
-    return None
-
-
 def _complex_gpd(x: Complex, window: int) -> DimensionReport:
     hdegs = x.hdata().nonzero_degrees()
     if not hdegs:
         return _zero_report("gpd")
     ring = x.ring
-    if ring.kind == "poly":
+    if ring.regular:
         return _complex_pd(x, window).rebrand(
             "gpd", "regular base: Gorenstein projective dimension equals "
                    "projective dimension")
     if ring.is_gorenstein:
         d = depth_of(x)
         return DimensionReport(
-            "gpd", "exact", 0 - d,
-            witness={"route": "depth-formula", "ring_depth": 0,
+            "gpd", "exact", ring.depth - d,
+            witness={"route": "depth-formula", "ring_depth": ring.depth,
                      "complex_depth": d},
             notes="Gorenstein artinian base: the dimension equals depth of "
                   "the ring minus depth of the complex")
-    s = _single_degree_of_homology(x)
-    if s is not None:
+    if len(hdegs) == 1:
+        s = hdegs[0]
         rep = _module_gpd(x.hdata().homology(s), window)
         out = rep.rebrand("gpd", "homology sits in one degree, so the "
                                  "complex is equivalent to a shifted module")
@@ -555,7 +547,7 @@ def dimension_report(obj, kind: str, window: int = 6) -> DimensionReport:
 
     kind is one of pd, fd, id, gpd, gfd, gid. Flat kinds coincide with
     projective ones for finitely generated objects over a noetherian
-    base. Injective kinds over a graded base are out of scope.
+    base. Injective kinds over a base with no duality are out of scope.
     """
     is_cx = isinstance(obj, Complex)
     g = "Gorenstein " if kind.startswith("g") else ""
@@ -569,7 +561,7 @@ def dimension_report(obj, kind: str, window: int = 6) -> DimensionReport:
             kind, f"finitely generated over a noetherian base: {g}flat "
                   f"equals {g}projective")
     if kind in ("id", "gid"):
-        if obj.ring.kind == "poly":
+        if not obj.ring.has_dual:
             return DimensionReport(
                 kind, "out_of_scope", None,
                 notes=f"{g}injective dimension is computed through duality "

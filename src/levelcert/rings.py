@@ -29,7 +29,19 @@ class NotLocal(ValueError):
 
 
 class ArtinRing:
+    """The facts a report may assume about this base, fixed once per ring:
+    - depth = 0: the maximal ideal is nilpotent.
+    - has_dual: Matlis duality is the k-dual, which swaps the projective
+      and the injective modules, and the Gorenstein ones likewise.
+    - regular exactly when R is a field (dim == 1), and then Gdim = pd.
+    - is_gorenstein exactly when the socle is one-dimensional: R is then
+      self-injective, every module is Gorenstein projective, and
+      Gdim M = depth R - depth M (Christensen, LNM 1747).
+    """
+
     kind = "artin"
+    depth = 0
+    has_dual = True
 
     def __init__(self, field, varnames, relation_texts):
         self.field = field
@@ -50,6 +62,9 @@ class ArtinRing:
         # tr_screen keeps one screen per (module, window) here
         self.tr_screens = {}
         self._check_local()
+        acts = [self.var_matrix(i) for i in range(self.nvars)]
+        self.socle_dim = self.dim - (vstack(acts).rank() if acts else 0)
+        self.is_gorenstein, self.regular = self.socle_dim == 1, self.dim == 1
 
     def _standard_monomials(self):
         leads = [b.lead()[0][1] for b in self.gb.basis]
@@ -123,21 +138,6 @@ class ArtinRing:
             if not power.is_zero():
                 raise NotLocal(f"variable {self.varnames[i]} is not nilpotent")
 
-    @property
-    def socle_dim(self) -> int:
-        if self.nvars == 0:
-            return self.dim
-        stacked = vstack([self.var_matrix(i) for i in range(self.nvars)])
-        return self.dim - stacked.rank()
-
-    @property
-    def is_gorenstein(self) -> bool:
-        return self.socle_dim == 1
-
-    @property
-    def depth(self) -> int:
-        return 0
-
     def decl_text(self) -> str:
         rels = ", ".join(b.component_text(0, self.varnames) for b in self.gb.basis)
         return f"artin({self.field.name}; {', '.join(self.varnames)} | {rels})"
@@ -155,12 +155,23 @@ class ArtinRing:
 
 
 class GradedPolyRing:
+    """The facts a report may assume about this base, local at (x_1..x_n):
+    - regular, hence Gorenstein: every finitely generated graded module has
+      a finite free resolution (Hilbert), so Gdim = pd (Christensen, LNM
+      1747) and a Gorenstein projective module is free.
+    - depth = n: the variables are a maximal regular sequence.
+    - has_dual = False: no nonzero finitely generated graded module is
+      injective, so no duality carries the injective classes over.
+    """
+
     kind = "poly"
+    regular = is_gorenstein = True
+    has_dual = False
 
     def __init__(self, field, varnames):
         self.field = field
         self.varnames = list(varnames)
-        self.nvars = len(self.varnames)
+        self.nvars = self.depth = len(self.varnames)
         self._mono_cache = {}
         self._gb_memo = {}
         self._syz_memo = {}
@@ -192,14 +203,6 @@ class GradedPolyRing:
         if d not in self._mono_cache:
             self._mono_cache[d] = monomials_of_degree(self.nvars, d)
         return self._mono_cache[d]
-
-    @property
-    def is_gorenstein(self) -> bool:
-        return True
-
-    @property
-    def depth(self) -> int:
-        return self.nvars
 
     def decl_text(self) -> str:
         return f"poly({self.field.name}; {', '.join(self.varnames)})"

@@ -496,6 +496,23 @@ def test_zero_object_depth_prints_infinity(tmp_path, capsys, ring):
         == [None, None]
 
 
+def test_field_base_output(tmp_path, capsys):
+    # a field given as an artinian ring is regular, Gorenstein and of
+    # depth 0 at once: the one base whose facts differ from its kind's
+    script = tmp_path / "field.lvc"
+    script.write_text("A = artin(F2; x | x)\n"
+                      "module M over A = free 2\n"
+                      "gpd M\npd M\nid M\ngid M\n"
+                      "level GP M\nlevel Proj M\nlevel Inj M\nlevel GI M\n"
+                      "bass M\ndepth M\n")
+    assert main([str(script)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "gpd M = 0", "pd M = 0", "id M = 0", "gid M = 0",
+        "level gproj M: exact 1", "level proj M: exact 1",
+        "level inj M: exact 1", "level ginj M: exact 1",
+        "bass M: applies, level_Inj = 1", "depth M = 0"]
+
+
 def test_default_field_flag(tmp_path):
     script = tmp_path / "s.lvc"
     script.write_text("R = poly(x, y)\nmodule k over R = coker [[x, y]]\n"

@@ -1,9 +1,15 @@
 """Ring layer tests with hand-computed multiplication tables."""
 
+from pathlib import Path
+
 import pytest
 
+from levelcert.complexes import ComplexError, module_stalk
 from levelcert.linalg import PrimeField
+from levelcert.modules import (artin_residue_field, free_module,
+                               graded_residue_field)
 from levelcert.poly import parse_poly
+from levelcert.resolutions import depth_of, dimension_report
 from levelcert.rings import (ArtinRing, GradedPolyRing, InfiniteDimensional,
                              NotLocal, make_ring)
 
@@ -81,3 +87,38 @@ def test_graded_ring_basics():
     p = parse_poly(R.field, R.varnames, "x^2 + y")
     assert p.terms == {(0, (2, 0)): 1, (0, (0, 1)): 1}
     assert p.homogeneous_degree([0]) is None
+
+
+def _declared_rings():
+    """Each ring the golden scripts declare, and a field given as an
+    artinian ring, the one base whose facts differ from its kind's."""
+    golden = Path(__file__).resolve().parent / "golden"
+    decls = {"artin(F2; x | x)"}
+    for path in golden.glob("*.lvc"):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            _, eq, decl = line.partition(" = ")
+            if eq and decl.startswith(("artin(", "poly(")):
+                decls.add(decl.strip())
+    return sorted(decls)
+
+
+@pytest.mark.parametrize("decl", _declared_rings())
+def test_ring_facts_agree_with_computations_that_do_not_read_them(decl):
+    ring = make_ring(decl)
+    R = free_module(ring, [0])
+    assert ring.depth == depth_of(R)
+    # Serre: a local ring is regular exactly when pd k is finite
+    artin = isinstance(ring, ArtinRing)
+    k = artin_residue_field(ring) if artin else graded_residue_field(ring)
+    assert ring.regular == (dimension_report(k, "pd", 2).status == "exact")
+    if artin:
+        assert ring.is_gorenstein == (R.socle_dim() == 1)
+    # a base with a duality dualizes every complex, and the k-dual is an
+    # involution
+    stalk = module_stalk(ring, R)
+    try:
+        dual = stalk.dual()
+    except ComplexError:
+        dual = None
+    assert ring.has_dual == (dual is not None)
+    assert dual is None or dual.dual() == stalk
