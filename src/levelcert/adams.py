@@ -2,12 +2,16 @@
 
 One projective step picks a degreewise free cover F of the homology of a
 complex m, realizes it as a chain map phi: F -> m by lifting generators to
-cycle representatives, and sets the next layer to the desuspended cone of
-phi. Iterating gives a tower m = L0, L1, L2, ... whose connecting maps
-induce zero on homology, and whose covers splice into a degreewise exact
-sequence of free modules augmented onto H(m). On an artinian base, the
-envelope step into degreewise dual-free modules is the vector-space dual
-of a cover step on the dual complex.
+cycle representatives, and sets the next layer to the cone of phi.
+Iterating gives a tower of cones m = T0, T1, T2, ... whose cone
+inclusions T_s -> T_{s+1} induce zero on homology, and whose covers
+splice into a degreewise exact sequence of free modules augmented onto
+H(m). The tower keeps T_s = shift(L_s, s), the suspension of the layer
+L_s of the fibre tower L_{s+1} = shift(Cone(phi_s), -1): Cone(shift f)
+and shift(Cone f) differ only by the sign of f on one summand, so the
+two are isomorphic. Reports print L_s, whose degree i is degree i + s of
+T_s. On an artinian base, the envelope step into degreewise dual-free
+modules is the vector-space dual of a cover step on the dual complex.
 """
 
 from dataclasses import dataclass
@@ -33,17 +37,17 @@ class AdamsStep:
     """One cover step F -> m with its cone and connecting map.
 
     phi induces a surjection on homology in every degree by construction,
-    so H(delta) = 0 and the cone rotates to the degreewise short exact
-    sequences 0 -> H(omega) -> F -> H(m) -> 0 on homology. A step is
-    read-only: m keeps it, and every tower through m reads it.
+    so H(delta) = 0 and the long exact sequence of the cone breaks into
+    the short exact sequences 0 -> H_{i+1}(omega) -> F_i -> H_i(m) -> 0.
+    A step is read-only: m keeps it, and every tower through m reads it.
     """
 
     m: Complex
     F: Complex
     phi: ChainMap
     cover: MappingProxyType  # degree -> module hom F_i -> H_i(m)
-    omega: Complex       # next layer, shift(-1) of the cone
-    delta: ChainMap      # m -> cone(phi) = shift(omega)
+    omega: Complex       # next layer, the cone of phi
+    delta: ChainMap      # m -> omega, the cone inclusion
     triangle: Triangle
 
 
@@ -66,7 +70,7 @@ def adams_step_proj(m: Complex) -> AdamsStep:
     tri = Triangle(phi)
     cd = tri.cone_data
     return AdamsStep(m, F, phi, MappingProxyType(cover),
-                     cd.complex.shift(-1), cd.inclusion(), tri)
+                     cd.complex, cd.inclusion(), tri)
 
 
 def cover_step(m: Complex) -> AdamsStep:
@@ -77,7 +81,8 @@ def cover_step(m: Complex) -> AdamsStep:
 
 @dataclass
 class AdamsTower:
-    """Layers L0 = m, L1, ..., Ln with covers F^s -> L_s.
+    """Layers T0 = m, T1, ..., Tn with covers F^s -> T_s, where T_s is
+    shift(L_s, s) and the reports print L_s.
 
     A capped walk along the cover steps each layer keeps: a reader takes
     walk(cap) once, which builds the steps it reaches only, and stops
@@ -103,14 +108,13 @@ class AdamsTower:
         return list(self.walk(self.n))
 
     def ghost_composite(self, n: int):
-        """(m -> shift(L_n, n), its factors): the composite of the first n
-        connecting maps, each shifted to follow the one before.
+        """(m -> T_n, its factors): the composite of the first n cone
+        inclusions T_s -> T_{s+1}.
 
         Each factor induces zero on homology, so a nonzero homotopy
         class of the composite forces at least n + 1 free-cover layers.
         """
-        factors = tuple(st.delta.shift(s) if s else st.delta
-                        for s, st in enumerate(self.walk(n)))
+        factors = tuple(st.delta for st in self.walk(n))
         if not 1 <= n <= len(factors):
             raise AdamsError("tower too short for the requested composite")
         gamma = factors[0]
@@ -123,11 +127,14 @@ class AdamsTower:
         out = {"side": "proj", "generators": "minimal",
                "layers": len(steps), "steps": []}
         for s, st in enumerate(steps):
-            ranks = {str(i): st.F.module(i).free_rank for i in st.F.support()}
+            # in the degrees of L_s and L_{s+1}
+            ranks = {str(i - s): st.F.module(i).free_rank
+                     for i in st.F.support()}
             out["steps"].append({
                 "layer": s,
                 "cover_ranks": ranks,
-                "next_layer_support": [int(i) for i in st.omega.support()],
+                "next_layer_support": [int(i - s - 1)
+                                       for i in st.omega.support()],
             })
         return out
 
@@ -138,20 +145,20 @@ def adams_tower(m: Complex, n: int) -> AdamsTower:
 
 
 def _h_into_cover(step: AdamsStep, i: int):
-    """H_i(omega) -> F_i, the connecting inclusion of the layer the step
-    leaves into its cover.
+    """H_{i+1}(omega) -> F_i, the connecting inclusion of the layer the
+    step leaves into its cover.
 
-    A class of omega = shift(cone(phi), -1) is represented by a cycle
-    (f, m') with zero F-differential component; sending it to f is well
-    defined because boundaries have zero F-component, and it is injective
-    because phi is surjective on homology.
+    A class of omega = cone(phi) in degree i + 1 is represented by a
+    cycle (f, m') with f in F_i; sending it to f is well defined because
+    F has zero differential, so boundaries have zero F-component, and it
+    is injective because phi is surjective on homology.
     """
     hd = step.omega.hdata()
-    H = hd.homology(i)
+    H = hd.homology(i + 1)
     if H.is_zero_module():
         return None, H
-    _, zeta = hd.cycles(i)
-    pi = hd.homology_proj(i)
+    _, zeta = hd.cycles(i + 1)
+    pi = hd.homology_proj(i + 1)
     pra = step.triangle.cone_data.pr_a[i + 1]
     incl = pra.compose(zeta).factor_through(pi)
     assert incl is not None
@@ -160,7 +167,8 @@ def _h_into_cover(step: AdamsStep, i: int):
 
 def splice_complex(steps: list, i: int) -> Complex:
     """The degree-i splice 0 -> H_i(L_n) -> F^{n-1}_i -> ... -> H_i(m)
-    of the n steps of a tower.
+    of the n steps of a tower, in the degrees of the layers L_s: degree
+    i of L_s is degree i + s of the layer T_s that step s covers.
 
     Returned as a complex in degrees 0..n+1 whose exactness (including
     at both ends) is the splice property.
@@ -171,8 +179,9 @@ def splice_complex(steps: list, i: int) -> Complex:
     mods, diffs = {0: steps[0].m.hdata().homology(i)}, {}
     incls = {}
     for s, st in enumerate(steps, 1):
-        mods[s] = st.F.module(i) if i in st.cover else None
-        incls[s], top = _h_into_cover(st, i)
+        j = i + s - 1
+        mods[s] = st.F.module(j) if j in st.cover else None
+        incls[s], top = _h_into_cover(st, j)
     mods[n + 1] = top
     for s in range(n + 1):
         src, tgt = mods[s + 1], mods[s]
@@ -184,7 +193,7 @@ def splice_complex(steps: list, i: int) -> Complex:
         elif s == n:
             diffs[n + 1] = incls[n]
         else:
-            diffs[s + 1] = incls[s].compose(steps[s].cover[i])
+            diffs[s + 1] = incls[s].compose(steps[s].cover[i + s])
     clean = {d: m for d, m in mods.items() if m is not None}
     return Complex(steps[0].m.ring, clean, diffs).checked()
 
@@ -193,8 +202,8 @@ def verify_splice(tower: AdamsTower) -> dict:
     """Exactness of every degreewise splice through the tower's steps."""
     steps = tower.steps
     degs = set(tower.m.hdata().nonzero_degrees())
-    for st in steps:
-        degs |= set(st.F.support())
+    for s, st in enumerate(steps):
+        degs |= {i - s for i in st.F.support()}
     per = {int(i): splice_complex(steps, i).is_exact() for i in sorted(degs)}
     return {"ok": all(per.values()), "per_degree": per,
             "layers": len(steps), "side": "proj"}
@@ -204,6 +213,7 @@ def adams_step_inj(m: Complex) -> AdamsStep:
     """The envelope step of m, on an artinian base: the cover step of the
     dual complex. Dualized, its cover phi: F -> m^v is the envelope
     m -> F^v into degreewise dual-free modules, injective on homology,
-    and the dual of its next layer omega is the layer the envelope leaves.
+    and the dual of its next layer omega is shift(-1) of the layer the
+    envelope leaves.
     """
     return cover_step(m.dual())

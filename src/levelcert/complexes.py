@@ -18,8 +18,9 @@ kept on it (Kept.derived): the homology, the dual and the cover step of
 a complex, the cone of a chain map, and from the class-free evidence
 of the level reports of a complex, the formality decision and the ghost
 search with its free replacement (the cycle-boundary triangle is built
-per report). A shift records the complex it shifts, its root, and
-reads the root's homology through ShiftedHomologyData.
+per report). A shift is a new complex, reindexed, with its own homology:
+no report path shifts a complex, since the cover tower keeps its layers
+suspended (adams).
 
 ChainMapSpace is the Hom complex Hom(X, Y) in degrees 1, 0 and -1, with
 one differential builder: chain maps are the kernel of its differential
@@ -68,8 +69,6 @@ class Complex(Kept):
         self.label = label
         self._zero = zero_module(ring)
         self._derived = {}
-        # shift() records the complex it shifts and by how much
-        self._root, self._offset = self, 0
         kept = {}
         for i, d in diffs.items():
             if d.source.is_zero_module() or d.target.is_zero_module():
@@ -113,33 +112,16 @@ class Complex(Kept):
         return not self.modules
 
     def hdata(self) -> "HomologyData":
-        return self.derived("hdata", self._homology_data)
-
-    def _homology_data(self) -> "HomologyData":
-        root, n = self._root, self._offset
-        if root is self:
-            return HomologyData(self)
-        return root.hdata() if n == 0 else \
-            ShiftedHomologyData(self, root.hdata(), n)
+        return self.derived("hdata", HomologyData, self)
 
     def is_exact(self) -> bool:
         return self.hdata().is_exact()
 
     def shift(self, n: int = 1) -> "Complex":
-        """(shift X)_i = X_{i-n} with differential (-1)^n d.
-
-        The shift records its root, the complex that is not itself a
-        shift, and its offset from it, so shifts of shifts compose. Its
-        homology is a view of the root's, reindexed by the offset: a sign
-        changes no kernel or image inclusion, so only the epi onto the
-        boundaries is negated, for an odd offset. At offset 0 it is the
-        root's homology itself.
-        """
+        """(shift X)_i = X_{i-n} with differential (-1)^n d."""
         mods = {i + n: m for i, m in self.modules.items()}
         diffs = {i + n: -d if n % 2 else d for i, d in self.diffs.items()}
-        out = Complex(self.ring, mods, diffs)
-        out._root, out._offset = self._root, self._offset + n
-        return out
+        return Complex(self.ring, mods, diffs)
 
     def dual(self) -> "Complex":
         """Degreewise linear dual: (X^v)_i = (X_{-i})^v, d_i = (d^X_{1-i})^v.
@@ -348,31 +330,6 @@ class HomologyData:
 
     def is_exact(self) -> bool:
         return all(self.homology(i).is_zero_module() for i in self.x.support())
-
-
-class ShiftedHomologyData(HomologyData):
-    """The homology data of x = root.shift(n), read off the root's.
-
-    Degree i of x is degree i - n of the root, and d^x = (-1)^n d, so
-    cycles, boundary inclusions, homology and C_i are the root's; the
-    epi X_{i+1} ->> B_i is negated for odd n, so that incl . epi is d^x.
-    """
-
-    def __init__(self, x: Complex, root: HomologyData, n: int):
-        self.x, self.root, self.n = x, root, n
-
-    def cycles(self, i: int):
-        return self.root.cycles(i - self.n)
-
-    def _image_of_diff(self, i: int):
-        b, beta, epi = self.root._image_of_diff(i - self.n)
-        return b, beta, -epi if self.n % 2 else epi
-
-    def _homology_parts(self, i: int):
-        return self.root._homology_parts(i - self.n)
-
-    def cmod(self, i: int):
-        return self.root.cmod(i - self.n)
 
 
 class ConeData:

@@ -269,7 +269,7 @@ def schreyer_syzygies(gb: GroebnerBasis):
     return out
 
 
-def syzygies(gens, budget: int = 50000, gb: GroebnerBasis | None = None):
+def syzygies(gens, gb: GroebnerBasis | None = None):
     """Generators of {c : sum c_i gens[i] = 0}, as PolyVecs over input indices.
 
     Schreyer syzygies of the reduced basis are pushed through the
@@ -277,7 +277,7 @@ def syzygies(gens, budget: int = 50000, gb: GroebnerBasis | None = None):
     basis expressed in inputs) supply the rest.
     """
     if gb is None:
-        gb = buchberger(gens, budget=budget)
+        gb = buchberger(gens)
     field, nvars = gb.field, gb.nvars
     out = []
     for syz in schreyer_syzygies(gb):

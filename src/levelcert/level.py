@@ -335,16 +335,14 @@ class UpperCertificate(BoundCertificate):
                 built = tri.w
             return len(tris) + 1 if built == self.subject else None
         if self.route == "cover-tower":
-            # n peeled covers, each from the layer the one before it
-            # left, starting at the subject, and a one-step terminus
-            if not tris or tris[0].u.target is not self.subject:
-                return None
+            # n peeled covers, each from the cone the one before it
+            # built, starting at the subject, and a one-step terminus
             layer = self.subject
             for tri in tris:
-                if tri.u.target != layer or tri.u.source.diffs:
+                if tri.u.target is not layer or tri.u.source.diffs:
                     return None
-                layer = tri.w.shift(-1)
-            if not _says(one, "yes") or one.subject != layer:
+                layer = tri.w
+            if not tris or not _says(one, "yes") or one.subject is not layer:
                 return None
             return len(tris) + 1
         return None
@@ -439,7 +437,9 @@ def upper_via_tower(cls: str, tower: AdamsTower):
     one-layer terminus.
 
     Each step contributes a triangle whose free stalk layer lies in C,
-    so a terminus at layer n certifies level at most n + 1. Valid for
+    so a terminus at layer n certifies level at most n + 1. The layer is
+    T_n = shift(L_n, n), and the one-step pieces are reported in the
+    degrees of L_n, like the tower summary. Valid for
     the classes that contain the free modules, the only ones that reach
     it: level_report passes inj and ginj on as their projective duals, or
     not at all on a base with no duality.
@@ -449,10 +449,13 @@ def upper_via_tower(cls: str, tower: AdamsTower):
         tris.append(step.triangle)
         lo = level_one_test(step.omega, cls)
         if lo.verdict == "yes":
+            n = len(tris)
             return UpperCertificate(
-                cls, len(tris) + 1, "cover-tower",
-                data={"layers": len(tris), "tower": tower.summary()},
-                level_one=lo, subject=tower.m, triangles=tris)
+                cls, n + 1, "cover-tower",
+                data={"layers": n, "tower": tower.summary()},
+                level_one=replace(lo, pieces={
+                    i - n: p for i, p in lo.pieces.items()}),
+                subject=tower.m, triangles=tris)
     return None
 
 

@@ -109,10 +109,11 @@ class ArtinModule:
     def mono_action(self, mono) -> Mat:
         mono = tuple(mono)
         if mono not in self._mono_act:
-            out = Mat.identity(self.field, self.dim)
-            for v, e in enumerate(mono):
-                for _ in range(e):
-                    out = self.actions[v] @ out
+            acts = [self.actions[v] for v, e in enumerate(mono)
+                    for _ in range(e)]
+            out = acts[0] if acts else Mat.identity(self.field, self.dim)
+            for a in acts[1:]:
+                out = a @ out
             self._mono_act[mono] = out
         return self._mono_act[mono]
 
@@ -516,13 +517,15 @@ class GradedModule:
         return GradedHom(self, self,
                          [self.gen_elem(j) for j in range(self.ngens)])
 
-    def invariants(self, window: int = 6):
+    def invariants(self):
+        """(minimal generator twists, the Hilbert function in the six
+        degrees from the lowest of them)."""
         idx = self.min_gens_indices()
         twists = sorted(self.gen_twists[j] for j in idx)
         if not twists:
             return ((), ())
         lo = twists[0]
-        hil = tuple(self.hilbert(d) for d in range(lo, lo + window))
+        hil = tuple(self.hilbert(d) for d in range(lo, lo + 6))
         return (tuple(twists), hil)
 
     def __eq__(self, other):

@@ -143,6 +143,8 @@ class ArtinRing:
         return f"artin({self.field.name}; {', '.join(self.varnames)} | {rels})"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, ArtinRing) and other.field == self.field
                 and other.varnames == self.varnames
                 and other.gb.basis == self.gb.basis)
@@ -208,6 +210,8 @@ class GradedPolyRing:
         return f"poly({self.field.name}; {', '.join(self.varnames)})"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, GradedPolyRing) and other.field == self.field
                 and other.varnames == self.varnames)
 

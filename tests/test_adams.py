@@ -53,8 +53,9 @@ def test_step_on_residue_field(A):
     assert list(st.F.support()) == [0]
     assert st.F.module(0).free_rank == 1
     assert st.phi.induced_on_homology(0).is_surjective()
-    # over F2[x]/(x^2) the first syzygy layer of k is k again
-    h = st.omega.hdata().homology(0)
+    # over F2[x]/(x^2) the first syzygy layer of k is k again; the tower
+    # keeps it suspended once, so its degree 0 is degree 1 of the cone
+    h = st.omega.hdata().homology(1)
     verdict, _ = find_isomorphism(h, m.module(0))
     assert verdict == "iso"
 
@@ -92,9 +93,11 @@ def test_splice_tower_depth_three(A):
     rep = verify_splice(tw)
     assert rep["ok"]
     assert rep["layers"] == 3
-    # periodic layers: every cover has rank 1
-    for step in tw.steps:
-        assert step.F.module(0).free_rank == 1
+    # periodic layers: every cover has rank 1, in degree 0 of L_s, which
+    # is degree s of the suspended layer T_s the step covers
+    for s, step in enumerate(tw.steps):
+        assert step.F.support() == [s]
+        assert step.F.module(s).free_rank == 1
 
 
 def test_splice_koszul_layers(A):
@@ -129,8 +132,8 @@ def test_ghost_composite_is_chain_map(A):
     tw = adams_tower(m, 3)
     g2, factors = tw.ghost_composite(2)
     assert g2.source == m
-    # target is the double shift of layer 2
-    assert g2.target == tw.steps[1].omega.shift(2)
+    # target is layer 2, kept suspended twice as the cone T_2
+    assert g2.target is tw.steps[1].omega
     assert len(factors) == 2
     assert all(d.induces_zero_on_homology() for d in factors)
     # recheck commuting squares explicitly
@@ -146,8 +149,9 @@ def test_graded_tower_and_splice(R2):
     assert rep["ok"]
     st = tw.steps[0]
     assert st.F.module(0).free_rank == 1
-    h = st.omega.hdata().homology(0)
-    # two generators in degree 1
+    # degree 0 of layer 1 is degree 1 of the cone the tower keeps
+    h = st.omega.hdata().homology(1)
+    # two generators, each of internal degree 1
     assert h.ngens == 2
     assert h.gen_twists == [1, 1]
 
@@ -155,7 +159,8 @@ def test_graded_tower_and_splice(R2):
 def test_inj_step_embeds_homology(A):
     # the envelope step of m is the cover step of its dual: the cover is
     # onto H(m^v), so its dual psi: m -> E = F^v embeds H(m), and the dual
-    # of the next layer has the homology of the old cokernel layer, k
+    # of the next layer is the cokernel layer shifted down once, with
+    # homology k in degree -1
     m = k_stalk(A)
     st = adams_step_inj(m)
     assert st.m is m.dual()
@@ -164,7 +169,7 @@ def test_inj_step_embeds_homology(A):
     psi = st.phi.dual()
     assert psi.source == m
     assert psi.induced_on_homology(0).is_injective()
-    h = st.omega.dual().hdata().homology(0)
+    h = st.omega.dual().hdata().homology(-1)
     verdict, _ = find_isomorphism(h, m.module(0))
     assert verdict == "iso"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from levelcert import adams, complexes, corpus, level
-from levelcert.cli import build_arg_parser, parse
+from levelcert.cli import build_arg_parser, main, parse
 from levelcert.randgen import random_complex, random_free_homology_complex
 from levelcert.rings import make_ring
 from levelcert.modules import artin_free, artin_residue_field, \
@@ -79,6 +79,29 @@ def test_level_one_decisions(A, R3):
     assert level_one_test(kA, "gproj").verdict == "yes"
     free = module_stalk(A, artin_free(A, 2))
     assert level_one_test(free, "proj").verdict == "yes"
+
+
+def test_clean_reflexivity_screen_leaves_the_one_step_test_open(tmp_path,
+                                                                capsys):
+    # R = F2[x, y, z]/(x^2, y^2, yz, z^2) is not Gorenstein (its socle is
+    # spanned by xy and xz) and x is an exact zero-divisor, so M = R/(x)
+    # is totally reflexive and not free: the reflexivity screen finds no
+    # obstruction, decides nothing, and the one-step test stays open
+    text = ("R = artin(F2; x, y, z | x^2, y^2, y*z, z^2)\n"
+            "module M over R = coker [[x]]\n")
+    sess = parse(text)
+    M = sess.modules["M"]
+    assert not (M.ring.is_gorenstein or M.ring.regular or M.is_free())
+    assert module_in_class(M, "gproj") == (
+        None, "reflexivity screen clean to window 4")
+    one = level_one_test(sess.as_complex("M", 0), "gproj")
+    assert (one.verdict, one.reason, one.exhaustive) == (
+        "inconclusive", "class membership screen undecided", False)
+    script = tmp_path / "clean.lvc"
+    script.write_text(text + "level gproj M\ngpd M\n")
+    assert main([str(script)]) == 2
+    assert capsys.readouterr().out == ("level gproj M: at_least 1\n"
+                                       "gpd M = inconclusive\n")
 
 
 @pytest.mark.parametrize("field", ["F2", "F101", "Q"])

@@ -17,7 +17,9 @@ constructor takes a `check` option: where a check runs is named in the
 code, by a call to `checked()`. What a report may assume about its base
 it reads off the ring's facts (`rings.py`), not off `ring.kind`, which
 only chooses a module representation; and no code tests a class against
-a literal tuple of class names, which `level.CLASSES` replaces.
+a literal tuple of class names, which `level.CLASSES` replaces. Neither
+the cover tower nor the level reports shift a complex, so a shift keeps
+no view of another complex's homology.
 """
 
 import ast
@@ -262,3 +264,27 @@ def test_no_class_is_tested_against_a_tuple_of_class_names():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in _class_tuple_tests(path)]
     assert found == [], "class tuples; read level.CLASSES instead"
+
+
+def _shift_calls(path):
+    """Line of each `.shift(...)` call in the module at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "shift"]
+
+
+def test_the_level_search_shifts_no_complex():
+    # the cover tower keeps its layers suspended, so no report path
+    # shifts a complex, and a shift needs no view of another's homology
+    found = [(name, line) for name in ("adams.py", "level.py")
+             for line in _shift_calls(SRC / name)]
+    assert found == [], "shifted complexes on the report path"
+    tree = ast.parse((SRC / "complexes.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.ClassDef)
+                   and node.name == "ShiftedHomologyData"
+                   for node in ast.walk(tree))
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "_root"
+                   and isinstance(node.ctx, ast.Store)
+                   for node in ast.walk(tree))
